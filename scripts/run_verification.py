@@ -18,7 +18,11 @@ def main() -> int:
     parser.add_argument("--trunc", type=int, default=4)
     args = parser.parse_args()
 
-    results = checks.run_suite(config=checks.SuiteConfig(trunc=args.trunc))
+    try:
+        config = checks.SuiteConfig(trunc=args.trunc)
+    except ValueError as exc:
+        parser.error(str(exc))
+    results = checks.run_suite(config=config)
     text = checks.format_text(results)
     print(text)
 

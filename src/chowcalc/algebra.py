@@ -3,12 +3,24 @@ exact row reduction.
 
 All values are immutable after construction and every operation is exact
 rational arithmetic; there is no floating point anywhere in this package.
+
+Polynomial products use the content/primitive-part idea (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, section 6.2): each operand's
+coefficients are scaled by the LCM of its denominators to integers, the
+integer numerators are multiplied and accumulated, and every output term is
+divided once by the product of the two LCMs.  Per-term work is then integer
+multiplication and addition instead of Fraction arithmetic, which reduces
+by a gcd on every operation.  Results from internal operations are built
+with the trusted ``GradedPoly._from_clean``; the public constructor keeps
+full validation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 # The coefficient field everywhere.  fractions.Fraction already guarantees
@@ -110,11 +122,22 @@ class GradedPoly:
         object.__setattr__(self, "_terms", cleaned)
         object.__setattr__(self, "_hash", None)
 
+    @staticmethod
+    def _from_clean(table: VariableTable, terms: dict[tuple[int, ...], Fraction]) -> "GradedPoly":
+        """Trusted constructor for internal results: every key must already be
+        a valid exponent tuple for `table` and every value a nonzero Fraction.
+        `terms` is stored without validation or copying."""
+        p = object.__new__(GradedPoly)
+        object.__setattr__(p, "table", table)
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(table: VariableTable) -> "GradedPoly":
-        return GradedPoly(table, {})
+        return GradedPoly._from_clean(table, {})
 
     @staticmethod
     def constant(table: VariableTable, c: RationalLike) -> "GradedPoly":
@@ -172,14 +195,15 @@ class GradedPoly:
         return max((self.table.degree(e) for e in self._terms), default=0)
 
     def homogeneous_component(self, d: int) -> "GradedPoly":
-        return GradedPoly(
-            self.table, {e: c for e, c in self._terms.items() if self.table.degree(e) == d}
+        degree = self.table.degree
+        return GradedPoly._from_clean(
+            self.table, {e: c for e, c in self._terms.items() if degree(e) == d}
         )
 
     def truncate(self, max_degree: int) -> "GradedPoly":
-        return GradedPoly(
-            self.table,
-            {e: c for e, c in self._terms.items() if self.table.degree(e) <= max_degree},
+        degree = self.table.degree
+        return GradedPoly._from_clean(
+            self.table, {e: c for e, c in self._terms.items() if degree(e) <= max_degree}
         )
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
@@ -206,13 +230,20 @@ class GradedPoly:
         self._check(other)
         terms = dict(self._terms)
         for e, c in other._terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return GradedPoly(self.table, terms)
+            if e in terms:
+                s = terms[e] + c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+            else:
+                terms[e] = c
+        return GradedPoly._from_clean(self.table, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.table, {e: -c for e, c in self._terms.items()})
+        return GradedPoly._from_clean(self.table, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
@@ -224,15 +255,11 @@ class GradedPoly:
 
     def __mul__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return GradedPoly.zero(self.table)
             q = rat(other)
-            return GradedPoly(self.table, {e: c * q for e, c in self._terms.items()})
-        self._check(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return GradedPoly(self.table, terms)
+            return GradedPoly._from_clean(self.table, {e: c * q for e, c in self._terms.items()})
+        return _product(self, other, None)
 
     __rmul__ = __mul__
 
@@ -286,8 +313,9 @@ class GradedPoly:
                 raise ValueError("cannot infer target table from an empty mapping")
         images: list[GradedPoly | None] = [mapping.get(n) for n in self.table.names]
         out = GradedPoly.zero(target)
+        constant_exps = (0,) * len(target)
         for exps, c in self._terms.items():
-            term = GradedPoly.constant(target, c)
+            term = GradedPoly._from_clean(target, {constant_exps: c})
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
@@ -304,18 +332,45 @@ class GradedPoly:
 
 def mul_trunc(a: GradedPoly, b: GradedPoly, max_degree: int) -> GradedPoly:
     """Product with all terms of weighted degree > max_degree dropped."""
+    return _product(a, b, max_degree)
+
+
+def _integer_content(p: GradedPoly) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """(L, [(e, L*c)]) where L is the LCM of the denominators of p."""
+    terms = p._terms
+    den = lcm(*[c.denominator for c in terms.values()])
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+
+
+def _product(a: GradedPoly, b: GradedPoly, max_degree: int | None) -> GradedPoly:
+    """The product a*b, without the terms of weighted degree > max_degree
+    when that is given; shared by ``*`` and ``mul_trunc``."""
     a._check(b)
     table = a.table
-    terms: dict[tuple[int, ...], Fraction] = {}
-    bdegs = [(e2, c2, table.degree(e2)) for e2, c2 in b.items()]
-    for e1, c1 in a.items():
-        d1 = table.degree(e1)
-        for e2, c2, d2 in bdegs:
-            if d1 + d2 > max_degree:
-                continue
-            e = tuple(x + y for x, y in zip(e1, e2))
-            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-    return GradedPoly(table, terms)
+    if not a._terms or not b._terms:
+        return GradedPoly.zero(table)
+    da, na = _integer_content(a)
+    db, nb = _integer_content(b)
+    if max_degree is not None:
+        degree = table.degree
+        nb_deg = [(e2, n2, degree(e2)) for e2, n2 in nb]
+    acc: dict[tuple[int, ...], int] = {}
+    for e1, n1 in na:
+        if max_degree is None:
+            partners = nb
+        else:
+            room = max_degree - degree(e1)
+            partners = [(e2, n2) for e2, n2, d2 in nb_deg if d2 <= room]
+        for e2, n2 in partners:
+            e = tuple(map(add, e1, e2))
+            if e in acc:
+                acc[e] += n1 * n2
+            else:
+                acc[e] = n1 * n2
+    den = da * db
+    if den == 1:  # integer operands, the common case: no gcd to take
+        return GradedPoly._from_clean(table, {e: Fraction(n) for e, n in acc.items() if n})
+    return GradedPoly._from_clean(table, {e: Fraction(n, den) for e, n in acc.items() if n})
 
 
 def format_rational(q: Fraction) -> str:
@@ -426,7 +481,7 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def determinant(self) -> Fraction:
-        """Exact determinant by fraction-free-ish Gaussian elimination."""
+        """Exact determinant by Gaussian elimination over Fractions."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         n = self.rows

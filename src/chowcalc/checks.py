@@ -55,6 +55,12 @@ class SuiteConfig:
     trunc: int = 4
     seed: int = 20240601
 
+    def __post_init__(self) -> None:
+        # grr-constants reads kappa1 and ch2, so truncation 2 is the least
+        # order at which every check is defined.
+        if not isinstance(self.trunc, int) or self.trunc < 2:
+            raise ValueError(f"truncation must be an integer >= 2, got {self.trunc!r}")
+
 
 class UnknownCheckError(ValueError):
     pass
@@ -117,7 +123,7 @@ def format_text(results: list[CheckResult]) -> str:
     lines = []
     width = max((len(r.check_id) for r in results), default=0)
     for r in results:
-        mark = "PASS" if r.status == "pass" else "FAIL"
+        mark = {"pass": "PASS", "error": "ERROR"}.get(r.status, "FAIL")
         lines.append(f"{mark}  {r.check_id.ljust(width)}  {r.millis:8.1f} ms  {r.anchor}")
         if r.status != "pass":
             lines.append(f"      computed: {r.computed}")

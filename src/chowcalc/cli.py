@@ -71,17 +71,26 @@ def _cmd_verify(args) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         if trunc is None and "trunc" in cfg:
-            trunc = int(cfg["trunc"])
+            try:
+                trunc = int(cfg["trunc"])
+            except ValueError:
+                bad = cfg["trunc"]
+                print(f"error: config trunc must be an integer, got {bad!r}", file=sys.stderr)
+                return 2
         if only is None and "only" in cfg:
             only = cfg["only"]
         if fmt is None and "format" in cfg:
             fmt = cfg["format"]
     fmt = fmt or "text"
+    try:
+        config = checks.SuiteConfig(trunc=trunc if trunc is not None else 4)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.list:
         print("\n".join(checks.check_ids()))
         return 0
     selection = tuple(s.strip() for s in only.split(",") if s.strip()) if only else None
-    config = checks.SuiteConfig(trunc=trunc if trunc is not None else 4)
     try:
         results = checks.run_suite(selection, config)
     except checks.UnknownCheckError as exc:

@@ -116,6 +116,8 @@ def _line_class(v: Any, table_hint: VariableTable | None = None) -> bundles.Line
 
 class Evaluator:
     def __init__(self, trunc: int = DEFAULT_TRUNCATION):
+        if not isinstance(trunc, int) or trunc < 0:
+            raise EvalError(f"truncation must be an integer >= 0, got {trunc!r}")
         self.trunc = trunc
         self.env: dict[str, Any] = prelude(trunc)
 

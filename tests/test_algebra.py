@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chowcalc.algebra import (
@@ -11,6 +11,7 @@ from chowcalc.algebra import (
     VariableTable,
     format_poly,
     monomial_basis,
+    mul_trunc,
     row_reduce,
 )
 
@@ -232,3 +233,164 @@ def test_substitute_composes_polynomials():
     p = k("k1") ** 2 + 3 * k("k2")
     image = p.substitute({"k1": 2 * t, "k2": t * t}, target)
     assert image == 7 * t**2
+
+
+# -- integer-content kernel against the plain Fraction loops ---------------------
+#
+# The references below are the straightforward Fraction-dict loops.  The kernel
+# keeps their first-occurrence term order, so results are compared as ordered
+# item lists: same terms, same values, same iteration order.
+
+WTABLE = VariableTable(("a", "b", "c"), (1, 2, 3))
+# Large pairwise-coprime denominators (primes and a product of two), so that
+# the LCM of an operand's denominators is far from every single one of them.
+DENOMINATORS = (1, 1, 2, 3, 7, 10007, 65537, 2**61 - 1, 999983 * 1000003)
+
+
+def _ref_mul(a, b):
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return [(e, c) for e, c in terms.items() if c != 0]
+
+
+def _ref_mul_trunc(a, b, max_degree):
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if WTABLE.degree(e1) + WTABLE.degree(e2) > max_degree:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return [(e, c) for e, c in terms.items() if c != 0]
+
+
+def _ref_add(a, b):
+    terms = dict(a.items())
+    for e, c in b.items():
+        terms[e] = terms.get(e, Fraction(0)) + c
+    return [(e, c) for e, c in terms.items() if c != 0]
+
+
+def _as_poly(items):
+    return GradedPoly(WTABLE, dict(items))
+
+
+def _assert_clean(p):
+    for e, c in p.items():
+        assert type(c) is Fraction and c != 0
+        assert len(e) == len(WTABLE) and all(isinstance(x, int) and x >= 0 for x in e)
+
+
+coefficients = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.sampled_from(DENOMINATORS),
+)
+wterms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1)),
+    coefficients,
+    max_size=6,
+)
+
+
+@st.composite
+def wpolys(draw):
+    """Zero polynomials, constants, integer and general polynomials."""
+    kind = draw(st.sampled_from(("general", "integer", "constant", "zero")))
+    if kind == "zero":
+        return GradedPoly.zero(WTABLE)
+    if kind == "constant":
+        return GradedPoly.constant(WTABLE, draw(coefficients))
+    if kind == "integer":
+        return GradedPoly(WTABLE, {e: c.numerator for e, c in draw(wterms).items()})
+    return GradedPoly(WTABLE, draw(wterms))
+
+
+@st.composite
+def wpairs(draw):
+    """Pairs of wpolys; in half of them b shares terms with -a, so that
+    sums and products cancel exactly."""
+    a = draw(wpolys())
+    if draw(st.booleans()):
+        # b = -a + (a few terms): a + b cancels all of a's terms but those
+        # few, and for a = x + y, b = x - y the product's cross terms cancel.
+        extra = draw(wterms)
+        b = GradedPoly(WTABLE, {e: -c for e, c in a.items()}) + GradedPoly(WTABLE, extra)
+    else:
+        b = draw(wpolys())
+    return a, b
+
+
+def _x_plus_y(p, q):
+    return GradedPoly(WTABLE, {(1, 0, 0): p, (0, 1, 0): q})
+
+
+# (x + y)(x - y): the cross terms cancel to zero, with and without denominators.
+@given(wpairs())
+@example(
+    (
+        _x_plus_y(Fraction(1, 65537), Fraction(3, 10007)),
+        _x_plus_y(Fraction(1, 65537), Fraction(-3, 10007)),
+    )
+)
+@example((_x_plus_y(2, 3), _x_plus_y(2, -3)))
+def test_product_matches_fraction_reference(pair):
+    a, b = pair
+    for p in (a * b, b * a):
+        _assert_clean(p)
+    assert list((a * b).items()) == _ref_mul(a, b)
+    assert list((b * a).items()) == _ref_mul(b, a)
+
+
+@given(wpairs(), st.integers(min_value=-1, max_value=12))
+def test_mul_trunc_matches_fraction_reference(pair, max_degree):
+    a, b = pair
+    p = mul_trunc(a, b, max_degree)
+    _assert_clean(p)
+    assert list(p.items()) == _ref_mul_trunc(a, b, max_degree)
+    assert p == (a * b).truncate(max_degree)
+
+
+@given(wpairs())
+def test_sum_and_difference_match_fraction_reference(pair):
+    a, b = pair
+    for p in (a + b, a - b, -a):
+        _assert_clean(p)
+    assert list((a + b).items()) == _ref_add(a, b)
+    neg_b = _as_poly((e, -c) for e, c in b.items())
+    assert list((a - b).items()) == _ref_add(a, neg_b)
+    assert (a + (-a)).is_zero()
+
+
+@given(wpolys(), coefficients | st.integers(-3, 3))
+def test_scalar_product_matches_fraction_reference(p, q):
+    expected = [(e, c * q) for e, c in p.items() if c * q != 0]
+    for r in (p * q, q * p):
+        _assert_clean(r)
+        assert list(r.items()) == expected
+
+
+@given(wpolys(), st.integers(min_value=0, max_value=3))
+def test_power_matches_repeated_fraction_products(p, k):
+    expected = GradedPoly.one(WTABLE)
+    for _ in range(k):
+        expected = _as_poly(_ref_mul(expected, p))
+    r = p**k
+    _assert_clean(r)
+    assert r == expected  # square-and-multiply groups the factors differently
+
+
+def test_public_constructor_validates_exponents():
+    for bad in ((1,), (1, 0, 0), (1, -1)):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            GradedPoly(KAPPA, {bad: 1})
+
+
+def test_public_constructor_drops_zeros_and_stores_fractions():
+    p = GradedPoly(KAPPA, {(1, 0): 0, (0, 1): Fraction(0), (2, 0): 3, (0, 0): Fraction(1, 2)})
+    assert list(p.items()) == [((2, 0), Fraction(3)), ((0, 0), Fraction(1, 2))]
+    assert all(type(c) is Fraction for _, c in p.items())
+    assert GradedPoly(KAPPA, {(1, 0): 0}).is_zero()

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +62,23 @@ def test_suite_passes_at_higher_truncation():
         checks.SuiteConfig(trunc=5),
     )
     assert all(r.status == "pass" for r in results), checks.format_text(results)
+
+
+def test_format_text_marks_errors_apart_from_disagreements():
+    def result(cid, status):
+        return checks.CheckResult(cid, "anchor", "direct", status, "computed", "expected", 1.0)
+
+    lines = checks.format_text(
+        [result("a", "pass"), result("b", "fail"), result("c", "error")]
+    ).splitlines()
+    marks = [line.split()[0] for line in lines if not line.startswith(" ")]
+    assert marks == ["PASS", "FAIL", "ERROR", "1/3"]
+
+
+@pytest.mark.parametrize("trunc", [0, 1, -1, "4"])
+def test_suite_config_rejects_bad_truncation(trunc):
+    with pytest.raises(ValueError, match="truncation"):
+        checks.SuiteConfig(trunc=trunc)
 
 
 def test_exit_codes():
@@ -146,3 +166,58 @@ def test_cli_repl_batch(monkeypatch, capsys):
     assert main(["repl"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["6", "2304/127 * k1 * k2"]
+
+
+@pytest.mark.parametrize("trunc", ["0", "1", "-1"])
+def test_cli_verify_rejects_truncation_below_two(trunc, capsys):
+    assert main(["verify", "--trunc", trunc]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_cli_verify_rejects_non_integer_config_trunc(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("trunc = abc\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_cli_verify_rejects_low_config_trunc(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("trunc = 1\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_eval_rejects_negative_truncation(capsys):
+    assert main(["eval", "--trunc", "-3", "1+1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_cli_eval_accepts_truncation_zero(capsys):
+    assert main(["eval", "--trunc", "0", "1+1"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+
+
+def test_cli_repl_rejects_negative_truncation(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("1+1\n"))
+    assert main(["repl", "--trunc", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_run_verification_script_rejects_low_truncation(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--trunc", "1", "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error: truncation must be an integer >= 2" in proc.stderr
+    assert not (tmp_path / "out").exists()
