@@ -5,7 +5,7 @@ Subpackages:
   algebra    exact rationals, weighted graded polynomials, row reduction
   quotient   finitely presented graded rings: Hilbert functions, normal
              forms, Poincare-duality pairings
-  bundles    formal vector bundles and splitting-principle Chern calculus
+  bundles    formal vector bundles and root-free (Adams operation) Chern calculus
   schur      partitions, Schur/Littlewood-Richardson combinatorics
   geometry   Hirzebruch surfaces, Grassmannians, stratum dimension counts
   grr        pushforwards along the universal curve into the kappa ring

@@ -1,15 +1,22 @@
 """Formal vector bundles with truncated total Chern classes.
 
-Operations (dual, twist, symmetric and exterior powers, direct sum, exact
-sequence quotients, Chern character) are computed by the splitting
-principle: a universal formula is derived once with generic Chern roots as
-auxiliary degree-1 variables, re-expressed in elementary symmetric
-polynomials by exact leading-term reduction, and then specialised to the
-actual Chern classes of the bundle.  Everything is exact.
+A bundle is a rank plus c_1..c_D, read as a class in the lambda-ring of
+K-theory truncated in degree D.  Whitney sums and exact-sequence quotients
+multiply and divide total Chern series.  Symmetric and exterior powers go
+through the Chern character: the Adams operation psi^j scales ch_d by j^d,
+and Newton's recurrence n * h_n = sum_j (+-1)^(j-1) psi^j(ch) * h_(n-j)
+(sign + for Sym, alternating for wedge) gives ch(Sym^n) or ch(wedge^n),
+which `chern_from_character` turns back into Chern classes.  A twist by a
+line uses the closed form c(V (x) L) = sum_i c_i(V) (1 + t)^(r - i).
+
+No Chern roots are introduced, so the cost does not grow with the rank;
+Sym^k and wedge^k cost O(k^2) truncated series products.  Every operation
+is functorial on the class, including classes above the rank (a bundle
+built with exact_rank=False, such as a virtual difference A - L): those
+classes enter every formula instead of being dropped.  Everything is exact.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,8 +29,6 @@ from .algebra import (
     mul_trunc,
     rat,
 )
-
-SYM_ROOT_GUARD = 10**6
 
 
 class BundleError(ValueError):
@@ -49,10 +54,11 @@ class FormalBundle:
     """Rank plus Chern classes c_1..c_D over some variable table.
 
     If rank < D the classes above the rank must vanish identically unless
-    the bundle is built with exact_rank=False (used for formal models whose
-    higher classes encode relations rather than zero).  Root-based
-    operations (sym, wedge, twist) work from c_1..c_rank only, so they are
-    faithful exactly on bundles whose classes above the rank vanish.
+    the bundle is built with exact_rank=False (virtual classes, and formal
+    models whose higher classes encode relations rather than zero).  Every
+    operation reads all of c_1..c_D, so on such a bundle it computes the
+    lambda-ring operation on the class: for x = A - L, Sym^2 x is
+    Sym^2 A - A (x) L, not the power of a rank-r bundle with c_(r+1..) cut.
     """
 
     __slots__ = ("rank", "chern", "table", "exact_rank")
@@ -144,105 +150,6 @@ def _elementary_symmetric_classes(roots: list[GradedPoly], trunc: int) -> tuple[
     return tuple(es[1:])
 
 
-# -- universal splitting-principle formulas ----------------------------------
-
-
-@lru_cache(maxsize=None)
-def _root_table(r: int, with_t: bool) -> VariableTable:
-    names = tuple(f"x{i+1}" for i in range(r)) + (("t",) if with_t else ())
-    return VariableTable(names, (1,) * len(names))
-
-
-@lru_cache(maxsize=None)
-def _e_table(r: int, with_t: bool) -> VariableTable:
-    names = tuple(f"e{i+1}" for i in range(r)) + (("t",) if with_t else ())
-    weights = tuple(range(1, r + 1)) + ((1,) if with_t else ())
-    return VariableTable(names, weights)
-
-
-@lru_cache(maxsize=None)
-def _elementary_in_roots(r: int, i: int, with_t: bool) -> GradedPoly:
-    """e_i(x_1..x_r) expanded in the root table."""
-    table = _root_table(r, with_t)
-    terms = {}
-    for subset in itertools.combinations(range(r), i):
-        exps = tuple(1 if j in subset else 0 for j in range(r))
-        if with_t:
-            exps = exps + (0,)
-        terms[exps] = 1
-    return GradedPoly(table, terms)
-
-
-def symmetric_to_elementary(p: GradedPoly, r: int, with_t: bool) -> GradedPoly:
-    """Rewrite a polynomial over the root table, symmetric in x_1..x_r
-    (coefficients may involve t), in terms of e_1..e_r and t.
-
-    Classic leading-term subtraction: the graded-lex leading x-exponent of a
-    symmetric polynomial is weakly decreasing, and subtracting the matching
-    product of elementary symmetric polynomials strictly lowers it.
-    """
-    e_table = _e_table(r, with_t)
-    out = GradedPoly.zero(e_table)
-    work = p
-    while not work.is_zero():
-        exps, coeff = work.leading_term()
-        xpart, tpow = (exps[:r], exps[r]) if with_t else (exps, 0)
-        if any(a < b for a, b in zip(xpart, xpart[1:])):
-            raise ValueError("polynomial is not symmetric in the root variables")
-        e_exps = [xpart[i] - (xpart[i + 1] if i + 1 < r else 0) for i in range(r)]
-        out_exps = tuple(e_exps) + ((tpow,) if with_t else ())
-        out = out + GradedPoly.monomial(e_table, out_exps, coeff)
-        expansion = GradedPoly.constant(work.table, coeff)
-        for i, m in enumerate(e_exps, start=1):
-            if m:
-                expansion = expansion * _elementary_in_roots(r, i, with_t) ** m
-        if tpow:
-            expansion = expansion * GradedPoly.variable(work.table, "t") ** tpow
-        work = work - expansion
-    return out
-
-
-@lru_cache(maxsize=None)
-def universal_chern(op: str, r: int, k: int, trunc: int) -> tuple[GradedPoly, ...]:
-    """c_1..c_trunc of sym^k / wedge^k / twist applied to a generic rank-r
-    bundle, as polynomials in e_1..e_r (and t for twist)."""
-    with_t = op == "twist"
-    table = _root_table(r, with_t)
-    xs = [GradedPoly.variable(table, f"x{i+1}") for i in range(r)]
-    if op == "sym":
-        if comb(r + k - 1, k) > SYM_ROOT_GUARD:
-            raise BundleError("symmetric power root guard exceeded")
-        roots = [
-            sum(xs[i] for i in multiset) if multiset else GradedPoly.zero(table)
-            for multiset in itertools.combinations_with_replacement(range(r), k)
-        ]
-    elif op == "wedge":
-        roots = [
-            sum(xs[i] for i in subset) if subset else GradedPoly.zero(table)
-            for subset in itertools.combinations(range(r), k)
-        ]
-    elif op == "twist":
-        t = GradedPoly.variable(table, "t")
-        roots = [x + t for x in xs]
-    else:
-        raise ValueError(f"unknown operation {op!r}")
-    es = _elementary_symmetric_classes(roots, trunc)
-    return tuple(symmetric_to_elementary(e, r, with_t) for e in es)
-
-
-def _apply_universal(
-    formulas: tuple[GradedPoly, ...],
-    b: FormalBundle,
-    t: GradedPoly | None = None,
-) -> tuple[GradedPoly, ...]:
-    # e_i for i > truncation cannot occur in a formula of degree <= truncation,
-    # and b.c(i) is zero there anyway.
-    mapping = {f"e{i}": b.c(i) for i in range(1, b.rank + 1)}
-    if t is not None:
-        mapping["t"] = t
-    return tuple(f.substitute(mapping, b.table) for f in formulas)
-
-
 # -- bundle operations --------------------------------------------------------
 
 
@@ -253,35 +160,75 @@ def dual(b: FormalBundle) -> FormalBundle:
 
 
 def twist(b: FormalBundle, t: LineClass | GradedPoly) -> FormalBundle:
-    """Tensor with a line bundle: roots x_i -> x_i + t."""
+    """Tensor with a line of class t: c(V (x) L) = sum_i c_i(V) (1 + t)^(r - i),
+    a binomial series in t when i > r."""
     t1 = t.c1 if isinstance(t, LineClass) else t
     if t1.table != b.table:
         raise BundleError("twist class over a different table")
     if t1.is_zero():
         return b
-    formulas = universal_chern("twist", b.rank, 1, b.truncation)
-    cs = _apply_universal(formulas, b, t=t1)
+    cs = list(b.chern)
+    for i in range(b.truncation):
+        term = b.c(i)
+        for m in range(1, b.truncation - i + 1):
+            coeff = _binomial(b.rank - i, m)
+            if not coeff or term.is_zero():
+                break  # C(n, m) = 0 for all m > n >= 0
+            term = term * t1
+            cs[i + m - 1] = cs[i + m - 1] + coeff * term
     return FormalBundle(b.rank, cs, b.table, exact_rank=b.exact_rank)
 
 
+def _binomial(n: int, m: int) -> int:
+    """C(n, m) for any integer n and m >= 0: the t^m coefficient of (1 + t)^n."""
+    return comb(n, m) if n >= 0 else (-1) ** m * comb(m - n - 1, m)
+
+
 def sym_power(b: FormalBundle, k: int) -> FormalBundle:
-    """Symmetric power; rank C(r+k-1, k), roots are degree-k multiset sums."""
+    """Symmetric power, of rank C(r+k-1, k)."""
     if k < 0:
         raise BundleError("symmetric power exponent must be >= 0")
     rank = comb(b.rank + k - 1, k)
-    formulas = universal_chern("sym", b.rank, k, b.truncation)
-    cs = _apply_universal(formulas, b)
-    return FormalBundle(rank, cs, b.table, exact_rank=b.exact_rank)
+    return FormalBundle(rank, _power_classes(b, k, 1, rank), b.table, exact_rank=b.exact_rank)
 
 
 def wedge_power(b: FormalBundle, k: int) -> FormalBundle:
-    """Exterior power; rank C(r, k), roots are k-subset sums."""
+    """Exterior power, of rank C(r, k)."""
     if not 0 <= k <= b.rank:
         raise BundleError(f"wedge exponent {k} out of range for rank {b.rank}")
     rank = comb(b.rank, k)
-    formulas = universal_chern("wedge", b.rank, k, b.truncation)
-    cs = _apply_universal(formulas, b)
-    return FormalBundle(rank, cs, b.table, exact_rank=b.exact_rank)
+    return FormalBundle(rank, _power_classes(b, k, -1, rank), b.table, exact_rank=b.exact_rank)
+
+
+def _power_classes(b: FormalBundle, k: int, sign: int, rank: int) -> tuple[GradedPoly, ...]:
+    """c_1..c_D of Sym^k b (sign 1) or wedge^k b (sign -1), from
+    n * h_n = sum_j sign^(j-1) psi^j(ch b) * h_(n-j) on Chern characters."""
+    D = b.truncation
+    ch = chern_character(b)
+    psi = [[sign ** (j - 1) * j**d * c for d, c in enumerate(ch)] for j in range(1, k + 1)]
+    h = [[GradedPoly.one(b.table)] + [GradedPoly.zero(b.table)] * D]
+    for n in range(1, k + 1):
+        acc = psi[n - 1]  # the j = n term, h_0 = 1
+        for j in range(1, n):
+            acc = [a + p for a, p in zip(acc, _series_mul(psi[j - 1], h[n - j], D))]
+        h.append([a / n for a in acc])
+    return chern_from_character(h[k], rank).chern
+
+
+@lru_cache(maxsize=None)
+def universal_chern(op: str, r: int, k: int, trunc: int) -> tuple[GradedPoly, ...]:
+    """c_1..c_trunc of sym^k or wedge^k of a generic rank-r class, as
+    polynomials in its classes e_1..e_trunc (free above the rank too)."""
+    names = tuple(f"e{i}" for i in range(1, trunc + 1))
+    table = VariableTable(names, tuple(range(1, trunc + 1)))
+    generic = FormalBundle(
+        r, [GradedPoly.variable(table, n) for n in names], table, exact_rank=False
+    )
+    if op == "sym":
+        return sym_power(generic, k).chern
+    if op == "wedge":
+        return wedge_power(generic, k).chern
+    raise ValueError(f"unknown operation {op!r}")
 
 
 def determinant_line(b: FormalBundle) -> LineClass:
@@ -401,12 +348,9 @@ def solve_hyperelliptic_twist(g: int) -> HyperellipticTwist:
     """
     if g < 2:
         raise BundleError("genus must be >= 2")
-    if comb(g, 1) != g:  # rank Sym^(g-1)(rank 2) = g
-        raise AssertionError
     c1_formula = universal_chern("sym", 2, g - 1, 1)[0]
-    e_table = c1_formula.table
-    lead = c1_formula.coefficient((1, 0))  # coefficient of e1
-    if c1_formula != GradedPoly.monomial(e_table, (1, 0), lead):
+    lead = c1_formula.coefficient((1,))  # coefficient of e1
+    if c1_formula != GradedPoly.monomial(c1_formula.table, (1,), lead):
         raise BundleError("unexpected degree-1 symmetric power formula")
     if lead != Fraction(g * (g - 1), 2):
         raise BundleError("symmetric power coefficient disagrees with root-sum count")
@@ -491,7 +435,6 @@ def _sym2_rank2_coefficient(j: int) -> Fraction:
         return Fraction(0)
     c2_formula = universal_chern("sym", 2, j, 2)[1]
     # substitute e1 -> 0, keep e2
-    table = c2_formula.table
     out = Fraction(0)
     for exps, coeff in c2_formula.items():
         if exps[0] == 0:

@@ -81,6 +81,9 @@ def _cmd_verify(args) -> int:
             only = cfg["only"]
         if fmt is None and "format" in cfg:
             fmt = cfg["format"]
+            if fmt not in ("text", "json"):
+                print(f"error: config format must be text or json, got {fmt!r}", file=sys.stderr)
+                return 2
     fmt = fmt or "text"
     try:
         config = checks.SuiteConfig(trunc=trunc if trunc is not None else 4)

@@ -15,6 +15,7 @@ from .algebra import (
     VariableTable,
     rat,
 )
+from .bundles import _series_inverse
 from .quotient import RingPresentation, normal_form, socle_monomial
 from .schur import Partition
 
@@ -238,12 +239,7 @@ def _grass_presentation(k: int, n: int) -> RingPresentation:
     form of c(S) * c(Q) = 1)."""
     table = _grass_table(k)
     c = [GradedPoly.one(table)] + [GradedPoly.variable(table, f"c{i}") for i in range(1, k + 1)]
-    inv = [GradedPoly.one(table)]
-    for d in range(1, n + 1):
-        acc = GradedPoly.zero(table)
-        for i in range(1, min(d, k) + 1):
-            acc = acc + c[i] * inv[d - i]
-        inv.append(-acc)
+    inv = _series_inverse(c, n)
     relations = tuple(inv[d] for d in range(n - k + 1, n + 1))
     return RingPresentation(table, relations, label=f"grassmannian-{k}-{n}")
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -149,9 +150,11 @@ def test_sym_c1_closed_form_rank2(k):
     assert s.c(1) == Fraction(k * (k + 1), 2) * W1
 
 
-def test_sym_guard():
-    with pytest.raises(BundleError):
-        sym_power(generic_bundle(40), 10)
+def test_sym_power_of_large_rank():
+    v = generic_bundle(40)
+    s = sym_power(v, 10)
+    assert s.rank == comb(49, 10)
+    assert s.c(1) == comb(49, 9) * v.c(1)
 
 
 def test_wedge_top_is_determinant():
@@ -180,19 +183,62 @@ def test_wedge_out_of_range():
         wedge_power(generic_bundle(3), 4)
 
 
-def test_powers_agree_with_explicit_split_bundles():
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize(
+    "power, index_sets",
+    [(sym_power, combinations_with_replacement), (wedge_power, combinations)],
+    ids=["sym", "wedge"],
+)
+def test_powers_agree_with_explicit_split_bundles(power, index_sets, k):
     lines = [W1, T, S, W1 - T]
     split = bundle_from_line_classes(lines, D)
-    w2 = wedge_power(split, 2)
-    explicit_w2 = bundle_from_line_classes(
-        [lines[i] + lines[j] for i in range(4) for j in range(i + 1, 4)], D
+    explicit = bundle_from_line_classes(
+        [sum((lines[i] for i in idx), ZERO) for idx in index_sets(range(4), k)], D
     )
-    assert list(w2.chern) == list(explicit_w2.chern)
-    s2 = sym_power(split, 2)
-    explicit_s2 = bundle_from_line_classes(
-        [lines[i] + lines[j] for i in range(4) for j in range(i, 4)], D
+    got = power(split, k)
+    assert got.rank == explicit.rank
+    assert list(got.chern) == list(explicit.chern)
+
+
+# -- virtual classes: nonzero Chern classes above the rank -----------------------------
+
+
+A_LINES = [W1, T, S]
+U = W1 - T
+
+
+def _split(classes):
+    return bundle_from_line_classes(classes, D)
+
+
+def _virtual():
+    """x = A - L for split A of rank 3 and a line L; x has rank 2, c3, c4 != 0."""
+    x = sequence_quotient(_split(A_LINES), _split([U]), assert_rank=False)
+    assert x.rank == 2 and not x.c(3).is_zero() and not x.c(4).is_zero()
+    return x
+
+
+def test_twist_of_virtual_class():
+    tw = twist(_virtual(), LineClass(S))
+    oracle = sequence_quotient(
+        _split([a + S for a in A_LINES]), _split([U + S]), assert_rank=False
     )
-    assert list(s2.chern) == list(explicit_s2.chern)
+    assert tw == oracle
+
+
+def test_sym2_of_virtual_class():
+    # Sym^2 (A - L) = Sym^2 A - A (x) L
+    sym2_a = _split([A_LINES[i] + A_LINES[j] for i in range(3) for j in range(i, 3)])
+    a_l = _split([a + U for a in A_LINES])
+    assert sym_power(_virtual(), 2) == sequence_quotient(sym2_a, a_l, assert_rank=False)
+
+
+def test_wedge2_of_virtual_class():
+    # wedge^2 (A - L) = wedge^2 A + L^2 - A (x) L
+    wedge2_a = _split([A_LINES[i] + A_LINES[j] for i in range(3) for j in range(i + 1, 3)])
+    a_l = _split([a + U for a in A_LINES])
+    oracle = sequence_quotient(direct_sum(wedge2_a, _split([2 * U])), a_l, assert_rank=False)
+    assert wedge_power(_virtual(), 2) == oracle
 
 
 # -- Whitney sums and quotients -------------------------------------------------------

@@ -190,6 +190,14 @@ def test_cli_verify_rejects_low_config_trunc(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_verify_rejects_unknown_config_format(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("format = xml\nonly = strata-dimensions\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_cli_eval_rejects_negative_truncation(capsys):
     assert main(["eval", "--trunc", "-3", "1+1"]) == 2
     captured = capsys.readouterr()
