@@ -100,6 +100,8 @@ class FormalBundle:
 
     def c(self, i: int) -> GradedPoly:
         """c_i as a polynomial; c_0 = 1, and 0 beyond the truncation order."""
+        if i < 0:
+            raise BundleError(f"Chern class index must be >= 0, got {i}")
         if i == 0:
             return GradedPoly.one(self.table)
         if 1 <= i <= len(self.chern):

@@ -3,20 +3,29 @@
 Values are plain library objects: Fractions, graded polynomials, formal
 bundles, ring presentations, Grassmannians, Hirzebruch classes, psi
 series, Schur decompositions, and tuples of these.
+
+Every function of the language is one row of the table ``FUNCTIONS``: the
+kinds of its arguments, an optional scope argument, and a function of
+``(trunc, *checked arguments)``.  ``Evaluator._call`` checks the arity and
+each argument against ``_KINDS``, so every arity and type error reads the
+same way.  The scope argument is evaluated first and binds names for the
+other arguments: a surface ``F[n]`` binds its classes ``E``, ``S`` and
+``F``, a Grassmannian ``G(k, n)`` binds ``c1..ck`` and ``sigma1``, and a
+ring binds its variables.
+
+Library code reports bad input with ``ValueError`` or ``ArithmeticError``.
+These become ``EvalError`` in one place, ``Evaluator._statement``, the
+statement entry behind ``run``, ``load_definitions`` and
+``presentation_from_lines``.  The message keeps the library's text, after
+the name of the innermost function call that failed.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from . import bundles, geometry, grr, quotient, schur
-from .algebra import (
-    GradedPoly,
-    TableMismatchError,
-    VariableTable,
-    format_poly,
-    format_rational,
-)
+from .algebra import GradedPoly, VariableTable, format_poly, format_rational
 from .expr import (
     Assign,
     BinOp,
@@ -29,6 +38,7 @@ from .expr import (
     Num,
     RingExpr,
     Var,
+    iter_statements,
     parse,
 )
 
@@ -76,42 +86,147 @@ def prelude(trunc: int = DEFAULT_TRUNCATION) -> dict[str, Any]:
     return env
 
 
-def _scalar(v: Any, what: str = "argument") -> Fraction:
-    if isinstance(v, int):
+# -- argument kinds --------------------------------------------------------------
+
+
+def _rational(v: Any) -> Fraction | None:
+    """v as a rational scalar (a constant polynomial counts), else None."""
+    if isinstance(v, (int, Fraction)):
         return Fraction(v)
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, GradedPoly):
-        try:
-            return v.as_scalar()
-        except ValueError:
-            pass
-    raise EvalError(f"{what} must be a rational scalar, got {type(v).__name__}")
+    if isinstance(v, GradedPoly) and v.max_degree() == 0:
+        return v.constant_term()
+    return None
 
 
-def _int(v: Any, what: str = "argument") -> int:
-    q = _scalar(v, what)
-    if q.denominator != 1:
-        raise EvalError(f"{what} must be an integer, got {q}")
-    return int(q)
+def _integer(v: Any) -> int | None:
+    q = _rational(v)
+    return int(q) if q is not None and q.denominator == 1 else None
 
 
-def _partition(v: Any) -> schur.Partition:
-    if isinstance(v, schur.Partition):
-        return v
-    if isinstance(v, tuple):
-        return schur.Partition.of(*[_int(x, "partition part") for x in v])
-    raise EvalError("expected a partition like [3, 1]")
+def _partition(v: Any) -> schur.Partition | None:
+    if not isinstance(v, tuple):
+        return None
+    parts = [_integer(x) for x in v]
+    return None if None in parts else schur.Partition.of(*parts)
 
 
-def _line_class(v: Any, table_hint: VariableTable | None = None) -> bundles.LineClass:
-    if isinstance(v, bundles.LineClass):
-        return v
-    if isinstance(v, GradedPoly):
-        return bundles.LineClass(v)
-    if isinstance(v, (int, Fraction)) and v == 0 and table_hint is not None:
-        return bundles.LineClass(GradedPoly.zero(table_hint))
-    raise EvalError("twist class must be a degree-1 polynomial")
+def _instance(cls: type | tuple[type, ...]) -> Callable[[Any], Any]:
+    return lambda v: v if isinstance(v, cls) else None
+
+
+# kind -> (what the argument must be, checker returning the value or None)
+_KINDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
+    "int": ("an integer", _integer),
+    "partition": ("a partition like [3, 1]", _partition),
+    "bundle": ("a bundle", _instance(bundles.FormalBundle)),
+    "G": ("a Grassmannian G(k, n)", _instance(geometry.Grassmannian)),
+    "ring": ("a ring", _instance(quotient.RingPresentation)),
+    "surface": ("a surface F[n]", _instance(geometry.HirzebruchSurfaceHandle)),
+    "divisor": ("a divisor class", _instance(geometry.HirzebruchClass)),
+    "psi": ("a psi series", _instance(grr.PsiSeries)),
+    "poly": ("a polynomial", _instance((int, Fraction, GradedPoly))),
+}
+
+# scope kind -> the names its value binds for the other arguments
+_SCOPES: dict[str, Callable[[Any], dict[str, Any]]] = {
+    "surface": lambda s: {
+        "E": geometry.section_E(s.n),
+        "S": geometry.section_S(s.n),
+        "F": geometry.fiber_F(s.n),
+    },
+    "G": lambda g: {
+        **{f"c{i}": g.chern_sub(i) for i in range(1, g.k + 1)},
+        "sigma1": g.sigma1(),
+    },
+    "ring": lambda p: {name: GradedPoly.variable(p.table, name) for name in p.table.names},
+}
+
+
+def _describe(v: Any) -> str:
+    return format_rational(v) if isinstance(v, Fraction) else type(v).__name__
+
+
+def _int(v: Any, what: str) -> int:
+    n = _integer(v)
+    if n is None:
+        raise EvalError(f"{what} must be an integer, got {_describe(v)}")
+    return n
+
+
+def _lift(x: Fraction | GradedPoly, table: VariableTable) -> GradedPoly:
+    return x if isinstance(x, GradedPoly) else GradedPoly.constant(table, x)
+
+
+# -- the function table ------------------------------------------------------------
+
+
+class Function(NamedTuple):
+    kinds: tuple[str, ...]
+    scope: int | None  # index of the argument evaluated first, binding names
+    fn: Callable[..., Any]  # (trunc, *checked arguments) -> value
+
+
+FUNCTIONS: dict[str, Function] = {
+    # geometry
+    "genus": Function(("surface", "divisor"), 0, lambda t, s, x: geometry.genus_of_class(x)),
+    "h0": Function(("surface", "divisor"), 0, lambda t, s, x: geometry.h0_hirzebruch(x)),
+    "intersect": Function(
+        ("surface", "divisor", "divisor"), 0, lambda t, s, x, y: geometry.intersect(x, y)
+    ),
+    "G": Function(("int", "int"), None, lambda t, k, n: geometry.Grassmannian(k, n)),
+    "dim": Function(("G",), None, lambda t, g: Fraction(g.dim)),
+    "integrate": Function(("G", "poly"), 0, lambda t, g, x: g.integrate(_lift(x, g.table()))),
+    "schubert": Function(("G", "partition"), None, lambda t, g, lam: g.schubert_class(lam)),
+    "plucker": Function(("G",), None, lambda t, g: Fraction(g.plucker_degree())),
+    "forms": Function(("int", "int"), None, lambda t, m, d: Fraction(geometry.forms_dim(m, d))),
+    "quadrics": Function(("int",), None, lambda t, g: Fraction(geometry.canonical_quadrics(g))),
+    "strata": Function(
+        ("int",), None, lambda t, g: tuple(Fraction(d) for d in geometry.stratum_dimensions(g))
+    ),
+    "maronik": Function(("int", "int"), None, lambda t, g, n: geometry.maroni_k(g, n)),
+    # quotient rings
+    "hilbert": Function(
+        ("ring", "int"),
+        None,
+        lambda t, p, d: tuple(Fraction(x) for x in quotient.hilbert_function(p, d)),
+    ),
+    "nf": Function(("poly", "ring"), 1, lambda t, x, p: quotient.normal_form(_lift(x, p.table), p)),
+    "pairing": Function(
+        ("ring", "int", "int"), None, lambda t, p, i, top: quotient.pairing_matrix(p, i, top)
+    ),
+    # bundles
+    "rank": Function(("bundle",), None, lambda t, b: Fraction(b.rank)),
+    "dual": Function(("bundle",), None, lambda t, b: bundles.dual(b)),
+    "twist": Function(
+        ("bundle", "poly"),
+        None,
+        lambda t, b, x: bundles.twist(b, bundles.LineClass(_lift(x, b.table))),
+    ),
+    "sym": Function(("int", "bundle"), None, lambda t, k, b: bundles.sym_power(b, k)),
+    "wedge": Function(("int", "bundle"), None, lambda t, k, b: bundles.wedge_power(b, k)),
+    "sum": Function(("bundle", "bundle"), None, lambda t, a, b: bundles.direct_sum(a, b)),
+    "ch": Function(("bundle",), None, lambda t, b: tuple(bundles.chern_character(b))),
+    "chern": Function(("int", "bundle"), None, lambda t, i, b: b.c(i)),
+    # pushforward engine
+    "td": Function(("int",), None, lambda t, g: grr.todd_series(g, t)),
+    "omega": Function(("int", "int"), None, lambda t, k, g: grr.exp_psi(k, g, t)),
+    "psi": Function(("int",), None, lambda t, g: grr.psi(g, t)),
+    "push": Function(("psi",), None, lambda t, s: grr.push_psi(s.truncate(t + 1))),
+    "hodge": Function(("int",), None, lambda t, g: grr.hodge_bundle(g, t)),
+    "pushbundle": Function(("int", "int"), None, lambda t, k, g: grr.pushforward_bundle(k, g, t)),
+    "quadricsbundle": Function(("int",), None, lambda t, g: grr.quadrics_bundle(g, t)),
+    # representation theory
+    "syt": Function(("partition",), None, lambda t, lam: Fraction(schur.syt_count(lam))),
+    "schurdim": Function(
+        ("partition", "int"), None, lambda t, lam, n: Fraction(schur.dim_schur(lam, n))
+    ),
+    "lr": Function(("partition", "partition"), None, lambda t, a, b: schur.lr_product(a, b)),
+    "sym2wedge2": Function(("int",), None, lambda t, n: schur.decompose_sym2_wedge2(n)),
+    # twist solvers
+    "hyptwist": Function(("int",), None, lambda t, g: bundles.solve_hyperelliptic_twist(g)),
+    "unitwist": Function(("int",), None, lambda t, r: bundles.solve_unimodular_twist(r)),
+    "tritwist": Function(("int", "int"), None, lambda t, g, n: bundles.solve_trigonal_twist(g, n)),
+}
 
 
 class Evaluator:
@@ -124,21 +239,24 @@ class Evaluator:
     # -- entry points ------------------------------------------------------
 
     def run(self, source: str) -> Any:
-        node = parse(source)
-        if isinstance(node, Assign):
-            value = self.eval(node.value, self.env)
-            self.env[node.name] = value
-            return value
-        return self.eval(node, self.env)
+        return self._statement(parse(source), self.env)
 
     def load_definitions(self, text: str) -> None:
-        from .expr import iter_statements
-
         for node in iter_statements(text):
+            self._statement(node, self.env)
+
+    def _statement(self, node: Expr | Assign, env: dict[str, Any]) -> Any:
+        """Evaluate one statement; the one place library errors become EvalError."""
+        try:
             if isinstance(node, Assign):
-                self.env[node.name] = self.eval(node.value, self.env)
-            else:
-                self.eval(node, self.env)
+                value = env[node.name] = self.eval(node.value, env)
+                return value
+            return self.eval(node, env)
+        except EvalError:
+            raise
+        except (ValueError, ArithmeticError) as exc:
+            name = _innermost_call(exc)
+            raise EvalError(f"{name}: {exc}" if name else str(exc)) from exc
 
     # -- core --------------------------------------------------------------
 
@@ -178,19 +296,16 @@ class Evaluator:
         a = self.eval(node.left, env)
         b = self.eval(node.right, env)
         op = node.op
-        try:
-            if op == "+":
-                return self._add(a, b)
-            if op == "-":
-                return self._add(a, self._negate(b))
-            if op == "*":
-                return self._mul(a, b)
-            if op == "/":
-                return self._div(a, b)
-            if op == "^":
-                return self._pow(a, b)
-        except TableMismatchError as exc:
-            raise EvalError(str(exc)) from exc
+        if op == "+":
+            return self._add(a, b)
+        if op == "-":
+            return self._add(a, self._negate(b))
+        if op == "*":
+            return self._mul(a, b)
+        if op == "/":
+            return self._div(a, b)
+        if op == "^":
+            return self._pow(a, b)
         raise EvalError(f"unknown operator {op!r}")
 
     def _coerce_pair(self, a: Any, b: Any) -> tuple[Any, Any]:
@@ -230,16 +345,15 @@ class Evaluator:
 
     def _div(self, a: Any, b: Any) -> Any:
         if isinstance(a, bundles.FormalBundle) and isinstance(b, bundles.FormalBundle):
-            try:
-                return bundles.sequence_quotient(a, b, assert_rank=False)
-            except bundles.BundleError as exc:
-                raise EvalError(str(exc)) from exc
+            return bundles.sequence_quotient(a, b, assert_rank=False)
         if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
             if b == 0:
                 raise EvalError("division by zero")
             return Fraction(a) / Fraction(b)
         if isinstance(a, GradedPoly):
-            q = _scalar(b, "divisor")
+            q = _rational(b)
+            if q is None:
+                raise EvalError(f"divisor must be a rational scalar, got {_describe(b)}")
             if q == 0:
                 raise EvalError("division by zero")
             return a / q
@@ -248,6 +362,8 @@ class Evaluator:
     def _pow(self, a: Any, b: Any) -> Any:
         k = _int(b, "exponent")
         if isinstance(a, (int, Fraction)):
+            if a == 0 and k < 0:
+                raise EvalError("division by zero")
             return Fraction(a) ** k
         if isinstance(a, GradedPoly):
             if k < 0:
@@ -266,10 +382,7 @@ class Evaluator:
             if isinstance(value, (int, Fraction)):
                 raise EvalError("ring relations must involve the ring variables")
             rels.append(value)
-        try:
-            return quotient.RingPresentation(table, tuple(rels))
-        except ValueError as exc:
-            raise EvalError(str(exc)) from exc
+        return quotient.RingPresentation(table, tuple(rels))
 
     def _bundle(self, node: BundleExpr, env: Mapping[str, Any]) -> bundles.FormalBundle:
         rank = _int(self.eval(node.rank, env), "bundle rank")
@@ -287,332 +400,40 @@ class Evaluator:
                 raise EvalError("bundle classes must be polynomials (or 0)")
         while len(cs) < self.trunc:
             cs.append(GradedPoly.zero(table))
-        try:
-            return bundles.FormalBundle(rank, tuple(cs[: self.trunc]), table, exact_rank=False)
-        except bundles.BundleError as exc:
-            raise EvalError(str(exc)) from exc
-
-    # -- function calls ------------------------------------------------------
+        return bundles.FormalBundle(rank, tuple(cs[: self.trunc]), table, exact_rank=False)
 
     def _call(self, node: Call, env: Mapping[str, Any]) -> Any:
         name = node.name
-        handler = getattr(self, f"_fn_{name}", None)
-        if handler is None:
+        if name not in FUNCTIONS:
             raise EvalError(f"unknown function {name!r}")
-        try:
-            return handler(node.args, env)
-        except EvalError:
-            raise
-        except (ValueError, ArithmeticError) as exc:
-            # library guard errors surface verbatim as evaluation errors
-            raise EvalError(f"{name}: {exc}") from exc
+        kinds, scope, fn = FUNCTIONS[name]
+        if len(node.args) != len(kinds):
+            raise EvalError(f"{name} takes {len(kinds)} argument(s), got {len(node.args)}")
+        args: list[Any] = [None] * len(kinds)
+        for i in sorted(range(len(kinds)), key=lambda j: j != scope):
+            value = self.eval(node.args[i], env)
+            what, check = _KINDS[kinds[i]]
+            args[i] = check(value)
+            if args[i] is None:
+                got = _describe(value)
+                raise EvalError(f"argument {i + 1} of {name} must be {what}, got {got}")
+            if i == scope:
+                env = {**env, **_SCOPES[kinds[i]](args[i])}
+        return fn(self.trunc, *args)
 
-    def _args(self, args, env, n: int, what: str):
-        if len(args) != n:
-            raise EvalError(f"{what} takes {n} argument(s), got {len(args)}")
-        return [self.eval(a, env) for a in args]
 
-    # geometry ---------------------------------------------------------------
+_CALL_CODE = Evaluator._call.__code__
 
-    def _surface_env(self, surface, env) -> dict[str, Any]:
-        n = surface.n
-        child = dict(env)
-        child.update(
-            E=geometry.section_E(n), S=geometry.section_S(n), F=geometry.fiber_F(n)
-        )
-        return child
 
-    def _fn_genus(self, args, env):
-        if len(args) != 2:
-            raise EvalError("genus takes (surface, class)")
-        surface = self.eval(args[0], env)
-        if not isinstance(surface, geometry.HirzebruchSurfaceHandle):
-            raise EvalError("first argument of genus must be a surface F[n]")
-        cls = self.eval(args[1], self._surface_env(surface, env))
-        if not isinstance(cls, geometry.HirzebruchClass):
-            raise EvalError("second argument of genus must be a divisor class")
-        return geometry.genus_of_class(cls)
-
-    def _fn_h0(self, args, env):
-        if len(args) != 2:
-            raise EvalError("h0 takes (surface, class)")
-        surface = self.eval(args[0], env)
-        if not isinstance(surface, geometry.HirzebruchSurfaceHandle):
-            raise EvalError("first argument of h0 must be a surface F[n]")
-        cls = self.eval(args[1], self._surface_env(surface, env))
-        return geometry.h0_hirzebruch(cls)
-
-    def _fn_intersect(self, args, env):
-        if len(args) != 3:
-            raise EvalError("intersect takes (surface, class, class)")
-        surface = self.eval(args[0], env)
-        if not isinstance(surface, geometry.HirzebruchSurfaceHandle):
-            raise EvalError("first argument of intersect must be a surface F[n]")
-        child = self._surface_env(surface, env)
-        x = self.eval(args[1], child)
-        y = self.eval(args[2], child)
-        if not isinstance(x, geometry.HirzebruchClass) or not isinstance(
-            y, geometry.HirzebruchClass
-        ):
-            raise EvalError("intersect needs two divisor classes")
-        return geometry.intersect(x, y)
-
-    def _fn_G(self, args, env):
-        k, n = (self._int_arg(a, env) for a in self._two(args, "G"))
-        try:
-            return geometry.Grassmannian(k, n)
-        except ValueError as exc:
-            raise EvalError(str(exc)) from exc
-
-    def _fn_dim(self, args, env):
-        (v,) = self._args(args, env, 1, "dim")
-        if isinstance(v, geometry.Grassmannian):
-            return Fraction(v.dim)
-        raise EvalError("dim applies to a Grassmannian")
-
-    def _fn_rank(self, args, env):
-        (v,) = self._args(args, env, 1, "rank")
-        if isinstance(v, bundles.FormalBundle):
-            return Fraction(v.rank)
-        raise EvalError("rank applies to a bundle")
-
-    def _fn_integrate(self, args, env):
-        if len(args) != 2:
-            raise EvalError("integrate takes (grassmannian, class)")
-        g = self.eval(args[0], env)
-        if not isinstance(g, geometry.Grassmannian):
-            raise EvalError("first argument of integrate must be G(k, n)")
-        child = dict(env)
-        for i in range(1, g.k + 1):
-            child[f"c{i}"] = g.chern_sub(i)
-        child["sigma1"] = g.sigma1()
-        x = self.eval(args[1], child)
-        if not isinstance(x, GradedPoly):
-            raise EvalError("integrand must be a polynomial in the Chern classes")
-        try:
-            return g.integrate(x)
-        except (ValueError, ArithmeticError) as exc:
-            raise EvalError(str(exc)) from exc
-
-    def _fn_schubert(self, args, env):
-        if len(args) != 2:
-            raise EvalError("schubert takes (grassmannian, partition)")
-        g = self.eval(args[0], env)
-        lam = _partition(self.eval(args[1], env))
-        if not isinstance(g, geometry.Grassmannian):
-            raise EvalError("first argument of schubert must be G(k, n)")
-        try:
-            return g.schubert_class(lam)
-        except ValueError as exc:
-            raise EvalError(str(exc)) from exc
-
-    def _fn_plucker(self, args, env):
-        (g,) = self._args(args, env, 1, "plucker")
-        if not isinstance(g, geometry.Grassmannian):
-            raise EvalError("plucker applies to a Grassmannian")
-        return Fraction(g.plucker_degree())
-
-    def _fn_forms(self, args, env):
-        m, d = (self._int_arg(a, env) for a in self._two(args, "forms"))
-        return Fraction(geometry.forms_dim(m, d))
-
-    def _fn_quadrics(self, args, env):
-        g = self._one(args, "quadrics")
-        return Fraction(geometry.canonical_quadrics(self._int_arg(g, env)))
-
-    def _fn_strata(self, args, env):
-        g = self._one(args, "strata")
-        try:
-            return tuple(Fraction(d) for d in geometry.stratum_dimensions(self._int_arg(g, env)))
-        except ValueError as exc:
-            raise EvalError(str(exc)) from exc
-
-    def _fn_maronik(self, args, env):
-        g, n = (self._int_arg(a, env) for a in self._two(args, "maronik"))
-        return geometry.maroni_k(g, n)
-
-    # quotient rings -----------------------------------------------------------
-
-    def _fn_hilbert(self, args, env):
-        if len(args) != 2:
-            raise EvalError("hilbert takes (ring, max degree)")
-        pres = self.eval(args[0], env)
-        if not isinstance(pres, quotient.RingPresentation):
-            raise EvalError("first argument of hilbert must be a ring")
-        d = self._int_arg(args[1], env)
-        return tuple(Fraction(x) for x in quotient.hilbert_function(pres, d))
-
-    def _fn_nf(self, args, env):
-        if len(args) != 2:
-            raise EvalError("nf takes (polynomial, ring)")
-        pres = self.eval(args[1], env)
-        if not isinstance(pres, quotient.RingPresentation):
-            raise EvalError("second argument of nf must be a ring")
-        child = dict(env)
-        for name in pres.table.names:
-            child[name] = GradedPoly.variable(pres.table, name)
-        x = self.eval(args[0], child)
-        if isinstance(x, (int, Fraction)):
-            x = GradedPoly.constant(pres.table, x)
-        if not isinstance(x, GradedPoly):
-            raise EvalError("first argument of nf must be a polynomial")
-        try:
-            return quotient.normal_form(x, pres)
-        except ValueError as exc:
-            raise EvalError(str(exc)) from exc
-
-    def _fn_pairing(self, args, env):
-        if len(args) != 3:
-            raise EvalError("pairing takes (ring, i, top)")
-        pres = self.eval(args[0], env)
-        if not isinstance(pres, quotient.RingPresentation):
-            raise EvalError("first argument of pairing must be a ring")
-        i = self._int_arg(args[1], env)
-        top = self._int_arg(args[2], env)
-        try:
-            return quotient.pairing_matrix(pres, i, top)
-        except ValueError as exc:
-            raise EvalError(str(exc)) from exc
-
-    # bundles -------------------------------------------------------------------
-
-    def _bundle_arg(self, v, what: str) -> bundles.FormalBundle:
-        if not isinstance(v, bundles.FormalBundle):
-            raise EvalError(f"{what} must be a bundle, got {type(v).__name__}")
-        return v
-
-    def _fn_dual(self, args, env):
-        (b,) = self._args(args, env, 1, "dual")
-        return bundles.dual(self._bundle_arg(b, "dual argument"))
-
-    def _fn_twist(self, args, env):
-        b, t = self._args(args, env, 2, "twist")
-        b = self._bundle_arg(b, "twist argument")
-        try:
-            return bundles.twist(b, _line_class(t, b.table))
-        except bundles.BundleError as exc:
-            raise EvalError(str(exc)) from exc
-
-    def _fn_sym(self, args, env):
-        k, b = self._args(args, env, 2, "sym")
-        try:
-            return bundles.sym_power(self._bundle_arg(b, "sym argument"), _int(k, "sym exponent"))
-        except bundles.BundleError as exc:
-            raise EvalError(str(exc)) from exc
-
-    def _fn_wedge(self, args, env):
-        k, b = self._args(args, env, 2, "wedge")
-        try:
-            return bundles.wedge_power(
-                self._bundle_arg(b, "wedge argument"), _int(k, "wedge exponent")
-            )
-        except bundles.BundleError as exc:
-            raise EvalError(str(exc)) from exc
-
-    def _fn_sum(self, args, env):
-        a, b = self._args(args, env, 2, "sum")
-        try:
-            return bundles.direct_sum(
-                self._bundle_arg(a, "summand"), self._bundle_arg(b, "summand")
-            )
-        except bundles.BundleError as exc:
-            raise EvalError(str(exc)) from exc
-
-    def _fn_ch(self, args, env):
-        (b,) = self._args(args, env, 1, "ch")
-        return tuple(bundles.chern_character(self._bundle_arg(b, "ch argument")))
-
-    def _fn_chern(self, args, env):
-        i, b = self._args(args, env, 2, "chern")
-        return self._bundle_arg(b, "chern argument").c(_int(i, "chern index"))
-
-    # pushforward engine ----------------------------------------------------------
-
-    def _fn_td(self, args, env):
-        g = self._one(args, "td")
-        return grr.todd_series(self._int_arg(g, env), self.trunc)
-
-    def _fn_omega(self, args, env):
-        k, g = (self._int_arg(a, env) for a in self._two(args, "omega"))
-        return grr.exp_psi(k, g, self.trunc)
-
-    def _fn_psi(self, args, env):
-        g = self._one(args, "psi")
-        return grr.psi(self._int_arg(g, env), self.trunc)
-
-    def _fn_push(self, args, env):
-        (s,) = self._args(args, env, 1, "push")
-        if not isinstance(s, grr.PsiSeries):
-            raise EvalError("push applies to a psi series")
-        try:
-            return grr.push_psi(s.truncate(self.trunc + 1))
-        except ValueError as exc:
-            raise EvalError(str(exc)) from exc
-
-    def _fn_hodge(self, args, env):
-        g = self._one(args, "hodge")
-        return grr.hodge_bundle(self._int_arg(g, env), self.trunc)
-
-    def _fn_pushbundle(self, args, env):
-        k, g = (self._int_arg(a, env) for a in self._two(args, "pushbundle"))
-        return grr.pushforward_bundle(k, g, self.trunc)
-
-    def _fn_quadricsbundle(self, args, env):
-        g = self._one(args, "quadricsbundle")
-        return grr.quadrics_bundle(self._int_arg(g, env), self.trunc)
-
-    # representation theory ---------------------------------------------------
-
-    def _fn_syt(self, args, env):
-        (lam,) = self._args(args, env, 1, "syt")
-        return Fraction(schur.syt_count(_partition(lam)))
-
-    def _fn_schurdim(self, args, env):
-        lam, n = self._args(args, env, 2, "schurdim")
-        return Fraction(schur.dim_schur(_partition(lam), _int(n, "dimension")))
-
-    def _fn_lr(self, args, env):
-        a, b = self._args(args, env, 2, "lr")
-        return schur.lr_product(_partition(a), _partition(b))
-
-    def _fn_sym2wedge2(self, args, env):
-        n = self._one(args, "sym2wedge2")
-        try:
-            return schur.decompose_sym2_wedge2(self._int_arg(n, env))
-        except ValueError as exc:
-            raise EvalError(str(exc)) from exc
-
-    # twist solvers -------------------------------------------------------------
-
-    def _fn_hyptwist(self, args, env):
-        g = self._one(args, "hyptwist")
-        return bundles.solve_hyperelliptic_twist(self._int_arg(g, env))
-
-    def _fn_unitwist(self, args, env):
-        r = self._one(args, "unitwist")
-        return bundles.solve_unimodular_twist(self._int_arg(r, env))
-
-    def _fn_tritwist(self, args, env):
-        g, n = (self._int_arg(a, env) for a in self._two(args, "tritwist"))
-        try:
-            return bundles.solve_trigonal_twist(g, n)
-        except bundles.BundleError as exc:
-            raise EvalError(str(exc)) from exc
-
-    # helpers ---------------------------------------------------------------------
-
-    def _one(self, args, what: str):
-        if len(args) != 1:
-            raise EvalError(f"{what} takes 1 argument, got {len(args)}")
-        return args[0]
-
-    def _two(self, args, what: str):
-        if len(args) != 2:
-            raise EvalError(f"{what} takes 2 arguments, got {len(args)}")
-        return args
-
-    def _int_arg(self, node, env) -> int:
-        return _int(self.eval(node, env))
+def _innermost_call(exc: BaseException) -> str | None:
+    """The function name of the innermost ``_call`` the error passed through."""
+    name = None
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code is _CALL_CODE:
+            name = tb.tb_frame.f_locals["name"]
+        tb = tb.tb_next
+    return name
 
 
 # -- printing -------------------------------------------------------------------
@@ -677,5 +498,4 @@ def presentation_from_lines(text: str) -> quotient.RingPresentation:
     if not lines or not lines[0].startswith("ring["):
         raise EvalError("presentation file must start with a 'ring[vars; weights]' header")
     src = lines[0] + "(" + ", ".join(lines[1:]) + ")"
-    node = parse(src)
-    return Evaluator().eval(node, {})
+    return Evaluator()._statement(parse(src), {})

@@ -51,6 +51,13 @@ def generic_bundle(rank, trunc=D, salt=1):
     return FormalBundle(rank, tuple(cs), TABLE, exact_rank=False)
 
 
+def test_chern_class_index_must_be_nonnegative():
+    b = rank2_bundle()
+    assert b.c(0) == GradedPoly.one(TABLE) and b.c(D + 1) == ZERO
+    with pytest.raises(BundleError, match="index must be >= 0"):
+        b.c(-1)
+
+
 # -- dual -----------------------------------------------------------------------
 
 

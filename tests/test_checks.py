@@ -168,6 +168,24 @@ def test_cli_repl_batch(monkeypatch, capsys):
     assert out == ["6", "2304/127 * k1 * k2"]
 
 
+@pytest.mark.parametrize(
+    "src", ["h0(F[2], 3)", "F[-1]", "ring[x; 0](x)", "ring[x, x; 1, 1](x)", "0^(-1)"]
+)
+def test_cli_eval_reports_evaluation_errors(src, capsys):
+    assert main(["eval", src]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_cli_repl_continues_after_an_evaluation_error(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("h0(F[2], 3)\n1+1\n"))
+    assert main(["repl"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0].startswith("error: ") and out[1] == "2"
+
+
 @pytest.mark.parametrize("trunc", ["0", "1", "-1"])
 def test_cli_verify_rejects_truncation_below_two(trunc, capsys):
     assert main(["verify", "--trunc", trunc]) == 2

@@ -1,8 +1,17 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from chowcalc.evaluator import EvalError, Evaluator, format_value, presentation_from_lines, presentation_to_lines
+from chowcalc.evaluator import (
+    FUNCTIONS,
+    EvalError,
+    Evaluator,
+    format_value,
+    presentation_from_lines,
+    presentation_to_lines,
+)
 from chowcalc.expr import (
     BinOp,
     Call,
@@ -95,6 +104,15 @@ def test_division_by_zero():
     ev = Evaluator()
     with pytest.raises(EvalError, match="division by zero"):
         ev.run("1 / 0")
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["h0(F[2], 3)", "F[-1]", "ring[x; 0](x)", "ring[x, x; 1, 1](x)", "0^(-1)", "chern(-1, V)"],
+)
+def test_malformed_input_is_an_eval_error(src):
+    with pytest.raises(EvalError):
+        Evaluator().run(src)
 
 
 def test_guard_errors_surface_verbatim():
@@ -234,8 +252,65 @@ def test_presentation_serialization_roundtrip():
     assert back.relations == pres.relations
 
 
+def test_presentation_header_errors_are_eval_errors():
+    with pytest.raises(EvalError, match="weights must be >= 1"):
+        presentation_from_lines("ring[x; 0]\nx^2\n")
+
+
 def test_sequence_quotient_via_slash():
     ev = Evaluator()
     q = ev.run("sym(2, V) / F")
     assert format_value(ev.run("rank(sym(2, V) / F)")) == "11"
     assert q.rank == 11
+
+
+# -- the function table -----------------------------------------------------------------
+
+# Arguments that make a call of the right kinds; "S" is a divisor class in
+# the scope of a surface.  Each argument is then swapped for each POOL value.
+BASE_ARGS = {
+    "int": "6",
+    "partition": "[2, 1]",
+    "bundle": "V",
+    "G": "G(2, 4)",
+    "ring": "M6",
+    "surface": "F[1]",
+    "divisor": "S",
+    "psi": "psi(6)",
+    "poly": "k1",
+}
+POOL = ["1/2", "-1", "V", "G(2, 4)", "M6", "F[1]", "psi(6)", "[2, 1]", "k1"]
+
+
+@pytest.fixture(scope="module")
+def evaluator():
+    return Evaluator()
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_every_function_checks_its_arity(name, evaluator):
+    n = len(FUNCTIONS[name].kinds)
+    for args in ([], ["1"] * (n + 1)):
+        with pytest.raises(EvalError, match=f"^{name} takes {n} argument"):
+            evaluator.run(f"{name}({', '.join(args)})")
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_every_function_is_total_on_the_pool(name, evaluator):
+    base = [BASE_ARGS[kind] for kind in FUNCTIONS[name].kinds]
+    calls = [base] + [base[:i] + [v] + base[i + 1 :] for i in range(len(base)) for v in POOL]
+    for args in calls:
+        try:
+            evaluator.run(f"{name}({', '.join(args)})")
+        except EvalError:
+            pass
+
+
+def test_readme_names_every_function():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [
+        name
+        for name in FUNCTIONS
+        if f"`{name}`" not in readme and not re.search(rf"\b{name}\(", readme)
+    ]
+    assert missing == []
