@@ -1,14 +1,16 @@
-"""Exact arithmetic kernel: weighted multivariate polynomials over Q and
-exact row reduction.
+"""Exact arithmetic kernel: weighted multivariate polynomials over Q,
+truncated graded series over them, and exact row reduction.
 
 All values are immutable after construction and every operation is exact
 rational arithmetic; there is no floating point anywhere in this package.
 
-Polynomial products use the content/primitive-part idea (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, section 6.2): each operand's
-coefficients are scaled by the LCM of its denominators to integers, the
-integer numerators are multiplied and accumulated, and every output term is
-divided once by the product of the two LCMs.  Per-term work is then integer
+Every sum of products, sum q*a*b, goes through one kernel,
+``linear_combination``; ``*``, ``mul_trunc`` and the truncated series
+product and inverse are built on it.  It uses the content/primitive-part
+idea (von zur Gathen and Gerhard, *Modern Computer Algebra*, section 6.2):
+each operand is scaled to integers by the LCM of its denominators, integer
+numerators are accumulated over the LCM of all the pairs' denominators,
+and every output term is divided once.  Per-term work is then integer
 multiplication and addition instead of Fraction arithmetic, which reduces
 by a gcd on every operation.  Results from internal operations are built
 with the trusted ``GradedPoly._from_clean``; the public constructor keeps
@@ -21,11 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
-
-# The coefficient field everywhere.  fractions.Fraction already guarantees
-# lowest terms, positive denominator, and exact arithmetic.
-Rational = Fraction
+from typing import Callable, Iterable, Mapping, Sequence
 
 RationalLike = int | Fraction
 
@@ -312,19 +310,21 @@ class GradedPoly:
             if target is None:
                 raise ValueError("cannot infer target table from an empty mapping")
         images: list[GradedPoly | None] = [mapping.get(n) for n in self.table.names]
-        out = GradedPoly.zero(target)
-        constant_exps = (0,) * len(target)
+        one = GradedPoly.one(target)
+        powers: dict[tuple[int, int], GradedPoly] = {}  # (i, e) -> images[i]**e
+        terms = []
         for exps, c in self._terms.items():
-            term = GradedPoly._from_clean(target, {constant_exps: c})
+            image = one
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
-                img = images[i]
-                if img is None:
+                if images[i] is None:
                     raise KeyError(f"no substitution for variable {self.table.names[i]!r}")
-                term = term * img**e
-            out = out + term
-        return out
+                if (i, e) not in powers:
+                    powers[i, e] = images[i] ** e
+                image = image * powers[i, e]
+            terms.append((c, image, one))
+        return linear_combination(target, terms)
 
     def __repr__(self) -> str:
         return f"GradedPoly({format_poly(self)})"
@@ -335,42 +335,94 @@ def mul_trunc(a: GradedPoly, b: GradedPoly, max_degree: int) -> GradedPoly:
     return _product(a, b, max_degree)
 
 
-def _integer_content(p: GradedPoly) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """(L, [(e, L*c)]) where L is the LCM of the denominators of p."""
-    terms = p._terms
-    den = lcm(*[c.denominator for c in terms.values()])
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+def _integer_content(p: GradedPoly, degree: Callable | None) -> tuple[int, list]:
+    """(L, [(e, L*c, d)]) where L is the LCM of the denominators of p and d
+    is degree(e), or 0 when no degree function is given."""
+    den = lcm(*[c.denominator for c in p._terms.values()])
+    return den, [
+        (e, c.numerator * (den // c.denominator), degree(e) if degree else 0)
+        for e, c in p._terms.items()
+    ]
 
 
-def _product(a: GradedPoly, b: GradedPoly, max_degree: int | None) -> GradedPoly:
-    """The product a*b, without the terms of weighted degree > max_degree
-    when that is given; shared by ``*`` and ``mul_trunc``."""
-    a._check(b)
-    table = a.table
-    if not a._terms or not b._terms:
-        return GradedPoly.zero(table)
-    da, na = _integer_content(a)
-    db, nb = _integer_content(b)
-    if max_degree is not None:
-        degree = table.degree
-        nb_deg = [(e2, n2, degree(e2)) for e2, n2 in nb]
+def _sum_products(
+    table: VariableTable, pairs: list, den: int, max_degree: int | None
+) -> GradedPoly:
+    """sum s*a*b/den over the (s, a, b) in pairs, a and b given by integer
+    content: the one inner loop of every product and sum of products."""
     acc: dict[tuple[int, ...], int] = {}
-    for e1, n1 in na:
-        if max_degree is None:
-            partners = nb
-        else:
-            room = max_degree - degree(e1)
-            partners = [(e2, n2) for e2, n2, d2 in nb_deg if d2 <= room]
-        for e2, n2 in partners:
-            e = tuple(map(add, e1, e2))
-            if e in acc:
-                acc[e] += n1 * n2
-            else:
-                acc[e] = n1 * n2
-    den = da * db
+    for scale, na, nb in pairs:
+        for e1, n1, d1 in na:
+            n1 *= scale
+            partners = nb if max_degree is None else [t for t in nb if t[2] <= max_degree - d1]
+            for e2, n2, _ in partners:
+                e = tuple(map(add, e1, e2))
+                if e in acc:
+                    acc[e] += n1 * n2
+                else:
+                    acc[e] = n1 * n2
     if den == 1:  # integer operands, the common case: no gcd to take
         return GradedPoly._from_clean(table, {e: Fraction(n) for e, n in acc.items() if n})
     return GradedPoly._from_clean(table, {e: Fraction(n, den) for e, n in acc.items() if n})
+
+
+def _product(a: GradedPoly, b: GradedPoly, max_degree: int | None) -> GradedPoly:
+    """a*b, without the terms of weighted degree > max_degree when given; the
+    one-pair case of ``linear_combination`` without its shared-operand and
+    common-denominator bookkeeping, which small products would pay for."""
+    a._check(b)
+    degree = None if max_degree is None else a.table.degree
+    (da, na), (db, nb) = _integer_content(a, degree), _integer_content(b, degree)
+    return _sum_products(a.table, [(1, na, nb)], da * db, max_degree)
+
+
+def linear_combination(
+    table: VariableTable,
+    terms: Iterable[tuple[RationalLike, GradedPoly, GradedPoly]],
+    max_degree: int | None = None,
+) -> GradedPoly:
+    """sum q*a*b over the (q, a, b) in `terms`, all over `table`, without the
+    terms of weighted degree > max_degree when that is given.  Each pair is
+    scaled to integers by its own denominator, the numerators accumulate over
+    the LCM of those denominators, and each output term is divided once."""
+    degree = None if max_degree is None else table.degree
+    contents: dict[int, tuple] = {}  # id(p) -> (p, content); holding p pins its id
+    pairs = []
+    for q, a, b in terms:
+        for p in (a, b):
+            if p.table != table:
+                msg = f"variable tables differ: {table.names} vs {p.table.names}"
+                raise TableMismatchError(msg)
+            if id(p) not in contents:
+                contents[id(p)] = (p, _integer_content(p, degree))
+        if q:
+            (da, na), (db, nb) = contents[id(a)][1], contents[id(b)][1]
+            pairs.append((q.numerator, q.denominator * da * db, na, nb))
+    den = lcm(*[d for _, d, _, _ in pairs])
+    scaled = [(n * (den // d), na, nb) for n, d, na, nb in pairs]
+    return _sum_products(table, scaled, den, max_degree)
+
+
+def series_mul(a: Sequence[GradedPoly], b: Sequence[GradedPoly], trunc: int) -> list[GradedPoly]:
+    """Coefficients 0..trunc of the product of two graded series, given by
+    their coefficient lists (missing coefficients are zero)."""
+    return [
+        linear_combination(
+            a[0].table, ((1, a[i], b[d - i]) for i in range(len(a)) if 0 <= d - i < len(b))
+        )
+        for d in range(trunc + 1)
+    ]
+
+
+def series_inverse(a: Sequence[GradedPoly], trunc: int) -> list[GradedPoly]:
+    """Coefficients 0..trunc of 1/a for a series a with constant term 1."""
+    if a[0] != GradedPoly.one(a[0].table):
+        raise ValueError("series inverse needs constant term 1")
+    inv = [a[0]]
+    for d in range(1, trunc + 1):
+        terms = ((-1, a[i], inv[d - i]) for i in range(1, min(d + 1, len(a))))
+        inv.append(linear_combination(a[0].table, terms))
+    return inv
 
 
 def format_rational(q: Fraction) -> str:

@@ -7,7 +7,9 @@ through the Chern character: the Adams operation psi^j scales ch_d by j^d,
 and Newton's recurrence n * h_n = sum_j (+-1)^(j-1) psi^j(ch) * h_(n-j)
 (sign + for Sym, alternating for wedge) gives ch(Sym^n) or ch(wedge^n),
 which `chern_from_character` turns back into Chern classes.  A twist by a
-line uses the closed form c(V (x) L) = sum_i c_i(V) (1 + t)^(r - i).
+line uses the closed form c(V (x) L) = sum_i c_i(V) (1 + t)^(r - i).  Every
+such sum of products is one call per degree to the series kernel in
+``algebra`` (``series_mul``, ``series_inverse``, ``linear_combination``).
 
 No Chern roots are introduced, so the cost does not grow with the rank;
 Sym^k and wedge^k cost O(k^2) truncated series products.  Every operation
@@ -22,12 +24,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from . import geometry
 from .algebra import (
     GradedPoly,
     RationalLike,
     VariableTable,
-    mul_trunc,
+    linear_combination,
     rat,
+    series_inverse,
+    series_mul,
 )
 
 
@@ -139,17 +144,11 @@ def bundle_from_line_classes(classes: list[GradedPoly], trunc: int) -> FormalBun
     if not classes:
         raise BundleError("need at least one line class")
     table = classes[0].table
-    cs = _elementary_symmetric_classes(classes, trunc)
-    return FormalBundle(len(classes), cs, table, exact_rank=False)
-
-
-def _elementary_symmetric_classes(roots: list[GradedPoly], trunc: int) -> tuple[GradedPoly, ...]:
-    table = roots[0].table
-    es = [GradedPoly.one(table)] + [GradedPoly.zero(table) for _ in range(trunc)]
-    for r in roots:
-        for i in range(trunc, 0, -1):
-            es[i] = es[i] + mul_trunc(es[i - 1], r, trunc)
-    return tuple(es[1:])
+    one = GradedPoly.one(table)
+    total = [one]
+    for r in classes:
+        total = series_mul(total, [one, r], trunc)
+    return FormalBundle(len(classes), tuple(total[1:]), table, exact_rank=False)
 
 
 # -- bundle operations --------------------------------------------------------
@@ -169,15 +168,15 @@ def twist(b: FormalBundle, t: LineClass | GradedPoly) -> FormalBundle:
         raise BundleError("twist class over a different table")
     if t1.is_zero():
         return b
-    cs = list(b.chern)
-    for i in range(b.truncation):
-        term = b.c(i)
-        for m in range(1, b.truncation - i + 1):
-            coeff = _binomial(b.rank - i, m)
-            if not coeff or term.is_zero():
-                break  # C(n, m) = 0 for all m > n >= 0
-            term = term * t1
-            cs[i + m - 1] = cs[i + m - 1] + coeff * term
+    powers = [GradedPoly.one(b.table)]  # t^0..t^D
+    for _ in range(b.truncation):
+        powers.append(powers[-1] * t1)
+    cs = tuple(
+        linear_combination(
+            b.table, ((_binomial(b.rank - i, d - i), b.c(i), powers[d - i]) for i in range(d + 1))
+        )
+        for d in range(1, b.truncation + 1)
+    )
     return FormalBundle(b.rank, cs, b.table, exact_rank=b.exact_rank)
 
 
@@ -207,13 +206,15 @@ def _power_classes(b: FormalBundle, k: int, sign: int, rank: int) -> tuple[Grade
     n * h_n = sum_j sign^(j-1) psi^j(ch b) * h_(n-j) on Chern characters."""
     D = b.truncation
     ch = chern_character(b)
-    psi = [[sign ** (j - 1) * j**d * c for d, c in enumerate(ch)] for j in range(1, k + 1)]
     h = [[GradedPoly.one(b.table)] + [GradedPoly.zero(b.table)] * D]
-    for n in range(1, k + 1):
-        acc = psi[n - 1]  # the j = n term, h_0 = 1
-        for j in range(1, n):
-            acc = [a + p for a, p in zip(acc, _series_mul(psi[j - 1], h[n - j], D))]
-        h.append([a / n for a in acc])
+    for n in range(1, k + 1):  # psi^j(ch)_i = j^i ch_i
+        h.append([
+            linear_combination(b.table, [
+                (Fraction(sign ** (j - 1) * j**i, n), ch[i], h[n - j][d - i])
+                for j in range(1, n + 1) for i in range(d + 1)
+            ])
+            for d in range(D + 1)
+        ])
     return chern_from_character(h[k], rank).chern
 
 
@@ -233,41 +234,13 @@ def universal_chern(op: str, r: int, k: int, trunc: int) -> tuple[GradedPoly, ..
     raise ValueError(f"unknown operation {op!r}")
 
 
-def determinant_line(b: FormalBundle) -> LineClass:
-    return LineClass(b.c(1))
-
-
 def direct_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:
     """Whitney sum: total Chern classes multiply."""
     if a.table != b.table:
         raise BundleError("direct sum over different tables")
     trunc = min(a.truncation, b.truncation)
-    total = _series_mul(a.total_chern(), b.total_chern(), trunc)
+    total = series_mul(a.total_chern(), b.total_chern(), trunc)
     return FormalBundle(a.rank + b.rank, tuple(total[1:]), a.table, exact_rank=False)
-
-
-def _series_mul(a: list[GradedPoly], b: list[GradedPoly], trunc: int) -> list[GradedPoly]:
-    table = a[0].table
-    out = [GradedPoly.zero(table) for _ in range(trunc + 1)]
-    for i, ai in enumerate(a[: trunc + 1]):
-        for j, bj in enumerate(b[: trunc + 1]):
-            if i + j <= trunc:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _series_inverse(a: list[GradedPoly], trunc: int) -> list[GradedPoly]:
-    table = a[0].table
-    if a[0] != GradedPoly.one(table):
-        raise ValueError("series inverse needs constant term 1")
-    inv = [GradedPoly.one(table)] + [GradedPoly.zero(table) for _ in range(trunc)]
-    for d in range(1, trunc + 1):
-        acc = GradedPoly.zero(table)
-        for i in range(1, d + 1):
-            if i < len(a):
-                acc = acc + a[i] * inv[d - i]
-        inv[d] = -acc
-    return inv
 
 
 def sequence_quotient(
@@ -284,7 +257,7 @@ def sequence_quotient(
     if sub.rank > total.rank:
         raise BundleError("subbundle rank exceeds total rank")
     trunc = min(total.truncation, sub.truncation)
-    q = _series_mul(total.total_chern(), _series_inverse(sub.total_chern(), trunc), trunc)
+    q = series_mul(total.total_chern(), series_inverse(sub.total_chern(), trunc), trunc)
     rank = total.rank - sub.rank
     return FormalBundle(rank, tuple(q[1:]), total.table, exact_rank=assert_rank)
 
@@ -292,37 +265,32 @@ def sequence_quotient(
 # -- Chern character ----------------------------------------------------------
 
 
-def chern_character(b: FormalBundle, trunc: int | None = None) -> list[GradedPoly]:
-    """ch_0..ch_trunc via Newton's identities; ch_0 is the rank."""
-    D = b.truncation if trunc is None else min(trunc, b.truncation)
-    table = b.table
-    p = [GradedPoly.zero(table) for _ in range(D + 1)]  # power sums
-    for k in range(1, D + 1):
-        acc = GradedPoly.constant(table, (-1) ** (k - 1) * k) * b.c(k)
-        for i in range(1, k):
-            acc = acc + Fraction((-1) ** (i - 1)) * b.c(i) * p[k - i]
-        p[k] = acc
-    ch = [GradedPoly.constant(table, b.rank)]
-    for k in range(1, D + 1):
-        ch.append(p[k] / factorial(k))
+def chern_character(b: FormalBundle) -> list[GradedPoly]:
+    """ch_0..ch_D via Newton's identities on the power sums p_k = k! ch_k,
+    p_k = (-1)^(k-1) k c_k + sum_(0<i<k) (-1)^(i-1) c_i p_(k-i); ch_0 is the rank."""
+    one = GradedPoly.one(b.table)
+    ch = [GradedPoly.constant(b.table, b.rank)]
+    for k in range(1, b.truncation + 1):
+        terms = [(Fraction((-1) ** (k - 1), factorial(k - 1)), b.c(k), one)] + [
+            (Fraction((-1) ** (i - 1) * factorial(k - i), factorial(k)), b.c(i), ch[k - i])
+            for i in range(1, k)
+        ]
+        ch.append(linear_combination(b.table, terms))
     return ch
 
 
-def chern_from_character(
-    ch: list[GradedPoly], rank: int, trunc: int | None = None
-) -> FormalBundle:
-    """Inverse of chern_character: recover c_1..c_trunc from ch_0..ch_D."""
+def chern_from_character(ch: list[GradedPoly], rank: int) -> FormalBundle:
+    """Inverse of chern_character: recover c_1..c_D from ch_0..ch_D, by
+    k c_k = sum_(i<=k) (-1)^(i-1) c_(k-i) i! ch_i."""
     table = ch[0].table
     if ch[0].as_scalar() != rank:
         raise BundleError("ch_0 must equal the rank")
-    D = len(ch) - 1 if trunc is None else min(trunc, len(ch) - 1)
-    p = [GradedPoly.zero(table)] + [ch[k] * factorial(k) for k in range(1, D + 1)]
-    e = [GradedPoly.one(table)] + [GradedPoly.zero(table) for _ in range(D)]
-    for k in range(1, D + 1):
-        acc = GradedPoly.zero(table)
-        for i in range(1, k + 1):
-            acc = acc + Fraction((-1) ** (i - 1)) * e[k - i] * p[i]
-        e[k] = acc / k
+    e = [GradedPoly.one(table)]
+    for k in range(1, len(ch)):
+        terms = [
+            (Fraction((-1) ** (i - 1) * factorial(i), k), e[k - i], ch[i]) for i in range(1, k + 1)
+        ]
+        e.append(linear_combination(table, terms))
     return FormalBundle(rank, tuple(e[1:]), table, exact_rank=False)
 
 
@@ -423,9 +391,7 @@ class TrigonalTwist:
 
 def maroni_split_degrees(g: int, n: int) -> tuple[int, int, int]:
     """(k, a, b) with k = (g - 3n + 2)/2, a = 2n + k - 2, b = n + k - 2."""
-    if g < 4:
-        raise BundleError("trigonal model needs genus >= 4")
-    if n < 0 or (g - n) % 2 != 0 or 3 * n > g + 2:
+    if not geometry.maroni_admissible(g, n):
         raise BundleError(f"Maroni invariant {n} not admissible for genus {g}")
     k = (g - 3 * n + 2) // 2
     return k, 2 * n + k - 2, n + k - 2

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import bundles, geometry, grr, quotient, schur
-from .algebra import GradedPoly, VariableTable, format_poly, format_rational
+from .algebra import GradedPoly, VariableTable, format_poly, format_rational, monomial_basis
 from .expr import parse
 
 
@@ -147,19 +147,19 @@ def exit_code(results: list[CheckResult]) -> int:
 
 
 def _m6_report(pres: quotient.RingPresentation) -> tuple[bool, str]:
-    """Shared logic for the presentation check and the sensitivity check."""
-    h = quotient.hilbert_function(pres, 8)
-    expected_h = (1, 1, 2, 1, 1, 0, 0, 0, 0)
+    """Shared logic for the presentation check and the sensitivity check:
+    Poincare duality in degree 4, plus the genus-6 Hilbert function and
+    degree-2 pairing determinant."""
+    report = quotient.is_poincare_duality(pres, 4, 8)
     problems = []
-    if h != expected_h:
-        problems.append(f"hilbert {h}")
-    if h[4] != 1:
-        problems.append("socle not 1-dimensional")
+    if report.hilbert != (1, 1, 2, 1, 1, 0, 0, 0, 0):
+        problems.append(f"hilbert {report.hilbert}")
+    if not report:
+        problems.append(
+            f"no Poincare duality in degree 4: socle dimension {report.socle_dimension}, "
+            f"pairing ranks {report.pairing_ranks}"
+        )
     else:
-        for i in range(5):
-            mat = quotient.pairing_matrix(pres, i, 4)
-            if mat.rows != mat.cols or mat.rank() != mat.rows:
-                problems.append(f"degenerate pairing at degree {i}")
         det = quotient.pairing_matrix(pres, 2, 4).determinant()
         if det != Fraction(36608, 12769):
             problems.append(f"degree-2 pairing determinant {det}")
@@ -448,20 +448,16 @@ def _run_random(config: SuiteConfig):
     table = VariableTable(("a1", "b1", "u", "v"), (1, 1, 1, 2))
     problems: list[str] = []
 
+    def rand_poly(d: int, bound: int) -> GradedPoly:
+        """Integer coefficients in [-bound, bound] on the degree-d monomials."""
+        return GradedPoly(table, {e: rng.randint(-bound, bound) for e in monomial_basis(table, d)})
+
     def rand_poly_deg1() -> GradedPoly:
-        return sum(
-            (GradedPoly.variable(table, n) * rng.randint(-3, 3) for n in ("a1", "b1", "u")),
-            GradedPoly.zero(table),
-        )
+        return rand_poly(1, 3)  # in a1, b1, u: v has weight 2
 
     def rand_bundle(rank: int) -> bundles.FormalBundle:
-        cs = []
-        for i in range(1, D + 1):
-            acc = GradedPoly.zero(table)
-            for exps in _degree_monomials(table, i):
-                acc = acc + GradedPoly.monomial(table, exps, rng.randint(-2, 2))
-            cs.append(acc)
-        return bundles.FormalBundle(rank, tuple(cs), table, exact_rank=False)
+        cs = tuple(rand_poly(i, 2) for i in range(1, D + 1))
+        return bundles.FormalBundle(rank, cs, table, exact_rank=False)
 
     for trial in range(4):
         a = rand_bundle(rng.randint(4, 6))
@@ -531,9 +527,3 @@ def _run_random(config: SuiteConfig):
             problems.append(f"parser fixpoint failed on {src!r}")
 
     return (not problems, "; ".join(problems) if problems else "all identities hold", "no failures")
-
-
-def _degree_monomials(table: VariableTable, d: int):
-    from .algebra import monomial_basis
-
-    return monomial_basis(table, d)

@@ -17,7 +17,8 @@ Library code reports bad input with ``ValueError`` or ``ArithmeticError``.
 These become ``EvalError`` in one place, ``Evaluator._statement``, the
 statement entry behind ``run``, ``load_definitions`` and
 ``presentation_from_lines``.  The message keeps the library's text, after
-the name of the innermost function call that failed.
+the name of the innermost function call that failed.  A statement nested
+too deeply for the recursive parser and evaluator becomes one there too.
 """
 from __future__ import annotations
 
@@ -36,9 +37,9 @@ from .expr import (
     ListExpr,
     Neg,
     Num,
+    ParseError,
     RingExpr,
     Var,
-    iter_statements,
     parse,
 )
 
@@ -239,21 +240,27 @@ class Evaluator:
     # -- entry points ------------------------------------------------------
 
     def run(self, source: str) -> Any:
-        return self._statement(parse(source), self.env)
+        return self._statement(source, self.env)
 
     def load_definitions(self, text: str) -> None:
-        for node in iter_statements(text):
-            self._statement(node, self.env)
+        """Run a definitions file: one statement per line, '#' comments."""
+        for line in text.splitlines():
+            source = line.split("#", 1)[0].strip()
+            if source:
+                self._statement(source, self.env)
 
-    def _statement(self, node: Expr | Assign, env: dict[str, Any]) -> Any:
-        """Evaluate one statement; the one place library errors become EvalError."""
+    def _statement(self, source: str, env: dict[str, Any]) -> Any:
+        """Parse and run one statement; the one place errors become EvalError."""
         try:
+            node = parse(source)
             if isinstance(node, Assign):
                 value = env[node.name] = self.eval(node.value, env)
                 return value
             return self.eval(node, env)
-        except EvalError:
+        except (EvalError, ParseError):
             raise
+        except RecursionError:
+            raise EvalError("expression nested too deeply") from None
         except (ValueError, ArithmeticError) as exc:
             name = _innermost_call(exc)
             raise EvalError(f"{name}: {exc}" if name else str(exc)) from exc
@@ -498,4 +505,4 @@ def presentation_from_lines(text: str) -> quotient.RingPresentation:
     if not lines or not lines[0].startswith("ring["):
         raise EvalError("presentation file must start with a 'ring[vars; weights]' header")
     src = lines[0] + "(" + ", ".join(lines[1:]) + ")"
-    return Evaluator()._statement(parse(src), {})
+    return Evaluator()._statement(src, {})

@@ -19,7 +19,6 @@ Parse errors carry a position and the expected token set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class ParseError(ValueError):
@@ -363,10 +362,3 @@ def parse_expr(src: str) -> Expr:
         raise ParseError("expected an expression, found an assignment", 0)
     return node
 
-
-def iter_statements(text: str) -> Iterator[Expr | Assign]:
-    """Parse a definitions file: one statement per line, '#' comments."""
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            yield parse(stripped)

@@ -9,13 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .algebra import (
-    GradedPoly,
-    RationalLike,
-    VariableTable,
-    rat,
-)
-from .bundles import _series_inverse
+from .algebra import GradedPoly, RationalLike, VariableTable, linear_combination, rat, series_inverse
 from .quotient import RingPresentation, normal_form, socle_monomial
 from .schur import Partition
 
@@ -120,14 +114,23 @@ def h0_hirzebruch(c: HirzebruchClass) -> int:
 def maroni_k(g: int, n: int) -> Fraction:
     """Solve genus(3S + kF on F_n) = g for k; equals (g - 3n + 2)/2.
 
-    Non-integrality of the result is exactly the parity obstruction for a
-    trigonal genus-g curve with Maroni invariant n.
+    Needs g >= 4 and 0 <= 3n <= g + 2, the range of the trigonal model.
+    Within it, non-integrality of the result is exactly the parity
+    obstruction for a trigonal genus-g curve with Maroni invariant n.
     """
+    if g < 4 or n < 0 or 3 * n > g + 2:
+        raise ValueError(
+            f"Maroni invariant {n} out of range for genus {g}: need g >= 4 and 0 <= 3n <= g + 2"
+        )
     return Fraction(g - 3 * n + 2, 2)
 
 
 def maroni_admissible(g: int, n: int) -> bool:
-    return n >= 0 and (g - n) % 2 == 0 and 3 * n <= g + 2
+    """True iff maroni_k(g, n) is defined and integral."""
+    try:
+        return maroni_k(g, n).denominator == 1
+    except ValueError:
+        return False
 
 
 def trigonal_class(g: int, n: int) -> HirzebruchClass:
@@ -239,22 +242,22 @@ def _grass_presentation(k: int, n: int) -> RingPresentation:
     form of c(S) * c(Q) = 1)."""
     table = _grass_table(k)
     c = [GradedPoly.one(table)] + [GradedPoly.variable(table, f"c{i}") for i in range(1, k + 1)]
-    inv = _series_inverse(c, n)
+    inv = series_inverse(c, n)
     relations = tuple(inv[d] for d in range(n - k + 1, n + 1))
     return RingPresentation(table, relations, label=f"grassmannian-{k}-{n}")
 
 
 def _poly_det(rows: list[list[GradedPoly]]) -> GradedPoly:
-    n = len(rows)
-    table = rows[0][0].table
-    if n == 1:
+    """Laplace expansion along the first row."""
+    if len(rows) == 1:
         return rows[0][0]
-    out = GradedPoly.zero(table)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _poly_det(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
+    return linear_combination(
+        rows[0][0].table,
+        (
+            ((-1) ** j, head, _poly_det([r[:j] + r[j + 1 :] for r in rows[1:]]))
+            for j, head in enumerate(rows[0])
+        ),
+    )
 
 
 def grass_dim(k: int, n: int) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .algebra import GradedPoly, RationalLike, VariableTable, rat
+from .algebra import GradedPoly, RationalLike, VariableTable, linear_combination, rat, series_mul
 from .bundles import (
     FormalBundle,
     LineClass,
@@ -97,13 +97,9 @@ class PsiSeries:
         if isinstance(other, (int, Fraction, GradedPoly)):
             return PsiSeries(self.genus, tuple(c * other for c in self.coeffs))
         self._check(other)
-        n = self.order + other.order
-        zero = GradedPoly.zero(self.table)
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return PsiSeries(self.genus, tuple(out))
+        return PsiSeries(
+            self.genus, tuple(series_mul(self.coeffs, other.coeffs, self.order + other.order))
+        )
 
     __rmul__ = __mul__
 
@@ -140,19 +136,12 @@ def push_psi(s: PsiSeries) -> GradedPoly:
     and psi^0 -> 0.  Linear over the kappa-ring; drops degree by one."""
     table = s.table
     trunc = len(table)
-    out = GradedPoly.zero(table)
     for j, coeff in enumerate(s.coeffs):
-        if j == 0 or coeff.is_zero():
-            continue
-        if j == 1:
-            out = out + coeff * (2 * s.genus - 2)
-        elif j - 1 <= trunc:
-            out = out + coeff * kappa(trunc, j - 1)
-        else:
-            raise ValueError(
-                f"psi^{j} pushes to kappa_{j-1}, beyond the truncation order {trunc}"
-            )
-    return out
+        if j - 1 > trunc and not coeff.is_zero():
+            raise ValueError(f"psi^{j} pushes to kappa_{j-1}, beyond the truncation order {trunc}")
+    images = [GradedPoly.constant(table, 2 * s.genus - 2)]  # of psi^1, psi^2, ...
+    images += [kappa(trunc, a) for a in range(1, trunc + 1)]
+    return linear_combination(table, ((1, c, img) for c, img in zip(s.coeffs[1:], images)))
 
 
 def ch_pushforward_omega_power(k: int, g: int, trunc: int) -> list[GradedPoly]:
@@ -179,7 +168,7 @@ def pushforward_rank(k: int, g: int) -> int:
 
 def pushforward_bundle(k: int, g: int, trunc: int) -> FormalBundle:
     ch = ch_pushforward_omega_power(k, g, trunc)
-    return chern_from_character(ch, pushforward_rank(k, g), trunc)
+    return chern_from_character(ch, pushforward_rank(k, g))
 
 
 def hodge_bundle(g: int, trunc: int) -> FormalBundle:
@@ -192,13 +181,11 @@ def hodge_bundle(g: int, trunc: int) -> FormalBundle:
     return pushforward_bundle(1, g, trunc)
 
 
-def lambda_class(g: int, trunc: int, i: int) -> GradedPoly:
-    return hodge_bundle(g, trunc).c(i)
-
-
 def quadrics_bundle(g: int, trunc: int) -> FormalBundle:
     """Kernel of Sym^2 (Hodge) -> (direct image of omega^2): the bundle of
     quadrics through canonical curves, of rank (g-2)(g-3)/2."""
+    if g < 3:
+        raise ValueError("need genus >= 3")
     hodge = hodge_bundle(g, trunc)
     return sequence_quotient(sym_power(hodge, 2), pushforward_bundle(2, g, trunc), assert_rank=False)
 

@@ -10,9 +10,12 @@ from chowcalc.algebra import (
     TableMismatchError,
     VariableTable,
     format_poly,
+    linear_combination,
     monomial_basis,
     mul_trunc,
     row_reduce,
+    series_inverse,
+    series_mul,
 )
 
 KAPPA = VariableTable(("k1", "k2"), (1, 2))
@@ -394,3 +397,108 @@ def test_public_constructor_drops_zeros_and_stores_fractions():
     assert list(p.items()) == [((2, 0), Fraction(3)), ((0, 0), Fraction(1, 2))]
     assert all(type(c) is Fraction for _, c in p.items())
     assert GradedPoly(KAPPA, {(1, 0): 0}).is_zero()
+
+
+# -- the sum-of-products kernel and the series built on it -------------------------
+
+
+def _ref_linear_combination(terms, max_degree=None):
+    """sum q * a * b by the Fraction-dict product references above."""
+    acc = {}
+    for q, a, b in terms:
+        prod = _ref_mul(a, b) if max_degree is None else _ref_mul_trunc(a, b, max_degree)
+        for e, c in prod:
+            acc[e] = acc.get(e, Fraction(0)) + q * c
+    return {e: c for e, c in acc.items() if c != 0}
+
+
+scalars = coefficients | st.integers(-3, 3) | st.just(Fraction(0))
+
+
+@st.composite
+def combinations(draw):
+    """Lists of (q, a, b) with zero scalars and mixed denominators; in half of
+    them one pair is repeated with -q, or with -a, so that it cancels exactly
+    (operands shared between pairs, or not)."""
+    terms = draw(st.lists(st.tuples(scalars, wpolys(), wpolys()), max_size=4))
+    if terms and draw(st.booleans()):
+        q, a, b = draw(st.sampled_from(terms))
+        terms.append(draw(st.sampled_from([(-q, a, b), (q, -a, b)])))
+    return terms
+
+
+_a = _x_plus_y(Fraction(1, 65537), Fraction(3, 10007))
+_b = _x_plus_y(Fraction(2, 7), Fraction(-1, 3))
+
+
+@given(combinations(), st.none() | st.integers(min_value=-1, max_value=12))
+@example([], None)
+@example([], 3)
+@example([(Fraction(5, 3), _a, _b), (Fraction(-5, 3), _a, _b)], None)  # cancels to zero
+@example([(Fraction(1, 2), _a, _b), (Fraction(1, 2), -_a, _b), (0, _a, _a)], None)
+@example([(Fraction(1, 3), _a, _a), (2, _a, _b), (Fraction(3, 7), _b, _b)], 1)
+def test_linear_combination_matches_fraction_reference(terms, max_degree):
+    p = linear_combination(WTABLE, terms, max_degree)
+    _assert_clean(p)
+    assert dict(p.items()) == _ref_linear_combination(terms, max_degree)
+    if max_degree is None:
+        assert p == linear_combination(WTABLE, iter(terms))  # a one-shot iterable
+
+
+def test_linear_combination_checks_every_table():
+    other = VariableTable(("x",), (1,))
+    x = GradedPoly.variable(other, "x")
+    a = GradedPoly.variable(WTABLE, "a")
+    for terms in ([(1, a, x)], [(1, x, a)], [(0, x, x)], [(1, a, a), (1, x, x)]):
+        with pytest.raises(TableMismatchError):
+            linear_combination(WTABLE, terms)
+    with pytest.raises(TableMismatchError):
+        series_mul([a], [x], 2)
+
+
+def _ref_series_mul(a, b, trunc):
+    table = a[0].table
+    out = [GradedPoly.zero(table) for _ in range(trunc + 1)]
+    for i, ai in enumerate(a[: trunc + 1]):
+        for j, bj in enumerate(b[: trunc + 1]):
+            if i + j <= trunc:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _ref_series_inverse(a, trunc):
+    table = a[0].table
+    if a[0] != GradedPoly.one(table):
+        raise ValueError("series inverse needs constant term 1")
+    inv = [GradedPoly.one(table)] + [GradedPoly.zero(table) for _ in range(trunc)]
+    for d in range(1, trunc + 1):
+        acc = GradedPoly.zero(table)
+        for i in range(1, d + 1):
+            if i < len(a):
+                acc = acc + a[i] * inv[d - i]
+        inv[d] = -acc
+    return inv
+
+
+wseries = st.lists(wpolys(), min_size=1, max_size=4)
+
+
+@given(wseries, wseries, st.integers(min_value=0, max_value=6))
+def test_series_mul_matches_reference_loop(a, b, trunc):
+    out = series_mul(a, b, trunc)
+    assert len(out) == trunc + 1
+    assert out == _ref_series_mul(a, b, trunc)
+
+
+@given(wseries, st.integers(min_value=0, max_value=6))
+def test_series_inverse_matches_reference_loop(a, trunc):
+    one = GradedPoly.one(WTABLE)
+    a = [one] + a[1:]
+    inv = series_inverse(a, trunc)
+    assert inv == _ref_series_inverse(a, trunc)
+    assert series_mul(a, inv, trunc) == [one] + [GradedPoly.zero(WTABLE)] * trunc
+
+
+def test_series_inverse_needs_constant_term_one():
+    with pytest.raises(ValueError, match="constant term 1"):
+        series_inverse([GradedPoly.constant(WTABLE, 2)], 3)

@@ -177,6 +177,12 @@ def test_cli_eval_reports_evaluation_errors(src, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+def test_cli_eval_reports_deep_nesting(capsys):
+    assert main(["eval", "(" * 300 + "1" + ")" * 300]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: expression nested too deeply\n" and captured.out == ""
+
+
 def test_cli_repl_continues_after_an_evaluation_error(monkeypatch, capsys):
     import io
 

@@ -115,6 +115,34 @@ def test_malformed_input_is_an_eval_error(src):
         Evaluator().run(src)
 
 
+# Deep trees: the parser recurses on parentheses, unary minus and the
+# right-associative ^; the evaluator recurses on the left-deep tree of +.
+DEEP_INPUTS = [
+    "(" * 300 + "1" + ")" * 300,
+    "+".join(["1"] * 3000),
+    "-" * 3000 + "1",
+    "^".join(["1"] * 1000),
+]
+
+
+@pytest.mark.parametrize("src", DEEP_INPUTS, ids=["parens", "sum", "negations", "powers"])
+def test_deeply_nested_input_is_an_eval_error(src):
+    ev = Evaluator()
+    with pytest.raises(EvalError, match="^expression nested too deeply$"):
+        ev.run(src)
+    assert ev.run("1 + 1") == 2
+
+
+def test_deeply_nested_definition_is_an_eval_error():
+    with pytest.raises(EvalError, match="nested too deeply"):
+        Evaluator().load_definitions("x = " + DEEP_INPUTS[0] + "\n")
+
+
+def test_quadrics_bundle_needs_genus_three():
+    with pytest.raises(EvalError, match="quadricsbundle: need genus >= 3"):
+        Evaluator().run("quadricsbundle(2)")
+
+
 def test_guard_errors_surface_verbatim():
     ev = Evaluator()
     with pytest.raises(EvalError, match="need genus >= 3"):

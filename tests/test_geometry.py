@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from chowcalc.bundles import BundleError, maroni_split_degrees
 from chowcalc.geometry import (
     Grassmannian,
     canonical_class,
@@ -78,6 +81,37 @@ def test_maroni_parity_and_adjunction(g):
             for kk in range(int(k) - 2, int(k) + 3):
                 cls = 3 * section_S(n) + kk * fiber_F(n)
                 assert genus_of_class(cls) != g
+
+
+@pytest.mark.parametrize("g, n", [(-1, 0), (3, 0), (6, -1), (6, 3), (7, 4)])
+def test_maroni_k_rejects_invariants_out_of_range(g, n):
+    with pytest.raises(ValueError, match="out of range"):
+        maroni_k(g, n)
+    assert not maroni_admissible(g, n)
+
+
+def test_maroni_k_of_a_parity_failure_is_a_half_integer():
+    assert maroni_k(7, 0) == Fraction(9, 2)
+    assert maroni_k(6, 1) == Fraction(5, 2)
+    assert not maroni_admissible(7, 0) and not maroni_admissible(6, 1)
+
+
+def test_maroni_admissibility_is_one_rule():
+    """maroni_k is defined, and integral, exactly where the trigonal twist
+    model accepts the invariant."""
+    for g in range(-1, 13):
+        for n in range(-2, g + 2):
+            try:
+                integral = maroni_k(g, n).denominator == 1
+            except ValueError:
+                integral = False
+            assert maroni_admissible(g, n) == integral
+            if integral:
+                k, a, b = maroni_split_degrees(g, n)
+                assert k == maroni_k(g, n) and (a + 1) + (b + 1) == g
+            else:
+                with pytest.raises(BundleError, match="not admissible"):
+                    maroni_split_degrees(g, n)
 
 
 # -- section counts ---------------------------------------------------------------

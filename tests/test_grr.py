@@ -184,6 +184,12 @@ def test_quadrics_bundle_ranks():
     assert quadrics_bundle(4, D).rank == 1
 
 
+@pytest.mark.parametrize("g", [2, 1, 0])
+def test_quadrics_bundle_needs_genus_three(g):
+    with pytest.raises(ValueError, match="need genus >= 3"):
+        quadrics_bundle(g, D)
+
+
 def test_quadrics_bundle_first_chern_class():
     # c1(Sym^2 E) - c1(push omega^2) = 7 lambda1 - 13 lambda1 = -6 lambda1
     g = quadrics_bundle(6, D)
