@@ -5,8 +5,8 @@ All values are immutable after construction and every operation is exact
 rational arithmetic; there is no floating point anywhere in this package.
 
 Every sum of products, sum q*a*b, goes through one kernel,
-``linear_combination``; ``*``, ``mul_trunc`` and the truncated series
-product and inverse are built on it.  It uses the content/primitive-part
+``linear_combination``, and the truncated series product and inverse are
+built on it; its inner loop is also the one behind ``*`` and ``mul_trunc``.  It uses the content/primitive-part
 idea (von zur Gathen and Gerhard, *Modern Computer Algebra*, section 6.2):
 each operand is scaled to integers by the LCM of its denominators, integer
 numerators are accumulated over the LCM of all the pairs' denominators,
@@ -377,15 +377,11 @@ def _product(a: GradedPoly, b: GradedPoly, max_degree: int | None) -> GradedPoly
 
 
 def linear_combination(
-    table: VariableTable,
-    terms: Iterable[tuple[RationalLike, GradedPoly, GradedPoly]],
-    max_degree: int | None = None,
+    table: VariableTable, terms: Iterable[tuple[RationalLike, GradedPoly, GradedPoly]]
 ) -> GradedPoly:
-    """sum q*a*b over the (q, a, b) in `terms`, all over `table`, without the
-    terms of weighted degree > max_degree when that is given.  Each pair is
+    """sum q*a*b over the (q, a, b) in `terms`, all over `table`.  Each pair is
     scaled to integers by its own denominator, the numerators accumulate over
     the LCM of those denominators, and each output term is divided once."""
-    degree = None if max_degree is None else table.degree
     contents: dict[int, tuple] = {}  # id(p) -> (p, content); holding p pins its id
     pairs = []
     for q, a, b in terms:
@@ -394,13 +390,13 @@ def linear_combination(
                 msg = f"variable tables differ: {table.names} vs {p.table.names}"
                 raise TableMismatchError(msg)
             if id(p) not in contents:
-                contents[id(p)] = (p, _integer_content(p, degree))
+                contents[id(p)] = (p, _integer_content(p, None))
         if q:
             (da, na), (db, nb) = contents[id(a)][1], contents[id(b)][1]
             pairs.append((q.numerator, q.denominator * da * db, na, nb))
     den = lcm(*[d for _, d, _, _ in pairs])
     scaled = [(n * (den // d), na, nb) for n, d, na, nb in pairs]
-    return _sum_products(table, scaled, den, max_degree)
+    return _sum_products(table, scaled, den, None)
 
 
 def series_mul(a: Sequence[GradedPoly], b: Sequence[GradedPoly], trunc: int) -> list[GradedPoly]:

@@ -17,8 +17,10 @@ Library code reports bad input with ``ValueError`` or ``ArithmeticError``.
 These become ``EvalError`` in one place, ``Evaluator._statement``, the
 statement entry behind ``run``, ``load_definitions`` and
 ``presentation_from_lines``.  The message keeps the library's text, after
-the name of the innermost function call that failed.  A statement nested
-too deeply for the recursive parser and evaluator becomes one there too.
+the name of the innermost function call that failed.  Any ``RecursionError``
+raised while a statement is parsed or run, whether from deeply nested input
+or from recursive library code, becomes one there too, with the message
+``expression nested too deeply``.
 """
 from __future__ import annotations
 

@@ -402,12 +402,11 @@ def test_public_constructor_drops_zeros_and_stores_fractions():
 # -- the sum-of-products kernel and the series built on it -------------------------
 
 
-def _ref_linear_combination(terms, max_degree=None):
-    """sum q * a * b by the Fraction-dict product references above."""
+def _ref_linear_combination(terms):
+    """sum q * a * b by the Fraction-dict product reference above."""
     acc = {}
     for q, a, b in terms:
-        prod = _ref_mul(a, b) if max_degree is None else _ref_mul_trunc(a, b, max_degree)
-        for e, c in prod:
+        for e, c in _ref_mul(a, b):
             acc[e] = acc.get(e, Fraction(0)) + q * c
     return {e: c for e, c in acc.items() if c != 0}
 
@@ -431,18 +430,16 @@ _a = _x_plus_y(Fraction(1, 65537), Fraction(3, 10007))
 _b = _x_plus_y(Fraction(2, 7), Fraction(-1, 3))
 
 
-@given(combinations(), st.none() | st.integers(min_value=-1, max_value=12))
-@example([], None)
-@example([], 3)
-@example([(Fraction(5, 3), _a, _b), (Fraction(-5, 3), _a, _b)], None)  # cancels to zero
-@example([(Fraction(1, 2), _a, _b), (Fraction(1, 2), -_a, _b), (0, _a, _a)], None)
-@example([(Fraction(1, 3), _a, _a), (2, _a, _b), (Fraction(3, 7), _b, _b)], 1)
-def test_linear_combination_matches_fraction_reference(terms, max_degree):
-    p = linear_combination(WTABLE, terms, max_degree)
+@given(combinations())
+@example([])
+@example([(Fraction(5, 3), _a, _b), (Fraction(-5, 3), _a, _b)])  # cancels to zero
+@example([(Fraction(1, 2), _a, _b), (Fraction(1, 2), -_a, _b), (0, _a, _a)])
+@example([(Fraction(1, 3), _a, _a), (2, _a, _b), (Fraction(3, 7), _b, _b)])
+def test_linear_combination_matches_fraction_reference(terms):
+    p = linear_combination(WTABLE, terms)
     _assert_clean(p)
-    assert dict(p.items()) == _ref_linear_combination(terms, max_degree)
-    if max_degree is None:
-        assert p == linear_combination(WTABLE, iter(terms))  # a one-shot iterable
+    assert dict(p.items()) == _ref_linear_combination(terms)
+    assert p == linear_combination(WTABLE, iter(terms))  # a one-shot iterable
 
 
 def test_linear_combination_checks_every_table():
