@@ -219,19 +219,15 @@ def _power_classes(b: FormalBundle, k: int, sign: int, rank: int) -> tuple[Grade
 
 
 @lru_cache(maxsize=None)
-def universal_chern(op: str, r: int, k: int, trunc: int) -> tuple[GradedPoly, ...]:
-    """c_1..c_trunc of sym^k or wedge^k of a generic rank-r class, as
-    polynomials in its classes e_1..e_trunc (free above the rank too)."""
+def universal_chern(r: int, k: int, trunc: int) -> tuple[GradedPoly, ...]:
+    """c_1..c_trunc of sym^k of a generic rank-r class, as polynomials in its
+    classes e_1..e_trunc (free above the rank too)."""
     names = tuple(f"e{i}" for i in range(1, trunc + 1))
     table = VariableTable(names, tuple(range(1, trunc + 1)))
     generic = FormalBundle(
         r, [GradedPoly.variable(table, n) for n in names], table, exact_rank=False
     )
-    if op == "sym":
-        return sym_power(generic, k).chern
-    if op == "wedge":
-        return wedge_power(generic, k).chern
-    raise ValueError(f"unknown operation {op!r}")
+    return sym_power(generic, k).chern
 
 
 def direct_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:
@@ -318,7 +314,7 @@ def solve_hyperelliptic_twist(g: int) -> HyperellipticTwist:
     """
     if g < 2:
         raise BundleError("genus must be >= 2")
-    c1_formula = universal_chern("sym", 2, g - 1, 1)[0]
+    c1_formula = universal_chern(2, g - 1, 1)[0]
     lead = c1_formula.coefficient((1,))  # coefficient of e1
     if c1_formula != GradedPoly.monomial(c1_formula.table, (1,), lead):
         raise BundleError("unexpected degree-1 symmetric power formula")
@@ -401,7 +397,7 @@ def _sym2_rank2_coefficient(j: int) -> Fraction:
     """Coefficient N_j with c2(Sym^j of rank 2) = N_j * c2 when c1 = 0."""
     if j == 0:
         return Fraction(0)
-    c2_formula = universal_chern("sym", 2, j, 2)[1]
+    c2_formula = universal_chern(2, j, 2)[1]
     # substitute e1 -> 0, keep e2
     out = Fraction(0)
     for exps, coeff in c2_formula.items():

@@ -114,7 +114,7 @@ def _cmd_eval(args) -> int:
     try:
         ev = _make_evaluator(args)
         value = ev.run(args.expression)
-    except (ParseError, EvalError, OSError) as exc:
+    except (ParseError, EvalError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(format_value(value))
@@ -124,7 +124,7 @@ def _cmd_eval(args) -> int:
 def _cmd_repl(args) -> int:
     try:
         ev = _make_evaluator(args)
-    except (ParseError, EvalError, OSError) as exc:
+    except (ParseError, EvalError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     status = 0

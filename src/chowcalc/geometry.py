@@ -1,16 +1,19 @@
 """Intersection rings of Hirzebruch surfaces and Grassmannians, section
 counts, genus by adjunction, Pluecker degrees, and the dimension
 bookkeeping for the strata of moduli of curves in genus 4..6.
+Grassmannian integrals and Schubert classes use the dual Pieri rule on the
+Schubert basis (Fulton, Young Tableaux, 9.4), not the quotient ring.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .algebra import GradedPoly, RationalLike, VariableTable, linear_combination, rat, series_inverse
-from .quotient import RingPresentation, normal_form, socle_monomial
+from .quotient import RingPresentation
 from .schur import Partition
 
 
@@ -183,44 +186,33 @@ class Grassmannian:
         return -self.chern_sub(1)
 
     def schubert_class(self, lam: Partition) -> GradedPoly:
-        """Giambelli: the Schubert class as the Schur polynomial of the dual
-        subbundle's Chern roots, written via the dual Jacobi-Trudi
-        determinant in e_i = (-1)^i c_i."""
+        """Giambelli: the Schubert class as a polynomial in the Chern classes
+        of the subbundle, the Schur polynomial of the dual subbundle's roots
+        in e_i = (-1)^i c_i, found by eliminating with the dual Pieri rule."""
         if lam.length > self.k or (lam.parts and lam.parts[0] > self.n - self.k):
             raise ValueError(f"partition {lam} does not fit in G({self.k},{self.n})")
-        conj = lam.conjugate()
-        m = conj.length
-        if m == 0:
-            return GradedPoly.one(self.table())
-
-        def e(i: int) -> GradedPoly:
-            if i < 0 or i > self.k:
-                return GradedPoly.zero(self.table())
-            if i == 0:
-                return GradedPoly.one(self.table())
-            return Fraction((-1) ** i) * self.chern_sub(i)
-
-        rows = [[e(conj.parts[i] - (i + 1) + (j + 1)) for j in range(m)] for i in range(m)]
-        return _poly_det(rows)
+        return _giambelli(self, lam.parts)
 
     def integrate(self, x: GradedPoly) -> Fraction:
         """Degree against the fundamental class: x must be homogeneous of the
-        top degree; the class of a point integrates to 1."""
-        pres = self.presentation()
-        if x.table != pres.table:
+        top degree; the class of a point integrates to 1.  Each monomial acts
+        on the Schubert basis by c_i = (-1)^i sigma_(1^i), starting from the
+        fundamental class; the point class's coefficient is the degree."""
+        if x.table != self.table():
             raise ValueError("class over a different table")
-        if x.is_zero():
-            return Fraction(0)
-        if x.degree() != self.dim:
-            raise ValueError(
-                f"integrand degree {x.degree()} is not the dimension {self.dim}"
-            )
-        socle = socle_monomial(pres, self.dim)
-        point = self.schubert_class(Partition(((self.n - self.k),) * self.k))
-        unit = normal_form(point, pres).coefficient(socle)
-        if unit == 0:
-            raise ArithmeticError("point class vanished; presentation is inconsistent")
-        return normal_form(x, pres).coefficient(socle) / unit
+        if not x.is_zero() and x.degree() != self.dim:
+            raise ValueError(f"integrand degree {x.degree()} is not the dimension {self.dim}")
+        point, total = (self.n - self.k,) * self.k, Fraction(0)
+        for exps, q in x.items():
+            classes = {(): 1}
+            for i in (j for j, e in enumerate(exps, start=1) for _ in range(e)):
+                step: dict[tuple[int, ...], int] = {}
+                for lam, coeff in classes.items():
+                    for nu in _vertical_strips(lam, i, self.k, self.n - self.k):
+                        step[nu] = step.get(nu, 0) + (-1) ** i * coeff
+                classes = step
+            total += q * classes.get(point, 0)
+        return total
 
     def plucker_degree(self) -> int:
         """Degree in the Pluecker embedding: the top self-intersection of the
@@ -247,17 +239,33 @@ def _grass_presentation(k: int, n: int) -> RingPresentation:
     return RingPresentation(table, relations, label=f"grassmannian-{k}-{n}")
 
 
-def _poly_det(rows: list[list[GradedPoly]]) -> GradedPoly:
-    """Laplace expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    return linear_combination(
-        rows[0][0].table,
-        (
-            ((-1) ** j, head, _poly_det([r[:j] + r[j + 1 :] for r in rows[1:]]))
-            for j, head in enumerate(rows[0])
-        ),
-    )
+def _vertical_strips(lam: tuple[int, ...], m: int, k: int, width: int):
+    """Dual Pieri rule: sigma_lam * sigma_(1^m) is the sum of sigma_nu over the
+    partitions nu in the k x width box made of lam and one box in each of m rows."""
+    rows = lam + (0,) * (k - len(lam))
+    for added in combinations(range(k), m):
+        nu = [p + (i in added) for i, p in enumerate(rows)]
+        if nu[0] <= width and all(a >= b for a, b in zip(nu, nu[1:])):
+            yield tuple(p for p in nu if p)
+
+
+def _giambelli(g: Grassmannian, lam: tuple[int, ...]) -> GradedPoly:
+    """sigma_lam = e_m * sigma_mu - (sum of sigma_nu over the other vertical
+    m-strips nu of mu), where mu is lam less its first column, of length m.
+    Each such nu has a longer first column than lam, so the recursion ends."""
+    one = GradedPoly.one(g.table())
+    memo = {(): one}
+
+    def sigma(lam: tuple[int, ...]) -> GradedPoly:
+        if lam not in memo:
+            m, mu = len(lam), tuple(p - 1 for p in lam if p > 1)
+            terms = [((-1) ** m, g.chern_sub(m), sigma(mu))]
+            others = _vertical_strips(mu, m, g.k, g.n - g.k)
+            terms += [(-1, sigma(nu), one) for nu in others if nu != lam]
+            memo[lam] = linear_combination(one.table, terms)
+        return memo[lam]
+
+    return sigma(lam)
 
 
 def grass_dim(k: int, n: int) -> int:

@@ -1,6 +1,8 @@
 """Partitions, GL(n) representation dimensions, Littlewood-Richardson
 products, and the one plethysm this project needs: Sym^2 of a second
 exterior power, decomposed by brute-force symmetric-polynomial subtraction.
+Partitions of any size are allowed; only the tableau enumeration behind
+`lr_product`, which is exponential, caps the size of its input.
 """
 from __future__ import annotations
 
@@ -12,11 +14,13 @@ from math import comb, factorial
 
 from .algebra import GradedPoly, VariableTable
 
-PARTITION_SIZE_CAP = 12
+PARTITION_SIZE_CAP = 12  # largest product degree lr_product accepts
 
 
 @dataclass(frozen=True)
 class Partition:
+    """Weakly decreasing positive parts, of any size."""
+
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -24,8 +28,6 @@ class Partition:
             raise ValueError("parts must be positive")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError("parts must be weakly decreasing")
-        if self.size > PARTITION_SIZE_CAP:
-            raise ValueError(f"partition size {self.size} exceeds cap {PARTITION_SIZE_CAP}")
 
     @staticmethod
     def of(*parts: int) -> "Partition":
@@ -38,12 +40,6 @@ class Partition:
     @property
     def length(self) -> int:
         return len(self.parts)
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return self
-        cols = [sum(1 for p in self.parts if p > j) for j in range(self.parts[0])]
-        return Partition(tuple(cols))
 
     def contains(self, other: "Partition") -> bool:
         padded = self.parts + (0,) * max(0, other.length - self.length)

@@ -130,6 +130,18 @@ def test_cli_eval_with_defs(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "5"
 
 
+@pytest.mark.parametrize("command", [["eval", "1+1"], ["repl"]])
+def test_cli_defs_file_not_utf8(tmp_path, monkeypatch, capsys, command):
+    import io
+
+    defs = tmp_path / "defs.bin"
+    defs.write_bytes(bytes(range(128, 256)))
+    monkeypatch.setattr("sys.stdin", io.StringIO("1+1\n"))
+    assert main([command[0], "--defs", str(defs), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_cli_config_file(tmp_path, capsys):
     cfg = tmp_path / "chowcalc.cfg"
     cfg.write_text("trunc = 4\nonly = m6-presentation\n")
@@ -253,3 +265,12 @@ def test_run_verification_script_rejects_low_truncation(tmp_path):
     assert proc.returncode == 2
     assert "error: truncation must be an integer >= 2" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_kappa_ring_tables_script():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "kappa_ring_tables.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.strip() for line in proc.stdout.splitlines()]
+    assert "hilbert through degree 8: (1, 1, 2, 1, 1, 0, 0, 0, 0)" in lines
+    assert "degree-2 pairing determinant: 36608/12769" in lines

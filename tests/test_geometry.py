@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from chowcalc.algebra import GradedPoly, monomial_basis
 from chowcalc.bundles import BundleError, maroni_split_degrees
 from chowcalc.geometry import (
     Grassmannian,
@@ -27,7 +29,7 @@ from chowcalc.geometry import (
     trigonal_class,
     trigonal_stratum_dim,
 )
-from chowcalc.quotient import hilbert_function
+from chowcalc.quotient import hilbert_function, normal_form, socle_monomial
 from chowcalc.schur import Partition, lr_product, syt_count
 
 
@@ -174,6 +176,76 @@ def test_plucker_degrees_match_tableau_counts():
 
 def test_plucker_degree_g25_is_5():
     assert plucker_degree(2, 5) == 5
+
+
+def test_plucker_degree_g4_10_from_pieri():
+    # the Grassmannian of Mukai's genus-6 bookkeeping; its point class (6^4)
+    # has size 24
+    assert plucker_degree(4, 10) == syt_count(Partition((6, 6, 6, 6))) == 140229804
+
+
+# -- references: Laplace-expansion Giambelli and the quotient-ring integral --
+
+
+def _laplace_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        ((-1) ** j * head * _laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+         for j, head in enumerate(rows[0])),
+        GradedPoly.zero(rows[0][0].table),
+    )
+
+
+def _giambelli_reference(g, lam):
+    """Dual Jacobi-Trudi determinant in e_i = (-1)^i c_i, e_i = 0 for i > k."""
+    table = g.table()
+    conj = [sum(1 for p in lam.parts if p > j) for j in range(lam.parts[0])] if lam.parts else []
+    if not conj:
+        return GradedPoly.one(table)
+
+    def e(i):
+        return (-1) ** i * g.chern_sub(i) if 0 <= i <= g.k else GradedPoly.zero(table)
+
+    m = len(conj)
+    return _laplace_det([[e(conj[i] - i + j) for j in range(m)] for i in range(m)])
+
+
+def _quotient_integral(g, x):
+    """Normal form in the degreewise presentation, normalised by the point
+    class."""
+    pres = g.presentation()
+    socle = socle_monomial(pres, g.dim)
+    point = _giambelli_reference(g, Partition((g.n - g.k,) * g.k))
+    unit = normal_form(point, pres).coefficient(socle)
+    assert unit != 0
+    return normal_form(x, pres).coefficient(socle) / unit
+
+
+def _box_partitions(k, width):
+    for size in range(k + 1):
+        for parts in combinations_with_replacement(range(width, 0, -1), size):
+            yield Partition(parts)
+
+
+SMALL_GRASSMANNIANS = [(k, n) for n in range(2, 8) for k in range(1, n)]
+
+
+@pytest.mark.parametrize("k,n", SMALL_GRASSMANNIANS)
+def test_pieri_giambelli_matches_laplace_reference(k, n):
+    g = Grassmannian(k, n)
+    lams = list(_box_partitions(k, n - k))
+    assert len(lams) == len(set(lams)) == sum(grass_betti(k, n, d) for d in range(g.dim + 1))
+    for lam in lams:
+        assert g.schubert_class(lam) == _giambelli_reference(g, lam), lam
+
+
+@pytest.mark.parametrize("k,n", SMALL_GRASSMANNIANS)
+def test_pieri_integral_matches_quotient_reference(k, n):
+    g = Grassmannian(k, n)
+    for exps in monomial_basis(g.table(), g.dim):
+        x = GradedPoly.monomial(g.table(), exps, 3)
+        assert g.integrate(x) == _quotient_integral(g, x), exps
 
 
 def test_schubert_duality_pairing():

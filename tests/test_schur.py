@@ -46,8 +46,12 @@ def test_dim_schur_vanishes_iff_too_many_rows():
 
 
 def test_partition_size_cap():
-    with pytest.raises(ValueError):
-        Partition((7, 6))
+    # partitions of any size construct; only the exponential LR enumeration
+    # caps its input
+    assert Partition((7, 6)).size == 13
+    with pytest.raises(ValueError, match="cap"):
+        lr_product(P(7), P(6))
+    assert lr_product(P(6), P(6)).multiplicity(P(12)) == 1
 
 
 # -- standard tableaux -----------------------------------------------------------
