@@ -194,10 +194,10 @@ class Grassmannian:
         return _giambelli(self, lam.parts)
 
     def integrate(self, x: GradedPoly) -> Fraction:
-        """Degree against the fundamental class: x must be homogeneous of the
-        top degree; the class of a point integrates to 1.  Each monomial acts
-        on the Schubert basis by c_i = (-1)^i sigma_(1^i), starting from the
-        fundamental class; the point class's coefficient is the degree."""
+        """Degree against the fundamental class (x of the top degree; a point
+        integrates to 1).  Each monomial acts on sigma_() by c_i = (-1)^i
+        sigma_(1^i); the signs of a monomial that reaches the point class
+        multiply to (-1)^dim, so the dual Pieri steps count strips unsigned."""
         if x.table != self.table():
             raise ValueError("class over a different table")
         if not x.is_zero() and x.degree() != self.dim:
@@ -207,12 +207,12 @@ class Grassmannian:
             classes = {(): 1}
             for i in (j for j, e in enumerate(exps, start=1) for _ in range(e)):
                 step: dict[tuple[int, ...], int] = {}
-                for lam, coeff in classes.items():
+                for lam, count in classes.items():
                     for nu in _vertical_strips(lam, i, self.k, self.n - self.k):
-                        step[nu] = step.get(nu, 0) + (-1) ** i * coeff
+                        step[nu] = step.get(nu, 0) + count
                 classes = step
             total += q * classes.get(point, 0)
-        return total
+        return (-1) ** self.dim * total
 
     def plucker_degree(self) -> int:
         """Degree in the Pluecker embedding: the top self-intersection of the
