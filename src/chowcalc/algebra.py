@@ -6,11 +6,11 @@ rational arithmetic; there is no floating point anywhere in this package.
 
 Every sum of products, sum q*a*b, goes through one kernel,
 ``linear_combination``, and the truncated series product and inverse are
-built on it; its inner loop is also the one behind ``*`` and ``mul_trunc``.  It uses the content/primitive-part
-idea (von zur Gathen and Gerhard, *Modern Computer Algebra*, section 6.2):
-each operand is scaled to integers by the LCM of its denominators, integer
-numerators are accumulated over the LCM of all the pairs' denominators,
-and every output term is divided once.  Per-term work is then integer
+built on it; its inner loop is also the one behind ``*``.  It uses the
+content/primitive-part idea (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, section 6.2): each operand is scaled to integers by the LCM of
+its denominators, integer numerators are accumulated over the LCM of all
+the pairs' denominators, and every output term is divided once.  Per-term work is then integer
 multiplication and addition instead of Fraction arithmetic, which reduces
 by a gcd on every operation.  Results from internal operations are built
 with the trusted ``GradedPoly._from_clean``; the public constructor keeps
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 RationalLike = int | Fraction
 
@@ -257,7 +257,7 @@ class GradedPoly:
                 return GradedPoly.zero(self.table)
             q = rat(other)
             return GradedPoly._from_clean(self.table, {e: c * q for e, c in self._terms.items()})
-        return _product(self, other, None)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -295,20 +295,11 @@ class GradedPoly:
 
     # -- structural operations ----------------------------------------------
 
-    def substitute(
-        self, mapping: Mapping[str, "GradedPoly"], target: VariableTable | None = None
-    ) -> "GradedPoly":
+    def substitute(self, mapping: Mapping[str, "GradedPoly"], target: VariableTable) -> "GradedPoly":
         """Evaluate by sending each variable to a polynomial over `target`.
 
-        Every variable that actually occurs must be mapped; images must all
-        share one table.
+        Every variable that actually occurs must be mapped.
         """
-        if target is None:
-            for img in mapping.values():
-                target = img.table
-                break
-            if target is None:
-                raise ValueError("cannot infer target table from an empty mapping")
         images: list[GradedPoly | None] = [mapping.get(n) for n in self.table.names]
         one = GradedPoly.one(target)
         powers: dict[tuple[int, int], GradedPoly] = {}  # (i, e) -> images[i]**e
@@ -332,30 +323,23 @@ class GradedPoly:
 
 def mul_trunc(a: GradedPoly, b: GradedPoly, max_degree: int) -> GradedPoly:
     """Product with all terms of weighted degree > max_degree dropped."""
-    return _product(a, b, max_degree)
+    return (a * b).truncate(max_degree)
 
 
-def _integer_content(p: GradedPoly, degree: Callable | None) -> tuple[int, list]:
-    """(L, [(e, L*c, d)]) where L is the LCM of the denominators of p and d
-    is degree(e), or 0 when no degree function is given."""
+def _integer_content(p: GradedPoly) -> tuple[int, list]:
+    """(L, [(e, L*c)]) where L is the LCM of the denominators of p."""
     den = lcm(*[c.denominator for c in p._terms.values()])
-    return den, [
-        (e, c.numerator * (den // c.denominator), degree(e) if degree else 0)
-        for e, c in p._terms.items()
-    ]
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in p._terms.items()]
 
 
-def _sum_products(
-    table: VariableTable, pairs: list, den: int, max_degree: int | None
-) -> GradedPoly:
+def _sum_products(table: VariableTable, pairs: list, den: int) -> GradedPoly:
     """sum s*a*b/den over the (s, a, b) in pairs, a and b given by integer
     content: the one inner loop of every product and sum of products."""
     acc: dict[tuple[int, ...], int] = {}
     for scale, na, nb in pairs:
-        for e1, n1, d1 in na:
+        for e1, n1 in na:
             n1 *= scale
-            partners = nb if max_degree is None else [t for t in nb if t[2] <= max_degree - d1]
-            for e2, n2, _ in partners:
+            for e2, n2 in nb:
                 e = tuple(map(add, e1, e2))
                 if e in acc:
                     acc[e] += n1 * n2
@@ -366,14 +350,13 @@ def _sum_products(
     return GradedPoly._from_clean(table, {e: Fraction(n, den) for e, n in acc.items() if n})
 
 
-def _product(a: GradedPoly, b: GradedPoly, max_degree: int | None) -> GradedPoly:
-    """a*b, without the terms of weighted degree > max_degree when given; the
-    one-pair case of ``linear_combination`` without its shared-operand and
-    common-denominator bookkeeping, which small products would pay for."""
+def _product(a: GradedPoly, b: GradedPoly) -> GradedPoly:
+    """a*b: the one-pair case of ``linear_combination`` without its
+    shared-operand and common-denominator bookkeeping, which small products
+    would pay for."""
     a._check(b)
-    degree = None if max_degree is None else a.table.degree
-    (da, na), (db, nb) = _integer_content(a, degree), _integer_content(b, degree)
-    return _sum_products(a.table, [(1, na, nb)], da * db, max_degree)
+    (da, na), (db, nb) = _integer_content(a), _integer_content(b)
+    return _sum_products(a.table, [(1, na, nb)], da * db)
 
 
 def linear_combination(
@@ -390,13 +373,13 @@ def linear_combination(
                 msg = f"variable tables differ: {table.names} vs {p.table.names}"
                 raise TableMismatchError(msg)
             if id(p) not in contents:
-                contents[id(p)] = (p, _integer_content(p, None))
+                contents[id(p)] = (p, _integer_content(p))
         if q:
             (da, na), (db, nb) = contents[id(a)][1], contents[id(b)][1]
             pairs.append((q.numerator, q.denominator * da * db, na, nb))
     den = lcm(*[d for _, d, _, _ in pairs])
     scaled = [(n * (den // d), na, nb) for n, d, na, nb in pairs]
-    return _sum_products(table, scaled, den, None)
+    return _sum_products(table, scaled, den)
 
 
 def series_mul(a: Sequence[GradedPoly], b: Sequence[GradedPoly], trunc: int) -> list[GradedPoly]:
@@ -456,6 +439,7 @@ class RowReduction:
     rank: int
     rref: "ExactMatrix"
     pivot_columns: tuple[int, ...]
+    determinant: Fraction | None  # None unless the matrix is square
 
 
 class ExactMatrix:
@@ -494,15 +478,20 @@ class ExactMatrix:
 
         Pivot rule: scan columns left to right and take the first row (in
         current order) with a nonzero entry; exact arithmetic needs no
-        magnitude heuristics.
+        magnitude heuristics.  For a square matrix the determinant is read
+        off on the way: the product of the pivots, negated once per row swap,
+        and 0 below full rank.
         """
         m = [list(row) for row in self.entries]
         pivots: list[int] = []
+        det = Fraction(1) if self.is_square() else None
         r = 0
         for c in range(self.cols):
             pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
             if pivot_row is None:
                 continue
+            if det is not None:
+                det *= m[pivot_row][c] if pivot_row == r else -m[pivot_row][c]
             m[r], m[pivot_row] = m[pivot_row], m[r]
             inv = 1 / m[r][c]
             m[r] = [x * inv for x in m[r]]
@@ -514,7 +503,9 @@ class ExactMatrix:
             r += 1
             if r == len(m):
                 break
-        return RowReduction(rank=r, rref=ExactMatrix(m, cols=self.cols), pivot_columns=tuple(pivots))
+        if det is not None and r < self.rows:
+            det = Fraction(0)
+        return RowReduction(r, ExactMatrix(m, cols=self.cols), tuple(pivots), det)
 
     def rank(self) -> int:
         return self.row_reduce().rank
@@ -529,26 +520,10 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def determinant(self) -> Fraction:
-        """Exact determinant by Gaussian elimination over Fractions."""
+        """Exact determinant, read off ``row_reduce``."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        return det
+        return self.row_reduce().determinant
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(format_rational(x) for x in row) for row in self.entries)
@@ -559,20 +534,3 @@ def row_reduce(m: ExactMatrix) -> tuple[int, ExactMatrix]:
     """Convenience wrapper returning (rank, reduced echelon form)."""
     red = m.row_reduce()
     return red.rank, red.rref
-
-
-def poly_to_vector(p: GradedPoly, basis: Sequence[tuple[int, ...]]) -> list[Fraction]:
-    """Coefficient vector of a polynomial along an explicit monomial basis."""
-    index = {exps: i for i, exps in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
-    for exps, c in p.items():
-        if exps not in index:
-            raise ValueError(f"monomial {exps} not in the given basis")
-        vec[index[exps]] = c
-    return vec
-
-
-def vector_to_poly(
-    vec: Sequence[RationalLike], basis: Sequence[tuple[int, ...]], table: VariableTable
-) -> GradedPoly:
-    return GradedPoly(table, {exps: rat(c) for exps, c in zip(basis, vec)})

@@ -160,10 +160,10 @@ def dual(b: FormalBundle) -> FormalBundle:
     return FormalBundle(b.rank, cs, b.table, exact_rank=b.exact_rank)
 
 
-def twist(b: FormalBundle, t: LineClass | GradedPoly) -> FormalBundle:
+def twist(b: FormalBundle, t: LineClass) -> FormalBundle:
     """Tensor with a line of class t: c(V (x) L) = sum_i c_i(V) (1 + t)^(r - i),
     a binomial series in t when i > r."""
-    t1 = t.c1 if isinstance(t, LineClass) else t
+    t1 = t.c1
     if t1.table != b.table:
         raise BundleError("twist class over a different table")
     if t1.is_zero():

@@ -299,6 +299,8 @@ class Evaluator:
     def _negate(self, v: Any) -> Any:
         if isinstance(v, (Fraction, GradedPoly, geometry.HirzebruchClass)):
             return -v
+        if isinstance(v, grr.PsiSeries):
+            return v * -1
         raise EvalError(f"cannot negate {type(v).__name__}")
 
     def _binop(self, node: BinOp, env: Mapping[str, Any]) -> Any:

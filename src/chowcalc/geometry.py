@@ -236,7 +236,7 @@ def _grass_presentation(k: int, n: int) -> RingPresentation:
     c = [GradedPoly.one(table)] + [GradedPoly.variable(table, f"c{i}") for i in range(1, k + 1)]
     inv = series_inverse(c, n)
     relations = tuple(inv[d] for d in range(n - k + 1, n + 1))
-    return RingPresentation(table, relations, label=f"grassmannian-{k}-{n}")
+    return RingPresentation(table, relations)
 
 
 def _vertical_strips(lam: tuple[int, ...], m: int, k: int, width: int):

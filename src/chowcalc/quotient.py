@@ -2,23 +2,21 @@
 
 Everything is computed degree by degree with exact linear algebra: the
 degree-d piece of the ideal is spanned by monomial multiples of the
-relations, so Hilbert functions, normal forms, socles and multiplication
-pairings reduce to row reduction over Q.  No Groebner bases are needed
-because every verification has a known top degree.
+relations (the degree-d Macaulay matrix, Lazard 1983), and one row
+reduction of it gives the normal form of every degree-d monomial.  Hilbert
+functions, normal forms, socles and multiplication pairings are all read
+off that table.  No Groebner bases are needed because every verification
+has a known top degree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from operator import add
+from typing import Mapping
 
-from .algebra import (
-    ExactMatrix,
-    GradedPoly,
-    VariableTable,
-    monomial_basis,
-    poly_to_vector,
-    vector_to_poly,
-)
+from .algebra import ExactMatrix, GradedPoly, VariableTable, linear_combination, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -27,7 +25,6 @@ class RingPresentation:
 
     table: VariableTable
     relations: tuple[GradedPoly, ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         for r in self.relations:
@@ -41,19 +38,20 @@ class RingPresentation:
 
 @dataclass(frozen=True)
 class GradedPiece:
-    """Degree-d data: monomials, the reduced ideal matrix, and a chosen
-    complement (non-pivot monomials) representing the quotient."""
+    """Degree-d data: the monomials, the quotient basis (the non-pivot
+    monomials of the reduced Macaulay matrix) and the normal form of every
+    monomial.  A quotient monomial is its own normal form; a pivot monomial
+    maps to minus the rest of its reduced row.  The table is never mutated
+    after it is built."""
 
     degree: int
     monomials: tuple[tuple[int, ...], ...]
-    ideal_rank: int
-    pivot_columns: tuple[int, ...]
     quotient_basis: tuple[tuple[int, ...], ...]
-    reduced: ExactMatrix
+    normal_forms: Mapping[tuple[int, ...], GradedPoly]
 
     @property
     def dim(self) -> int:
-        return len(self.monomials) - self.ideal_rank
+        return len(self.quotient_basis)
 
 
 def ideal_degree_piece(pres: RingPresentation, d: int) -> ExactMatrix:
@@ -62,31 +60,34 @@ def ideal_degree_piece(pres: RingPresentation, d: int) -> ExactMatrix:
     if d < 0:
         raise ValueError("degree must be >= 0")
     basis = monomial_basis(pres.table, d)
+    index = {m: i for i, m in enumerate(basis)}
     rows = []
     for rel in pres.relations:
         deg = rel.degree()
         if deg > d:
             continue
         for mult in monomial_basis(pres.table, d - deg):
-            prod = GradedPoly.monomial(pres.table, mult) * rel
-            rows.append(poly_to_vector(prod, basis))
+            row = [Fraction(0)] * len(basis)
+            for exps, c in rel.items():
+                row[index[tuple(map(add, mult, exps))]] = c
+            rows.append(row)
     return ExactMatrix(rows, cols=len(basis))
 
 
-@lru_cache(maxsize=None)
+# Bounded, so that a long repl over many rings cannot grow it without limit;
+# 160 repl lines of mixed ring queries touch about 300 pieces.
+@lru_cache(maxsize=1024)
 def graded_piece(pres: RingPresentation, d: int) -> GradedPiece:
     basis = monomial_basis(pres.table, d)
     red = ideal_degree_piece(pres, d).row_reduce()
     pivots = set(red.pivot_columns)
-    quotient = tuple(m for i, m in enumerate(basis) if i not in pivots)
-    return GradedPiece(
-        degree=d,
-        monomials=basis,
-        ideal_rank=red.rank,
-        pivot_columns=red.pivot_columns,
-        quotient_basis=quotient,
-        reduced=red.rref,
-    )
+    free = [j for j in range(len(basis)) if j not in pivots]
+    table = {basis[j]: GradedPoly.monomial(pres.table, basis[j]) for j in free}
+    for i, row in zip(red.pivot_columns, red.rref.entries):
+        # a reduced row is zero in every other pivot column
+        table[basis[i]] = GradedPoly(pres.table, {basis[j]: -row[j] for j in free})
+    quotient = tuple(basis[j] for j in free)
+    return GradedPiece(degree=d, monomials=basis, quotient_basis=quotient, normal_forms=table)
 
 
 def hilbert_function(pres: RingPresentation, max_d: int) -> tuple[int, ...]:
@@ -108,14 +109,9 @@ def normal_form(x: GradedPoly, pres: RingPresentation) -> GradedPoly:
         return x
     if not x.is_homogeneous():
         raise ValueError("normal form requires a homogeneous input")
-    piece = graded_piece(pres, x.degree())
-    vec = poly_to_vector(x, piece.monomials)
-    for row_idx, col in enumerate(piece.pivot_columns):
-        f = vec[col]
-        if f != 0:
-            row = piece.reduced.entries[row_idx]
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return vector_to_poly(vec, piece.monomials, pres.table)
+    table = graded_piece(pres, x.degree()).normal_forms
+    one = GradedPoly.one(pres.table)
+    return linear_combination(pres.table, ((c, table[m], one) for m, c in x.items()))
 
 
 class SocleError(ValueError):
@@ -133,20 +129,16 @@ def pairing_matrix(pres: RingPresentation, i: int, top: int) -> ExactMatrix:
     """Multiplication pairing R^i x R^(top-i) -> R^top = Q·socle.
 
     Entry (a, b) is the socle coefficient of the normal form of the product
-    of the a-th degree-i and b-th degree-(top-i) quotient basis monomials.
+    of the a-th degree-i and b-th degree-(top-i) quotient basis monomials,
+    read off the degree-top normal-form table.
     """
     if not 0 <= i <= top:
         raise ValueError("need 0 <= i <= top")
     socle = socle_monomial(pres, top)
+    table = graded_piece(pres, top).normal_forms
     left = graded_piece(pres, i).quotient_basis
     right = graded_piece(pres, top - i).quotient_basis
-    rows = []
-    for a in left:
-        row = []
-        for b in right:
-            prod = GradedPoly.monomial(pres.table, a) * GradedPoly.monomial(pres.table, b)
-            row.append(normal_form(prod, pres).coefficient(socle))
-        rows.append(row)
+    rows = [[table[tuple(map(add, a, b))].coefficient(socle) for b in right] for a in left]
     return ExactMatrix(rows, cols=len(right))
 
 
@@ -166,13 +158,11 @@ class PoincareReport:
         return self.holds
 
 
-def is_poincare_duality(
-    pres: RingPresentation, top: int, check_through: int | None = None
-) -> PoincareReport:
-    """True iff the Hilbert function is symmetric on 0..top and zero after,
-    the top piece is 1-dimensional, and all pairings into it are perfect."""
-    if check_through is None:
-        check_through = max(2 * top, top + 4)
+def is_poincare_duality(pres: RingPresentation, top: int) -> PoincareReport:
+    """True iff the Hilbert function is symmetric on 0..top and zero after
+    (checked through degree max(2*top, top+4)), the top piece is
+    1-dimensional, and all pairings into it are perfect."""
+    check_through = max(2 * top, top + 4)
     h = hilbert_function(pres, check_through)
     symmetric = all(h[i] == h[top - i] for i in range(top + 1))
     vanishes = all(h[d] == 0 for d in range(top + 1, check_through + 1))
@@ -208,9 +198,7 @@ def kappa_table() -> VariableTable:
     return VariableTable(("k1", "k2"), (1, 2))
 
 
-def m6_presentation(
-    coeffs: tuple[int, int, int, int] = KAPPA_M6_COEFFS, label: str = "m6"
-) -> RingPresentation:
+def m6_presentation(coeffs: tuple[int, int, int, int] = KAPPA_M6_COEFFS) -> RingPresentation:
     """Q[k1,k2]/(c0*k1^3 + c1*k1*k2, c2*k1^4 + c3*k2^2) with k1, k2 of
     weights 1, 2; the default coefficients give the genus-6 kappa ring."""
     t = kappa_table()
@@ -219,7 +207,7 @@ def m6_presentation(
     k2 = GradedPoly.variable(t, "k2")
     r1 = c0 * k1**3 + c1 * k1 * k2
     r2 = c2 * k1**4 + c3 * k2**2
-    return RingPresentation(t, (r1, r2), label=label)
+    return RingPresentation(t, (r1, r2))
 
 
 def kappa1_power_presentation(g: int) -> RingPresentation:
@@ -228,4 +216,4 @@ def kappa1_power_presentation(g: int) -> RingPresentation:
         raise ValueError("genus must be >= 2")
     t = VariableTable(("k1",), (1,))
     k1 = GradedPoly.variable(t, "k1")
-    return RingPresentation(t, (k1 ** (g - 1),), label=f"kappa1-genus-{g}")
+    return RingPresentation(t, (k1 ** (g - 1),))

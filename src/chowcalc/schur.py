@@ -1,8 +1,8 @@
 """Partitions, GL(n) representation dimensions, Littlewood-Richardson
 products, and the one plethysm this project needs: Sym^2 of a second
 exterior power, decomposed by brute-force symmetric-polynomial subtraction.
-Partitions of any size are allowed; only the tableau enumeration behind
-`lr_product`, which is exponential, caps the size of its input.
+Partitions of any size are allowed, in `lr_product` too, whose tableau
+enumeration grows exponentially with the product degree.
 """
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .algebra import GradedPoly, VariableTable
-
-PARTITION_SIZE_CAP = 12  # largest product degree lr_product accepts
 
 
 @dataclass(frozen=True)
@@ -182,8 +180,6 @@ def _lr_fillings(nu: Partition, lam: Partition, mu: Partition) -> int:
 def lr_product(lam: Partition, mu: Partition) -> SchurDecomposition:
     """Littlewood-Richardson expansion of s_lam * s_mu."""
     n = lam.size + mu.size
-    if n > PARTITION_SIZE_CAP:
-        raise ValueError("product degree exceeds the partition size cap")
     max_len = lam.length + mu.length
     max_width = (lam.parts[0] if lam.parts else 0) + (mu.parts[0] if mu.parts else 0)
     out: dict[Partition, int] = {}

@@ -148,7 +148,7 @@ def test_11_sensitivity():
         base = quotient.KAPPA_M6_COEFFS
         for i in range(4):
             perturbed = tuple(c + 1 if j == i else c for j, c in enumerate(base))
-            pres = quotient.m6_presentation(perturbed, label=f"perturbed-{i}")
+            pres = quotient.m6_presentation(perturbed)
             h = quotient.hilbert_function(pres, 8)
             presentation_identities_hold = (
                 h == (1, 1, 2, 1, 1, 0, 0, 0, 0)

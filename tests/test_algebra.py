@@ -134,6 +134,62 @@ def test_determinant_matches_cofactor_expansion():
     assert ExactMatrix(rows).determinant() == _cofactor_det(rows)
 
 
+def _ref_determinant(m):
+    """Determinant by its own forward elimination over Fractions: the
+    reference for the value ``row_reduce`` reads off."""
+    n = m.rows
+    rows = [list(row) for row in m.entries]
+    det = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            det = -det
+        det *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+# Mostly zeros and small values, so that singular matrices and pivots that
+# need a row swap are common.
+_entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 7)])
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return ExactMatrix(rows)
+
+
+@given(square_matrices())
+@example(ExactMatrix([[0, 1], [1, 0]]))  # one swap
+@example(ExactMatrix([[0, 0, 2], [0, 3, 0], [5, 0, 0]]))  # one swap, then none
+@example(ExactMatrix([[1, 2], [2, 4]]))  # singular
+@example(ExactMatrix([[0, 1, 2], [0, 3, 4], [0, 5, 6]]))  # zero column
+def test_determinant_matches_reference_elimination(m):
+    det = m.determinant()
+    assert det == _ref_determinant(m) == _cofactor_det(m.entries)
+    assert (det == 0) == (m.rank() < m.rows)
+
+
+def test_determinant_of_empty_matrix_is_one():
+    assert ExactMatrix([]).determinant() == 1
+
+
+def test_non_square_reduction_has_no_determinant():
+    m = ExactMatrix([[1, 2, 3], [4, 5, 6]])
+    assert m.row_reduce().determinant is None
+    with pytest.raises(ValueError):
+        m.determinant()
+
+
 # -- polynomial arithmetic -------------------------------------------------------
 
 

@@ -267,6 +267,22 @@ def test_run_verification_script_rejects_low_truncation(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_verification_script_writes_both_reports(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out", str(out)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "verification.txt").read_text().startswith("PASS")
+    entries = json.loads((out / "verification.json").read_text())
+    assert len(entries) == 12
+    fields = {"check_id", "anchor", "status", "computed", "expected", "provenance", "millis"}
+    for entry in entries:
+        assert entry["status"] == "pass"
+        assert set(entry) == fields
+
+
 def test_kappa_ring_tables_script():
     script = Path(__file__).resolve().parents[1] / "scripts" / "kappa_ring_tables.py"
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)

@@ -67,6 +67,16 @@ def test_unary_minus():
     assert ev.run("-2^2") == -4  # -(2^2), standard parser convention
 
 
+@pytest.mark.parametrize("src", ["psi(6) - psi(6)", "omega(2, 6) * td(6) - omega(2, 6) * td(6)"])
+def test_psi_series_difference_with_itself_is_zero(src):
+    assert format_value(Evaluator().run(src)) == "0"
+
+
+def test_negated_psi_series_is_its_product_with_minus_one():
+    ev = Evaluator()
+    assert format_value(ev.run("-psi(6)")) == format_value(ev.run("psi(6) * (-1)")) == "(-1) * psi"
+
+
 def test_parse_error_carries_position_and_expectations():
     with pytest.raises(ParseError) as err:
         parse("sym(2, ")

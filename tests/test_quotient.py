@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowcalc.algebra import ExactMatrix, GradedPoly, VariableTable
+from chowcalc.algebra import ExactMatrix, GradedPoly, VariableTable, monomial_basis
 from chowcalc.quotient import (
     RingPresentation,
     SocleError,
+    graded_piece,
     hilbert_function,
     ideal_degree_piece,
     is_poincare_duality,
@@ -15,6 +16,7 @@ from chowcalc.quotient import (
     m6_presentation,
     normal_form,
     pairing_matrix,
+    socle_monomial,
     total_dimension,
 )
 
@@ -72,7 +74,7 @@ def test_kappa1_rings_have_g_minus_1_ones(g):
 
 def test_free_algebra_hilbert():
     table = VariableTable(("k1",), (1,))
-    free = RingPresentation(table, (), "free")
+    free = RingPresentation(table, ())
     assert hilbert_function(free, 2) == (1, 1, 1)
 
 
@@ -108,8 +110,6 @@ def test_normal_form_is_linear():
 
 
 def _random_homogeneous(degree, coeffs):
-    from chowcalc.algebra import monomial_basis
-
     basis = monomial_basis(T, degree)
     return GradedPoly(T, {e: c for e, c in zip(basis, coeffs)})
 
@@ -133,8 +133,6 @@ def test_normal_form_linearity_on_random_inputs(degree, acoeffs, bcoeffs, scalar
     st.sampled_from([0, 1]),
 )
 def test_relation_multiples_reduce_to_zero(extra_degree, which):
-    from chowcalc.algebra import monomial_basis
-
     rel = M6.relations[which]
     for exps in monomial_basis(T, extra_degree):
         assert normal_form(GradedPoly.monomial(T, exps) * rel, M6).is_zero()
@@ -144,9 +142,7 @@ def test_normal_form_difference_lies_in_ideal_row_space():
     p = K1**4
     diff = p - normal_form(p, M6)
     rows = list(ideal_degree_piece(M6, 4).entries)
-    from chowcalc.algebra import monomial_basis, poly_to_vector
-
-    vec = poly_to_vector(diff, monomial_basis(T, 4))
+    vec = _vector(diff, monomial_basis(T, 4))
     stacked = ExactMatrix(rows + [vec])
     assert stacked.rank() == ExactMatrix(rows).rank()
 
@@ -188,6 +184,106 @@ def test_pairing_needs_one_dimensional_socle():
         pairing_matrix(M6, 1, 2)  # degree-2 piece has dimension 2
 
 
+# -- the normal-form table against the vector-loop references ---------------------
+
+
+def _vector(p, basis):
+    """Coefficient vector of p along basis."""
+    return [p.coefficient(m) for m in basis]
+
+
+def _ref_normal_form(x, pres):
+    """Reduce the coefficient vector of x by each reduced row of the
+    Macaulay matrix in turn."""
+    if x.is_zero():
+        return x
+    basis = monomial_basis(pres.table, x.degree())
+    red = ideal_degree_piece(pres, x.degree()).row_reduce()
+    vec = _vector(x, basis)
+    for row, col in zip(red.rref.entries, red.pivot_columns):
+        f = vec[col]
+        if f != 0:
+            vec = [a - f * b for a, b in zip(vec, row)]
+    return GradedPoly(pres.table, dict(zip(basis, vec)))
+
+
+def _ref_quotient_basis(pres, d):
+    pivots = set(ideal_degree_piece(pres, d).row_reduce().pivot_columns)
+    return [m for i, m in enumerate(monomial_basis(pres.table, d)) if i not in pivots]
+
+
+def _ref_pairing_matrix(pres, i, top):
+    """One polynomial product and one normal form per entry."""
+    socle = socle_monomial(pres, top)
+    right = _ref_quotient_basis(pres, top - i)
+    rows = []
+    for a in _ref_quotient_basis(pres, i):
+        row = []
+        for b in right:
+            prod = GradedPoly.monomial(pres.table, a) * GradedPoly.monomial(pres.table, b)
+            row.append(_ref_normal_form(prod, pres).coefficient(socle))
+        rows.append(row)
+    return ExactMatrix(rows, cols=len(right))
+
+
+@st.composite
+def complete_intersections(draw):
+    """(ring, top degree): relation i is c*x_i^k_i plus terms of the same
+    degree in x_(i+1..n), so the only common zero is the origin."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    powers = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    table = VariableTable(tuple(f"x{i}" for i in range(n)), tuple(weights))
+    relations = []
+    for i, (w, k) in enumerate(zip(weights, powers)):
+        lead = tuple(k if j == i else 0 for j in range(n))
+        terms = {lead: draw(st.integers(1, 9))}
+        for m in monomial_basis(table, w * k):
+            if m != lead and not any(m[:i + 1]):
+                terms[m] = draw(st.integers(-9, 9))
+        relations.append(GradedPoly(table, terms))
+    top = sum(w * (k - 1) for w, k in zip(weights, powers))
+    return RingPresentation(table, tuple(relations)), top
+
+
+@settings(max_examples=40, deadline=None)
+@given(complete_intersections(), st.data())
+def test_normal_form_matches_vector_reduction(ring, data):
+    pres, top = ring
+    for d in range(top + 2):
+        basis = monomial_basis(pres.table, d)
+        piece = graded_piece(pres, d)
+        assert list(piece.quotient_basis) == _ref_quotient_basis(pres, d)
+        for m in basis:
+            x = GradedPoly.monomial(pres.table, m)
+            assert piece.normal_forms[m] == normal_form(x, pres) == _ref_normal_form(x, pres)
+        coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(basis), max_size=len(basis)))
+        scale = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+        x = GradedPoly(pres.table, dict(zip(basis, coeffs))) * scale
+        assert normal_form(x, pres) == _ref_normal_form(x, pres)
+    assert hilbert_function(pres, top + 1)[top:] == (1, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(complete_intersections())
+def test_pairing_matrix_matches_per_entry_normal_forms(ring):
+    pres, top = ring
+    for i in range(top + 1):
+        mat = pairing_matrix(pres, i, top)
+        assert mat == _ref_pairing_matrix(pres, i, top)
+        assert mat.rank() == mat.rows == mat.cols  # complete intersections are Gorenstein
+
+
+def test_graded_piece_cache_is_bounded():
+    bound = graded_piece.cache_info().maxsize
+    assert bound is not None
+    table = VariableTable(("x",), (1,))
+    x = GradedPoly.variable(table, "x")
+    for c in range(1, bound + 50):  # distinct rings Q[x]/(c*x^2)
+        assert graded_piece(RingPresentation(table, (c * x**2,)), 2).dim == 0
+    assert graded_piece.cache_info().currsize <= bound
+
+
 # -- Gorenstein test -----------------------------------------------------------------
 
 
@@ -204,7 +300,7 @@ def test_monomial_kappa_ring_genus_6_is_poincare():
 def test_complete_intersection_is_poincare():
     # Q[k1,k2]/(k1^3, k2^2) with weights (1,2) is a complete intersection,
     # hence Gorenstein with socle k1^2 k2 in degree 4.
-    pres = RingPresentation(T, (K1**3, K2**2), "ci")
+    pres = RingPresentation(T, (K1**3, K2**2))
     assert hilbert_function(pres, 5) == (1, 1, 2, 1, 1, 0)
     assert is_poincare_duality(pres, 4)
 
@@ -218,11 +314,11 @@ def test_truncated_polynomial_ring_fails_duality():
 
 def test_non_gorenstein_ring_fails_duality():
     # Q[k1,k2]/(k1^2, k1 k2): Hilbert (1,1,1,0,1,...) has a gap
-    pres = RingPresentation(T, (K1**2, K1 * K2), "gap")
+    pres = RingPresentation(T, (K1**2, K1 * K2))
     assert hilbert_function(pres, 4) == (1, 1, 1, 0, 1)
     assert not is_poincare_duality(pres, 4)
 
 
 def test_presentation_rejects_inhomogeneous_relations():
     with pytest.raises(ValueError):
-        RingPresentation(T, (K1 + K2,), "bad")
+        RingPresentation(T, (K1 + K2,))

@@ -46,12 +46,21 @@ def test_dim_schur_vanishes_iff_too_many_rows():
 
 
 def test_partition_size_cap():
-    # partitions of any size construct; only the exponential LR enumeration
-    # caps its input
+    # there is no size cap: partitions of any size construct, and
+    # lr_product takes products of degree above 12
     assert Partition((7, 6)).size == 13
-    with pytest.raises(ValueError, match="cap"):
-        lr_product(P(7), P(6))
+    pieri = {P(13 - j, j): 1 for j in range(7)}  # one box per column
+    assert lr_product(P(7), P(6)) == SchurDecomposition.from_dict(pieri)
     assert lr_product(P(6), P(6)).multiplicity(P(12)) == 1
+
+
+def test_lr_product_of_degree_16():
+    lam, mu = P(4, 3, 2, 1), P(3, 2, 1)
+    product = lr_product(lam, mu)
+    assert product == lr_product(mu, lam)
+    n = 7
+    rhs = sum(c * dim_schur(nu, n) for nu, c in product.terms)
+    assert dim_schur(lam, n) * dim_schur(mu, n) == rhs
 
 
 # -- standard tableaux -----------------------------------------------------------
