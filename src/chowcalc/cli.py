@@ -93,7 +93,7 @@ def _cmd_verify(args) -> int:
     if args.list:
         print("\n".join(checks.check_ids()))
         return 0
-    selection = tuple(s.strip() for s in only.split(",") if s.strip()) if only else None
+    selection = None if only is None else tuple(s.strip() for s in only.split(",") if s.strip())
     try:
         results = checks.run_suite(selection, config)
     except checks.UnknownCheckError as exc:

@@ -71,13 +71,7 @@ def prelude(trunc: int = DEFAULT_TRUNCATION) -> dict[str, Any]:
     for name in mtab.names:
         env[name] = GradedPoly.variable(mtab, name)
     env["V"] = grr.mukai_bundle(trunc)
-    dec = grr.plucker_sequence_decomposition(trunc)
-    env["F"] = bundles.FormalBundle(
-        4,
-        tuple(dec.f[i] if i < len(dec.f) else GradedPoly.zero(mtab) for i in range(trunc)),
-        mtab,
-        exact_rank=False,
-    )
+    env["F"] = grr.plucker_sequence_decomposition(trunc)
 
     wtab = VariableTable(("w1", "w2"), (1, 2))
     for name in wtab.names:

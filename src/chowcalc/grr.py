@@ -7,6 +7,11 @@ and drops degree by one.  Chern data of the direct images of powers of
 the relative dualizing sheaf, and of the Hodge bundle, follow from the
 Todd series of the relative tangent, whose coefficients are Bernoulli
 numbers computed in-module.
+
+The genus-6 model carries Mukai's rank-5 bundle V, the Hodge bundle E and
+a free twist ell over one table; ``plucker_sequence_decomposition`` returns
+the rank-4 bundle F of the linear-forms sequence
+0 -> F -> wedge^2 V -> E (x) L' -> 0, computed through its rank.
 """
 from __future__ import annotations
 
@@ -20,7 +25,6 @@ from .bundles import (
     FormalBundle,
     LineClass,
     chern_from_character,
-    direct_sum,
     sequence_quotient,
     sym_power,
     twist,
@@ -178,6 +182,8 @@ def hodge_bundle(g: int, trunc: int) -> FormalBundle:
     (they encode relations on the actual moduli space rather than vanishing
     identically), so the rank assertion is deliberately not enforced.
     """
+    if g < 2:
+        raise ValueError("genus must be >= 2")
     return pushforward_bundle(1, g, trunc)
 
 
@@ -210,7 +216,7 @@ def mukai_bundle(trunc: int) -> FormalBundle:
         GradedPoly.variable(table, f"v{i}") if i <= 5 else GradedPoly.zero(table)
         for i in range(1, trunc + 1)
     )
-    return FormalBundle(5, cs[:trunc], table, exact_rank=False)
+    return FormalBundle(5, cs, table, exact_rank=False)
 
 
 def hodge_model_bundle(trunc: int) -> FormalBundle:
@@ -219,74 +225,26 @@ def hodge_model_bundle(trunc: int) -> FormalBundle:
     return FormalBundle(6, cs, table, exact_rank=False)
 
 
-@dataclass(frozen=True)
-class PlueckerDecomposition:
-    """The exact sequence 0 -> F -> wedge^2 V -> E' -> 0 on the locus where
-    genus-6 canonical curves are quadric sections of G(2,5): F is the rank-4
-    bundle of linear forms, E' = Hodge (x) L' has rank 6, and the middle is
-    the rank-10 second exterior power of the rank-5 bundle."""
+def plucker_sequence_decomposition(trunc: int = 4) -> FormalBundle:
+    """F, the rank-4 bundle of linear forms in the exact sequence
+    0 -> F -> wedge^2 V -> E (x) L' -> 0 on the locus where genus-6 canonical
+    curves are quadric sections of G(2,5); E (x) L' is the Hodge bundle twisted
+    by the free class ell, of rank 6, and the middle is the rank-10 second
+    exterior power of the rank-5 bundle V.
 
-    trunc: int
-    f: tuple[GradedPoly, ...]  # f_1..f_4 in v's, lambda's, ell
-    rank_sub: int
-    rank_total: int
-    rank_quotient: int
-    roundtrip_vanishing_verified: bool
-
-
-def plucker_sequence_decomposition(trunc: int = 4) -> PlueckerDecomposition:
-    """Express f_i = c_i(F) through c(F) = c(wedge^2 V) / c(E (x) L').
-
-    Rank bookkeeping is part of the contract: 4 + 6 = 10 = C(5,2).  The
-    vanishing of the quotient series beyond degree 4 holds exactly when the
-    input data is consistent (an honest rank-4 sub), which is verified here
-    by a Whitney roundtrip with a generic rank-4 bundle at the same
-    truncation; the raw division with free lambda's and ell is reported
-    only through degree 4.
+    c_1..c_4 are those of c(wedge^2 V) / c(E (x) L'); c_i needs only the
+    classes of degree <= i, so both sides are cut at degree min(4, trunc).
+    The classes above the rank are zero up to trunc (the raw division with
+    free lambda's and ell does not vanish there), and the rank comes from
+    the quotient, 10 - 6.
     """
     table = mukai_model_table(trunc)
-    v = mukai_bundle(trunc)
-    middle = wedge_power(v, 2)
-    eprime = twist(hodge_model_bundle(trunc), LineClass(GradedPoly.variable(table, "ell")))
-    if middle.rank != 10 or eprime.rank != 6:
-        raise ValueError("rank bookkeeping failed")
-    f_bundle = sequence_quotient(middle, eprime, assert_rank=False)
-    f = tuple(f_bundle.c(i) for i in range(1, min(4, trunc) + 1))
-
-    # Whitney roundtrip: an honest rank-4 sub plus E' recovers the sub with
-    # identically vanishing classes beyond its rank, at any truncation.
-    aux = VariableTable.make(
-        [(f"f{i}", i) for i in range(1, 5)] + [(f"g{i}", i) for i in range(1, trunc + 1)]
+    low = min(4, trunc)
+    v, e = (
+        FormalBundle(b.rank, b.chern[:low], table, exact_rank=False)
+        for b in (mukai_bundle(trunc), hodge_model_bundle(trunc))
     )
-    sub = FormalBundle(
-        4,
-        tuple(
-            GradedPoly.variable(aux, f"f{i}") if i <= 4 else GradedPoly.zero(aux)
-            for i in range(1, trunc + 1)
-        ),
-        aux,
-    )
-    quot = FormalBundle(
-        6, tuple(GradedPoly.variable(aux, f"g{i}") for i in range(1, trunc + 1)), aux,
-        exact_rank=False,
-    )
-    recovered = sequence_quotient(direct_sum(sub, quot), quot, assert_rank=True)
-    verified = recovered.rank == 4 and all(
-        recovered.c(i) == sub.c(i) for i in range(1, trunc + 1)
-    )
-    if not verified:
-        raise ValueError("Whitney roundtrip failed; quotient series inconsistent")
-    return PlueckerDecomposition(
-        trunc=trunc,
-        f=f,
-        rank_sub=4,
-        rank_total=middle.rank,
-        rank_quotient=eprime.rank,
-        roundtrip_vanishing_verified=verified,
-    )
-
-
-def plucker_quadrics_bundle(trunc: int = 4) -> FormalBundle:
-    """wedge^4 V = V-dual (x) det V: the rank-5 bundle of Pluecker quadrics
-    cutting out G(2,5), in the rank-5 model."""
-    return wedge_power(mukai_bundle(trunc), 4)
+    eprime = twist(e, LineClass(GradedPoly.variable(table, "ell")))
+    f = sequence_quotient(wedge_power(v, 2), eprime, assert_rank=False)
+    zeros = (GradedPoly.zero(table),) * (trunc - low)
+    return FormalBundle(f.rank, f.chern + zeros, table, exact_rank=False)

@@ -31,6 +31,38 @@ def test_unknown_check_rejected():
         checks.run_suite(("no-such-check",))
 
 
+def test_duplicate_selection_runs_once():
+    results = checks.run_suite(("m6-presentation", "m6-presentation"))
+    assert [r.check_id for r in results] == ["m6-presentation"]
+
+
+def test_empty_selection_rejected():
+    with pytest.raises(checks.UnknownCheckError, match="no check selected"):
+        checks.run_suite(())
+
+
+def test_whitney_roundtrip_fails_for_a_dishonest_sub():
+    # rank 3 with a nonzero f4: the recovered class has c4 above its rank
+    assert checks._whitney_roundtrip(4, 6)
+    assert not checks._whitney_roundtrip(3, 6)
+    assert not checks._whitney_roundtrip(3, 4)
+
+
+def test_mukai_bookkeeping_fails_on_a_wrong_rank(monkeypatch):
+    from chowcalc import bundles, grr
+
+    real = grr.plucker_sequence_decomposition
+
+    def rank3(trunc):
+        f = real(trunc)
+        return bundles.FormalBundle(3, f.chern, f.table, exact_rank=False)
+
+    monkeypatch.setattr(grr, "plucker_sequence_decomposition", rank3)
+    (result,) = checks.run_suite(("mukai-bookkeeping",))
+    assert result.status == "fail"
+    assert "ranks 3+6=10" in result.computed and result.computed.endswith("False")
+
+
 def test_machine_readable_schema():
     results = checks.run_suite(("m6-presentation",))
     payload = json.loads(checks.format_json(results))
@@ -105,6 +137,29 @@ def test_cli_verify_json(capsys):
 
 def test_cli_verify_unknown_check(capsys):
     assert main(["verify", "--only", "bogus"]) == 2
+
+
+def test_cli_verify_duplicate_only_runs_once(capsys):
+    assert main(["verify", "--only", "m6-presentation,m6-presentation", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [e["check_id"] for e in payload] == ["m6-presentation"]
+    assert main(["verify", "--only", "m6-presentation,m6-presentation"]) == 0
+    assert capsys.readouterr().out.endswith("1/1 checks passed\n")
+
+
+@pytest.mark.parametrize("only", [",", "", " , "])
+def test_cli_verify_empty_only_is_a_usage_error(only, capsys):
+    assert main(["verify", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no check selected\n" and captured.out == ""
+
+
+def test_cli_verify_empty_config_only_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("only =\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no check selected\n" and captured.out == ""
 
 
 def test_cli_verify_list(capsys):

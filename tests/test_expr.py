@@ -153,6 +153,13 @@ def test_quadrics_bundle_needs_genus_three():
         Evaluator().run("quadricsbundle(2)")
 
 
+@pytest.mark.parametrize("src", ["hodge(1)", "psi(1)", "td(1)", "omega(2, 1)", "hyptwist(1)"])
+def test_genus_guards_name_the_genus(src):
+    name = src.split("(")[0]
+    with pytest.raises(EvalError, match=rf"^{name}: genus must be >= 2$"):
+        Evaluator().run(src)
+
+
 def test_guard_errors_surface_verbatim():
     ev = Evaluator()
     with pytest.raises(EvalError, match="need genus >= 3"):

@@ -3,17 +3,27 @@ from fractions import Fraction
 import pytest
 
 from chowcalc.algebra import GradedPoly
-from chowcalc.bundles import chern_character, dual, sym_power
+from chowcalc.bundles import (
+    FormalBundle,
+    LineClass,
+    chern_character,
+    dual,
+    sequence_quotient,
+    sym_power,
+    twist,
+    wedge_power,
+)
+from chowcalc.checks import _whitney_roundtrip
 from chowcalc.grr import (
     PsiSeries,
     bernoulli,
     ch_pushforward_omega_power,
     hodge_bundle,
+    hodge_model_bundle,
     kappa,
     kappa_ring,
     mukai_bundle,
     mukai_model_table,
-    plucker_quadrics_bundle,
     plucker_sequence_decomposition,
     push_psi,
     pushforward_bundle,
@@ -213,28 +223,50 @@ def test_quadrics_bundle_is_computable_to_top_degree():
 
 
 def test_plucker_decomposition_ranks():
-    dec = plucker_sequence_decomposition(D)
-    assert (dec.rank_sub, dec.rank_quotient, dec.rank_total) == (4, 6, 10)
-    assert dec.rank_sub + dec.rank_quotient == dec.rank_total
+    f = plucker_sequence_decomposition(D)
+    table = mukai_model_table(D)
+    middle = wedge_power(mukai_bundle(D), 2)
+    eprime = twist(hodge_model_bundle(D), LineClass(GradedPoly.variable(table, "ell")))
+    assert (f.rank, eprime.rank, middle.rank) == (4, 6, 10)
+    assert f.table == table and f.truncation == D and not f.exact_rank
+
+
+def _full_truncation_f(trunc):
+    """F as first computed: c(wedge^2 V) / c(E (x) L') at the full
+    truncation, keeping c_1..c_4 and padding with zeros."""
+    table = mukai_model_table(trunc)
+    middle = wedge_power(mukai_bundle(trunc), 2)
+    eprime = twist(hodge_model_bundle(trunc), LineClass(GradedPoly.variable(table, "ell")))
+    q = sequence_quotient(middle, eprime, assert_rank=False)
+    zero = GradedPoly.zero(table)
+    cs = tuple(q.c(i) if i <= 4 else zero for i in range(1, trunc + 1))
+    return FormalBundle(4, cs, table, exact_rank=False)
+
+
+@pytest.mark.parametrize("trunc", range(9))
+def test_f_matches_full_truncation_quotient(trunc):
+    f = plucker_sequence_decomposition(trunc)
+    assert f == _full_truncation_f(trunc)
+    assert not f.exact_rank
 
 
 def test_f1_leading_terms():
-    dec = plucker_sequence_decomposition(D)
+    f = plucker_sequence_decomposition(D)
     table = mukai_model_table(D)
     v1 = GradedPoly.variable(table, "v1")
     lam1 = GradedPoly.variable(table, "lambda1")
     ell = GradedPoly.variable(table, "ell")
     # c1(wedge^2 of rank 5) = 4 v1; c1(E') = lambda1 + 6 ell
-    assert dec.f[0] == 4 * v1 - lam1 - 6 * ell
+    assert f.c(1) == 4 * v1 - lam1 - 6 * ell
 
 
 def test_roundtrip_vanishing_at_higher_truncation():
-    assert plucker_sequence_decomposition(6).roundtrip_vanishing_verified
+    assert _whitney_roundtrip(4, 6)
 
 
 def test_plucker_quadrics_bundle_is_wedge4():
-    q = plucker_quadrics_bundle(D)
     v = mukai_bundle(D)
+    q = wedge_power(v, 4)
     assert q.rank == 5
     assert q.c(1) == 4 * v.c(1)
 
