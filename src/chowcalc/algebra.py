@@ -461,10 +461,6 @@ class ExactMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", tuple(rows))
 
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -510,12 +506,6 @@ class ExactMatrix:
     def rank(self) -> int:
         return self.row_reduce().rank
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -528,9 +518,3 @@ class ExactMatrix:
     def __repr__(self) -> str:
         body = "; ".join(", ".join(format_rational(x) for x in row) for row in self.entries)
         return f"ExactMatrix[{body}]"
-
-
-def row_reduce(m: ExactMatrix) -> tuple[int, ExactMatrix]:
-    """Convenience wrapper returning (rank, reduced echelon form)."""
-    red = m.row_reduce()
-    return red.rank, red.rref

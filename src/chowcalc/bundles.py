@@ -72,14 +72,10 @@ class FormalBundle:
         self,
         rank: int,
         chern: tuple[GradedPoly, ...] | list[GradedPoly],
-        table: VariableTable | None = None,
+        table: VariableTable,
         exact_rank: bool = True,
     ):
         chern = tuple(chern)
-        if table is None:
-            if not chern:
-                raise BundleError("need a table for a bundle with no recorded classes")
-            table = chern[0].table
         if rank < 0:
             raise BundleError("rank must be >= 0")
         for i, c in enumerate(chern, start=1):

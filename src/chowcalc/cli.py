@@ -16,8 +16,11 @@ import sys
 from pathlib import Path
 
 from . import checks
-from .evaluator import EvalError, Evaluator, format_value
+from .evaluator import EvalError, Evaluator, format_value, statements
 from .expr import ParseError
+
+
+_CONFIG_KEYS = ("format", "only", "trunc")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -28,8 +31,10 @@ def _load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line (need key=value): {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
+        out[key] = value
     return out
 
 
@@ -128,10 +133,7 @@ def _cmd_repl(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     status = 0
-    for raw in sys.stdin:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in statements(sys.stdin):
         try:
             print(format_value(ev.run(line)))
         except (ParseError, EvalError) as exc:

@@ -14,18 +14,21 @@ other arguments: a surface ``F[n]`` binds its classes ``E``, ``S`` and
 ring binds its variables.
 
 Library code reports bad input with ``ValueError`` or ``ArithmeticError``.
-These become ``EvalError`` in one place, ``Evaluator._statement``, the
-statement entry behind ``run``, ``load_definitions`` and
-``presentation_from_lines``.  The message keeps the library's text, after
-the name of the innermost function call that failed.  Any ``RecursionError``
-raised while a statement is parsed or run, whether from deeply nested input
-or from recursive library code, becomes one there too, with the message
-``expression nested too deeply``.
+These become ``EvalError`` in one place, ``Evaluator.run``, the statement
+entry behind ``load_definitions`` and the CLI.  The message keeps the
+library's text, after the name of the innermost function call that
+failed.  Any ``RecursionError`` raised while a statement is parsed or run,
+whether from deeply nested input or from recursive library code, becomes
+one there too, with the message ``expression nested too deeply``.
+
+A definitions file and a repl session share one comment rule,
+``statements``: each line is cut at its first ``#``, and blank lines are
+skipped.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import bundles, geometry, grr, quotient, schur
 from .algebra import GradedPoly, VariableTable, format_poly, format_rational
@@ -51,6 +54,16 @@ class EvalError(ValueError):
 
 
 DEFAULT_TRUNCATION = 4
+
+
+def statements(lines: Iterable[str]) -> Iterator[str]:
+    """The statements of `lines`, one per line: each line cut at its first
+    '#', stripped, and skipped if nothing is left.  Lazy, so a repl reads
+    its next line only after the last one has run."""
+    for line in lines:
+        source = line.split("#", 1)[0].strip()
+        if source:
+            yield source
 
 
 def prelude(trunc: int = DEFAULT_TRUNCATION) -> dict[str, Any]:
@@ -236,23 +249,13 @@ class Evaluator:
     # -- entry points ------------------------------------------------------
 
     def run(self, source: str) -> Any:
-        return self._statement(source, self.env)
-
-    def load_definitions(self, text: str) -> None:
-        """Run a definitions file: one statement per line, '#' comments."""
-        for line in text.splitlines():
-            source = line.split("#", 1)[0].strip()
-            if source:
-                self._statement(source, self.env)
-
-    def _statement(self, source: str, env: dict[str, Any]) -> Any:
         """Parse and run one statement; the one place errors become EvalError."""
         try:
             node = parse(source)
             if isinstance(node, Assign):
-                value = env[node.name] = self.eval(node.value, env)
+                value = self.env[node.name] = self.eval(node.value, self.env)
                 return value
-            return self.eval(node, env)
+            return self.eval(node, self.env)
         except (EvalError, ParseError):
             raise
         except RecursionError:
@@ -260,6 +263,11 @@ class Evaluator:
         except (ValueError, ArithmeticError) as exc:
             name = _innermost_call(exc)
             raise EvalError(f"{name}: {exc}" if name else str(exc)) from exc
+
+    def load_definitions(self, text: str) -> None:
+        """Run a definitions file: one statement per line, '#' comments."""
+        for source in statements(text.splitlines()):
+            self.run(source)
 
     # -- core --------------------------------------------------------------
 
@@ -487,20 +495,3 @@ def presentation_to_text(pres: quotient.RingPresentation) -> str:
     ws = ", ".join(str(w) for w in pres.table.weights)
     rs = ", ".join(format_poly(r) for r in pres.relations)
     return f"ring[{vs}; {ws}]({rs})"
-
-
-def presentation_to_lines(pres: quotient.RingPresentation) -> str:
-    """Plain-text serialization: a header line, then one relation per line."""
-    vs = ", ".join(pres.table.names)
-    ws = ", ".join(str(w) for w in pres.table.weights)
-    lines = [f"ring[{vs}; {ws}]"] + [format_poly(r) for r in pres.relations]
-    return "\n".join(lines) + "\n"
-
-
-def presentation_from_lines(text: str) -> quotient.RingPresentation:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("ring["):
-        raise EvalError("presentation file must start with a 'ring[vars; weights]' header")
-    src = lines[0] + "(" + ", ".join(lines[1:]) + ")"
-    return Evaluator()._statement(src, {})

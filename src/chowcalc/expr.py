@@ -354,11 +354,3 @@ def parse(src: str) -> Expr | Assign:
     if t is not None:
         raise ParseError(f"trailing input {t.text!r}", t.pos)
     return node
-
-
-def parse_expr(src: str) -> Expr:
-    node = parse(src)
-    if isinstance(node, Assign):
-        raise ParseError("expected an expression, found an assignment", 0)
-    return node
-

@@ -1,8 +1,10 @@
-"""Intersection rings of Hirzebruch surfaces and Grassmannians, section
+"""Intersection theory of Hirzebruch surfaces and Grassmannians: section
 counts, genus by adjunction, Pluecker degrees, and the dimension
 bookkeeping for the strata of moduli of curves in genus 4..6.
-Grassmannian integrals and Schubert classes use the dual Pieri rule on the
-Schubert basis (Fulton, Young Tableaux, 9.4), not the quotient ring.
+A Grassmannian class is a polynomial in the Chern classes c1..ck of the
+tautological subbundle.  Integrals and Schubert classes use the dual Pieri
+rule on the Schubert basis (Fulton, Young Tableaux, 9.4); no presentation
+of the Chow ring is built.
 """
 from __future__ import annotations
 
@@ -12,8 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .algebra import GradedPoly, RationalLike, VariableTable, linear_combination, rat, series_inverse
-from .quotient import RingPresentation
+from .algebra import GradedPoly, RationalLike, VariableTable, linear_combination, rat
 from .schur import Partition
 
 
@@ -170,9 +171,6 @@ class Grassmannian:
     def table(self) -> VariableTable:
         return _grass_table(self.k)
 
-    def presentation(self) -> RingPresentation:
-        return _grass_presentation(self.k, self.n)
-
     def chern_sub(self, i: int) -> GradedPoly:
         """c_i of the tautological subbundle."""
         if not 0 <= i <= self.k:
@@ -227,18 +225,6 @@ def _grass_table(k: int) -> VariableTable:
     return VariableTable(tuple(f"c{i}" for i in range(1, k + 1)), tuple(range(1, k + 1)))
 
 
-@lru_cache(maxsize=None)
-def _grass_presentation(k: int, n: int) -> RingPresentation:
-    """Chern classes of the rank-k tautological subbundle modulo the
-    vanishing of the quotient's classes in degrees n-k+1..n (the degreewise
-    form of c(S) * c(Q) = 1)."""
-    table = _grass_table(k)
-    c = [GradedPoly.one(table)] + [GradedPoly.variable(table, f"c{i}") for i in range(1, k + 1)]
-    inv = series_inverse(c, n)
-    relations = tuple(inv[d] for d in range(n - k + 1, n + 1))
-    return RingPresentation(table, relations)
-
-
 def _vertical_strips(lam: tuple[int, ...], m: int, k: int, width: int):
     """Dual Pieri rule: sigma_lam * sigma_(1^m) is the sum of sigma_nu over the
     partitions nu in the k x width box made of lam and one box in each of m rows."""
@@ -274,22 +260,6 @@ def grass_dim(k: int, n: int) -> int:
 
 def plucker_degree(k: int, n: int) -> int:
     return Grassmannian(k, n).plucker_degree()
-
-
-def grass_betti(k: int, n: int, d: int) -> int:
-    """Independent count of the degree-d Betti number: partitions inside a
-    k x (n-k) box of size d."""
-
-    def count(remaining: int, max_part: int, rows_left: int) -> int:
-        if remaining == 0:
-            return 1
-        if rows_left == 0:
-            return 0
-        return sum(
-            count(remaining - p, p, rows_left - 1) for p in range(min(max_part, remaining), 0, -1)
-        )
-
-    return count(d, n - k, k)
 
 
 # -- linear systems and stratum dimensions ------------------------------------

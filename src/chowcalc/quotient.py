@@ -97,10 +97,6 @@ def hilbert_function(pres: RingPresentation, max_d: int) -> tuple[int, ...]:
     return tuple(graded_piece(pres, d).dim for d in range(max_d + 1))
 
 
-def total_dimension(pres: RingPresentation, through: int) -> int:
-    return sum(hilbert_function(pres, through))
-
-
 def normal_form(x: GradedPoly, pres: RingPresentation) -> GradedPoly:
     """Coset representative supported on the quotient basis of x's degree."""
     if x.table != pres.table:

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .algebra import GradedPoly, VariableTable
 
@@ -85,25 +85,6 @@ def syt_count(lam: Partition) -> int:
     q, r = divmod(factorial(lam.size), denom)
     assert r == 0
     return q
-
-
-def syt_count_bruteforce(lam: Partition) -> int:
-    """Independent SYT count by recursive removal of outer corners."""
-
-    @lru_cache(maxsize=None)
-    def go(parts: tuple[int, ...]) -> int:
-        if not parts:
-            return 1
-        total = 0
-        for i, p in enumerate(parts):
-            if i + 1 < len(parts) and parts[i + 1] == p:
-                continue  # not a corner
-            smaller = list(parts)
-            smaller[i] -= 1
-            total += go(tuple(x for x in smaller if x))
-        return total
-
-    return go(lam.parts)
 
 
 @dataclass(frozen=True)
@@ -290,7 +271,3 @@ def decompose_sym2_wedge2(n: int) -> SchurDecomposition:
     e2_sq_vars = e2.substitute(squared_vars, table)
     plethysm = (e2 * e2 + e2_sq_vars) / 2
     return decompose_schur(plethysm, n)
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0

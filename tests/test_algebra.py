@@ -13,7 +13,6 @@ from chowcalc.algebra import (
     linear_combination,
     monomial_basis,
     mul_trunc,
-    row_reduce,
     series_inverse,
     series_mul,
 )
@@ -81,23 +80,22 @@ def _cofactor_det(rows):
 
 
 def test_row_reduce_identity():
-    rank, rref = row_reduce(ExactMatrix.identity(3))
-    assert rank == 3
-    assert rref == ExactMatrix.identity(3)
+    identity = ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    red = identity.row_reduce()
+    assert red.rank == 3
+    assert red.rref == identity
 
 
 def test_row_reduce_degree_five_relations_have_rank_three():
     rows = [[127, -2304, 0], [0, 127, -2304], [113, 0, -36864]]
     assert _cofactor_det(rows) == 5271552  # nonzero, so full rank
-    rank, _ = row_reduce(ExactMatrix(rows))
-    assert rank == 3
+    assert ExactMatrix(rows).row_reduce().rank == 3
 
 
 def test_row_reduce_two_rows_not_proportional():
     r1, r2 = [127, -2304, 0], [113, 0, -36864]
     assert r1[0] * r2[1] != r1[1] * r2[0]  # cross-multiplication
-    rank, _ = row_reduce(ExactMatrix([r1, r2]))
-    assert rank == 2
+    assert ExactMatrix([r1, r2]).row_reduce().rank == 2
 
 
 @st.composite

@@ -216,6 +216,15 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_config_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("fromat = json\nonly = strata-dimensions\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: unknown key 'fromat' (known: format, only, trunc)\n"
+    assert captured.out == ""
+
+
 def test_cli_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("format = json\nonly = strata-dimensions\n")
@@ -233,6 +242,37 @@ def test_cli_repl_batch(monkeypatch, capsys):
     assert main(["repl"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["6", "2304/127 * k1 * k2"]
+
+
+# One comment rule for the repl and --defs: each line is cut at its first '#'.
+COMMENTED = "# heading\nx = 2 # def\n\n  # indented\n1 + 1  # two # three\n"
+
+
+def test_cli_repl_cuts_comments_like_defs(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(COMMENTED + "x^3 # cube\n"))
+    assert main(["repl"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["2", "2", "8"]
+
+
+def test_cli_defs_cut_comments_like_repl(tmp_path, capsys):
+    defs = tmp_path / "defs.txt"
+    defs.write_text(COMMENTED)
+    assert main(["eval", "--defs", str(defs), "x^3"]) == 0
+    assert capsys.readouterr().out == "8\n"
+
+
+def test_cli_repl_answers_each_line_before_reading_the_next(monkeypatch, capsys):
+    def lines():  # supports iteration only, like a live pipe
+        yield "1+1\n"
+        assert capsys.readouterr().out == "2\n"
+        yield "# comment\n"
+        yield "2+2\n"
+
+    monkeypatch.setattr("sys.stdin", lines())
+    assert main(["repl"]) == 0
+    assert capsys.readouterr().out == "4\n"
 
 
 @pytest.mark.parametrize(

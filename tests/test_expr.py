@@ -1,16 +1,17 @@
+import io
 import random
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from chowcalc.cli import main
 from chowcalc.evaluator import (
     FUNCTIONS,
     EvalError,
     Evaluator,
     format_value,
-    presentation_from_lines,
-    presentation_to_lines,
 )
 from chowcalc.expr import (
     BinOp,
@@ -20,21 +21,19 @@ from chowcalc.expr import (
     RingExpr,
     Var,
     parse,
-    parse_expr,
 )
-from chowcalc.quotient import m6_presentation
 
 
 # -- parsing -----------------------------------------------------------------------
 
 
 def test_parse_quotient_of_sym_power():
-    node = parse_expr("sym(2, V) / F")
+    node = parse("sym(2, V) / F")
     assert node == BinOp("/", Call("sym", (Num(2), Var("V"))), Var("F"))
 
 
 def test_parse_hilbert_query():
-    node = parse_expr(
+    node = parse(
         "hilbert(ring[k1,k2; 1,2](127*k1^3 - 2304*k1*k2, 113*k1^4 - 36864*k2^2), 6)"
     )
     assert isinstance(node, Call) and node.name == "hilbert"
@@ -45,7 +44,7 @@ def test_parse_hilbert_query():
 
 
 def test_parse_wedge_call():
-    node = parse_expr("wedge(4, V)")
+    node = parse("wedge(4, V)")
     assert node == Call("wedge", (Num(4), Var("V")))
 
 
@@ -287,19 +286,9 @@ def test_surface_class_products():
     assert ev.run("h0(F[0], 3*S + 4*F)") == 20
 
 
-def test_presentation_serialization_roundtrip():
-    pres = m6_presentation()
-    text = presentation_to_lines(pres)
-    assert text.splitlines()[0] == "ring[k1, k2; 1, 2]"
-    assert len(text.splitlines()) == 3
-    back = presentation_from_lines(text)
-    assert back.table == pres.table
-    assert back.relations == pres.relations
-
-
 def test_presentation_header_errors_are_eval_errors():
     with pytest.raises(EvalError, match="weights must be >= 1"):
-        presentation_from_lines("ring[x; 0]\nx^2\n")
+        Evaluator().run("ring[x; 0](x^2)")
 
 
 def test_sequence_quotient_via_slash():
@@ -351,8 +340,46 @@ def test_every_function_is_total_on_the_pool(name, evaluator):
             pass
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _run(argv, stdin, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(argv) == 0, argv
+    return capsys.readouterr().out.strip()
+
+
+def test_readme_expression_examples_print_what_they_say(monkeypatch, capsys):
+    """Run every line of the first sh block under "The expression language".
+    A comment that parses as an expression is the value the line prints; a
+    comment "= expr" means the line prints what expr prints; any other
+    comment describes the line, which must exit 0."""
+    section = README.read_text().split("## The expression language", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    valued = set()
+    for line in block.splitlines():
+        command, _, comment = (s.strip() for s in line.partition("#"))
+        if "|" in command:
+            echo, repl = command.split("|")
+            stdin, argv = shlex.split(echo)[1] + "\n", shlex.split(repl)[1:]
+        else:
+            stdin, argv = "", shlex.split(command)[1:]
+        out = _run(argv, stdin, monkeypatch, capsys)
+        if comment.startswith("= "):
+            assert out == _run(["eval", comment[2:]], "", monkeypatch, capsys), line
+            continue
+        try:
+            parse(comment)
+        except ParseError:
+            continue
+        assert out == comment, line
+        valued.add(argv[-1])
+    assert {"dim(G(4, 10)) + 16", "nf(k1^4, M6)", "genus(F[2], 3*S + 1*F)",
+            "integrate(G(2, 5), sigma1^6)"} <= valued
+
+
 def test_readme_names_every_function():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     missing = [
         name
         for name in FUNCTIONS

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
 
-from chowcalc.algebra import GradedPoly, monomial_basis
+from chowcalc.algebra import GradedPoly, monomial_basis, series_inverse
 from chowcalc.bundles import BundleError, maroni_split_degrees
 from chowcalc.geometry import (
     Grassmannian,
@@ -12,7 +13,6 @@ from chowcalc.geometry import (
     fiber_F,
     forms_dim,
     genus_of_class,
-    grass_betti,
     grass_dim,
     h0_hirzebruch,
     hirzebruch_aut_dim,
@@ -29,7 +29,7 @@ from chowcalc.geometry import (
     trigonal_class,
     trigonal_stratum_dim,
 )
-from chowcalc.quotient import hilbert_function, normal_form, socle_monomial
+from chowcalc.quotient import RingPresentation, hilbert_function, normal_form, socle_monomial
 from chowcalc.schur import Partition, lr_product, syt_count
 
 
@@ -161,7 +161,7 @@ def test_grass_dims():
 def test_grass_hilbert_matches_box_partition_counts():
     for k, n in ((1, 4), (2, 4), (2, 5), (3, 6)):
         g = Grassmannian(k, n)
-        h = hilbert_function(g.presentation(), g.dim + 2)
+        h = hilbert_function(_grass_presentation(g), g.dim + 2)
         expected = tuple(grass_betti(k, n, d) for d in range(g.dim + 3))
         assert h == expected
 
@@ -184,7 +184,33 @@ def test_plucker_degree_g4_10_from_pieri():
     assert plucker_degree(4, 10) == syt_count(Partition((6, 6, 6, 6))) == 140229804
 
 
-# -- references: Laplace-expansion Giambelli and the quotient-ring integral --
+# -- references: Betti counts, the quotient ring, Laplace-expansion Giambelli --
+
+
+def grass_betti(k, n, d):
+    """Independent count of the degree-d Betti number: partitions inside a
+    k x (n-k) box of size d."""
+
+    def count(remaining, max_part, rows_left):
+        if remaining == 0:
+            return 1
+        if rows_left == 0:
+            return 0
+        return sum(
+            count(remaining - p, p, rows_left - 1) for p in range(min(max_part, remaining), 0, -1)
+        )
+
+    return count(d, n - k, k)
+
+
+@lru_cache(maxsize=None)
+def _grass_presentation(g):
+    """Chern classes of the rank-k tautological subbundle modulo the
+    vanishing of the quotient's classes in degrees n-k+1..n (the degreewise
+    form of c(S) * c(Q) = 1)."""
+    c = [g.chern_sub(i) for i in range(g.k + 1)]
+    inv = series_inverse(c, g.n)
+    return RingPresentation(g.table(), tuple(inv[d] for d in range(g.n - g.k + 1, g.n + 1)))
 
 
 def _laplace_det(rows):
@@ -214,7 +240,7 @@ def _giambelli_reference(g, lam):
 def _quotient_integral(g, x):
     """Normal form in the degreewise presentation, normalised by the point
     class."""
-    pres = g.presentation()
+    pres = _grass_presentation(g)
     socle = socle_monomial(pres, g.dim)
     point = _giambelli_reference(g, Partition((g.n - g.k,) * g.k))
     unit = normal_form(point, pres).coefficient(socle)

@@ -17,7 +17,6 @@ from chowcalc.quotient import (
     normal_form,
     pairing_matrix,
     socle_monomial,
-    total_dimension,
 )
 
 M6 = m6_presentation()
@@ -59,7 +58,7 @@ def test_m6_vanishes_in_degrees_5_through_8():
 
 
 def test_m6_total_dimension_is_six():
-    assert total_dimension(M6, 8) == 6
+    assert sum(hilbert_function(M6, 8)) == 6
 
 
 def test_genus_4_kappa_ring():
@@ -176,7 +175,7 @@ def test_pairing_transpose_symmetry():
     for i in range(5):
         a = pairing_matrix(M6, i, 4)
         b = pairing_matrix(M6, 4 - i, 4)
-        assert a == b.transpose()
+        assert a.entries == tuple(zip(*b.entries))
 
 
 def test_pairing_needs_one_dimensional_socle():

@@ -1,0 +1,65 @@
+"""Every public module-level def and class in src/chowcalc is reached from
+outside the tests, so library code that only tests use cannot grow back
+unnoticed; a reference that only tests need belongs in the test.
+
+A name is reached when it is used as an identifier (a Name, an Attribute or
+an import alias) in src/chowcalc or scripts/, outside its own definition, or
+when it is a word inside a string in benchmarks/, whose tracer hooks
+library functions by name.
+"""
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _modules(directory):
+    """(module name, syntax tree) for each Python file of `directory`."""
+    return [(p.stem, ast.parse(p.read_text(), str(p))) for p in sorted(directory.glob("*.py"))]
+
+
+def _identifiers(modules):
+    """Identifiers used at module level, and in each top-level definition
+    other than the name that definition binds."""
+    names = set()
+    for _, tree in modules:
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, DEFINITIONS) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    used = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    used = {node.attr}
+                elif isinstance(node, ast.alias):
+                    used = {node.name.rpartition(".")[2], node.asname}
+                else:
+                    continue
+                names |= used - {own, None}
+    return names
+
+
+def _string_words(modules):
+    return {
+        word
+        for _, tree in modules
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for word in re.findall(r"\w+", node.value)
+    }
+
+
+def test_every_public_definition_is_reached_outside_the_tests():
+    library = _modules(ROOT / "src" / "chowcalc")
+    reached = _identifiers(library + _modules(ROOT / "scripts"))
+    reached |= _string_words(_modules(ROOT / "benchmarks"))
+    unreached = [
+        f"{module}.{stmt.name}"
+        for module, tree in library
+        for stmt in tree.body
+        if isinstance(stmt, DEFINITIONS)
+        and not stmt.name.startswith("_")
+        and stmt.name not in reached
+    ]
+    assert unreached == []

@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,6 @@ from chowcalc.schur import (
     lr_product,
     schur_polynomial,
     syt_count,
-    syt_count_bruteforce,
 )
 
 
@@ -86,6 +86,25 @@ def _partitions_up_to(n):
 
     for size in range(1, n + 1):
         yield from go(size, size)
+
+
+def syt_count_bruteforce(lam: Partition) -> int:
+    """Independent SYT count by recursive removal of outer corners."""
+
+    @lru_cache(maxsize=None)
+    def go(parts: tuple[int, ...]) -> int:
+        if not parts:
+            return 1
+        total = 0
+        for i, p in enumerate(parts):
+            if i + 1 < len(parts) and parts[i + 1] == p:
+                continue  # not a corner
+            smaller = list(parts)
+            smaller[i] -= 1
+            total += go(tuple(x for x in smaller if x))
+        return total
+
+    return go(lam.parts)
 
 
 def test_syt_agrees_with_bruteforce_through_size_8():
