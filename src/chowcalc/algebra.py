@@ -101,10 +101,17 @@ class GradedPoly:
     """Multivariate polynomial with rational coefficients over a VariableTable.
 
     Terms map exponent tuples to nonzero Fractions; zero coefficients are
-    never stored.  Instances are treated as immutable.
+    never stored.  Instances are immutable.
     """
 
     __slots__ = ("table", "_terms", "_hash")
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        """Assignment and deletion (``__delattr__``) both fail; internal
+        construction goes through ``object.__setattr__``."""
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def __init__(self, table: VariableTable, terms: Mapping[tuple[int, ...], RationalLike]):
         cleaned: dict[tuple[int, ...], Fraction] = {}
@@ -446,6 +453,7 @@ class ExactMatrix:
     """Dense matrix of Fractions with deterministic exact row reduction."""
 
     __slots__ = ("rows", "cols", "entries")
+    __setattr__ = __delattr__ = GradedPoly.__setattr__
 
     def __init__(self, entries: Sequence[Sequence[RationalLike]], cols: int | None = None):
         rows = [tuple(rat(x) for x in row) for row in entries]

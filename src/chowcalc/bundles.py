@@ -13,9 +13,9 @@ such sum of products is one call per degree to the series kernel in
 
 No Chern roots are introduced, so the cost does not grow with the rank;
 Sym^k and wedge^k cost O(k^2) truncated series products.  Every operation
-is functorial on the class, including classes above the rank (a bundle
-built with exact_rank=False, such as a virtual difference A - L): those
-classes enter every formula instead of being dropped.  Everything is exact.
+is functorial on the class, classes above the rank included (a virtual
+difference A - L, or a model whose higher classes carry relations): they
+enter every formula and are never dropped or checked.  Everything is exact.
 """
 from __future__ import annotations
 
@@ -40,10 +40,6 @@ class BundleError(ValueError):
     pass
 
 
-class ExactnessError(BundleError):
-    """A quotient's Chern series has nonzero terms beyond its asserted rank."""
-
-
 @dataclass(frozen=True)
 class LineClass:
     """A line bundle, recorded by its first Chern class (degree 1)."""
@@ -55,45 +51,29 @@ class LineClass:
             raise BundleError("a line class must be homogeneous of degree 1")
 
 
+@dataclass(frozen=True, slots=True)
 class FormalBundle:
-    """Rank plus Chern classes c_1..c_D over some variable table.
-
-    If rank < D the classes above the rank must vanish identically unless
-    the bundle is built with exact_rank=False (virtual classes, and formal
-    models whose higher classes encode relations rather than zero).  Every
-    operation reads all of c_1..c_D, so on such a bundle it computes the
-    lambda-ring operation on the class: for x = A - L, Sym^2 x is
+    """Rank plus Chern classes c_1..c_D over one variable table, read as a
+    lambda-ring class: classes above the rank may be nonzero (virtual
+    classes, and formal models whose higher classes encode relations).
+    Every operation reads all of c_1..c_D, so for x = A - L, Sym^2 x is
     Sym^2 A - A (x) L, not the power of a rank-r bundle with c_(r+1..) cut.
     """
 
-    __slots__ = ("rank", "chern", "table", "exact_rank")
+    rank: int
+    chern: tuple[GradedPoly, ...]
+    table: VariableTable
 
-    def __init__(
-        self,
-        rank: int,
-        chern: tuple[GradedPoly, ...] | list[GradedPoly],
-        table: VariableTable,
-        exact_rank: bool = True,
-    ):
-        chern = tuple(chern)
-        if rank < 0:
+    def __post_init__(self) -> None:
+        chern = tuple(self.chern)
+        if self.rank < 0:
             raise BundleError("rank must be >= 0")
         for i, c in enumerate(chern, start=1):
-            if c.table != table:
+            if c.table != self.table:
                 raise BundleError("chern classes over different tables")
             if not c.is_zero() and c.degree() != i:
                 raise BundleError(f"c_{i} must be homogeneous of degree {i}")
-        if exact_rank and rank < len(chern):
-            for i in range(rank + 1, len(chern) + 1):
-                if not chern[i - 1].is_zero():
-                    raise ExactnessError(
-                        f"rank-{rank} bundle has nonzero c_{i}; "
-                        "exactness/rank assertion violated"
-                    )
-        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "chern", chern)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "exact_rank", exact_rank)
 
     @property
     def truncation(self) -> int:
@@ -112,24 +92,6 @@ class FormalBundle:
     def total_chern(self) -> list[GradedPoly]:
         return [self.c(i) for i in range(self.truncation + 1)]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormalBundle):
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.table == other.table
-            and self.chern == other.chern
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.table, self.chern))
-
-    def __repr__(self) -> str:
-        from .algebra import format_poly
-
-        cs = ", ".join(format_poly(c) for c in self.chern)
-        return f"FormalBundle(rank {self.rank}; {cs})"
-
 
 def trivial_bundle(table: VariableTable, rank: int, trunc: int) -> FormalBundle:
     return FormalBundle(rank, tuple(GradedPoly.zero(table) for _ in range(trunc)), table)
@@ -144,7 +106,7 @@ def bundle_from_line_classes(classes: list[GradedPoly], trunc: int) -> FormalBun
     total = [one]
     for r in classes:
         total = series_mul(total, [one, r], trunc)
-    return FormalBundle(len(classes), tuple(total[1:]), table, exact_rank=False)
+    return FormalBundle(len(classes), tuple(total[1:]), table)
 
 
 # -- bundle operations --------------------------------------------------------
@@ -153,7 +115,7 @@ def bundle_from_line_classes(classes: list[GradedPoly], trunc: int) -> FormalBun
 def dual(b: FormalBundle) -> FormalBundle:
     """c_i -> (-1)^i c_i; an involution."""
     cs = tuple(c if i % 2 == 0 else -c for i, c in enumerate(b.chern, start=1))
-    return FormalBundle(b.rank, cs, b.table, exact_rank=b.exact_rank)
+    return FormalBundle(b.rank, cs, b.table)
 
 
 def twist(b: FormalBundle, t: LineClass) -> FormalBundle:
@@ -173,7 +135,7 @@ def twist(b: FormalBundle, t: LineClass) -> FormalBundle:
         )
         for d in range(1, b.truncation + 1)
     )
-    return FormalBundle(b.rank, cs, b.table, exact_rank=b.exact_rank)
+    return FormalBundle(b.rank, cs, b.table)
 
 
 def _binomial(n: int, m: int) -> int:
@@ -186,7 +148,7 @@ def sym_power(b: FormalBundle, k: int) -> FormalBundle:
     if k < 0:
         raise BundleError("symmetric power exponent must be >= 0")
     rank = comb(b.rank + k - 1, k)
-    return FormalBundle(rank, _power_classes(b, k, 1, rank), b.table, exact_rank=b.exact_rank)
+    return FormalBundle(rank, _power_classes(b, k, 1, rank), b.table)
 
 
 def wedge_power(b: FormalBundle, k: int) -> FormalBundle:
@@ -194,7 +156,7 @@ def wedge_power(b: FormalBundle, k: int) -> FormalBundle:
     if not 0 <= k <= b.rank:
         raise BundleError(f"wedge exponent {k} out of range for rank {b.rank}")
     rank = comb(b.rank, k)
-    return FormalBundle(rank, _power_classes(b, k, -1, rank), b.table, exact_rank=b.exact_rank)
+    return FormalBundle(rank, _power_classes(b, k, -1, rank), b.table)
 
 
 def _power_classes(b: FormalBundle, k: int, sign: int, rank: int) -> tuple[GradedPoly, ...]:
@@ -220,9 +182,7 @@ def universal_chern(r: int, k: int, trunc: int) -> tuple[GradedPoly, ...]:
     classes e_1..e_trunc (free above the rank too)."""
     names = tuple(f"e{i}" for i in range(1, trunc + 1))
     table = VariableTable(names, tuple(range(1, trunc + 1)))
-    generic = FormalBundle(
-        r, [GradedPoly.variable(table, n) for n in names], table, exact_rank=False
-    )
+    generic = FormalBundle(r, [GradedPoly.variable(table, n) for n in names], table)
     return sym_power(generic, k).chern
 
 
@@ -232,18 +192,13 @@ def direct_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:
         raise BundleError("direct sum over different tables")
     trunc = min(a.truncation, b.truncation)
     total = series_mul(a.total_chern(), b.total_chern(), trunc)
-    return FormalBundle(a.rank + b.rank, tuple(total[1:]), a.table, exact_rank=False)
+    return FormalBundle(a.rank + b.rank, tuple(total[1:]), a.table)
 
 
-def sequence_quotient(
-    total: FormalBundle, sub: FormalBundle, assert_rank: bool = True
-) -> FormalBundle:
-    """Quotient bundle of an exact sequence 0 -> sub -> total -> Q -> 0,
-    via the Whitney formula c(Q) = c(total) / c(sub).
-
-    With assert_rank=True, nonzero series terms beyond the quotient's rank
-    are reported as an exactness inconsistency.
-    """
+def sequence_quotient(total: FormalBundle, sub: FormalBundle) -> FormalBundle:
+    """Quotient class of an exact sequence 0 -> sub -> total -> Q -> 0,
+    via the Whitney formula c(Q) = c(total) / c(sub), of rank
+    rank(total) - rank(sub); series terms beyond that rank are kept."""
     if total.table != sub.table:
         raise BundleError("bundles over different tables")
     if sub.rank > total.rank:
@@ -251,7 +206,7 @@ def sequence_quotient(
     trunc = min(total.truncation, sub.truncation)
     q = series_mul(total.total_chern(), series_inverse(sub.total_chern(), trunc), trunc)
     rank = total.rank - sub.rank
-    return FormalBundle(rank, tuple(q[1:]), total.table, exact_rank=assert_rank)
+    return FormalBundle(rank, tuple(q[1:]), total.table)
 
 
 # -- Chern character ----------------------------------------------------------
@@ -283,7 +238,7 @@ def chern_from_character(ch: list[GradedPoly], rank: int) -> FormalBundle:
             (Fraction((-1) ** (i - 1) * factorial(i), k), e[k - i], ch[i]) for i in range(1, k + 1)
         ]
         e.append(linear_combination(table, terms))
-    return FormalBundle(rank, tuple(e[1:]), table, exact_rank=False)
+    return FormalBundle(rank, tuple(e[1:]), table)
 
 
 # -- twist solvers for the canonical-embedding models -------------------------
@@ -451,10 +406,10 @@ def _verify_trigonal(
     table = VariableTable(("l1", "l2"), (1, 2))
     l1 = GradedPoly.variable(table, "l1")
     l2 = GradedPoly.variable(table, "l2")
-    hodge = FormalBundle(g, (l1, l2), table, exact_rank=False)
+    hodge = FormalBundle(g, (l1, l2), table)
     lhs = twist(hodge, LineClass(l1 * t))
     beta2 = r * l1 * l1 + s * l2
-    v = FormalBundle(2, (GradedPoly.zero(table), beta2), table, exact_rank=False)
+    v = FormalBundle(2, (GradedPoly.zero(table), beta2), table)
     rhs = direct_sum(sym_power(v, a), twist(sym_power(v, b), LineClass(l1 * q)))
     if rhs.rank != g or lhs.c(1) != rhs.c(1) or lhs.c(2) != rhs.c(2):
         raise BundleError("trigonal twist solution failed verification")

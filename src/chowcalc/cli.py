@@ -34,6 +34,8 @@ def _load_config(path: str) -> dict[str, str]:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
         out[key] = value
     return out
 

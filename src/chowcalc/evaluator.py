@@ -358,7 +358,7 @@ class Evaluator:
 
     def _div(self, a: Any, b: Any) -> Any:
         if isinstance(a, bundles.FormalBundle) and isinstance(b, bundles.FormalBundle):
-            return bundles.sequence_quotient(a, b, assert_rank=False)
+            return bundles.sequence_quotient(a, b)
         if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
             if b == 0:
                 raise EvalError("division by zero")
@@ -413,7 +413,7 @@ class Evaluator:
                 raise EvalError("bundle classes must be polynomials (or 0)")
         while len(cs) < self.trunc:
             cs.append(GradedPoly.zero(table))
-        return bundles.FormalBundle(rank, tuple(cs[: self.trunc]), table, exact_rank=False)
+        return bundles.FormalBundle(rank, tuple(cs[: self.trunc]), table)
 
     def _call(self, node: Call, env: Mapping[str, Any]) -> Any:
         name = node.name

@@ -178,9 +178,9 @@ def pushforward_bundle(k: int, g: int, trunc: int) -> FormalBundle:
 def hodge_bundle(g: int, trunc: int) -> FormalBundle:
     """The rank-g Hodge bundle over the free kappa-ring; lambda_i := c_i.
 
-    For g < trunc the classes above the rank are the raw pushforward output
-    (they encode relations on the actual moduli space rather than vanishing
-    identically), so the rank assertion is deliberately not enforced.
+    For g < trunc the classes above the rank are the raw pushforward output:
+    they encode relations on the actual moduli space rather than vanishing
+    identically, and are kept like every class of a bundle.
     """
     if g < 2:
         raise ValueError("genus must be >= 2")
@@ -193,7 +193,7 @@ def quadrics_bundle(g: int, trunc: int) -> FormalBundle:
     if g < 3:
         raise ValueError("need genus >= 3")
     hodge = hodge_bundle(g, trunc)
-    return sequence_quotient(sym_power(hodge, 2), pushforward_bundle(2, g, trunc), assert_rank=False)
+    return sequence_quotient(sym_power(hodge, 2), pushforward_bundle(2, g, trunc))
 
 
 # -- the Pluecker-sequence decomposition ---------------------------------------
@@ -216,13 +216,13 @@ def mukai_bundle(trunc: int) -> FormalBundle:
         GradedPoly.variable(table, f"v{i}") if i <= 5 else GradedPoly.zero(table)
         for i in range(1, trunc + 1)
     )
-    return FormalBundle(5, cs, table, exact_rank=False)
+    return FormalBundle(5, cs, table)
 
 
 def hodge_model_bundle(trunc: int) -> FormalBundle:
     table = mukai_model_table(trunc)
     cs = tuple(GradedPoly.variable(table, f"lambda{i}") for i in range(1, trunc + 1))
-    return FormalBundle(6, cs, table, exact_rank=False)
+    return FormalBundle(6, cs, table)
 
 
 def plucker_sequence_decomposition(trunc: int = 4) -> FormalBundle:
@@ -241,10 +241,10 @@ def plucker_sequence_decomposition(trunc: int = 4) -> FormalBundle:
     table = mukai_model_table(trunc)
     low = min(4, trunc)
     v, e = (
-        FormalBundle(b.rank, b.chern[:low], table, exact_rank=False)
+        FormalBundle(b.rank, b.chern[:low], table)
         for b in (mukai_bundle(trunc), hodge_model_bundle(trunc))
     )
     eprime = twist(e, LineClass(GradedPoly.variable(table, "ell")))
-    f = sequence_quotient(wedge_power(v, 2), eprime, assert_rank=False)
+    f = sequence_quotient(wedge_power(v, 2), eprime)
     zeros = (GradedPoly.zero(table),) * (trunc - low)
-    return FormalBundle(f.rank, f.chern + zeros, table, exact_rank=False)
+    return FormalBundle(f.rank, f.chern + zeros, table)

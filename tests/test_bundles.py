@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chowcalc.algebra import GradedPoly, VariableTable, monomial_basis
+from chowcalc.algebra import ExactMatrix, GradedPoly, VariableTable, monomial_basis
 from chowcalc.bundles import (
     BundleError,
-    ExactnessError,
     FormalBundle,
     LineClass,
     bundle_from_line_classes,
@@ -48,7 +47,7 @@ def generic_bundle(rank, trunc=D, salt=1):
         for j, exps in enumerate(monomial_basis(TABLE, i)):
             acc = acc + GradedPoly.monomial(TABLE, exps, ((salt + j) % 5) - 2)
         cs.append(acc)
-    return FormalBundle(rank, tuple(cs), TABLE, exact_rank=False)
+    return FormalBundle(rank, tuple(cs), TABLE)
 
 
 def test_chern_class_index_must_be_nonnegative():
@@ -220,16 +219,14 @@ def _split(classes):
 
 def _virtual():
     """x = A - L for split A of rank 3 and a line L; x has rank 2, c3, c4 != 0."""
-    x = sequence_quotient(_split(A_LINES), _split([U]), assert_rank=False)
+    x = sequence_quotient(_split(A_LINES), _split([U]))
     assert x.rank == 2 and not x.c(3).is_zero() and not x.c(4).is_zero()
     return x
 
 
 def test_twist_of_virtual_class():
     tw = twist(_virtual(), LineClass(S))
-    oracle = sequence_quotient(
-        _split([a + S for a in A_LINES]), _split([U + S]), assert_rank=False
-    )
+    oracle = sequence_quotient(_split([a + S for a in A_LINES]), _split([U + S]))
     assert tw == oracle
 
 
@@ -237,14 +234,14 @@ def test_sym2_of_virtual_class():
     # Sym^2 (A - L) = Sym^2 A - A (x) L
     sym2_a = _split([A_LINES[i] + A_LINES[j] for i in range(3) for j in range(i, 3)])
     a_l = _split([a + U for a in A_LINES])
-    assert sym_power(_virtual(), 2) == sequence_quotient(sym2_a, a_l, assert_rank=False)
+    assert sym_power(_virtual(), 2) == sequence_quotient(sym2_a, a_l)
 
 
 def test_wedge2_of_virtual_class():
     # wedge^2 (A - L) = wedge^2 A + L^2 - A (x) L
     wedge2_a = _split([A_LINES[i] + A_LINES[j] for i in range(3) for j in range(i + 1, 3)])
     a_l = _split([a + U for a in A_LINES])
-    oracle = sequence_quotient(direct_sum(wedge2_a, _split([2 * U])), a_l, assert_rank=False)
+    oracle = sequence_quotient(direct_sum(wedge2_a, _split([2 * U])), a_l)
     assert wedge_power(_virtual(), 2) == oracle
 
 
@@ -261,14 +258,14 @@ def test_whitney_sum_multiplies_total_classes():
 
 def test_quotient_recovers_summand():
     a, b = generic_bundle(3, salt=3), generic_bundle(4, salt=4)
-    q = sequence_quotient(direct_sum(a, b), a, assert_rank=False)
+    q = sequence_quotient(direct_sum(a, b), a)
     assert q.rank == b.rank
     assert list(q.chern) == list(b.chern)
 
 
 def test_quotient_by_trivial_is_identity():
     b = generic_bundle(4)
-    q = sequence_quotient(b, trivial_bundle(TABLE, 1, D), assert_rank=False)
+    q = sequence_quotient(b, trivial_bundle(TABLE, 1, D))
     assert q.rank == 3
     assert list(q.chern) == list(b.chern)
 
@@ -277,10 +274,8 @@ def test_quotient_reports_exactness_violation():
     total = generic_bundle(3, salt=5)
     sub = FormalBundle(1, (T, ZERO, ZERO, ZERO), TABLE)
     # generic classes cannot come from a rank-2 quotient: c3 of the series
-    # is nonzero, which assert_rank must flag
-    with pytest.raises(ExactnessError):
-        sequence_quotient(total, sub, assert_rank=True)
-    raw = sequence_quotient(total, sub, assert_rank=False)
+    # is nonzero, and the quotient class keeps it
+    raw = sequence_quotient(total, sub)
     assert not raw.c(3).is_zero()
 
 
@@ -312,7 +307,7 @@ def test_character_roundtrip_rank3_trunc5():
     table = VariableTable(("a", "b", "c", "d", "e"), (1, 2, 3, 4, 5))
     cs = tuple(GradedPoly.variable(table, n) for n in ("a", "b", "c"))
     b = FormalBundle(3, cs + (GradedPoly.variable(table, "d"),
-                              GradedPoly.variable(table, "e")), table, exact_rank=False)
+                              GradedPoly.variable(table, "e")), table)
     back = chern_from_character(chern_character(b), 3)
     assert list(back.chern) == list(b.chern)
 
@@ -400,7 +395,7 @@ def bundles_strategy(draw, min_rank=3, max_rank=5):
         for exps in monomial_basis(TABLE, i):
             acc = acc + GradedPoly.monomial(TABLE, exps, draw(st.integers(-3, 3)))
         cs.append(acc)
-    return FormalBundle(rank, tuple(cs), TABLE, exact_rank=False)
+    return FormalBundle(rank, tuple(cs), TABLE)
 
 
 LINE_CLASSES = st.builds(
@@ -413,7 +408,7 @@ LINE_CLASSES = st.builds(
 
 @given(bundles_strategy(), bundles_strategy())
 def test_property_whitney_quotient_roundtrip(a, b):
-    q = sequence_quotient(direct_sum(a, b), a, assert_rank=False)
+    q = sequence_quotient(direct_sum(a, b), a)
     assert q.rank == b.rank and list(q.chern) == list(b.chern)
 
 
@@ -438,14 +433,21 @@ def test_property_character_is_additive_and_twist_multiplicative(b, t):
     assert ch_tw[1] == ch[1] + b.rank * t
 
 
-# -- rank assertions ------------------------------------------------------------------------
+# -- classes above the rank ----------------------------------------------------------------
 
 
-def test_rank_assertion_rejects_high_classes():
-    with pytest.raises(ExactnessError):
-        FormalBundle(1, (T, T**2, ZERO, ZERO), TABLE)
+def test_classes_above_the_rank_are_kept():
+    b = FormalBundle(1, (T, T**2, ZERO, ZERO), TABLE)
+    assert b.rank == 1 and b.c(2) == T**2
+    listed = FormalBundle(1, [T, T**2, ZERO, ZERO], TABLE)
+    assert listed == b and hash(listed) == hash(b) and isinstance(listed.chern, tuple)
 
 
-def test_exact_rank_false_permits_formal_models():
-    b = FormalBundle(1, (T, T**2, ZERO, ZERO), TABLE, exact_rank=False)
-    assert b.rank == 1
+def test_values_are_immutable():
+    m, b, h = ExactMatrix([[1, 2], [3, 4]]), rank2_bundle(), hash(W1)
+    for value, name in ((W1, "table"), (W1, "_hash"), (m, "rows"), (b, "rank"), (b, "chern")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert W1.table == TABLE and hash(W1) == h and m.rows == 2 and b.rank == 2

@@ -55,7 +55,7 @@ def test_mukai_bookkeeping_fails_on_a_wrong_rank(monkeypatch):
 
     def rank3(trunc):
         f = real(trunc)
-        return bundles.FormalBundle(3, f.chern, f.table, exact_rank=False)
+        return bundles.FormalBundle(3, f.chern, f.table)
 
     monkeypatch.setattr(grr, "plucker_sequence_decomposition", rank3)
     (result,) = checks.run_suite(("mukai-bookkeeping",))
@@ -223,6 +223,19 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "config error: unknown key 'fromat' (known: format, only, trunc)\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [("trunc = 4\ntrunc = 1x\n", "trunc"), ("only = strata-dimensions\nonly = nope\n", "only")],
+)
+def test_cli_config_rejects_duplicate_key(tmp_path, capsys, text, key):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(text)
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: duplicate key {key!r}\n"
 
 
 def test_cli_flags_override_config(tmp_path, capsys):

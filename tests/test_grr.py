@@ -228,7 +228,7 @@ def test_plucker_decomposition_ranks():
     middle = wedge_power(mukai_bundle(D), 2)
     eprime = twist(hodge_model_bundle(D), LineClass(GradedPoly.variable(table, "ell")))
     assert (f.rank, eprime.rank, middle.rank) == (4, 6, 10)
-    assert f.table == table and f.truncation == D and not f.exact_rank
+    assert f.table == table and f.truncation == D
 
 
 def _full_truncation_f(trunc):
@@ -237,17 +237,16 @@ def _full_truncation_f(trunc):
     table = mukai_model_table(trunc)
     middle = wedge_power(mukai_bundle(trunc), 2)
     eprime = twist(hodge_model_bundle(trunc), LineClass(GradedPoly.variable(table, "ell")))
-    q = sequence_quotient(middle, eprime, assert_rank=False)
+    q = sequence_quotient(middle, eprime)
     zero = GradedPoly.zero(table)
     cs = tuple(q.c(i) if i <= 4 else zero for i in range(1, trunc + 1))
-    return FormalBundle(4, cs, table, exact_rank=False)
+    return FormalBundle(4, cs, table)
 
 
 @pytest.mark.parametrize("trunc", range(9))
 def test_f_matches_full_truncation_quotient(trunc):
     f = plucker_sequence_decomposition(trunc)
     assert f == _full_truncation_f(trunc)
-    assert not f.exact_rank
 
 
 def test_f1_leading_terms():
@@ -303,7 +302,7 @@ def test_plane_quintic_model_untwists_by_a_quarter():
     cs = tuple(GradedPoly.variable(table, f"v{i}") for i in (1, 2, 3))
     from chowcalc.bundles import FormalBundle
 
-    v = FormalBundle(3, cs + (GradedPoly.zero(table),), table, exact_rank=False)
+    v = FormalBundle(3, cs + (GradedPoly.zero(table),), table)
     s2 = sym_power(v, 2)
     assert s2.rank == 6  # the Hodge rank in genus 6
     assert s2.c(1) == 4 * v.c(1)

@@ -6,6 +6,10 @@ A name is reached when it is used as an identifier (a Name, an Attribute or
 an import alias) in src/chowcalc or scripts/, outside its own definition, or
 when it is a word inside a string in benchmarks/, whose tracer hooks
 library functions by name.
+
+Every file is parsed with the grammar of Python 3.10, the floor of
+requires-python, so syntax that only a newer interpreter accepts fails here
+even where 3.10 itself is not installed.
 """
 import ast
 import re
@@ -16,8 +20,12 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _modules(directory):
-    """(module name, syntax tree) for each Python file of `directory`."""
-    return [(p.stem, ast.parse(p.read_text(), str(p))) for p in sorted(directory.glob("*.py"))]
+    """(module name, syntax tree) for each Python file of `directory`,
+    parsed with the Python 3.10 grammar."""
+    return [
+        (p.stem, ast.parse(p.read_text(), str(p), feature_version=(3, 10)))
+        for p in sorted(directory.glob("*.py"))
+    ]
 
 
 def _identifiers(modules):
@@ -63,3 +71,8 @@ def test_every_public_definition_is_reached_outside_the_tests():
         and stmt.name not in reached
     ]
     assert unreached == []
+
+
+def test_every_python_file_parses_with_the_3_10_grammar():
+    for directory in ("src/chowcalc", "scripts", "benchmarks", "tests"):
+        assert _modules(ROOT / directory)
