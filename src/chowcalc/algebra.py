@@ -12,17 +12,34 @@ Algebra*, section 6.2): each operand is scaled to integers by the LCM of
 its denominators, integer numerators are accumulated over the LCM of all
 the pairs' denominators, and every output term is divided once.  Per-term work is then integer
 multiplication and addition instead of Fraction arithmetic, which reduces
-by a gcd on every operation.  Results from internal operations are built
-with the trusted ``GradedPoly._from_clean``; the public constructor keeps
-full validation.
+by a gcd on every operation.
+
+The kernel works on packed exponent vectors (Johnson 1974; Monagan and
+Pearce, CASC 2007): an exponent vector is one int with a fixed bit field per
+variable, so the product of two monomials is one integer addition and the
+accumulator is keyed by ints; each distinct output key is unpacked into an
+exponent tuple once.  A polynomial's integer content (the LCM of its
+denominators and its packed keys with integer numerators) is computed at
+most once and stored on it, and every product stores the content of its
+result, so chained products, powers and series never repack.  Width rule:
+a field has at least 16 bits and holds twice the largest exponent of its
+polynomial, so a sum of two keys of one width never carries from one field
+into the next.  A call packs all its operands at the widest width stored
+among them, repacking the narrower ones, and a result whose exponents
+outgrow that width stores no content and is packed afresh, wider, when it
+is next multiplied.
+
+Results from internal operations are built with the trusted
+``GradedPoly._from_clean``; the public constructor keeps full validation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from operator import add
+from itertools import chain
+from math import gcd, lcm
+from operator import lshift, mul
 from typing import Iterable, Mapping, Sequence
 
 RationalLike = int | Fraction
@@ -65,7 +82,7 @@ class VariableTable:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def degree(self, exponents: Sequence[int]) -> int:
-        return sum(e * w for e, w in zip(exponents, self.weights))
+        return sum(map(mul, exponents, self.weights))
 
 
 @lru_cache(maxsize=None)
@@ -101,10 +118,12 @@ class GradedPoly:
     """Multivariate polynomial with rational coefficients over a VariableTable.
 
     Terms map exponent tuples to nonzero Fractions; zero coefficients are
-    never stored.  Instances are immutable.
+    never stored.  Instances are immutable.  The hash and the integer
+    content that the product kernel reads are filled in lazily; neither
+    takes part in equality.
     """
 
-    __slots__ = ("table", "_terms", "_hash")
+    __slots__ = ("table", "_terms", "_hash", "_content")
 
     def __setattr__(self, name: str, *value: object) -> None:
         """Assignment and deletion (``__delattr__``) both fail; internal
@@ -126,6 +145,7 @@ class GradedPoly:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_terms", cleaned)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_content", None)
 
     @staticmethod
     def _from_clean(table: VariableTable, terms: dict[tuple[int, ...], Fraction]) -> "GradedPoly":
@@ -136,6 +156,7 @@ class GradedPoly:
         object.__setattr__(p, "table", table)
         object.__setattr__(p, "_terms", terms)
         object.__setattr__(p, "_hash", None)
+        object.__setattr__(p, "_content", None)
         return p
 
     # -- constructors ------------------------------------------------------
@@ -277,14 +298,17 @@ class GradedPoly:
     def __pow__(self, k: int) -> "GradedPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = GradedPoly.one(self.table)
+        if k == 0:
+            return GradedPoly.one(self.table)
+        out = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -333,28 +357,68 @@ def mul_trunc(a: GradedPoly, b: GradedPoly, max_degree: int) -> GradedPoly:
     return (a * b).truncate(max_degree)
 
 
-def _integer_content(p: GradedPoly) -> tuple[int, list]:
-    """(L, [(e, L*c)]) where L is the LCM of the denominators of p."""
-    den = lcm(*[c.denominator for c in p._terms.values()])
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in p._terms.items()]
+def _field_width(top: int) -> int:
+    """Bits per exponent field for exponents of at most `top`: twice `top`
+    must fit in one field, so that a sum of two keys never carries from one
+    field into the next, and no field is narrower than 16 bits."""
+    return max(16, (2 * top).bit_length())
 
 
-def _sum_products(table: VariableTable, pairs: list, den: int) -> GradedPoly:
-    """sum s*a*b/den over the (s, a, b) in pairs, a and b given by integer
-    content: the one inner loop of every product and sum of products."""
-    acc: dict[tuple[int, ...], int] = {}
+def _integer_content(p: GradedPoly, width: int = 0) -> tuple:
+    """(L, [(key, L*c)], width, top) for p: L is the LCM of the denominators
+    of p, each key is an exponent vector packed `width` bits per field
+    (variable i in bits i*width and up), and every exponent of p is at most
+    `top`, with ``_field_width(top) <= width``.  Stored on p, so it is
+    computed once per polynomial; products store the content of their
+    results.  A stored content narrower than `width` is repacked at
+    `width`; a new content is packed at `width`, or wider if p needs it."""
+    c = p._content
+    if c is None or c[2] < width:
+        terms = p._terms
+        top = max(chain.from_iterable(terms), default=0)
+        width = max(width, _field_width(top))
+        shifts = range(0, len(p.table) * width, width)
+        den = lcm(*[q.denominator for q in terms.values()])
+        keyed = [
+            (sum(map(lshift, e, shifts)), q.numerator * (den // q.denominator))
+            for e, q in terms.items()
+        ]
+        c = (den, keyed, width, top)
+        object.__setattr__(p, "_content", c)
+    return c
+
+
+def _sum_products(table: VariableTable, pairs: list, den: int, width: int, top: int) -> GradedPoly:
+    """sum s*a*b/den over the (s, a, b) in pairs, a and b given by the packed
+    keys and numerators of their integer contents at `width`, with `top`
+    bounding every exponent of the result: the one inner loop of every
+    product and sum of products.  The result carries its content when
+    `width` can hold its exponents; otherwise it is packed afresh, wider,
+    when it is next multiplied."""
+    acc: dict[int, int] = {}
     for scale, na, nb in pairs:
-        for e1, n1 in na:
+        for k1, n1 in na:
             n1 *= scale
-            for e2, n2 in nb:
-                e = tuple(map(add, e1, e2))
-                if e in acc:
-                    acc[e] += n1 * n2
+            for k2, n2 in nb:
+                k = k1 + k2
+                if k in acc:
+                    acc[k] += n1 * n2
                 else:
-                    acc[e] = n1 * n2
+                    acc[k] = n1 * n2
+    keyed = [(k, n) for k, n in acc.items() if n]
+    shifts = range(0, len(table) * width, width)
+    mask = (1 << width) - 1
     if den == 1:  # integer operands, the common case: no gcd to take
-        return GradedPoly._from_clean(table, {e: Fraction(n) for e, n in acc.items() if n})
-    return GradedPoly._from_clean(table, {e: Fraction(n, den) for e, n in acc.items() if n})
+        terms = {tuple([k >> s & mask for s in shifts]): Fraction(n) for k, n in keyed}
+    else:
+        g = gcd(den, *[n for _, n in keyed])
+        den //= g
+        keyed = [(k, n // g) for k, n in keyed]
+        terms = {tuple([k >> s & mask for s in shifts]): Fraction(n, den) for k, n in keyed}
+    p = GradedPoly._from_clean(table, terms)
+    if _field_width(top) <= width:
+        object.__setattr__(p, "_content", (den, keyed, width, top))
+    return p
 
 
 def _product(a: GradedPoly, b: GradedPoly) -> GradedPoly:
@@ -362,8 +426,9 @@ def _product(a: GradedPoly, b: GradedPoly) -> GradedPoly:
     shared-operand and common-denominator bookkeeping, which small products
     would pay for."""
     a._check(b)
-    (da, na), (db, nb) = _integer_content(a), _integer_content(b)
-    return _sum_products(a.table, [(1, na, nb)], da * db)
+    width = max(_integer_content(a)[2], _integer_content(b)[2])
+    (da, na, _, ta), (db, nb, _, tb) = _integer_content(a, width), _integer_content(b, width)
+    return _sum_products(a.table, [(1, na, nb)], da * db, width, ta + tb)
 
 
 def linear_combination(
@@ -372,21 +437,29 @@ def linear_combination(
     """sum q*a*b over the (q, a, b) in `terms`, all over `table`.  Each pair is
     scaled to integers by its own denominator, the numerators accumulate over
     the LCM of those denominators, and each output term is divided once."""
-    contents: dict[int, tuple] = {}  # id(p) -> (p, content); holding p pins its id
-    pairs = []
+    operands: dict[int, GradedPoly] = {}  # id(p) -> p; holding p pins its id
+    triples = []
     for q, a, b in terms:
         for p in (a, b):
             if p.table != table:
                 msg = f"variable tables differ: {table.names} vs {p.table.names}"
                 raise TableMismatchError(msg)
-            if id(p) not in contents:
-                contents[id(p)] = (p, _integer_content(p))
         if q:
-            (da, na), (db, nb) = contents[id(a)][1], contents[id(b)][1]
-            pairs.append((q.numerator, q.denominator * da * db, na, nb))
+            operands[id(a)] = a
+            operands[id(b)] = b
+            triples.append((q, id(a), id(b)))
+    # One width for every operand, the widest that any of them is stored at.
+    width = max([_integer_content(p)[2] for p in operands.values()], default=16)
+    content = {i: _integer_content(p, width) for i, p in operands.items()}
+    pairs = []
+    top = 0
+    for q, a, b in triples:
+        (da, na, _, ta), (db, nb, _, tb) = content[a], content[b]
+        pairs.append((q.numerator, q.denominator * da * db, na, nb))
+        top = max(top, ta + tb)
     den = lcm(*[d for _, d, _, _ in pairs])
     scaled = [(n * (den // d), na, nb) for n, d, na, nb in pairs]
-    return _sum_products(table, scaled, den)
+    return _sum_products(table, scaled, den, width, top)
 
 
 def series_mul(a: Sequence[GradedPoly], b: Sequence[GradedPoly], trunc: int) -> list[GradedPoly]:

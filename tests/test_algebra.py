@@ -440,6 +440,60 @@ def test_power_matches_repeated_fraction_products(p, k):
     assert r == expected  # square-and-multiply groups the factors differently
 
 
+def test_power_matches_repeated_products_up_to_nine():
+    binomial = _as_poly({(1, 0, 0): 1, (0, 1, 0): -2})
+    with_denominators = _as_poly({(1, 0, 0): Fraction(1, 3), (0, 0, 1): Fraction(-5, 7)})
+    for p in (GradedPoly.zero(WTABLE), GradedPoly.constant(WTABLE, Fraction(-2, 3)),
+              with_denominators, binomial):
+        expected = GradedPoly.one(WTABLE)
+        for k in range(10):
+            r = p**k
+            _assert_clean(r)
+            assert r == expected, k
+            expected = expected * p
+        with pytest.raises(ValueError, match="negative power"):
+            p**-1
+
+
+# Exponents at and around the 16-bit field boundary and far past it: the
+# kernel packs an exponent vector into one int, with a field per variable,
+# and a sum of two keys must never carry from one field into the next, also
+# for keys that an earlier product packed.
+big_exponents = st.sampled_from((0, 1, 2**15 - 1, 2**15, 2**16 - 1, 2**16, 2**40))
+big_wpolys = st.dictionaries(
+    st.tuples(big_exponents, big_exponents, big_exponents), coefficients, max_size=4
+).map(_as_poly)
+
+
+@given(big_wpolys, big_wpolys, big_wpolys)
+@example(_as_poly({(2**15 - 1, 0, 1): 1}), _as_poly({(2**15 - 1, 0, 0): 1}),
+         _as_poly({(2**15, 1, 0): 1, (0, 0, 1): 3}))
+def test_products_of_large_exponents_never_carry(a, b, c):
+    ab, bc = a * b, b * c
+    assert list(ab.items()) == _ref_mul(a, b)
+    assert list((ab * c).items()) == _ref_mul(_as_poly(_ref_mul(a, b)), c)
+    assert list((a * bc).items()) == _ref_mul(a, _as_poly(_ref_mul(b, c)))
+    assert list((ab * ab).items()) == _ref_mul(ab, ab)
+    terms = [(Fraction(1, 3), a, b), (2, ab, c), (-1, a, bc), (1, c, c)]
+    assert dict(linear_combination(WTABLE, terms).items()) == _ref_linear_combination(terms)
+
+
+def test_stored_content_leaves_equality_hashing_and_immutability_alone():
+    a = _x_plus_y(Fraction(1, 3), 2)
+    b = _x_plus_y(Fraction(1, 3), 2)
+    a * a  # a now stores its integer content; b does not
+    assert a._content is not None and b._content is None
+    assert a == b and hash(a) == hash(b)
+    product = a * b  # a product stores the content of its result
+    fresh = _as_poly(product.items())
+    assert product._content is not None and fresh._content is None
+    assert product == fresh and hash(product) == hash(fresh)
+    with pytest.raises(AttributeError):
+        a._content = None
+    with pytest.raises(AttributeError):
+        del product._content
+
+
 def test_public_constructor_validates_exponents():
     for bad in ((1,), (1, 0, 0), (1, -1)):
         with pytest.raises(ValueError, match="bad exponent vector"):

@@ -273,6 +273,17 @@ def test_eval_rationals_print_as_fractions():
     assert format_value(Evaluator().run("4/2")) == "2"
 
 
+# Exponents past 16 bits: the product kernel packs each exponent vector into
+# one int, and a sum of two keys must never carry into the next variable.
+@pytest.mark.parametrize(
+    "src, printed",
+    [("k1^2^3^4", "k1^2417851639229258349412352"), ("k1^40000 * k1^40000", "k1^80000")],
+)
+def test_cli_eval_prints_huge_exponents_exactly(src, printed, capsys):
+    assert main(["eval", src]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
 def test_intersection_numbers():
     ev = Evaluator()
     assert ev.run("intersect(F[2], E, E)") == -2
