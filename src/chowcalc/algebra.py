@@ -34,13 +34,14 @@ Results from internal operations are built with the trusted
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import lshift, mul
 from typing import Iterable, Mapping, Sequence
+
+from ._record import immutable, record
 
 RationalLike = int | Fraction
 
@@ -53,7 +54,7 @@ class TableMismatchError(ValueError):
     """Raised when combining polynomials over different variable tables."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VariableTable:
     """Ordered variables with positive integer weights (graded degrees)."""
 
@@ -124,13 +125,7 @@ class GradedPoly:
     """
 
     __slots__ = ("table", "_terms", "_hash", "_content")
-
-    def __setattr__(self, name: str, *value: object) -> None:
-        """Assignment and deletion (``__delattr__``) both fail; internal
-        construction goes through ``object.__setattr__``."""
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = immutable
 
     def __init__(self, table: VariableTable, terms: Mapping[tuple[int, ...], RationalLike]):
         cleaned: dict[tuple[int, ...], Fraction] = {}
@@ -514,7 +509,7 @@ def format_poly(p: GradedPoly) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RowReduction:
     rank: int
     rref: "ExactMatrix"
@@ -526,7 +521,7 @@ class ExactMatrix:
     """Dense matrix of Fractions with deterministic exact row reduction."""
 
     __slots__ = ("rows", "cols", "entries")
-    __setattr__ = __delattr__ = GradedPoly.__setattr__
+    __setattr__ = __delattr__ = immutable
 
     def __init__(self, entries: Sequence[Sequence[RationalLike]], cols: int | None = None):
         rows = [tuple(rat(x) for x in row) for row in entries]

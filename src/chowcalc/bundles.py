@@ -19,16 +19,17 @@ enter every formula and are never dropped or checked.  Everything is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from . import geometry
+from ._record import record
 from .algebra import (
     GradedPoly,
     RationalLike,
     VariableTable,
+    format_rational,
     linear_combination,
     rat,
     series_inverse,
@@ -40,7 +41,7 @@ class BundleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LineClass:
     """A line bundle, recorded by its first Chern class (degree 1)."""
 
@@ -51,7 +52,7 @@ class LineClass:
             raise BundleError("a line class must be homogeneous of degree 1")
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class FormalBundle:
     """Rank plus Chern classes c_1..c_D over one variable table, read as a
     lambda-ring class: classes above the rank may be nonzero (virtual
@@ -60,6 +61,7 @@ class FormalBundle:
     Sym^2 A - A (x) L, not the power of a rank-r bundle with c_(r+1..) cut.
     """
 
+    __slots__ = ("rank", "chern", "table")
     rank: int
     chern: tuple[GradedPoly, ...]
     table: VariableTable
@@ -244,7 +246,7 @@ def chern_from_character(ch: list[GradedPoly], rank: int) -> FormalBundle:
 # -- twist solvers for the canonical-embedding models -------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HyperellipticTwist:
     """Solution of Sym^(g-1) W = Hodge for a rank-2 W: w1 = coefficient * lambda1."""
 
@@ -252,8 +254,6 @@ class HyperellipticTwist:
     coefficient: Fraction  # w1 = coefficient * lambda1
 
     def __str__(self) -> str:
-        from .algebra import format_rational
-
         return f"w1 = {format_rational(self.coefficient)} * lambda1"
 
 
@@ -274,7 +274,7 @@ def solve_hyperelliptic_twist(g: int) -> HyperellipticTwist:
     return HyperellipticTwist(genus=g, coefficient=Fraction(1) / lead)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnimodularTwist:
     """Solution of V (x) L = Hodge with det V trivial: c1(L) = lambda1 / rank."""
 
@@ -282,8 +282,6 @@ class UnimodularTwist:
     coefficient: Fraction
 
     def __str__(self) -> str:
-        from .algebra import format_rational
-
         return f"c1(L) = {format_rational(self.coefficient)} * lambda1"
 
 
@@ -301,7 +299,7 @@ def solve_unimodular_twist(rank: int) -> UnimodularTwist:
     return UnimodularTwist(rank=rank, coefficient=coeff)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrigonalTwist:
     """Chern-class comparison data for the scroll decomposition of a trigonal
     canonical embedding: Hodge (x) M = Sym^a V + L (x) Sym^b V with rank-2 V,
@@ -328,11 +326,10 @@ class TrigonalTwist:
     convention: str
 
     def __str__(self) -> str:
-        from .algebra import format_rational as fr
-
         return (
-            f"alpha1 = {fr(self.q)} * lambda1, "
-            f"beta2 = {fr(self.r)} * lambda1^2 + {fr(self.s)} * lambda2  ({self.convention})"
+            f"alpha1 = {format_rational(self.q)} * lambda1, "
+            f"beta2 = {format_rational(self.r)} * lambda1^2 + "
+            f"{format_rational(self.s)} * lambda2  ({self.convention})"
         )
 
 

@@ -11,16 +11,16 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import bundles, geometry, grr, quotient, schur
+from ._record import record
 from .algebra import GradedPoly, VariableTable, format_poly, format_rational, monomial_basis
 from .expr import parse
 
 
-@dataclass
+@record(frozen=False)
 class CheckResult:
     check_id: str
     anchor: str
@@ -42,7 +42,7 @@ class CheckResult:
         }
 
 
-@dataclass
+@record(frozen=False)
 class Check:
     check_id: str
     anchor: str
@@ -50,7 +50,7 @@ class Check:
     run: Callable[["SuiteConfig"], tuple[bool, str, str]]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SuiteConfig:
     trunc: int = 4
 

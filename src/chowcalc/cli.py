@@ -8,6 +8,9 @@ Exit codes: 0 all selected checks pass / expression evaluated; 1 some check
 failed; 2 usage, parse, or evaluation error.  Configuration comes only from
 flags and the optional key=value config file; environment variables are
 never consulted, so runs are reproducible.
+
+Only ``verify`` imports the check battery (``chowcalc.checks``, and with it
+``json``): ``eval`` and ``repl`` start without it.
 """
 from __future__ import annotations
 
@@ -15,7 +18,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import checks
 from .evaluator import EvalError, Evaluator, format_value, statements
 from .expr import ParseError
 
@@ -68,6 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    from . import checks
+
     trunc = args.trunc
     only = args.only
     fmt = args.format

@@ -18,7 +18,8 @@ Parse errors carry a position and the expected token set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import record
+
 
 
 class ParseError(ValueError):
@@ -29,7 +30,7 @@ class ParseError(ValueError):
         super().__init__(f"{message} at position {position}{suffix}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str  # 'number' | 'ident' | 'op'
     text: str
@@ -73,7 +74,7 @@ def tokenize(src: str) -> list[Token]:
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Num:
     value: int
 
@@ -81,7 +82,7 @@ class Num:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
 
@@ -89,7 +90,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Neg:
     arg: "Expr"
 
@@ -97,7 +98,7 @@ class Neg:
         return f"-{_wrap(self.arg)}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BinOp:
     op: str  # + - * / ^
     left: "Expr"
@@ -118,7 +119,7 @@ class BinOp:
         return f"{left} {self.op} {right}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Call:
     name: str
     args: tuple["Expr", ...]
@@ -127,7 +128,7 @@ class Call:
         return f"{self.name}({', '.join(a.to_source() for a in self.args)})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Index:
     name: str
     args: tuple["Expr", ...]
@@ -136,7 +137,7 @@ class Index:
         return f"{self.name}[{', '.join(a.to_source() for a in self.args)}]"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ListExpr:
     items: tuple["Expr", ...]
 
@@ -144,7 +145,7 @@ class ListExpr:
         return f"[{', '.join(a.to_source() for a in self.items)}]"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RingExpr:
     variables: tuple[str, ...]
     weights: tuple[int, ...]
@@ -157,7 +158,7 @@ class RingExpr:
         return f"ring[{vs}; {ws}]({rs})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BundleExpr:
     rank: "Expr"
     classes: tuple["Expr", ...]
@@ -167,7 +168,7 @@ class BundleExpr:
         return f"bundle({self.rank.to_source()}; {cs})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign:
     name: str
     value: "Expr"

@@ -8,12 +8,12 @@ of the Chow ring is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from ._record import record
 from .algebra import GradedPoly, RationalLike, VariableTable, linear_combination, rat
 from .schur import Partition
 
@@ -21,7 +21,7 @@ from .schur import Partition
 # -- Hirzebruch surfaces -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HirzebruchSurfaceHandle:
     """The surface F_n itself (used by the CLI to scope E, S, F classes)."""
 
@@ -32,7 +32,7 @@ class HirzebruchSurfaceHandle:
             raise ValueError("Hirzebruch index must be >= 0")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HirzebruchClass:
     """Divisor class a*E + b*F on the Hirzebruch surface F_n, where E is the
     section of self-intersection -n, F the fiber, and S := E + n*F the
@@ -153,7 +153,7 @@ def hirzebruch_aut_dim(n: int) -> int:
 # -- Grassmannians ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Grassmannian:
     """G(k, n): k-dimensional subspaces of an n-dimensional space."""
 

@@ -15,11 +15,11 @@ the rank-4 bundle F of the linear-forms sequence
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from ._record import record
 from .algebra import GradedPoly, RationalLike, VariableTable, linear_combination, rat, series_mul
 from .bundles import (
     FormalBundle,
@@ -60,7 +60,7 @@ def todd_coefficient(j: int) -> Fraction:
     return bernoulli(j) / factorial(j)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PsiSeries:
     """Polynomial in psi with kappa-ring coefficients; coeffs[j] multiplies
     psi^j and psi itself counts one toward total degree."""

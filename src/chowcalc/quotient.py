@@ -10,16 +10,16 @@ has a known top degree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
 from typing import Mapping
 
+from ._record import record
 from .algebra import ExactMatrix, GradedPoly, VariableTable, linear_combination, monomial_basis
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RingPresentation:
     """Weighted polynomial ring modulo homogeneous relations."""
 
@@ -36,7 +36,7 @@ class RingPresentation:
                 raise ValueError("relations must be homogeneous")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GradedPiece:
     """Degree-d data: the monomials, the quotient basis (the non-pivot
     monomials of the reduced Macaulay matrix) and the normal form of every
@@ -138,7 +138,7 @@ def pairing_matrix(pres: RingPresentation, i: int, top: int) -> ExactMatrix:
     return ExactMatrix(rows, cols=len(right))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PoincareReport:
     """Outcome of the Gorenstein / Poincare-duality test on a presentation."""
 

@@ -7,15 +7,15 @@ enumeration grows exponentially with the product degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from ._record import record
 from .algebra import GradedPoly, VariableTable
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Partition:
     """Weakly decreasing positive parts, of any size."""
 
@@ -87,7 +87,7 @@ def syt_count(lam: Partition) -> int:
     return q
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SchurDecomposition:
     """Multiset of (partition, multiplicity) pairs, sorted for determinism."""
 

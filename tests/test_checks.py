@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +167,24 @@ def test_cli_verify_list(capsys):
     assert main(["verify", "--list"]) == 0
     out = capsys.readouterr().out.split()
     assert "m6-presentation" in out and len(out) == 12
+
+
+def test_cli_eval_does_not_import_the_check_battery():
+    code = (
+        "import sys\n"
+        "from chowcalc import cli\n"
+        'assert cli.main(["eval", "1+1"]) == 0\n'
+        'print("chowcalc.checks" in sys.modules)\n'
+        'assert cli.main(["verify", "--list"]) == 0\n'
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split()
+    assert lines[:2] == ["2", "False"] and "m6-presentation" in lines and len(lines) == 14
 
 
 def test_cli_eval(capsys):

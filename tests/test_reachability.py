@@ -76,3 +76,16 @@ def test_every_public_definition_is_reached_outside_the_tests():
 def test_every_python_file_parses_with_the_3_10_grammar():
     for directory in ("src/chowcalc", "scripts", "benchmarks", "tests"):
         assert _modules(ROOT / directory)
+
+
+def test_no_library_module_imports_dataclasses():
+    """Records come from ``chowcalc._record``; importing ``dataclasses``
+    (and with it ``inspect``) would put its cost back on every cold start."""
+    imports = [
+        (module, alias.name if isinstance(node, ast.Import) else node.module)
+        for module, tree in _modules(ROOT / "src" / "chowcalc")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imports and [m for m in imports if m[1] == "dataclasses"] == []
