@@ -21,6 +21,13 @@ failed.  Any ``RecursionError`` raised while a statement is parsed or run,
 whether from deeply nested input or from recursive library code, becomes
 one there too, with the message ``expression nested too deeply``.
 
+A *closed* ring literal, whose relations use only numbers, its own
+variables and arithmetic, means the same everywhere: an ``Evaluator`` keeps
+its presentation in an LRU of 1024 literals keyed by the syntax tree, so a
+re-asked literal returns the same object and the tables that
+``quotient.graded_piece`` cached for it.  Any other literal is built afresh,
+and a literal that fails is never kept.
+
 A definitions file and a repl session share one comment rule,
 ``statements``: each line is cut at its first ``#``, and blank lines are
 skipped.
@@ -28,6 +35,7 @@ skipped.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import bundles, geometry, grr, quotient, schur
@@ -245,6 +253,8 @@ class Evaluator:
             raise EvalError(f"truncation must be an integer >= 0, got {trunc!r}")
         self.trunc = trunc
         self.env: dict[str, Any] = prelude(trunc)
+        # closed ring literal -> its presentation; bounded like graded_piece
+        self._closed_rings = lru_cache(maxsize=1024)(lambda node: self._build_ring(node, {}))
 
     # -- entry points ------------------------------------------------------
 
@@ -385,6 +395,11 @@ class Evaluator:
         raise EvalError(f"cannot raise {type(a).__name__} to a power")
 
     def _ring(self, node: RingExpr, env: Mapping[str, Any]) -> quotient.RingPresentation:
+        if _closed(node):
+            return self._closed_rings(node)
+        return self._build_ring(node, env)
+
+    def _build_ring(self, node: RingExpr, env: Mapping[str, Any]) -> quotient.RingPresentation:
         table = VariableTable(node.variables, node.weights)
         child = dict(env)
         for name in node.variables:
@@ -436,6 +451,25 @@ class Evaluator:
 
 
 _CALL_CODE = Evaluator._call.__code__
+
+
+def _closed(node: RingExpr) -> bool:
+    """Whether `node` is closed (module docstring).  The walk keeps its own
+    stack, so a deep tree is left for ``eval`` to reject as it does."""
+    names = set(node.variables)
+    stack: list[Expr] = list(node.relations)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, BinOp):
+            stack += (e.left, e.right)
+        elif isinstance(e, Neg):
+            stack.append(e.arg)
+        elif isinstance(e, Var):
+            if e.name not in names:
+                return False
+        elif not isinstance(e, Num):
+            return False
+    return True
 
 
 def _innermost_call(exc: BaseException) -> str | None:

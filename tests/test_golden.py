@@ -1,0 +1,105 @@
+"""Golden transcripts: the bytes the CLI and the scripts print, regenerated
+in-process and compared with the files under tests/golden/.
+
+Timings are the only bytes left out: the ``millis`` field of the JSON report
+and the ms column of the text report.  A change that alters output on
+purpose rewrites the files with ``python scripts/update_golden.py``, so the
+change shows as a diff of them.  ``repl_input.txt`` is written by hand and
+never rewritten.
+"""
+import contextlib
+import io
+import re
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from chowcalc import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# The README examples, then the benchmark's eval corpus (copied: the tests do
+# not import benchmarks/).
+EXPRESSIONS = (
+    "dim(G(4, 10)) + 16",
+    "nf(k1^4, M6)",
+    "genus(F[2], 3*S + 1*F)",
+    "hilbert(ring[k1,k2; 1,2](127*k1^3 - 2304*k1*k2, 113*k1^4 - 36864*k2^2), 8)",
+    "integrate(G(2, 5), sigma1^6)",
+    "twist(dual(V), v1)",
+    "push(omega(2, 6) * td(6))",
+    "-k1",
+    "sym(2, V) / F",
+    "hilbert(M6, 6)",
+    "nf(k1^5, M6)",
+    "nf(k1*k2^2, M6)",
+    "plucker(G(2, 6))",
+    "plucker(G(3, 6))",
+    "plucker(G(2, 7))",
+    "integrate(G(2, 4), sigma1^4)",
+    "lr([2, 1], [2, 1])",
+    "lr([3, 1], [2, 2])",
+    "schurdim([2, 1], 4)",
+    "schurdim([3, 2, 1], 5)",
+)
+
+
+def _run(argv: list[str], stdin: str = "") -> str:
+    """What ``chowcalc <argv>`` prints to stdout, with `stdin` as its input."""
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out):
+            cli.main(argv)
+    finally:
+        sys.stdin = saved
+    return out.getvalue()
+
+
+def _verify_json(trunc: int) -> str:
+    text = _run(["verify", "--trunc", str(trunc), "--format", "json"])
+    return re.sub(r'\n *"millis": [^\n]*', "", text)
+
+
+def _verify_text() -> str:
+    return re.sub(r"^(\S+  \S+) +\d+\.\d ms", r"\1", _run(["verify", "--trunc", "4"]), flags=re.M)
+
+
+def _eval() -> str:
+    return "".join(
+        f"eval --trunc {t} -- {e}\n" + _run(["eval", "--trunc", str(t), "--", e])
+        for t in (4, 8)
+        for e in EXPRESSIONS
+    )
+
+
+def _kappa_ring_tables() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(ROOT / "scripts" / "kappa_ring_tables.py"), run_name="__main__")
+    return out.getvalue()
+
+
+def _repl() -> str:
+    return _run(["repl", "--trunc", "4"], (GOLDEN / "repl_input.txt").read_text())
+
+
+# golden file -> the function that regenerates it
+RENDER = {
+    "verify_trunc4.json": lambda: _verify_json(4),
+    "verify_trunc6.json": lambda: _verify_json(6),
+    "verify_trunc8.json": lambda: _verify_json(8),
+    "verify_trunc4.txt": _verify_text,
+    "eval.txt": _eval,
+    "kappa_ring_tables.txt": _kappa_ring_tables,
+    "repl_transcript.txt": _repl,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER))
+def test_output_matches_golden_file(name):
+    assert RENDER[name]() == (GOLDEN / name).read_text()
