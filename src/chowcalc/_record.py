@@ -7,7 +7,7 @@ Rule: ``__init__`` is compiled, one small ``exec`` per class as in
 ``collections.namedtuple``, with the fields' real names and defaults, and
 ends by calling ``__post_init__`` if the class has one; a generic
 ``__init__(*args, **kwargs)`` slows every construction, and a ``repl``
-session builds tens of thousands of tokens and syntax-tree nodes.
+session builds tens of thousands of syntax-tree nodes.
 ``__eq__``, ``__hash__`` and ``__repr__`` (dataclass format) are closures
 over one ``operator.attrgetter`` and compile nothing.
 """

@@ -5,21 +5,26 @@ Grammar (standard precedence, ^ binds tightest and is right-associative):
     statement := IDENT '=' expr | expr
     expr      := term (('+' | '-') term)*
     term      := unary (('*' | '/') unary)*
-    unary     := '-' unary | power
-    power     := atom ('^' unary)?
+    unary     := '-' unary | atom ('^' unary)?
     atom      := NUMBER | list | call | index | IDENT | '(' expr ')'
     call      := IDENT '(' expr (',' expr)* ')'
               |  'ring' '[' idents ';' numbers ']' '(' exprs ')'
+              |  'bundle' '(' expr ';' exprs ')'
     index     := IDENT '[' exprs ']'
     list      := '[' exprs ']'
 
-Numbers are nonnegative integer literals; rationals are built with '/'.
-Parse errors carry a position and the expected token set.
+Identifiers start with a letter of any script or '_' and continue with
+letters, digits or '_'.  Numbers are runs of decimal digits in any script
+('٣' is 3), nonnegative integer literals; rationals are built with '/'.  Any
+other non-space character outside + - * / ^ ( ) [ ] , ; = is an unexpected
+character at its position.  Parse errors carry a position and the expected
+token set.
 """
 from __future__ import annotations
 
-from ._record import record
+import re
 
+from ._record import record
 
 
 class ParseError(ValueError):
@@ -30,44 +35,27 @@ class ParseError(ValueError):
         super().__init__(f"{message} at position {position}{suffix}")
 
 
-@record(frozen=True)
-class Token:
-    kind: str  # 'number' | 'ident' | 'op'
-    text: str
-    pos: int
+# One token per match: optional whitespace, then a run of decimal digits, a
+# word, one punctuation character, or any other character, which is an error.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|([-+*/^()\[\],;=])|(\S))")
 
 
-_PUNCT = ("+", "-", "*", "/", "^", "(", ")", "[", "]", ",", ";", "=")
-
-
-def tokenize(src: str) -> list[Token]:
-    out: list[Token] = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            out.append(Token("number", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            out.append(Token("ident", src[i:j], i))
-            i = j
-            continue
-        if ch in _PUNCT:
-            out.append(Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+def tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then ('end', '', len(src)).  The kind
+    is 'number', 'ident', or a punctuation character's own text."""
+    out = []
+    for m in _TOKEN.finditer(src):
+        g = m.lastindex
+        text, pos = m[g], m.start(g)
+        if g == 1:
+            out.append(("number", text, pos))
+        elif g == 3:
+            out.append((text, text, pos))
+        elif g == 2 and (text[0].isalpha() or text[0] == "_"):
+            out.append(("ident", text, pos))
+        else:  # also a word led by a numeral that is no letter, like '²' or '½'
+            raise ParseError(f"unexpected character {text[0]!r}", pos)
+    out.append(("end", "", len(src)))
     return out
 
 
@@ -198,160 +186,125 @@ def _wrap(e: Expr) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], src_len: int):
-        self.tokens = tokens
+    def __init__(self, src: str):
+        self.tokens = tokenize(src)
         self.i = 0
-        self.src_len = src_len
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def pos(self) -> int:
-        t = self.peek()
-        return t.pos if t else self.src_len
-
-    def take(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        want = text or kind
-        if t is None:
-            raise ParseError("unexpected end of input", self.src_len, (want,))
-        if t.kind != kind or (text is not None and t.text != text):
-            raise ParseError(f"unexpected token {t.text!r}", t.pos, (want,))
+    def take(self, kind: str) -> str:
+        """The next token's text; it must be of `kind`."""
+        t_kind, text, pos = self.tokens[self.i]
+        if t_kind != kind:
+            what = "end of input" if t_kind == "end" else f"token {text!r}"
+            raise ParseError(f"unexpected {what}", pos, (kind,))
         self.i += 1
-        return t
+        return text
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        t = self.peek()
-        if t and t.kind == kind and (text is None or t.text == text):
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.i][0] == kind:
             self.i += 1
-            return t
-        return None
+            return True
+        return False
 
     # -- grammar ---------------------------------------------------------
 
-    def statement(self) -> Expr | Assign:
-        if (
-            self.i + 1 < len(self.tokens)
-            and self.tokens[self.i].kind == "ident"
-            and self.tokens[self.i + 1].kind == "op"
-            and self.tokens[self.i + 1].text == "="
-        ):
-            name = self.take("ident").text
-            self.take("op", "=")
-            return Assign(name, self.expr())
-        return self.expr()
-
     def expr(self) -> Expr:
         node = self.term()
-        while True:
-            t = self.peek()
-            if t and t.kind == "op" and t.text in ("+", "-"):
-                self.i += 1
-                node = BinOp(t.text, node, self.term())
-            else:
-                return node
+        op = self.tokens[self.i][0]
+        while op == "+" or op == "-":
+            self.i += 1
+            node = BinOp(op, node, self.term())
+            op = self.tokens[self.i][0]
+        return node
 
     def term(self) -> Expr:
         node = self.unary()
-        while True:
-            t = self.peek()
-            if t and t.kind == "op" and t.text in ("*", "/"):
-                self.i += 1
-                node = BinOp(t.text, node, self.unary())
-            else:
-                return node
+        op = self.tokens[self.i][0]
+        while op == "*" or op == "/":
+            self.i += 1
+            node = BinOp(op, node, self.unary())
+            op = self.tokens[self.i][0]
+        return node
 
     def unary(self) -> Expr:
-        if self.accept("op", "-"):
+        if self.accept("-"):
             return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
         base = self.atom()
-        if self.accept("op", "^"):
+        if self.accept("^"):
             return BinOp("^", base, self.unary())  # right-associative
         return base
 
     def atom(self) -> Expr:
-        t = self.peek()
-        if t is None:
-            raise ParseError(
-                "unexpected end of input", self.src_len, ("number", "identifier", "(")
-            )
-        if t.kind == "number":
-            self.i += 1
-            return Num(int(t.text))
-        if t.kind == "op" and t.text == "(":
-            self.i += 1
+        kind, text, pos = self.tokens[self.i]
+        self.i += 1
+        if kind == "number":
+            return Num(int(text))
+        if kind == "(":
             node = self.expr()
-            self.take("op", ")")
+            self.take(")")
             return node
-        if t.kind == "op" and t.text == "[":
-            self.i += 1
-            items = self.expr_list("]")
-            self.take("op", "]")
-            return ListExpr(tuple(items))
-        if t.kind == "ident":
-            self.i += 1
-            name = t.text
-            if name == "ring" and self.peek() and self.peek().text == "[":
+        if kind == "[":
+            return ListExpr(self.expr_list("]"))
+        if kind == "ident":
+            after = self.tokens[self.i][0]
+            if text == "ring" and after == "[":
                 return self.ring_tail()
-            if name == "bundle" and self.peek() and self.peek().text == "(":
+            if text == "bundle" and after == "(":
                 return self.bundle_tail()
-            if self.accept("op", "("):
-                args = self.expr_list(")")
-                self.take("op", ")")
-                return Call(name, tuple(args))
-            if self.accept("op", "["):
-                args = self.expr_list("]")
-                self.take("op", "]")
-                return Index(name, tuple(args))
-            return Var(name)
-        raise ParseError(
-            f"unexpected token {t.text!r}", t.pos, ("number", "identifier", "(", "[")
-        )
+            if self.accept("("):
+                return Call(text, self.expr_list(")"))
+            if self.accept("["):
+                return Index(text, self.expr_list("]"))
+            return Var(text)
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos, ("number", "identifier", "("))
+        raise ParseError(f"unexpected token {text!r}", pos, ("number", "identifier", "(", "["))
 
     def ring_tail(self) -> RingExpr:
-        self.take("op", "[")
-        names = [self.take("ident").text]
-        while self.accept("op", ","):
-            names.append(self.take("ident").text)
-        self.take("op", ";")
-        weights = [int(self.take("number").text)]
-        while self.accept("op", ","):
-            weights.append(int(self.take("number").text))
-        self.take("op", "]")
-        self.take("op", "(")
+        self.i += 1  # '['
+        names = self.separated("ident")
+        self.take(";")
+        weights = tuple(map(int, self.separated("number")))
+        self.take("]")
+        self.take("(")
         rels = self.expr_list(")")
-        self.take("op", ")")
         if len(names) != len(weights):
-            raise ParseError("variable and weight counts differ", self.pos())
-        return RingExpr(tuple(names), tuple(weights), tuple(rels))
+            raise ParseError("variable and weight counts differ", self.tokens[self.i][2])
+        return RingExpr(names, weights, rels)
 
     def bundle_tail(self) -> BundleExpr:
-        self.take("op", "(")
+        self.i += 1  # '('
         rank = self.expr()
-        self.take("op", ";")
-        classes = self.expr_list(")")
-        self.take("op", ")")
-        return BundleExpr(rank, tuple(classes))
+        self.take(";")
+        return BundleExpr(rank, self.expr_list(")"))
 
-    def expr_list(self, closer: str) -> list[Expr]:
-        t = self.peek()
-        if t and t.kind == "op" and t.text == closer:
-            return []
-        items = [self.expr()]
-        while self.accept("op", ","):
+    def separated(self, kind: str) -> tuple[str, ...]:
+        """One or more comma-separated tokens of `kind`."""
+        items = [self.take(kind)]
+        while self.accept(","):
+            items.append(self.take(kind))
+        return tuple(items)
+
+    def expr_list(self, closer: str) -> tuple[Expr, ...]:
+        """Comma-separated expressions, possibly none, and then `closer`."""
+        items = []
+        if self.tokens[self.i][0] != closer:
             items.append(self.expr())
-        return items
+            while self.accept(","):
+                items.append(self.expr())
+        self.take(closer)
+        return tuple(items)
 
 
 def parse(src: str) -> Expr | Assign:
     """Parse a statement; raises ParseError with position on bad input."""
-    tokens = tokenize(src)
-    p = _Parser(tokens, len(src))
-    node = p.statement()
-    t = p.peek()
-    if t is not None:
-        raise ParseError(f"trailing input {t.text!r}", t.pos)
+    p = _Parser(src)
+    t = p.tokens
+    if t[0][0] == "ident" and t[1][0] == "=":  # an ident is never the last token
+        p.i = 2
+        node = Assign(t[0][1], p.expr())
+    else:
+        node = p.expr()
+    kind, text, pos = t[p.i]
+    if kind != "end":
+        raise ParseError(f"trailing input {text!r}", pos)
     return node

@@ -284,6 +284,20 @@ def test_cli_eval_prints_huge_exponents_exactly(src, printed, capsys):
     assert capsys.readouterr().out == printed + "\n"
 
 
+# Decimal digits of any script are numbers; a digit that is not decimal, like
+# a superscript, is a stray character with its position, not int()'s error.
+@pytest.mark.parametrize(
+    "src, code, out, err",
+    [
+        ("k1 + ٣", 0, "k1 + 3\n", ""),
+        ("k1 + ²", 2, "", "error: unexpected character '²' at position 5\n"),
+    ],
+)
+def test_cli_eval_reads_decimal_digits_of_any_script(src, code, out, err, capsys):
+    assert main(["eval", "--", src]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_intersection_numbers():
     ev = Evaluator()
     assert ev.run("intersect(F[2], E, E)") == -2
