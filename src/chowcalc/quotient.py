@@ -91,10 +91,20 @@ def graded_piece(pres: RingPresentation, d: int) -> GradedPiece:
 
 
 def hilbert_function(pres: RingPresentation, max_d: int) -> tuple[int, ...]:
-    """Dimensions of the graded pieces in degrees 0..max_d."""
+    """Dimensions of the graded pieces in degrees 0..max_d.
+
+    Once as many consecutive pieces as the largest variable weight are zero,
+    every later piece is zero and is not built: a monomial of higher degree
+    is a variable times a monomial of lower degree that is already zero."""
     if max_d < 0:
         raise ValueError("max degree must be >= 0")
-    return tuple(graded_piece(pres, d).dim for d in range(max_d + 1))
+    run = max(pres.table.weights, default=1)
+    dims: list[int] = []
+    for d in range(max_d + 1):
+        if len(dims) >= run and not any(dims[-run:]):
+            break
+        dims.append(graded_piece(pres, d).dim)
+    return tuple(dims) + (0,) * (max_d + 1 - len(dims))
 
 
 def normal_form(x: GradedPoly, pres: RingPresentation) -> GradedPoly:

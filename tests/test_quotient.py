@@ -77,6 +77,44 @@ def test_free_algebra_hilbert():
     assert hilbert_function(free, 2) == (1, 1, 1)
 
 
+# Rings with their first run of max-weight consecutive zero pieces.  Q[x,y] with
+# weights 3, 3 is zero in degrees 1, 2, 4 and 5 and nonzero in between, so a
+# shorter run proves nothing.
+def _ring(weights, relations):
+    table = VariableTable(tuple(f"x{i}" for i in range(len(weights))), weights)
+    return RingPresentation(table, relations(*(GradedPoly.variable(table, n) for n in table.names)))
+
+
+ZERO_RUNS = [
+    (M6, 5),
+    (_ring((3, 3), lambda x, y: (x**2, y**2)), 7),
+    (_ring((2, 3), lambda x, y: (x**2, y**2)), 6),
+    (_ring((1, 1, 2), lambda a, b, c: (a**2 - b**2 / 2, -a * b + c * 3 / 4, c**2 - (a - b) ** 4)), 5),
+    (_ring((1, 1, 1, 1), lambda x, y, z, w: (x**2 + y * z - w**2, y**2 - z * w / 2, z**2 + z * w, w**2)), 5),
+]
+
+
+@pytest.mark.parametrize("pres, first_zero", ZERO_RUNS, ids=["M6", "w33", "w23", "w112", "w1111"])
+def test_hilbert_function_builds_no_piece_past_the_first_zero_run(pres, first_zero):
+    run = max(pres.table.weights)
+    graded_piece.cache_clear()
+    h = hilbert_function(pres, 12)
+    assert graded_piece.cache_info().misses == first_zero + run  # degrees 0 .. first_zero + run - 1
+    assert h[first_zero:] == (0,) * (13 - first_zero) and h[first_zero - 1] != 0
+
+
+@pytest.mark.parametrize("pres, first_zero", ZERO_RUNS[:4], ids=["M6", "w33", "w23", "w112"])
+def test_hilbert_function_equals_every_piece_built(pres, first_zero):
+    top = first_zero + max(pres.table.weights) + 3
+    assert hilbert_function(pres, top) == tuple(graded_piece(pres, d).dim for d in range(top + 1))
+
+
+def test_hilbert_function_of_m6_far_out_builds_seven_pieces():
+    graded_piece.cache_clear()
+    assert hilbert_function(M6, 200) == (1, 1, 2, 1, 1) + (0,) * 196
+    assert graded_piece.cache_info().misses == 7
+
+
 # -- normal forms --------------------------------------------------------------------
 
 
