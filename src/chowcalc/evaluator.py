@@ -13,6 +13,11 @@ other arguments: a surface ``F[n]`` binds its classes ``E``, ``S`` and
 ``F``, a Grassmannian ``G(k, n)`` binds ``c1..ck`` and ``sigma1``, and a
 ring binds its variables.
 
+Unary minus and the operators ``+ - * / ^`` are rows of ``OPERATORS``, read
+by the same ``_KINDS``: the first row whose kinds accept the operands
+applies, an int operand reads as a Fraction, and each operator has one
+error, such as ``cannot add A and B``, for operands no row accepts.
+
 Library code reports bad input with ``ValueError`` or ``ArithmeticError``.
 These become ``EvalError`` in one place, ``Evaluator.run``, the statement
 entry behind ``load_definitions`` and the CLI.  The message keeps the
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, neg, sub, truediv
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import bundles, geometry, grr, quotient, schur
@@ -142,7 +148,8 @@ _KINDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
     "surface": ("a surface F[n]", _instance(geometry.HirzebruchSurfaceHandle)),
     "divisor": ("a divisor class", _instance(geometry.HirzebruchClass)),
     "psi": ("a psi series", _instance(grr.PsiSeries)),
-    "poly": ("a polynomial", _instance((int, Fraction, GradedPoly))),
+    "poly": ("a polynomial", lambda v: v if isinstance(v, GradedPoly) else _rational(v)),
+    "scalar": ("a rational number", _rational),
 }
 
 # scope kind -> the names its value binds for the other arguments
@@ -187,7 +194,7 @@ class Function(NamedTuple):
 FUNCTIONS: dict[str, Function] = {
     # geometry
     "genus": Function(("surface", "divisor"), 0, lambda t, s, x: geometry.genus_of_class(x)),
-    "h0": Function(("surface", "divisor"), 0, lambda t, s, x: geometry.h0_hirzebruch(x)),
+    "h0": Function(("surface", "divisor"), 0, lambda t, s, x: Fraction(geometry.h0_hirzebruch(x))),
     "intersect": Function(
         ("surface", "divisor", "divisor"), 0, lambda t, s, x, y: geometry.intersect(x, y)
     ),
@@ -247,6 +254,56 @@ FUNCTIONS: dict[str, Function] = {
 }
 
 
+# -- the operator table ------------------------------------------------------------
+
+
+def _power(x: Fraction | GradedPoly, k: int) -> Fraction | GradedPoly:
+    if k < 0 and isinstance(x, GradedPoly):
+        raise EvalError("negative polynomial power")
+    return x**k
+
+
+# operator ("neg" is unary minus) -> rows (kind of each operand, fn); the first
+# row whose kinds accept the operands applies
+OPERATORS: dict[str, tuple[tuple[Any, ...], ...]] = {
+    "neg": (("poly", neg), ("divisor", neg), ("psi", neg)),
+    "+": (("poly", "poly", add), ("divisor", "divisor", add), ("psi", "psi", add)),
+    "-": (("poly", "poly", sub), ("divisor", "divisor", sub), ("psi", "psi", sub)),
+    "*": (
+        ("poly", "poly", mul),
+        ("divisor", "divisor", geometry.intersect),
+        ("scalar", "divisor", mul),
+        ("divisor", "scalar", mul),
+        ("psi", "psi", mul),
+        ("psi", "scalar", mul),
+        ("scalar", "psi", mul),
+    ),
+    "/": (("poly", "scalar", truediv), ("bundle", "bundle", bundles.sequence_quotient)),
+    "^": (("poly", "int", _power),),
+}
+
+# operator -> the one error when no row accepts its operands
+_CANNOT = {
+    "neg": "cannot negate {}",
+    "+": "cannot add {} and {}",
+    "-": "cannot subtract {1} from {0}",
+    "*": "cannot multiply {} and {}",
+    "/": "cannot divide {} by {}",
+    "^": "cannot raise {} to the power {}",
+}
+
+
+def _operate(op: str, *values: Any) -> Any:
+    for *kinds, fn in OPERATORS[op]:
+        args = [_KINDS[kind][1](v) for kind, v in zip(kinds, values)]
+        if all(a is not None for a in args):
+            try:
+                return fn(*args)
+            except ZeroDivisionError:
+                raise EvalError("division by zero") from None
+    raise EvalError(_CANNOT[op].format(*map(_describe, values)))
+
+
 class Evaluator:
     def __init__(self, trunc: int = DEFAULT_TRUNCATION):
         if not isinstance(trunc, int) or trunc < 0:
@@ -289,9 +346,9 @@ class Evaluator:
                 raise EvalError(f"unknown identifier {node.name!r}")
             return env[node.name]
         if isinstance(node, Neg):
-            return self._negate(self.eval(node.arg, env))
+            return _operate("neg", self.eval(node.arg, env))
         if isinstance(node, BinOp):
-            return self._binop(node, env)
+            return _operate(node.op, self.eval(node.left, env), self.eval(node.right, env))
         if isinstance(node, ListExpr):
             return tuple(self.eval(item, env) for item in node.items)
         if isinstance(node, RingExpr):
@@ -307,92 +364,6 @@ class Evaluator:
         if isinstance(node, Call):
             return self._call(node, env)
         raise EvalError(f"cannot evaluate node {node!r}")
-
-    def _negate(self, v: Any) -> Any:
-        if isinstance(v, (Fraction, GradedPoly, geometry.HirzebruchClass)):
-            return -v
-        if isinstance(v, grr.PsiSeries):
-            return v * -1
-        raise EvalError(f"cannot negate {type(v).__name__}")
-
-    def _binop(self, node: BinOp, env: Mapping[str, Any]) -> Any:
-        a = self.eval(node.left, env)
-        b = self.eval(node.right, env)
-        op = node.op
-        if op == "+":
-            return self._add(a, b)
-        if op == "-":
-            return self._add(a, self._negate(b))
-        if op == "*":
-            return self._mul(a, b)
-        if op == "/":
-            return self._div(a, b)
-        if op == "^":
-            return self._pow(a, b)
-        raise EvalError(f"unknown operator {op!r}")
-
-    def _coerce_pair(self, a: Any, b: Any) -> tuple[Any, Any]:
-        if isinstance(a, GradedPoly) and isinstance(b, (int, Fraction)):
-            return a, GradedPoly.constant(a.table, b)
-        if isinstance(b, GradedPoly) and isinstance(a, (int, Fraction)):
-            return GradedPoly.constant(b.table, a), b
-        return a, b
-
-    def _add(self, a: Any, b: Any) -> Any:
-        a, b = self._coerce_pair(a, b)
-        if isinstance(a, (Fraction, GradedPoly)) and type(a) is type(b):
-            return a + b
-        if isinstance(a, geometry.HirzebruchClass) and isinstance(b, geometry.HirzebruchClass):
-            return a + b
-        if isinstance(a, grr.PsiSeries) and isinstance(b, grr.PsiSeries):
-            return a + b
-        raise EvalError(f"cannot add {type(a).__name__} and {type(b).__name__}")
-
-    def _mul(self, a: Any, b: Any) -> Any:
-        if isinstance(a, geometry.HirzebruchClass) and isinstance(b, geometry.HirzebruchClass):
-            return geometry.intersect(a, b)
-        if isinstance(a, (int, Fraction)) and isinstance(b, geometry.HirzebruchClass):
-            return Fraction(a) * b
-        if isinstance(a, geometry.HirzebruchClass) and isinstance(b, (int, Fraction)):
-            return Fraction(b) * a
-        if isinstance(a, grr.PsiSeries) or isinstance(b, grr.PsiSeries):
-            if isinstance(a, grr.PsiSeries) and isinstance(b, (grr.PsiSeries, Fraction, int)):
-                return a * b
-            if isinstance(b, grr.PsiSeries) and isinstance(a, (Fraction, int)):
-                return b * a
-            raise EvalError("psi series multiply only with scalars or psi series")
-        a, b = self._coerce_pair(a, b)
-        if isinstance(a, (Fraction, GradedPoly)) and type(a) is type(b):
-            return a * b
-        raise EvalError(f"cannot multiply {type(a).__name__} and {type(b).__name__}")
-
-    def _div(self, a: Any, b: Any) -> Any:
-        if isinstance(a, bundles.FormalBundle) and isinstance(b, bundles.FormalBundle):
-            return bundles.sequence_quotient(a, b)
-        if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-            if b == 0:
-                raise EvalError("division by zero")
-            return Fraction(a) / Fraction(b)
-        if isinstance(a, GradedPoly):
-            q = _rational(b)
-            if q is None:
-                raise EvalError(f"divisor must be a rational scalar, got {_describe(b)}")
-            if q == 0:
-                raise EvalError("division by zero")
-            return a / q
-        raise EvalError(f"cannot divide {type(a).__name__} by {type(b).__name__}")
-
-    def _pow(self, a: Any, b: Any) -> Any:
-        k = _int(b, "exponent")
-        if isinstance(a, (int, Fraction)):
-            if a == 0 and k < 0:
-                raise EvalError("division by zero")
-            return Fraction(a) ** k
-        if isinstance(a, GradedPoly):
-            if k < 0:
-                raise EvalError("negative polynomial power")
-            return a**k
-        raise EvalError(f"cannot raise {type(a).__name__} to a power")
 
     def _ring(self, node: RingExpr, env: Mapping[str, Any]) -> quotient.RingPresentation:
         if _closed(node):

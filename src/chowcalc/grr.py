@@ -107,6 +107,12 @@ class PsiSeries:
 
     __rmul__ = __mul__
 
+    def __neg__(self) -> "PsiSeries":
+        return self * -1
+
+    def __sub__(self, other: "PsiSeries") -> "PsiSeries":
+        return self + -other
+
     def truncate(self, order: int) -> "PsiSeries":
         return PsiSeries(self.genus, self.coeffs[: order + 1])
 

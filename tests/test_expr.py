@@ -2,10 +2,12 @@ import io
 import random
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from chowcalc.algebra import GradedPoly
 from chowcalc.cli import main
 from chowcalc.evaluator import (
     FUNCTIONS,
@@ -22,6 +24,7 @@ from chowcalc.expr import (
     Var,
     parse,
 )
+from chowcalc.grr import PsiSeries
 
 
 # -- parsing -----------------------------------------------------------------------
@@ -113,6 +116,42 @@ def test_division_by_zero():
     ev = Evaluator()
     with pytest.raises(EvalError, match="division by zero"):
         ev.run("1 / 0")
+
+
+@pytest.mark.parametrize(
+    "src,printed",
+    [
+        ("h0(F[1], S) + 1", "4"),
+        ("1 - h0(F[1], S)", "-2"),
+        ("-h0(F[1], S)", "-3"),
+        ("h0(F[1], S) * h0(F[1], F)", "6"),
+        ("h0(F[1], S) ^ (0 - 1)", "1/3"),
+        ("k1 + h0(F[1], S)", "k1 + 3"),
+    ],
+)
+def test_arithmetic_on_section_counts(src, printed):
+    value = Evaluator().run(src)
+    assert isinstance(value, (Fraction, GradedPoly)) and format_value(value) == printed
+
+
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        ("-V", "cannot negate FormalBundle"),
+        ("V + 2", "cannot add FormalBundle and 2"),
+        ("V - 1/2", "cannot subtract 1/2 from FormalBundle"),
+        ("psi(6) * k1", "cannot multiply PsiSeries and GradedPoly"),
+        ("k1 / k1", "cannot divide GradedPoly by GradedPoly"),
+        ("k1 ^ (1/2)", "cannot raise GradedPoly to the power 1/2"),
+        ("k1 / (k1 - k1)", "division by zero"),
+        ("0 ^ (0 - 1)", "division by zero"),
+        ("k1 ^ (0 - 1)", "negative polynomial power"),
+    ],
+)
+def test_operator_errors(src, message):
+    with pytest.raises(EvalError) as err:
+        Evaluator().run(src)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -363,6 +402,33 @@ def test_every_function_is_total_on_the_pool(name, evaluator):
             evaluator.run(f"{name}({', '.join(args)})")
         except EvalError:
             pass
+
+
+def _has_float(v):
+    if isinstance(v, GradedPoly):
+        return any(isinstance(c, float) for _, c in v.items())
+    if isinstance(v, PsiSeries):
+        return _has_float(v.coeffs)
+    if isinstance(v, tuple):
+        return any(_has_float(x) for x in v)
+    return isinstance(v, float)
+
+
+OPERANDS = POOL + ["0", "h0(F[1], S)", "k1 - k1 + 2"]
+
+
+@pytest.mark.parametrize("op", ["neg", "+", "-", "*", "/", "^"])
+def test_every_operator_is_total_on_the_pool(op, evaluator):
+    if op == "neg":
+        sources = [f"-({a})" for a in OPERANDS]
+    else:
+        sources = [f"({a}) {op} ({b})" for a in OPERANDS for b in OPERANDS]
+    for src in sources:
+        try:
+            value = evaluator.run(src)
+        except EvalError:
+            continue
+        assert not _has_float(value), src
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
