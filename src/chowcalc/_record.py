@@ -20,39 +20,34 @@ def immutable(self, name, *value):
     raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
 
 
-def record(*, frozen: bool):
-    """Class decorator over the annotated fields and their class-level defaults;
-    a mutable record is unhashable, and a class wanting slots declares them."""
+def record(cls):
+    """Class decorator over the annotated fields and their class-level defaults:
+    an immutable, hashable record; a class wanting slots declares them."""
+    ns = vars(cls)
+    names = tuple(ns["__annotations__"])
+    params = "".join(
+        f", {n}=_ns[{n!r}]" if n in ns and n not in ns.get("__slots__", ()) else f", {n}"
+        for n in names
+    )
+    body = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += "    self.__post_init__()\n"
+    scope = {"_set": object.__setattr__, "_ns": ns}
+    exec(f"def __init__(self{params}):\n{body}", scope)
+    get = attrgetter(*names)
+    if len(names) == 1:  # attrgetter of one name returns the bare value
+        get = lambda self, one=get: (one(self),)
+    fmt = "{}(" + ", ".join(f"{n}={{!r}}" for n in names) + ")"
 
-    def build(cls):
-        ns = vars(cls)
-        names = tuple(ns["__annotations__"])
-        params = "".join(
-            f", {n}=_ns[{n!r}]" if n in ns and n not in ns.get("__slots__", ()) else f", {n}"
-            for n in names
-        )
-        body = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
-        if hasattr(cls, "__post_init__"):
-            body += "    self.__post_init__()\n"
-        scope = {"_set": object.__setattr__, "_ns": ns}
-        exec(f"def __init__(self{params}):\n{body}", scope)
-        get = attrgetter(*names)
-        if len(names) == 1:  # attrgetter of one name returns the bare value
-            get = lambda self, one=get: (one(self),)
-        fmt = "{}(" + ", ".join(f"{n}={{!r}}" for n in names) + ")"
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return get(self) == get(other)
+        return NotImplemented
 
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return get(self) == get(other)
-            return NotImplemented
+    def __repr__(self):
+        return fmt.format(type(self).__qualname__, *get(self))
 
-        def __repr__(self):
-            return fmt.format(type(self).__qualname__, *get(self))
-
-        cls.__init__, cls.__eq__, cls.__repr__ = scope["__init__"], __eq__, __repr__
-        cls.__hash__ = (lambda self: hash(get(self))) if frozen else None
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = immutable
-        return cls
-
-    return build
+    cls.__init__, cls.__eq__, cls.__repr__ = scope["__init__"], __eq__, __repr__
+    cls.__hash__ = lambda self: hash(get(self))
+    cls.__setattr__ = cls.__delattr__ = immutable
+    return cls

@@ -54,7 +54,7 @@ class TableMismatchError(ValueError):
     """Raised when combining polynomials over different variable tables."""
 
 
-@record(frozen=True)
+@record
 class VariableTable:
     """Ordered variables with positive integer weights (graded degrees)."""
 
@@ -509,7 +509,7 @@ def format_poly(p: GradedPoly) -> str:
     return " ".join(parts)
 
 
-@record(frozen=True)
+@record
 class RowReduction:
     rank: int
     rref: "ExactMatrix"

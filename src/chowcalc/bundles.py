@@ -41,7 +41,7 @@ class BundleError(ValueError):
     pass
 
 
-@record(frozen=True)
+@record
 class LineClass:
     """A line bundle, recorded by its first Chern class (degree 1)."""
 
@@ -52,7 +52,7 @@ class LineClass:
             raise BundleError("a line class must be homogeneous of degree 1")
 
 
-@record(frozen=True)
+@record
 class FormalBundle:
     """Rank plus Chern classes c_1..c_D over one variable table, read as a
     lambda-ring class: classes above the rank may be nonzero (virtual
@@ -246,7 +246,7 @@ def chern_from_character(ch: list[GradedPoly], rank: int) -> FormalBundle:
 # -- twist solvers for the canonical-embedding models -------------------------
 
 
-@record(frozen=True)
+@record
 class HyperellipticTwist:
     """Solution of Sym^(g-1) W = Hodge for a rank-2 W: w1 = coefficient * lambda1."""
 
@@ -274,7 +274,7 @@ def solve_hyperelliptic_twist(g: int) -> HyperellipticTwist:
     return HyperellipticTwist(genus=g, coefficient=Fraction(1) / lead)
 
 
-@record(frozen=True)
+@record
 class UnimodularTwist:
     """Solution of V (x) L = Hodge with det V trivial: c1(L) = lambda1 / rank."""
 
@@ -299,7 +299,7 @@ def solve_unimodular_twist(rank: int) -> UnimodularTwist:
     return UnimodularTwist(rank=rank, coefficient=coeff)
 
 
-@record(frozen=True)
+@record
 class TrigonalTwist:
     """Chern-class comparison data for the scroll decomposition of a trigonal
     canonical embedding: Hodge (x) M = Sym^a V + L (x) Sym^b V with rank-2 V,

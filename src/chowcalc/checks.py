@@ -20,7 +20,7 @@ from .algebra import GradedPoly, VariableTable, format_poly, format_rational, mo
 from .expr import parse
 
 
-@record(frozen=False)
+@record
 class CheckResult:
     check_id: str
     anchor: str
@@ -42,7 +42,7 @@ class CheckResult:
         }
 
 
-@record(frozen=False)
+@record
 class Check:
     check_id: str
     anchor: str
@@ -50,7 +50,7 @@ class Check:
     run: Callable[["SuiteConfig"], tuple[bool, str, str]]
 
 
-@record(frozen=True)
+@record
 class SuiteConfig:
     trunc: int = 4
 

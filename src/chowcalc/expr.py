@@ -62,7 +62,7 @@ def tokenize(src: str) -> list[tuple[str, str, int]]:
 # -- AST ----------------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class Num:
     value: int
 
@@ -70,7 +70,7 @@ class Num:
         return str(self.value)
 
 
-@record(frozen=True)
+@record
 class Var:
     name: str
 
@@ -78,7 +78,7 @@ class Var:
         return self.name
 
 
-@record(frozen=True)
+@record
 class Neg:
     arg: "Expr"
 
@@ -86,7 +86,7 @@ class Neg:
         return f"-{_wrap(self.arg)}"
 
 
-@record(frozen=True)
+@record
 class BinOp:
     op: str  # + - * / ^
     left: "Expr"
@@ -107,7 +107,7 @@ class BinOp:
         return f"{left} {self.op} {right}"
 
 
-@record(frozen=True)
+@record
 class Call:
     name: str
     args: tuple["Expr", ...]
@@ -116,7 +116,7 @@ class Call:
         return f"{self.name}({', '.join(a.to_source() for a in self.args)})"
 
 
-@record(frozen=True)
+@record
 class Index:
     name: str
     args: tuple["Expr", ...]
@@ -125,7 +125,7 @@ class Index:
         return f"{self.name}[{', '.join(a.to_source() for a in self.args)}]"
 
 
-@record(frozen=True)
+@record
 class ListExpr:
     items: tuple["Expr", ...]
 
@@ -133,7 +133,7 @@ class ListExpr:
         return f"[{', '.join(a.to_source() for a in self.items)}]"
 
 
-@record(frozen=True)
+@record
 class RingExpr:
     variables: tuple[str, ...]
     weights: tuple[int, ...]
@@ -146,7 +146,7 @@ class RingExpr:
         return f"ring[{vs}; {ws}]({rs})"
 
 
-@record(frozen=True)
+@record
 class BundleExpr:
     rank: "Expr"
     classes: tuple["Expr", ...]
@@ -156,7 +156,7 @@ class BundleExpr:
         return f"bundle({self.rank.to_source()}; {cs})"
 
 
-@record(frozen=True)
+@record
 class Assign:
     name: str
     value: "Expr"

@@ -21,7 +21,7 @@ from .schur import Partition
 # -- Hirzebruch surfaces -------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class HirzebruchSurfaceHandle:
     """The surface F_n itself (used by the CLI to scope E, S, F classes)."""
 
@@ -32,7 +32,7 @@ class HirzebruchSurfaceHandle:
             raise ValueError("Hirzebruch index must be >= 0")
 
 
-@record(frozen=True)
+@record
 class HirzebruchClass:
     """Divisor class a*E + b*F on the Hirzebruch surface F_n, where E is the
     section of self-intersection -n, F the fiber, and S := E + n*F the
@@ -153,7 +153,7 @@ def hirzebruch_aut_dim(n: int) -> int:
 # -- Grassmannians ------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class Grassmannian:
     """G(k, n): k-dimensional subspaces of an n-dimensional space."""
 

@@ -60,7 +60,7 @@ def todd_coefficient(j: int) -> Fraction:
     return bernoulli(j) / factorial(j)
 
 
-@record(frozen=True)
+@record
 class PsiSeries:
     """Polynomial in psi with kappa-ring coefficients; coeffs[j] multiplies
     psi^j and psi itself counts one toward total degree."""

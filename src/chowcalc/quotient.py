@@ -19,7 +19,7 @@ from ._record import record
 from .algebra import ExactMatrix, GradedPoly, VariableTable, linear_combination, monomial_basis
 
 
-@record(frozen=True)
+@record
 class RingPresentation:
     """Weighted polynomial ring modulo homogeneous relations."""
 
@@ -36,7 +36,7 @@ class RingPresentation:
                 raise ValueError("relations must be homogeneous")
 
 
-@record(frozen=True)
+@record
 class GradedPiece:
     """Degree-d data: the monomials, the quotient basis (the non-pivot
     monomials of the reduced Macaulay matrix) and the normal form of every
@@ -148,7 +148,7 @@ def pairing_matrix(pres: RingPresentation, i: int, top: int) -> ExactMatrix:
     return ExactMatrix(rows, cols=len(right))
 
 
-@record(frozen=True)
+@record
 class PoincareReport:
     """Outcome of the Gorenstein / Poincare-duality test on a presentation."""
 

@@ -15,7 +15,7 @@ from ._record import record
 from .algebra import GradedPoly, VariableTable
 
 
-@record(frozen=True)
+@record
 class Partition:
     """Weakly decreasing positive parts, of any size."""
 
@@ -87,7 +87,7 @@ def syt_count(lam: Partition) -> int:
     return q
 
 
-@record(frozen=True)
+@record
 class SchurDecomposition:
     """Multiset of (partition, multiplicity) pairs, sorted for determinism."""
 

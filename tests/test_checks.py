@@ -117,8 +117,11 @@ def test_suite_config_rejects_bad_truncation(trunc):
 def test_exit_codes():
     results = checks.run_suite()
     assert checks.exit_code(results) == 0
-    results[0].status = "fail"
-    assert checks.exit_code(results) == 1
+    first = results[0]
+    failed = checks.CheckResult(
+        first.check_id, first.anchor, first.provenance, "fail", "1", "2", first.millis
+    )
+    assert checks.exit_code([failed] + results[1:]) == 1
 
 
 # -- CLI ------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Every record class of src/chowcalc against a stdlib ``@dataclass`` twin
-with the same fields, defaults, frozenness and ``__post_init__``: the twin
-is the reference the ``_record`` helper must reproduce."""
+"""Every record class of src/chowcalc against a frozen stdlib ``@dataclass``
+twin with the same fields, defaults and ``__post_init__``: the twin is the
+reference the ``_record`` helper must reproduce."""
 import ast
 import dataclasses
 import importlib
@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from chowcalc.algebra import ExactMatrix, GradedPoly, VariableTable
-from chowcalc.checks import CheckResult
 from chowcalc.expr import Call, Index, Num, Var
 from chowcalc.schur import Partition
 
@@ -79,14 +78,13 @@ REJECTED = {
 
 
 def _record_classes():
-    """(module, class name, frozen) for every ``@record(frozen=...)`` class."""
+    """(module, class name) for every ``@record`` class."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             for deco in getattr(stmt, "decorator_list", ()):
-                if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "record":
-                    (kw,) = deco.keywords
-                    found.append((path.stem, stmt.name, kw.value.value))
+                if getattr(deco, "id", None) == "record":
+                    found.append((path.stem, stmt.name))
     return found
 
 
@@ -97,7 +95,7 @@ def _class(module, name):
     return getattr(importlib.import_module(f"chowcalc.{module}"), name)
 
 
-def _twin(cls, frozen):
+def _twin(cls):
     """The stdlib dataclass the record class stood for."""
     ns = vars(cls)
     fields = [
@@ -107,7 +105,7 @@ def _twin(cls, frozen):
     ]
     extra = {"__post_init__": ns["__post_init__"]} if "__post_init__" in ns else {}
     return dataclasses.make_dataclass(
-        cls.__name__, fields, namespace=extra, frozen=frozen, slots="__slots__" in ns
+        cls.__name__, fields, namespace=extra, frozen=True, slots="__slots__" in ns
     )
 
 
@@ -126,15 +124,15 @@ def _bare(sig):
 
 def test_every_record_class_has_samples():
     assert len(RECORDS) == 29
-    assert sorted(name for _, name, _ in RECORDS) == sorted(SAMPLES)
-    checked = {name for module, name, _ in RECORDS if "__post_init__" in vars(_class(module, name))}
+    assert sorted(name for _, name in RECORDS) == sorted(SAMPLES)
+    checked = {name for module, name in RECORDS if "__post_init__" in vars(_class(module, name))}
     assert set(REJECTED) == checked
 
 
-@pytest.mark.parametrize("module,name,frozen", RECORDS, ids=[r[1] for r in RECORDS])
-def test_record_matches_its_dataclass_twin(module, name, frozen):
+@pytest.mark.parametrize("module,name", RECORDS, ids=[r[1] for r in RECORDS])
+def test_record_matches_its_dataclass_twin(module, name):
     cls = _class(module, name)
-    twin = _twin(cls, frozen)
+    twin = _twin(cls)
     assert _bare(inspect.signature(cls)) == _bare(inspect.signature(twin))
     samples = SAMPLES[name]
     records = [cls(*args) for args in samples]
@@ -144,13 +142,12 @@ def test_record_matches_its_dataclass_twin(module, name, frozen):
         again = cls(*args)
         assert rec == again and not rec != again
         assert _outcome(hash, rec) == _outcome(hash, tw)
-        if frozen:
-            for field in vars(cls)["__annotations__"]:
-                with pytest.raises(AttributeError):
-                    setattr(rec, field, None)
-                with pytest.raises(AttributeError):
-                    delattr(rec, field)
-            assert rec == again
+        for field in vars(cls)["__annotations__"]:
+            with pytest.raises(AttributeError):
+                setattr(rec, field, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, field)
+        assert rec == again
         by_name = cls(**dict(zip(vars(cls)["__annotations__"], args)))
         assert by_name == rec
         assert _outcome(cls, *args, unknown=1)[1][0] is TypeError
@@ -164,14 +161,6 @@ def test_record_matches_its_dataclass_twin(module, name, frozen):
     for args in REJECTED.get(name, ()):
         bad = _outcome(cls, *args)
         assert bad[0] == "raised" and bad == _outcome(twin, *args)
-
-
-def test_mutable_records_stay_assignable_and_unhashable():
-    result = CheckResult(*SAMPLES["CheckResult"][0])
-    result.status = "fail"
-    assert result == CheckResult("m6", "anchor", "direct", "fail", "1", "1", 1.5)
-    with pytest.raises(TypeError):
-        hash(result)
 
 
 def test_records_of_different_classes_never_compare_equal():
