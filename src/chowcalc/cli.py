@@ -28,17 +28,15 @@ _CONFIG_KEYS = ("format", "only", "trunc")
 def _load_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line (need key=value): {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
-        if key in out:
-            raise ValueError(f"duplicate key {key!r}")
-        out[key] = value
+        for line in statements([raw]):  # none or one; an error quotes the raw line
+            if "=" not in line:
+                raise ValueError(f"bad config line (need key=value): {raw!r}")
+            key, value = (s.strip() for s in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
+            if key in out:
+                raise ValueError(f"duplicate key {key!r}")
+            out[key] = value
     return out
 
 

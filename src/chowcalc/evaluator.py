@@ -33,9 +33,9 @@ re-asked literal returns the same object and the tables that
 ``quotient.graded_piece`` cached for it.  Any other literal is built afresh,
 and a literal that fails is never kept.
 
-A definitions file and a repl session share one comment rule,
-``statements``: each line is cut at its first ``#``, and blank lines are
-skipped.
+A definitions file, a repl session and the ``verify`` config file share one
+comment rule, ``statements``: each line is cut at its first ``#``, and
+blank lines are skipped.
 """
 from __future__ import annotations
 

@@ -238,6 +238,17 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_config_shares_the_comment_rule_of_statements(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("# header\n\n  only = strata-dimensions  # one check\n")
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert "1/1 checks passed" in capsys.readouterr().out
+    cfg.write_text("# header\n\n  trunc 6  # no equals sign\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    bad = "'  trunc 6  # no equals sign'"
+    assert capsys.readouterr().err == f"config error: bad config line (need key=value): {bad}\n"
+
+
 def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("fromat = json\nonly = strata-dimensions\n")
