@@ -191,6 +191,23 @@ def test_quadrics_bundle_needs_genus_three():
         Evaluator().run("quadricsbundle(2)")
 
 
+# A library error is named by the innermost call it was raised in; one
+# raised outside any call is not named.
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        ("rank(quadricsbundle(2))", "quadricsbundle: need genus >= 3"),
+        ("rank(V / E)", "rank: bundles over different tables"),
+        ("sym(2, sum(V, E))", "sum: direct sum over different tables"),
+        ("V / E", "bundles over different tables"),
+    ],
+)
+def test_library_errors_name_the_innermost_call(src, message):
+    with pytest.raises(EvalError) as err:
+        Evaluator().run(src)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("src", ["hodge(1)", "psi(1)", "td(1)", "omega(2, 1)", "hyptwist(1)"])
 def test_genus_guards_name_the_genus(src):
     name = src.split("(")[0]
