@@ -19,12 +19,16 @@ applies, an int operand reads as a Fraction, and each operator has one
 error, such as ``cannot add A and B``, for operands no row accepts.
 
 Library code reports bad input with ``ValueError`` or ``ArithmeticError``.
-These become ``EvalError`` in one place, ``Evaluator.run``, the statement
-entry behind ``load_definitions`` and the CLI.  The message keeps the
-library's text, after the name of the innermost function call that
-failed.  Any ``RecursionError`` raised while a statement is parsed or run,
-whether from deeply nested input or from recursive library code, becomes
-one there too, with the message ``expression nested too deeply``.
+A function call turns one raised while it runs into ``EvalError``, its
+message the library's text after the function's name; an enclosing call
+passes the ``EvalError`` on unchanged, so the innermost call names the
+error.  ``Evaluator.run``, the statement entry behind ``load_definitions``
+and the CLI, turns one raised outside any call into ``EvalError`` with the
+library's text alone.  Any ``RecursionError`` raised while a statement is
+parsed or run, whether from deeply nested input or from recursive library
+code, becomes one there too, with the message ``expression nested too
+deeply``.  An error names a number by its value and any other value by
+what it is, in the words of the argument kinds (``a bundle``).
 
 A *closed* ring literal, whose relations use only numbers, its own
 variables and arithmetic, means the same everywhere: an ``Evaluator`` keeps
@@ -45,7 +49,7 @@ from operator import add, mul, neg, sub, truediv
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import bundles, geometry, grr, quotient, schur
-from .algebra import GradedPoly, VariableTable, format_poly, format_rational
+from .algebra import ExactMatrix, GradedPoly, VariableTable, format_poly
 from .expr import (
     Assign,
     BinOp,
@@ -167,8 +171,26 @@ _SCOPES: dict[str, Callable[[Any], dict[str, Any]]] = {
 }
 
 
+# what an error calls a value that no kind, or only "partition", accepts
+_NOUNS: dict[type, str] = {
+    tuple: "a list",
+    ExactMatrix: "a matrix",
+    schur.SchurDecomposition: "a Schur decomposition",
+    bundles.HyperellipticTwist: "a twist solution",
+    bundles.UnimodularTwist: "a twist solution",
+    bundles.TrigonalTwist: "a twist solution",
+}
+
+
 def _describe(v: Any) -> str:
-    return format_rational(v) if isinstance(v, Fraction) else type(v).__name__
+    """How an error names `v`: a number by its value, anything else by its
+    noun or by the phrase of the first kind that accepts it."""
+    q = _rational(v)
+    if q is not None:
+        return str(q)
+    if type(v) in _NOUNS:
+        return _NOUNS[type(v)]
+    return next(what for what, check in _KINDS.values() if check(v) is not None)
 
 
 def _int(v: Any, what: str) -> int:
@@ -327,9 +349,8 @@ class Evaluator:
             raise
         except RecursionError:
             raise EvalError("expression nested too deeply") from None
-        except (ValueError, ArithmeticError) as exc:
-            name = _innermost_call(exc)
-            raise EvalError(f"{name}: {exc}" if name else str(exc)) from exc
+        except (ValueError, ArithmeticError) as exc:  # raised outside any call
+            raise EvalError(str(exc)) from exc
 
     def load_definitions(self, text: str) -> None:
         """Run a definitions file: one statement per line, '#' comments."""
@@ -408,20 +429,22 @@ class Evaluator:
         kinds, scope, fn = FUNCTIONS[name]
         if len(node.args) != len(kinds):
             raise EvalError(f"{name} takes {len(kinds)} argument(s), got {len(node.args)}")
-        args: list[Any] = [None] * len(kinds)
-        for i in sorted(range(len(kinds)), key=lambda j: j != scope):
-            value = self.eval(node.args[i], env)
-            what, check = _KINDS[kinds[i]]
-            args[i] = check(value)
-            if args[i] is None:
-                got = _describe(value)
-                raise EvalError(f"argument {i + 1} of {name} must be {what}, got {got}")
-            if i == scope:
-                env = {**env, **_SCOPES[kinds[i]](args[i])}
-        return fn(self.trunc, *args)
-
-
-_CALL_CODE = Evaluator._call.__code__
+        try:
+            args: list[Any] = [None] * len(kinds)
+            for i in sorted(range(len(kinds)), key=lambda j: j != scope):
+                value = self.eval(node.args[i], env)
+                what, check = _KINDS[kinds[i]]
+                args[i] = check(value)
+                if args[i] is None:
+                    got = _describe(value)
+                    raise EvalError(f"argument {i + 1} of {name} must be {what}, got {got}")
+                if i == scope:
+                    env = {**env, **_SCOPES[kinds[i]](args[i])}
+            return fn(self.trunc, *args)
+        except EvalError:
+            raise
+        except (ValueError, ArithmeticError) as exc:
+            raise EvalError(f"{name}: {exc}") from exc
 
 
 def _closed(node: RingExpr) -> bool:
@@ -443,31 +466,16 @@ def _closed(node: RingExpr) -> bool:
     return True
 
 
-def _innermost_call(exc: BaseException) -> str | None:
-    """The function name of the innermost ``_call`` the error passed through."""
-    name = None
-    tb = exc.__traceback__
-    while tb is not None:
-        if tb.tb_frame.f_code is _CALL_CODE:
-            name = tb.tb_frame.f_locals["name"]
-        tb = tb.tb_next
-    return name
-
-
 # -- printing -------------------------------------------------------------------
 
 
 def format_value(v: Any) -> str:
-    from .algebra import ExactMatrix
-
-    if isinstance(v, Fraction):
-        return format_rational(v)
     if isinstance(v, GradedPoly):
         return format_poly(v)
     if isinstance(v, tuple):
         return "(" + ", ".join(format_value(x) for x in v) + ")"
     if isinstance(v, ExactMatrix):
-        rows = ["[" + ", ".join(format_rational(x) for x in row) + "]" for row in v.entries]
+        rows = ["[" + ", ".join(str(x) for x in row) + "]" for row in v.entries]
         return "[" + ", ".join(rows) + "]"
     if isinstance(v, bundles.FormalBundle):
         cs = ", ".join(f"c{i+1} = {format_poly(c)}" for i, c in enumerate(v.chern))
@@ -488,8 +496,6 @@ def format_value(v: Any) -> str:
         return presentation_to_text(v)
     if isinstance(v, geometry.Grassmannian):
         return f"G({v.k}, {v.n})"
-    if isinstance(v, geometry.HirzebruchClass):
-        return str(v)
     if isinstance(v, geometry.HirzebruchSurfaceHandle):
         return f"F[{v.n}]"
     return str(v)

@@ -137,12 +137,12 @@ def test_arithmetic_on_section_counts(src, printed):
 @pytest.mark.parametrize(
     "src,message",
     [
-        ("-V", "cannot negate FormalBundle"),
-        ("V + 2", "cannot add FormalBundle and 2"),
-        ("V - 1/2", "cannot subtract 1/2 from FormalBundle"),
-        ("psi(6) * k1", "cannot multiply PsiSeries and GradedPoly"),
-        ("k1 / k1", "cannot divide GradedPoly by GradedPoly"),
-        ("k1 ^ (1/2)", "cannot raise GradedPoly to the power 1/2"),
+        ("-V", "cannot negate a bundle"),
+        ("V + 2", "cannot add a bundle and 2"),
+        ("V - 1/2", "cannot subtract 1/2 from a bundle"),
+        ("psi(6) * k1", "cannot multiply a psi series and a polynomial"),
+        ("k1 / k1", "cannot divide a polynomial by a polynomial"),
+        ("k1 ^ (1/2)", "cannot raise a polynomial to the power 1/2"),
         ("k1 / (k1 - k1)", "division by zero"),
         ("0 ^ (0 - 1)", "division by zero"),
         ("k1 ^ (0 - 1)", "negative polynomial power"),
@@ -446,6 +446,39 @@ def test_every_operator_is_total_on_the_pool(op, evaluator):
         except EvalError:
             continue
         assert not _has_float(value), src
+
+
+# One value of each type a statement can make, with the types that no
+# argument kind accepts: matrices, Schur decompositions and twist solutions.
+VALUES = POOL + [
+    "h0(F[1], S)",
+    "k1 - k1 + 2",
+    "pairing(M6, 2, 4)",
+    "lr([1], [1])",
+    "hyptwist(6)",
+    "unitwist(5)",
+    "tritwist(6, 0)",
+    "[1/2, V]",
+]
+
+
+def test_errors_name_values_in_the_languages_words(evaluator):
+    """An error names a number by its value and any other value by a phrase
+    of the language, never by the class of the object behind it."""
+    classes = {type(evaluator.run(v)).__name__ for v in VALUES} | {"int", "Fraction"}
+    classes.remove("Grassmannian")  # the language's word too: "a Grassmannian G(k, n)"
+    templates = ["-({})", "({}) + V", "V / ({})", "intersect(F[1], S, {})", "genus(F[1], S + ({}))"]
+    messages = set()
+    for src in (t.format(v) for t in templates for v in VALUES):
+        try:
+            evaluator.run(src)
+        except EvalError as exc:
+            messages.add(str(exc))
+    assert "argument 3 of intersect must be a divisor class, got a matrix" in messages
+    assert "cannot add a divisor class and a twist solution" in messages
+    assert "cannot negate a Schur decomposition" in messages
+    for message in messages:
+        assert not classes & set(re.findall(r"\w+", message)), message
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
