@@ -8,7 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from chowcalc.algebra import GradedPoly, format_poly, format_rational  # noqa: E402
+from chowcalc.algebra import GradedPoly, format_poly  # noqa: E402
 from chowcalc.evaluator import format_value  # noqa: E402
 from chowcalc.quotient import (  # noqa: E402
     hilbert_function,
@@ -32,7 +32,7 @@ def main() -> None:
         mat = pairing_matrix(m6, i, 4)
         print(f"  pairing degree {i}: {format_value(mat)}")
     det = pairing_matrix(m6, 2, 4).determinant()
-    print("  degree-2 pairing determinant:", format_rational(det))
+    print("  degree-2 pairing determinant:", det)
 
     print("\nlower genus")
     for g in range(2, 6):

@@ -479,10 +479,6 @@ def series_inverse(a: Sequence[GradedPoly], trunc: int) -> list[GradedPoly]:
     return inv
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def format_poly(p: GradedPoly) -> str:
     """Render in the CLI expression grammar, e.g. ``36864/113 * k2^2``."""
     if p.is_zero():
@@ -497,11 +493,11 @@ def format_poly(p: GradedPoly) -> str:
                 factors.append(f"{name}^{e}")
         mag = abs(coeff)
         if not factors:
-            body = format_rational(mag)
+            body = str(mag)
         elif mag == 1:
             body = " * ".join(factors)
         else:
-            body = " * ".join([format_rational(mag)] + factors)
+            body = " * ".join([str(mag)] + factors)
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:
@@ -592,5 +588,5 @@ class ExactMatrix:
         return self.row_reduce().determinant
 
     def __repr__(self) -> str:
-        body = "; ".join(", ".join(format_rational(x) for x in row) for row in self.entries)
+        body = "; ".join(", ".join(str(x) for x in row) for row in self.entries)
         return f"ExactMatrix[{body}]"

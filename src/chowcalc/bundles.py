@@ -29,7 +29,6 @@ from .algebra import (
     GradedPoly,
     RationalLike,
     VariableTable,
-    format_rational,
     linear_combination,
     rat,
     series_inverse,
@@ -254,7 +253,7 @@ class HyperellipticTwist:
     coefficient: Fraction  # w1 = coefficient * lambda1
 
     def __str__(self) -> str:
-        return f"w1 = {format_rational(self.coefficient)} * lambda1"
+        return f"w1 = {self.coefficient} * lambda1"
 
 
 def solve_hyperelliptic_twist(g: int) -> HyperellipticTwist:
@@ -282,7 +281,7 @@ class UnimodularTwist:
     coefficient: Fraction
 
     def __str__(self) -> str:
-        return f"c1(L) = {format_rational(self.coefficient)} * lambda1"
+        return f"c1(L) = {self.coefficient} * lambda1"
 
 
 def solve_unimodular_twist(rank: int) -> UnimodularTwist:
@@ -327,9 +326,9 @@ class TrigonalTwist:
 
     def __str__(self) -> str:
         return (
-            f"alpha1 = {format_rational(self.q)} * lambda1, "
-            f"beta2 = {format_rational(self.r)} * lambda1^2 + "
-            f"{format_rational(self.s)} * lambda2  ({self.convention})"
+            f"alpha1 = {self.q} * lambda1, "
+            f"beta2 = {self.r} * lambda1^2 + "
+            f"{self.s} * lambda2  ({self.convention})"
         )
 
 

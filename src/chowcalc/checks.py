@@ -16,7 +16,8 @@ from typing import Callable
 
 from . import bundles, geometry, grr, quotient, schur
 from ._record import record
-from .algebra import GradedPoly, VariableTable, format_poly, format_rational, monomial_basis
+from .algebra import GradedPoly, VariableTable, format_poly, monomial_basis
+from .evaluator import DEFAULT_TRUNCATION
 from .expr import parse
 
 
@@ -47,18 +48,7 @@ class Check:
     check_id: str
     anchor: str
     provenance: str
-    run: Callable[["SuiteConfig"], tuple[bool, str, str]]
-
-
-@record
-class SuiteConfig:
-    trunc: int = 4
-
-    def __post_init__(self) -> None:
-        # grr-constants reads kappa1 and ch2, so truncation 2 is the least
-        # order at which every check is defined.
-        if not isinstance(self.trunc, int) or self.trunc < 2:
-            raise ValueError(f"truncation must be an integer >= 2, got {self.trunc!r}")
+    run: Callable[[int], tuple[bool, str, str]]  # truncation -> (ok, computed, expected)
 
 
 RANDOM_SEED = 20240601  # of the random-identities battery
@@ -84,11 +74,15 @@ def check_ids() -> tuple[str, ...]:
 
 
 def run_suite(
-    only: tuple[str, ...] | None = None, config: SuiteConfig | None = None
+    only: tuple[str, ...] | None = None, trunc: int = DEFAULT_TRUNCATION
 ) -> list[CheckResult]:
     """Run the checks named in `only`, each once and in id order, or every
-    check when `only` is None; an empty selection is an UnknownCheckError."""
-    config = config or SuiteConfig()
+    check when `only` is None, at truncation order `trunc`; an empty
+    selection is an UnknownCheckError."""
+    # grr-constants reads kappa1 and ch2, so truncation 2 is the least order
+    # at which every check is defined.
+    if not isinstance(trunc, int) or trunc < 2:
+        raise ValueError(f"truncation must be an integer >= 2, got {trunc!r}")
     by_id = {c.check_id: c for c in _REGISTRY}
     if only is None:
         selected = sorted(by_id)
@@ -104,7 +98,7 @@ def run_suite(
         chk = by_id[cid]
         start = time.perf_counter()
         try:
-            ok, computed, expected = chk.run(config)
+            ok, computed, expected = chk.run(trunc)
             status = "pass" if ok else "fail"
         except Exception as exc:  # a crash is a failed check, not a crashed suite
             status = "error"
@@ -180,7 +174,7 @@ def _m6_report(pres: quotient.RingPresentation) -> tuple[bool, str]:
     "determinant 36608/12769",
     "derived-oracle",
 )
-def _run_m6(config: SuiteConfig):
+def _run_m6(trunc: int):
     ok, msg = _m6_report(quotient.m6_presentation())
     return ok, msg, "Hilbert (1,1,2,1,1,0,0,0,0); det 36608/12769; perfect pairings"
 
@@ -191,7 +185,7 @@ def _run_m6(config: SuiteConfig):
     "g - 2 = 4)",
     "literature",
 )
-def _run_looijenga(config: SuiteConfig):
+def _run_looijenga(trunc: int):
     h = quotient.hilbert_function(quotient.m6_presentation(), 8)
     tail = h[5:]
     return tail == (0, 0, 0, 0), f"degrees 5..8 dims {tail}", "(0, 0, 0, 0)"
@@ -203,7 +197,7 @@ def _run_looijenga(config: SuiteConfig):
     "g = 2..5",
     "literature",
 )
-def _run_low_genus(config: SuiteConfig):
+def _run_low_genus(trunc: int):
     got = {}
     ok = True
     for g in range(2, 6):
@@ -220,7 +214,7 @@ def _run_low_genus(config: SuiteConfig):
     "and wedge^4 V = (dual V) (x) det V in all Chern degrees for rank-5 V",
     "derived-oracle",
 )
-def _run_plucker(config: SuiteConfig):
+def _run_plucker(trunc: int):
     dec = schur.decompose_sym2_wedge2(5)
     expected_dec = schur.SchurDecomposition.from_dict(
         {schur.Partition((2, 2)): 1, schur.Partition((1, 1, 1, 1)): 1}
@@ -229,12 +223,12 @@ def _run_plucker(config: SuiteConfig):
         schur.dim_schur(schur.Partition((2, 2)), 5),
         schur.dim_schur(schur.Partition((1, 1, 1, 1)), 5),
     )
-    v = grr.mukai_bundle(config.trunc)
-    table = grr.mukai_model_table(config.trunc)
+    v = grr.mukai_bundle(trunc)
+    table = grr.mukai_model_table(trunc)
     lhs = bundles.wedge_power(v, 4)
     rhs = bundles.twist(bundles.dual(v), bundles.LineClass(GradedPoly.variable(table, "v1")))
     bundle_ok = lhs.rank == rhs.rank == 5 and all(
-        lhs.c(i) == rhs.c(i) for i in range(1, config.trunc + 1)
+        lhs.c(i) == rhs.c(i) for i in range(1, trunc + 1)
     )
     ok = dec == expected_dec and dims == (50, 5) and bundle_ok
     return (
@@ -253,21 +247,21 @@ def _run_plucker(config: SuiteConfig):
     "beyond degree 4 for an honest rank-4 subbundle",
     "derived-oracle",
 )
-def _run_mukai(config: SuiteConfig):
+def _run_mukai(trunc: int):
     forms = geometry.forms_dim(5, 2)
     residual = forms - 5
     total_dim = geometry.grass_dim(4, 10) + residual
-    f = grr.plucker_sequence_decomposition(config.trunc)
-    middle = bundles.wedge_power(grr.mukai_bundle(config.trunc), 2)
+    f = grr.plucker_sequence_decomposition(trunc)
+    middle = bundles.wedge_power(grr.mukai_bundle(trunc), 2)
     ell = bundles.LineClass(GradedPoly.variable(f.table, "ell"))
-    eprime = bundles.twist(grr.hodge_model_bundle(config.trunc), ell)
+    eprime = bundles.twist(grr.hodge_model_bundle(trunc), ell)
     vanishing = _whitney_roundtrip(f.rank, 6)  # visible past degree 4
     ok = (
         forms == 21
         and residual == 16
         and total_dim == 40
         and (f.rank, eprime.rank, middle.rank) == (4, 6, 10)
-        and _whitney_roundtrip(f.rank, config.trunc)
+        and _whitney_roundtrip(f.rank, trunc)
         and vanishing
     )
     computed = (
@@ -309,7 +303,7 @@ def _whitney_roundtrip(rank: int, trunc: int) -> bool:
     "of the squared dualizing sheaf",
     "literature",
 )
-def _run_quadrics(config: SuiteConfig):
+def _run_quadrics(trunc: int):
     got = []
     ok = True
     for g, expected in ((6, 6), (5, 3), (4, 1)):
@@ -328,7 +322,7 @@ def _run_quadrics(config: SuiteConfig):
     "different parities (g = 4..12, 3n <= g + 2)",
     "derived-oracle",
 )
-def _run_maroni(config: SuiteConfig):
+def _run_maroni(trunc: int):
     failures = []
     for g in range(4, 13):
         for n in range((g + 2) // 3 + 1):
@@ -360,7 +354,7 @@ def _run_maroni(config: SuiteConfig):
     "each recomputed from its quotient presentation",
     "derived-oracle",
 )
-def _run_strata(config: SuiteConfig):
+def _run_strata(trunc: int):
     g6 = geometry.stratum_dimensions(6)
     maroni = geometry.maroni_divisor_dim(6)
     g5 = geometry.stratum_dimensions(5)
@@ -381,17 +375,16 @@ def _run_strata(config: SuiteConfig):
     "dualizing sheaf = 13 kappa1/12 with rank 3g - 3",
     "derived-oracle",
 )
-def _run_grr(config: SuiteConfig):
-    D = config.trunc
-    k1 = grr.kappa(D, 1)
-    hodge = grr.hodge_bundle(6, D)
+def _run_grr(trunc: int):
+    k1 = grr.kappa(trunc, 1)
+    hodge = grr.hodge_bundle(6, trunc)
     ch_hodge = bundles.chern_character(hodge)
-    ch2 = grr.ch_pushforward_omega_power(2, 6, D)
+    ch2 = grr.ch_pushforward_omega_power(2, 6, trunc)
     ranks_ok = all(
-        grr.ch_pushforward_omega_power(2, g, D)[0].as_scalar() == 3 * g - 3
+        grr.ch_pushforward_omega_power(2, g, trunc)[0].as_scalar() == 3 * g - 3
         for g in range(2, 9)
     )
-    lam1_ok = all(grr.hodge_bundle(g, D).c(1) == k1 / 12 for g in range(2, 9))
+    lam1_ok = all(grr.hodge_bundle(g, trunc).c(1) == k1 / 12 for g in range(2, 9))
     ok = (
         hodge.c(1) == k1 / 12
         and ch_hodge[1] == k1 / 12
@@ -415,7 +408,7 @@ def _run_grr(config: SuiteConfig):
     "rank-5 model with trivial determinant gives c1(L) = lambda1/5",
     "derived-oracle",
 )
-def _run_sym_calc(config: SuiteConfig):
+def _run_sym_calc(trunc: int):
     wtab = VariableTable(("w1", "w2"), (1, 2))
     w1 = GradedPoly.variable(wtab, "w1")
     w2 = GradedPoly.variable(wtab, "w2")
@@ -432,7 +425,7 @@ def _run_sym_calc(config: SuiteConfig):
     ok = sym_ok and hyp.coefficient == Fraction(1, 15) and uni.coefficient == Fraction(1, 5)
     computed = (
         f"c(Sym^2) = ({format_poly(s2.c(1))}, {format_poly(s2.c(2))}, {format_poly(s2.c(3))}), "
-        f"w1 = {format_rational(hyp.coefficient)} lambda1, c1(L) = {format_rational(uni.coefficient)} lambda1"
+        f"w1 = {hyp.coefficient} lambda1, c1(L) = {uni.coefficient} lambda1"
     )
     return ok, computed, "(3w1, 2w1^2+4w2, 4w1w2), 1/15, 1/5"
 
@@ -443,7 +436,7 @@ def _run_sym_calc(config: SuiteConfig):
     "(e.g. 127 -> 128) breaks at least one of the presentation identities",
     "derived-oracle",
 )
-def _run_sensitivity(config: SuiteConfig):
+def _run_sensitivity(trunc: int):
     base = quotient.KAPPA_M6_COEFFS
     undetected = []
     for i in range(4):
@@ -469,9 +462,8 @@ def _run_sensitivity(config: SuiteConfig):
     "tableau count, parser print/parse fixpoint",
     "derived-oracle",
 )
-def _run_random(config: SuiteConfig):
+def _run_random(trunc: int):
     rng = random.Random(RANDOM_SEED)
-    D = config.trunc
     table = VariableTable(("a1", "b1", "u", "v"), (1, 1, 1, 2))
     problems: list[str] = []
 
@@ -483,7 +475,7 @@ def _run_random(config: SuiteConfig):
         return rand_poly(1, 3)  # in a1, b1, u: v has weight 2
 
     def rand_bundle(rank: int) -> bundles.FormalBundle:
-        cs = tuple(rand_poly(i, 2) for i in range(1, D + 1))
+        cs = tuple(rand_poly(i, 2) for i in range(1, trunc + 1))
         return bundles.FormalBundle(rank, cs, table)
 
     for trial in range(4):
@@ -502,23 +494,23 @@ def _run_random(config: SuiteConfig):
             problems.append(f"dual involution failed on trial {trial}")
         rank3 = rand_bundle(3)
         back = bundles.chern_from_character(bundles.chern_character(rank3), 3)
-        if any(back.c(i) != rank3.c(i) for i in range(1, D + 1)):
+        if any(back.c(i) != rank3.c(i) for i in range(1, trunc + 1)):
             problems.append(f"character roundtrip failed on trial {trial}")
 
     # split bundles: operations agree with explicit products over line classes
     lines = [rand_poly_deg1() for _ in range(3)]
-    split = bundles.bundle_from_line_classes(lines, D)
+    split = bundles.bundle_from_line_classes(lines, trunc)
     wedge2 = bundles.wedge_power(split, 2)
     explicit = bundles.bundle_from_line_classes(
-        [lines[0] + lines[1], lines[0] + lines[2], lines[1] + lines[2]], D
+        [lines[0] + lines[1], lines[0] + lines[2], lines[1] + lines[2]], trunc
     )
-    if any(wedge2.c(i) != explicit.c(i) for i in range(1, D + 1)):
+    if any(wedge2.c(i) != explicit.c(i) for i in range(1, trunc + 1)):
         problems.append("wedge^2 disagrees with the explicit split computation")
     sym2 = bundles.sym_power(split, 2)
     explicit_sym = bundles.bundle_from_line_classes(
-        [lines[i] + lines[j] for i in range(3) for j in range(i, 3)], D
+        [lines[i] + lines[j] for i in range(3) for j in range(i, 3)], trunc
     )
-    if any(sym2.c(i) != explicit_sym.c(i) for i in range(1, D + 1)):
+    if any(sym2.c(i) != explicit_sym.c(i) for i in range(1, trunc + 1)):
         problems.append("sym^2 disagrees with the explicit split computation")
 
     # LR dimension identities

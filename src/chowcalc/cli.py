@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .evaluator import EvalError, Evaluator, format_value, statements
+from .evaluator import DEFAULT_TRUNCATION, EvalError, Evaluator, format_value, statements
 from .expr import ParseError
 
 
@@ -51,18 +51,20 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--only", help="comma-separated check ids", default=None)
     verify.add_argument("--format", choices=("text", "json"), default=None)
-    verify.add_argument("--trunc", type=int, default=None, help="truncation order (default 4)")
+    verify.add_argument(
+        "--trunc", type=int, default=None, help=f"truncation order (default {DEFAULT_TRUNCATION})"
+    )
     verify.add_argument("--config", help="key=value config file", default=None)
     verify.add_argument("--list", action="store_true", help="list check ids and exit")
 
     ev = sub.add_parser("eval", help="evaluate one expression")
     ev.add_argument("expression")
     ev.add_argument("--defs", help="definitions file (name = expr, one per line)")
-    ev.add_argument("--trunc", type=int, default=None)
+    ev.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION)
 
     repl = sub.add_parser("repl", help="batch read-eval-print on stdin")
     repl.add_argument("--defs", help="definitions file (name = expr, one per line)")
-    repl.add_argument("--trunc", type=int, default=None)
+    repl.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION)
 
     return parser
 
@@ -93,28 +95,22 @@ def _cmd_verify(args) -> int:
             if fmt not in ("text", "json"):
                 print(f"error: config format must be text or json, got {fmt!r}", file=sys.stderr)
                 return 2
-    fmt = fmt or "text"
-    try:
-        config = checks.SuiteConfig(trunc=trunc if trunc is not None else 4)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.list:
         print("\n".join(checks.check_ids()))
         return 0
     selection = None if only is None else tuple(s.strip() for s in only.split(",") if s.strip())
     try:
-        results = checks.run_suite(selection, config)
-    except checks.UnknownCheckError as exc:
+        results = checks.run_suite(selection, DEFAULT_TRUNCATION if trunc is None else trunc)
+    except ValueError as exc:  # a bad truncation or selection
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(checks.format_text(results) if fmt == "text" else checks.format_json(results))
+    print(checks.format_json(results) if fmt == "json" else checks.format_text(results))
     return checks.exit_code(results)
 
 
 def _make_evaluator(args) -> Evaluator:
-    ev = Evaluator(trunc=args.trunc if args.trunc is not None else 4)
-    if getattr(args, "defs", None):
+    ev = Evaluator(trunc=args.trunc)
+    if args.defs:
         ev.load_definitions(Path(args.defs).read_text())
     return ev
 

@@ -84,7 +84,7 @@ def statements(lines: Iterable[str]) -> Iterator[str]:
             yield source
 
 
-def prelude(trunc: int = DEFAULT_TRUNCATION) -> dict[str, Any]:
+def prelude(trunc: int) -> dict[str, Any]:
     """Standard environment: the genus-6 kappa presentation, the kappa ring
     variables, and the named bundles of the verification models."""
     env: dict[str, Any] = {}

@@ -231,7 +231,7 @@ def hodge_model_bundle(trunc: int) -> FormalBundle:
     return FormalBundle(6, cs, table)
 
 
-def plucker_sequence_decomposition(trunc: int = 4) -> FormalBundle:
+def plucker_sequence_decomposition(trunc: int) -> FormalBundle:
     """F, the rank-4 bundle of linear forms in the exact sequence
     0 -> F -> wedge^2 V -> E (x) L' -> 0 on the locus where genus-6 canonical
     curves are quadric sections of G(2,5); E (x) L' is the Hodge bundle twisted

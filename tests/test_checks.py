@@ -90,10 +90,7 @@ def test_every_check_carries_an_anchor_and_provenance():
 
 
 def test_suite_passes_at_higher_truncation():
-    results = checks.run_suite(
-        ("grr-constants", "mukai-bookkeeping", "plucker-lemma"),
-        checks.SuiteConfig(trunc=5),
-    )
+    results = checks.run_suite(("grr-constants", "mukai-bookkeeping", "plucker-lemma"), trunc=5)
     assert all(r.status == "pass" for r in results), checks.format_text(results)
 
 
@@ -108,10 +105,11 @@ def test_format_text_marks_errors_apart_from_disagreements():
     assert marks == ["PASS", "FAIL", "ERROR", "1/3"]
 
 
+# The suite's one setting is its truncation order; 2 is the least it takes.
 @pytest.mark.parametrize("trunc", [0, 1, -1, "4"])
 def test_suite_config_rejects_bad_truncation(trunc):
-    with pytest.raises(ValueError, match="truncation"):
-        checks.SuiteConfig(trunc=trunc)
+    with pytest.raises(ValueError, match=rf"^truncation must be an integer >= 2, got {trunc!r}$"):
+        checks.run_suite(trunc=trunc)
 
 
 def test_exit_codes():
@@ -349,7 +347,8 @@ def test_cli_repl_continues_after_an_evaluation_error(monkeypatch, capsys):
 def test_cli_verify_rejects_truncation_below_two(trunc, capsys):
     assert main(["verify", "--trunc", trunc]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.out == ""
+    assert captured.err == f"error: truncation must be an integer >= 2, got {trunc}\n"
+    assert captured.out == ""
 
 
 def test_cli_verify_rejects_non_integer_config_trunc(tmp_path, capsys):
@@ -364,7 +363,7 @@ def test_cli_verify_rejects_low_config_trunc(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("trunc = 1\n")
     assert main(["verify", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr() == ("", "error: truncation must be an integer >= 2, got 1\n")
 
 
 def test_cli_verify_rejects_unknown_config_format(tmp_path, capsys):
@@ -393,35 +392,6 @@ def test_cli_repl_rejects_negative_truncation(monkeypatch, capsys):
     assert main(["repl", "--trunc", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
-
-
-def test_run_verification_script_rejects_low_truncation(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--trunc", "1", "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2
-    assert "error: truncation must be an integer >= 2" in proc.stderr
-    assert not (tmp_path / "out").exists()
-
-
-def test_run_verification_script_writes_both_reports(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--out", str(out)], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert (out / "verification.txt").read_text().startswith("PASS")
-    entries = json.loads((out / "verification.json").read_text())
-    assert len(entries) == 12
-    fields = {"check_id", "anchor", "status", "computed", "expected", "provenance", "millis"}
-    for entry in entries:
-        assert entry["status"] == "pass"
-        assert set(entry) == fields
 
 
 def test_kappa_ring_tables_script():
