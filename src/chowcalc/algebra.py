@@ -319,30 +319,6 @@ class GradedPoly:
             object.__setattr__(self, "_hash", h)
         return h
 
-    # -- structural operations ----------------------------------------------
-
-    def substitute(self, mapping: Mapping[str, "GradedPoly"], target: VariableTable) -> "GradedPoly":
-        """Evaluate by sending each variable to a polynomial over `target`.
-
-        Every variable that actually occurs must be mapped.
-        """
-        images: list[GradedPoly | None] = [mapping.get(n) for n in self.table.names]
-        one = GradedPoly.one(target)
-        powers: dict[tuple[int, int], GradedPoly] = {}  # (i, e) -> images[i]**e
-        terms = []
-        for exps, c in self._terms.items():
-            image = one
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if images[i] is None:
-                    raise KeyError(f"no substitution for variable {self.table.names[i]!r}")
-                if (i, e) not in powers:
-                    powers[i, e] = images[i] ** e
-                image = image * powers[i, e]
-            terms.append((c, image, one))
-        return linear_combination(target, terms)
-
     def __repr__(self) -> str:
         return f"GradedPoly({format_poly(self)})"
 

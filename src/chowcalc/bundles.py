@@ -27,10 +27,8 @@ from . import geometry
 from ._record import record
 from .algebra import (
     GradedPoly,
-    RationalLike,
     VariableTable,
     linear_combination,
-    rat,
     series_inverse,
     series_mul,
 )
@@ -304,11 +302,9 @@ class TrigonalTwist:
     canonical embedding: Hodge (x) M = Sym^a V + L (x) Sym^b V with rank-2 V,
     c1(V) = 0.
 
-    The line M is an unknown the comparison cannot pin down; it is carried as
-    the convention c1(M) = t * lambda1, and the returned scalars q, r, s are
-    the solution at the recorded t.  q_family/r_family give the coefficients
-    of (1, t, t^2) of the full one-parameter solution, with
-    alpha1 = q * lambda1 and beta2 = r * lambda1^2 + s * lambda2.
+    The line M is an unknown the comparison cannot pin down; it is fixed by
+    the convention c1(M) = 0, under which alpha1 = q * lambda1 and
+    beta2 = r * lambda1^2 + s * lambda2.
     """
 
     genus: int
@@ -316,19 +312,14 @@ class TrigonalTwist:
     k: int
     a: int
     b: int
-    t: Fraction
     q: Fraction
     r: Fraction
     s: Fraction
-    q_family: tuple[Fraction, Fraction]
-    r_family: tuple[Fraction, Fraction, Fraction]
-    convention: str
 
     def __str__(self) -> str:
         return (
-            f"alpha1 = {self.q} * lambda1, "
-            f"beta2 = {self.r} * lambda1^2 + "
-            f"{self.s} * lambda2  ({self.convention})"
+            f"alpha1 = {self.q} * lambda1, beta2 = {self.r} * lambda1^2 + "
+            f"{self.s} * lambda2  (c1(M) = 0 * lambda1)"
         )
 
 
@@ -355,57 +346,35 @@ def _sym2_rank2_coefficient(j: int) -> Fraction:
     return out
 
 
-def solve_trigonal_twist(g: int, n: int, t: RationalLike = 0) -> TrigonalTwist:
+def solve_trigonal_twist(g: int, n: int) -> TrigonalTwist:
     """Solve the degree-1 and degree-2 Chern-class comparisons of the scroll
-    decomposition for (q, r, s); the system is triangular once c1(M) = t *
-    lambda1 is fixed, and the solution is verified by rebuilding both sides.
+    decomposition for (q, r, s), a triangular system once c1(M) = 0; the
+    solution is verified by rebuilding the right-hand side.
     """
-    t = rat(t)
     k, a, b = maroni_split_degrees(g, n)
     if (a + 1) + (b + 1) != g:
         raise BundleError("rank bookkeeping failed: (a+1)+(b+1) != g")
     na, nb = _sym2_rank2_coefficient(a), _sym2_rank2_coefficient(b)
     if na + nb == 0:
         raise BundleError("degenerate second-Chern-class comparison")
-    # degree 1: 1 + g t = (b+1) q
-    q0, q1 = Fraction(1, b + 1), Fraction(g, b + 1)
-    q = q0 + q1 * t
+    # degree 1: 1 = (b+1) q
+    q = Fraction(1, b + 1)
     # degree 2, lambda2 coefficient: 1 = (na + nb) s
     s = 1 / (na + nb)
-    # degree 2, lambda1^2 coefficient: (g-1) t + C(g,2) t^2 = (na+nb) r + C(b+1,2) q^2
-    cb = Fraction(comb(b + 1, 2))
-    r0 = (-cb * q0 * q0) / (na + nb)
-    r1 = (Fraction(g - 1) - cb * 2 * q0 * q1) / (na + nb)
-    r2 = (Fraction(comb(g, 2)) - cb * q1 * q1) / (na + nb)
-    r = r0 + r1 * t + r2 * t * t
-
-    _verify_trigonal(g, a, b, t, q, r, s)
-    return TrigonalTwist(
-        genus=g,
-        maroni=n,
-        k=k,
-        a=a,
-        b=b,
-        t=t,
-        q=q,
-        r=r,
-        s=s,
-        q_family=(q0, q1),
-        r_family=(r0, r1, r2),
-        convention=f"c1(M) = {t} * lambda1",
-    )
+    # degree 2, lambda1^2 coefficient: 0 = (na+nb) r + C(b+1,2) q^2
+    r = -comb(b + 1, 2) * q * q / (na + nb)
+    _verify_trigonal(g, a, b, q, r, s)
+    return TrigonalTwist(genus=g, maroni=n, k=k, a=a, b=b, q=q, r=r, s=s)
 
 
-def _verify_trigonal(
-    g: int, a: int, b: int, t: Fraction, q: Fraction, r: Fraction, s: Fraction
-) -> None:
+def _verify_trigonal(g: int, a: int, b: int, q: Fraction, r: Fraction, s: Fraction) -> None:
+    """Rebuild Sym^a V + L (x) Sym^b V and compare it with Hodge (x) M, whose
+    c1 and c2 are lambda1 and lambda2 when c1(M) = 0."""
     table = VariableTable(("l1", "l2"), (1, 2))
     l1 = GradedPoly.variable(table, "l1")
     l2 = GradedPoly.variable(table, "l2")
-    hodge = FormalBundle(g, (l1, l2), table)
-    lhs = twist(hodge, LineClass(l1 * t))
     beta2 = r * l1 * l1 + s * l2
     v = FormalBundle(2, (GradedPoly.zero(table), beta2), table)
     rhs = direct_sum(sym_power(v, a), twist(sym_power(v, b), LineClass(l1 * q)))
-    if rhs.rank != g or lhs.c(1) != rhs.c(1) or lhs.c(2) != rhs.c(2):
+    if rhs.rank != g or rhs.c(1) != l1 or rhs.c(2) != l2:
         raise BundleError("trigonal twist solution failed verification")

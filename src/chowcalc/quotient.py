@@ -38,14 +38,13 @@ class RingPresentation:
 
 @record
 class GradedPiece:
-    """Degree-d data: the monomials, the quotient basis (the non-pivot
-    monomials of the reduced Macaulay matrix) and the normal form of every
-    monomial.  A quotient monomial is its own normal form; a pivot monomial
-    maps to minus the rest of its reduced row.  The table is never mutated
-    after it is built."""
+    """Degree-d data: the quotient basis (the non-pivot monomials of the
+    reduced Macaulay matrix) and the normal form of every monomial.  A
+    quotient monomial is its own normal form; a pivot monomial maps to minus
+    the rest of its reduced row.  The table is never mutated after it is
+    built."""
 
     degree: int
-    monomials: tuple[tuple[int, ...], ...]
     quotient_basis: tuple[tuple[int, ...], ...]
     normal_forms: Mapping[tuple[int, ...], GradedPoly]
 
@@ -87,7 +86,7 @@ def graded_piece(pres: RingPresentation, d: int) -> GradedPiece:
         # a reduced row is zero in every other pivot column
         table[basis[i]] = GradedPoly(pres.table, {basis[j]: -row[j] for j in free})
     quotient = tuple(basis[j] for j in free)
-    return GradedPiece(degree=d, monomials=basis, quotient_basis=quotient, normal_forms=table)
+    return GradedPiece(degree=d, quotient_basis=quotient, normal_forms=table)
 
 
 def hilbert_function(pres: RingPresentation, max_d: int) -> tuple[int, ...]:

@@ -262,12 +262,7 @@ def decompose_sym2_wedge2(n: int) -> SchurDecomposition:
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    table = _x_table(n)
     e2 = _elementary2(n)
-    squared_vars = {
-        name: GradedPoly.monomial(table, tuple(2 if k == i else 0 for k in range(n)))
-        for i, name in enumerate(table.names)
-    }
-    e2_sq_vars = e2.substitute(squared_vars, table)
-    plethysm = (e2 * e2 + e2_sq_vars) / 2
-    return decompose_schur(plethysm, n)
+    # p(x -> x^2) doubles every exponent of p
+    e2_sq_vars = GradedPoly(e2.table, {tuple(2 * e for e in exps): c for exps, c in e2.items()})
+    return decompose_schur((e2 * e2 + e2_sq_vars) / 2, n)

@@ -284,14 +284,6 @@ def test_formatted_polys_reparse_to_the_same_value():
             assert back == p
 
 
-def test_substitute_composes_polynomials():
-    target = VariableTable(("t",), (1,))
-    t = GradedPoly.variable(target, "t")
-    p = k("k1") ** 2 + 3 * k("k2")
-    image = p.substitute({"k1": 2 * t, "k2": t * t}, target)
-    assert image == 7 * t**2
-
-
 # -- integer-content kernel against the plain Fraction loops ---------------------
 #
 # The references below are the straightforward Fraction-dict loops.  The kernel

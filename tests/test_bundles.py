@@ -363,13 +363,6 @@ def test_trigonal_twist_maroni_divisor():
     assert (sol.q, sol.r, sol.s) == (Fraction(1, 2), Fraction(-1, 44), Fraction(1, 11))
 
 
-@pytest.mark.parametrize("t", [0, 1, -1, 2])
-def test_trigonal_twist_family_verifies_at_many_conventions(t):
-    sol = solve_trigonal_twist(6, 0, t=t)
-    q0, q1 = sol.q_family
-    assert sol.q == q0 + q1 * Fraction(t)
-
-
 def test_trigonal_twist_rank_bookkeeping():
     for g, n in ((4, 0), (5, 1), (6, 0), (6, 2), (7, 1), (8, 0)):
         sol = solve_trigonal_twist(g, n)

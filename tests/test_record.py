@@ -18,7 +18,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "chowcalc"
 T = VariableTable(("x", "y"), (1, 2))
 X, Y = GradedPoly.variable(T, "x"), GradedPoly.variable(T, "y")
 K = VariableTable(("k",), (1,))
-FAMILY = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(-1)))
 
 # Two or more argument tuples per record class; each class's tuples differ.
 SAMPLES = {
@@ -29,8 +28,8 @@ SAMPLES = {
     "HyperellipticTwist": [(3, Fraction(1, 3)), (4, Fraction(1, 6))],
     "UnimodularTwist": [(5, Fraction(1, 5)), (5, Fraction(2, 5))],
     "TrigonalTwist": [
-        (6, 0, 4, 2, 2, Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1), *FAMILY, "t = 0"),
-        (6, 2, 1, 3, 1, Fraction(1), Fraction(1, 2), Fraction(1), Fraction(-1), *FAMILY, "t = 1"),
+        (6, 0, 4, 2, 2, Fraction(1, 3), Fraction(-1, 24), Fraction(1, 8)),
+        (6, 2, 1, 3, 1, Fraction(1, 2), Fraction(-1, 44), Fraction(1, 11)),
     ],
     "CheckResult": [
         ("m6", "anchor", "direct", "pass", "1", "1", 1.5),
@@ -52,7 +51,7 @@ SAMPLES = {
     "Grassmannian": [(2, 4), (1, 3)],
     "PsiSeries": [(2, (X, Y)), (3, (X,))],
     "RingPresentation": [(T, (X * X - Y,)), (T, ())],
-    "GradedPiece": [(1, ((1, 0),), ((1, 0),), {(1, 0): X}), (0, ((0, 0),), (), {})],
+    "GradedPiece": [(1, ((1, 0),), {(1, 0): X}), (0, (), {})],
     "PoincareReport": [
         (2, (1, 1, 1), True, True, 1, ((0, 1, 1),), True),
         (2, (1, 2, 1), True, True, 1, ((1, 1, 2),), False),

@@ -179,17 +179,16 @@ def test_sym2_wedge2_leaves_50_quadrics_after_pluecker():
 @pytest.mark.parametrize("n", [4, 5])
 def test_plethysm_reconstruction_oracle(n):
     """Independent check: the claimed Schur sum, reassembled from explicit
-    SSYT polynomials, equals h2[e2] built directly from monomials."""
-    from chowcalc.schur import _elementary2, _x_table
+    SSYT polynomials, equals h2[e2] built directly from monomials, as the sum
+    of the products of every unordered pair of weights of wedge^2, repeats
+    included."""
+    from chowcalc.schur import _elementary2
     from chowcalc.algebra import GradedPoly
 
-    table = _x_table(n)
     e2 = _elementary2(n)
-    squared = {
-        name: GradedPoly.monomial(table, tuple(2 if i == j else 0 for j in range(n)))
-        for i, name in enumerate(table.names)
-    }
-    plethysm = (e2 * e2 + e2.substitute(squared, table)) / 2
+    weights = [GradedPoly.monomial(e2.table, exps) for exps, _ in e2.items()]
+    pairs = itertools.combinations_with_replacement(weights, 2)
+    plethysm = sum((a * b for a, b in pairs), GradedPoly.zero(e2.table))
     reconstructed = schur_polynomial(P(2, 2), n) + schur_polynomial(P(1, 1, 1, 1), n)
     assert plethysm == reconstructed
 
