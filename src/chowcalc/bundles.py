@@ -324,10 +324,10 @@ class TrigonalTwist:
 
 
 def maroni_split_degrees(g: int, n: int) -> tuple[int, int, int]:
-    """(k, a, b) with k = (g - 3n + 2)/2, a = 2n + k - 2, b = n + k - 2."""
+    """(k, a, b) with k = geometry.maroni_k(g, n), a = 2n + k - 2, b = n + k - 2."""
     if not geometry.maroni_admissible(g, n):
         raise BundleError(f"Maroni invariant {n} not admissible for genus {g}")
-    k = (g - 3 * n + 2) // 2
+    k = int(geometry.maroni_k(g, n))
     return k, 2 * n + k - 2, n + k - 2
 
 

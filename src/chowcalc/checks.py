@@ -17,8 +17,7 @@ from typing import Callable
 from . import bundles, geometry, grr, quotient, schur
 from ._record import record
 from .algebra import GradedPoly, VariableTable, format_poly, monomial_basis
-from .evaluator import DEFAULT_TRUNCATION
-from .expr import parse
+from .evaluator import DEFAULT_TRUNCATION, Evaluator
 
 
 @record
@@ -459,7 +458,7 @@ def _run_sensitivity(trunc: int):
     "additivity, dual involution, Chern character roundtrip, symmetric and "
     "exterior powers on explicit sums of line bundles, "
     "Littlewood-Richardson dimension identities, Pluecker degree = standard "
-    "tableau count, parser print/parse fixpoint",
+    "tableau count, printed polynomials read back as themselves",
     "derived-oracle",
 )
 def _run_random(trunc: int):
@@ -530,19 +529,13 @@ def _run_random(trunc: int):
         if geometry.plucker_degree(k, n) != schur.syt_count(rect):
             problems.append(f"pluecker degree != SYT count for G({k},{n})")
 
-    corpus = [
-        "dim(G(4, 10)) + 16",
-        "sym(2, V) / F",
-        "hilbert(ring[k1, k2; 1, 2](127*k1^3 - 2304*k1*k2, 113*k1^4 - 36864*k2^2), 6)",
-        "-x^2 * (y + z) - 5/3",
-        "wedge(4, V)",
-        "genus(F[2], 3*S + 1*F)",
-        "bundle(2; w1, w2)",
-        "a + (b - c) ^ 2 ^ 3",
-    ]
-    for src in corpus:
-        tree = parse(src)
-        if parse(tree.to_source()) != tree:
-            problems.append(f"parser fixpoint failed on {src!r}")
+    # the printer users see reads back through the language
+    ev = Evaluator(trunc)
+    ev.env.update({name: GradedPoly.variable(table, name) for name in table.names})
+    for _ in range(4):
+        scale = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        p = scale * sum((rand_poly(d, 5) for d in range(4)), GradedPoly.zero(table))
+        if ev.run(format_poly(p)) != p:
+            problems.append(f"{format_poly(p)!r} does not read back as itself")
 
     return (not problems, "; ".join(problems) if problems else "all identities hold", "no failures")

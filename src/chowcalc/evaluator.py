@@ -300,7 +300,12 @@ OPERATORS: dict[str, tuple[tuple[Any, ...], ...]] = {
         ("psi", "scalar", mul),
         ("scalar", "psi", mul),
     ),
-    "/": (("poly", "scalar", truediv), ("bundle", "bundle", bundles.sequence_quotient)),
+    "/": (
+        ("poly", "scalar", truediv),
+        ("divisor", "scalar", lambda x, q: x * (1 / q)),
+        ("psi", "scalar", lambda x, q: x * (1 / q)),
+        ("bundle", "bundle", bundles.sequence_quotient),
+    ),
     "^": (("poly", "int", _power),),
 }
 

@@ -66,24 +66,15 @@ def tokenize(src: str) -> list[tuple[str, str, int]]:
 class Num:
     value: int
 
-    def to_source(self) -> str:
-        return str(self.value)
-
 
 @record
 class Var:
     name: str
 
-    def to_source(self) -> str:
-        return self.name
-
 
 @record
 class Neg:
     arg: "Expr"
-
-    def to_source(self) -> str:
-        return f"-{_wrap(self.arg)}"
 
 
 @record
@@ -92,28 +83,11 @@ class BinOp:
     left: "Expr"
     right: "Expr"
 
-    def to_source(self) -> str:
-        # Parenthesise so that reparsing the printed form rebuilds this exact
-        # tree: ^ is right-associative, everything else left-associative.
-        lp = _precedence(self.left)
-        rp = _precedence(self.right)
-        p = _OP_PREC[self.op]
-        left = self.left.to_source()
-        right = self.right.to_source()
-        if lp < p or (lp == p and self.op == "^"):
-            left = f"({left})"
-        if rp < p or (rp == p and self.op != "^"):
-            right = f"({right})"
-        return f"{left} {self.op} {right}"
-
 
 @record
 class Call:
     name: str
     args: tuple["Expr", ...]
-
-    def to_source(self) -> str:
-        return f"{self.name}({', '.join(a.to_source() for a in self.args)})"
 
 
 @record
@@ -121,16 +95,10 @@ class Index:
     name: str
     args: tuple["Expr", ...]
 
-    def to_source(self) -> str:
-        return f"{self.name}[{', '.join(a.to_source() for a in self.args)}]"
-
 
 @record
 class ListExpr:
     items: tuple["Expr", ...]
-
-    def to_source(self) -> str:
-        return f"[{', '.join(a.to_source() for a in self.items)}]"
 
 
 @record
@@ -139,21 +107,11 @@ class RingExpr:
     weights: tuple[int, ...]
     relations: tuple["Expr", ...]
 
-    def to_source(self) -> str:
-        vs = ", ".join(self.variables)
-        ws = ", ".join(str(w) for w in self.weights)
-        rs = ", ".join(r.to_source() for r in self.relations)
-        return f"ring[{vs}; {ws}]({rs})"
-
 
 @record
 class BundleExpr:
     rank: "Expr"
     classes: tuple["Expr", ...]
-
-    def to_source(self) -> str:
-        cs = ", ".join(c.to_source() for c in self.classes)
-        return f"bundle({self.rank.to_source()}; {cs})"
 
 
 @record
@@ -161,28 +119,8 @@ class Assign:
     name: str
     value: "Expr"
 
-    def to_source(self) -> str:
-        return f"{self.name} = {self.value.to_source()}"
-
 
 Expr = Num | Var | Neg | BinOp | Call | Index | ListExpr | RingExpr | BundleExpr
-
-_OP_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-
-
-def _precedence(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _OP_PREC[e.op]
-    if isinstance(e, Neg):
-        return 0
-    return 9
-
-
-def _wrap(e: Expr) -> str:
-    src = e.to_source()
-    if isinstance(e, BinOp) and _OP_PREC[e.op] <= 2:
-        return f"({src})"
-    return src
 
 
 class _Parser:

@@ -68,9 +68,6 @@ class HirzebruchClass:
         if self.n != other.n:
             raise ValueError(f"classes live on different surfaces F_{self.n} and F_{other.n}")
 
-    def __str__(self) -> str:
-        return f"{self.a}*E + {self.b}*F on F_{self.n}"
-
 
 def section_E(n: int) -> HirzebruchClass:
     return HirzebruchClass(n, Fraction(1), Fraction(0))

@@ -102,12 +102,6 @@ class SchurDecomposition:
         items = tuple(sorted(((p, m) for p, m in d.items() if m), key=lambda t: t[0].parts))
         return SchurDecomposition(items)
 
-    def multiplicity(self, lam: Partition) -> int:
-        return dict(self.terms).get(lam, 0)
-
-    def dimension(self, n: int) -> int:
-        return sum(m * dim_schur(p, n) for p, m in self.terms)
-
     def __str__(self) -> str:
         return " + ".join(
             (f"{m}*" if m > 1 else "") + f"S{p}" for p, m in self.terms

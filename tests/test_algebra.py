@@ -16,6 +16,7 @@ from chowcalc.algebra import (
     series_inverse,
     series_mul,
 )
+from chowcalc.evaluator import Evaluator, format_value
 
 KAPPA = VariableTable(("k1", "k2"), (1, 2))
 
@@ -267,21 +268,37 @@ def test_format_poly_edge_cases():
     )
 
 
-def test_formatted_polys_reparse_to_the_same_value():
-    from chowcalc.evaluator import Evaluator
+@st.composite
+def weighted_polys(draw):
+    """1-3 variables of weights 1-3 and rational coefficients, zero,
+    negative and constant terms included."""
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * n),
+            st.fractions(min_value=-20, max_value=20, max_denominator=8),
+            max_size=5,
+        )
+    )
+    return GradedPoly(VariableTable(("x", "y", "z")[:n], tuple(weights)), terms)
 
+
+@given(weighted_polys())
+@example(127 * k("k1") ** 3 - 2304 * k("k1") * k("k2"))
+@example(Fraction(36864, 113) * k("k2") ** 2 - k("k1") ** 4)
+@example(GradedPoly.constant(KAPPA, Fraction(-7, 3)))
+def test_formatted_polys_reparse_to_the_same_value(p):
     ev = Evaluator()
-    samples = [
-        127 * k("k1") ** 3 - 2304 * k("k1") * k("k2"),
-        Fraction(36864, 113) * k("k2") ** 2 - k("k1") ** 4,
-        GradedPoly.constant(KAPPA, Fraction(-7, 3)),
-    ]
-    for p in samples:
-        back = ev.run(format_poly(p))
-        if isinstance(back, Fraction):
-            assert GradedPoly.constant(KAPPA, back) == p
-        else:
-            assert back == p
+    ev.env.update({name: GradedPoly.variable(p.table, name) for name in p.table.names})
+    assert ev.run(format_poly(p)) == p
+
+
+@pytest.mark.parametrize("src", ["M6", "ring[a, b, c; 1, 2, 3](a^3 - 2/3 * a * b, 5 * c^2 + b^3)"])
+def test_formatted_rings_reevaluate_to_equal_presentations(src):
+    ev = Evaluator()
+    pres = ev.run(src)
+    assert ev.run(format_value(pres)) == pres
 
 
 # -- integer-content kernel against the plain Fraction loops ---------------------

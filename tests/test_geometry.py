@@ -299,7 +299,7 @@ def test_schubert_pairing_against_lr_coefficients():
     rect = Partition((3, 3))
     for a, b in cases:
         lam, mu = Partition(a), Partition(b)
-        expected = lr_product(lam, mu).multiplicity(rect)
+        expected = dict(lr_product(lam, mu).terms).get(rect, 0)
         got = g.integrate(g.schubert_class(lam) * g.schubert_class(mu))
         assert got == expected, (a, b)
 
@@ -312,7 +312,7 @@ def test_schubert_duality_in_g36():
         padded = list(lam.parts) + [0] * (3 - lam.length)
         dual = Partition.of(*(3 - p for p in reversed(padded)))
         prod = g.schubert_class(lam) * g.schubert_class(dual)
-        assert g.integrate(prod) == 1 == lr_product(lam, dual).multiplicity(rect), parts
+        assert g.integrate(prod) == 1 == dict(lr_product(lam, dual).terms)[rect], parts
 
 
 def test_integrate_rejects_wrong_degree():

@@ -1,6 +1,7 @@
-"""Every public module-level def and class in src/chowcalc is reached from
-outside the tests, so library code that only tests use cannot grow back
-unnoticed; a reference that only tests need belongs in the test.
+"""Every public module-level def and class in src/chowcalc, and every public
+method of a class there, is reached from outside the tests, so library code
+that only tests use cannot grow back unnoticed; a reference that only tests
+need belongs in the test.
 
 A name is reached when it is used as an identifier (a Name, an Attribute or
 an import alias) in src/chowcalc or scripts/, outside its own definition, or
@@ -29,23 +30,38 @@ def _modules(directory):
 
 
 def _identifiers(modules):
-    """Identifiers used at module level, and in each top-level definition
-    other than the name that definition binds."""
+    """Identifiers used in `modules`, each counted only where no enclosing
+    definition binds the same name."""
     names = set()
-    for _, tree in modules:
-        for stmt in tree.body:
-            own = stmt.name if isinstance(stmt, DEFINITIONS) else None
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    used = {node.id}
-                elif isinstance(node, ast.Attribute):
-                    used = {node.attr}
-                elif isinstance(node, ast.alias):
-                    used = {node.name.rpartition(".")[2], node.asname}
-                else:
-                    continue
-                names |= used - {own, None}
+    stack = [(tree, frozenset()) for _, tree in modules]
+    while stack:
+        node, own = stack.pop()
+        if isinstance(node, DEFINITIONS):
+            own = own | {node.name}
+        if isinstance(node, ast.Name):
+            used = {node.id}
+        elif isinstance(node, ast.Attribute):
+            used = {node.attr}
+        elif isinstance(node, ast.alias):
+            used = {node.name.rpartition(".")[2], node.asname}
+        else:
+            used = set()
+        names |= used - own - {None}
+        stack += [(child, own) for child in ast.iter_child_nodes(node)]
     return names
+
+
+def _definitions(modules):
+    """(dotted name, name) of each module-level def and class, and of each
+    method of a module-level class."""
+    for module, tree in modules:
+        for stmt in tree.body:
+            if isinstance(stmt, DEFINITIONS):
+                yield f"{module}.{stmt.name}", stmt.name
+            if isinstance(stmt, ast.ClassDef):
+                for method in stmt.body:
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield f"{module}.{stmt.name}.{method.name}", method.name
 
 
 def _string_words(modules):
@@ -63,12 +79,9 @@ def test_every_public_definition_is_reached_outside_the_tests():
     reached = _identifiers(library + _modules(ROOT / "scripts"))
     reached |= _string_words(_modules(ROOT / "benchmarks"))
     unreached = [
-        f"{module}.{stmt.name}"
-        for module, tree in library
-        for stmt in tree.body
-        if isinstance(stmt, DEFINITIONS)
-        and not stmt.name.startswith("_")
-        and stmt.name not in reached
+        dotted
+        for dotted, name in _definitions(library)
+        if not name.startswith("_") and name not in reached
     ]
     assert unreached == []
 

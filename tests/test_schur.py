@@ -51,7 +51,7 @@ def test_partition_size_cap():
     assert Partition((7, 6)).size == 13
     pieri = {P(13 - j, j): 1 for j in range(7)}  # one box per column
     assert lr_product(P(7), P(6)) == SchurDecomposition.from_dict(pieri)
-    assert lr_product(P(6), P(6)).multiplicity(P(12)) == 1
+    assert (P(12), 1) in lr_product(P(6), P(6)).terms
 
 
 def test_lr_product_of_degree_16():
@@ -161,19 +161,20 @@ def test_sym2_wedge2_decomposition(n):
     dec = decompose_sym2_wedge2(n)
     assert dec == SchurDecomposition.from_dict({P(2, 2): 1, P(1, 1, 1, 1): 1})
     wedge2 = n * (n - 1) // 2
-    assert dec.dimension(n) == wedge2 * (wedge2 + 1) // 2
+    assert sum(m * dim_schur(p, n) for p, m in dec.terms) == wedge2 * (wedge2 + 1) // 2
 
 
 def test_sym2_wedge2_dimensions_n5():
     dec = decompose_sym2_wedge2(5)
     assert [dim_schur(p, 5) for p, _ in dec.terms] == [5, 50]
-    assert dec.dimension(5) == 55
+    assert sum(m * dim_schur(p, 5) for p, m in dec.terms) == 55
 
 
 def test_sym2_wedge2_leaves_50_quadrics_after_pluecker():
     # of the 55 quadrics on P^9, five cut out G(2,5); the rest restrict
     # nontrivially
-    assert decompose_sym2_wedge2(5).dimension(5) - dim_schur(P(1, 1, 1, 1), 5) == 50
+    dec = decompose_sym2_wedge2(5)
+    assert sum(m * dim_schur(p, 5) for p, m in dec.terms) - dim_schur(P(1, 1, 1, 1), 5) == 50
 
 
 @pytest.mark.parametrize("n", [4, 5])
