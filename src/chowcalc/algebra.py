@@ -5,8 +5,8 @@ All values are immutable after construction and every operation is exact
 rational arithmetic; there is no floating point anywhere in this package.
 
 Every sum of products, sum q*a*b, goes through one kernel,
-``linear_combination``, and the truncated series product and inverse are
-built on it; its inner loop is also the one behind ``*``.  It uses the
+``linear_combination``; ``*`` and the truncated series product and inverse
+are built on it.  It uses the
 content/primitive-part idea (von zur Gathen and Gerhard, *Modern Computer
 Algebra*, section 6.2): each operand is scaled to integers by the LCM of
 its denominators, integer numerators are accumulated over the LCM of all
@@ -280,7 +280,7 @@ class GradedPoly:
                 return GradedPoly.zero(self.table)
             q = rat(other)
             return GradedPoly._from_clean(self.table, {e: c * q for e, c in self._terms.items()})
-        return _product(self, other)
+        return linear_combination(self.table, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -390,16 +390,6 @@ def _sum_products(table: VariableTable, pairs: list, den: int, width: int, top: 
     if _field_width(top) <= width:
         object.__setattr__(p, "_content", (den, keyed, width, top))
     return p
-
-
-def _product(a: GradedPoly, b: GradedPoly) -> GradedPoly:
-    """a*b: the one-pair case of ``linear_combination`` without its
-    shared-operand and common-denominator bookkeeping, which small products
-    would pay for."""
-    a._check(b)
-    width = max(_integer_content(a)[2], _integer_content(b)[2])
-    (da, na, _, ta), (db, nb, _, tb) = _integer_content(a, width), _integer_content(b, width)
-    return _sum_products(a.table, [(1, na, nb)], da * db, width, ta + tb)
 
 
 def linear_combination(

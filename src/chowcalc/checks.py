@@ -5,6 +5,12 @@ Each check carries a self-contained statement of the identity it tests
 ("anchor") and a provenance tag: 'literature' for classical facts,
 'derived-oracle' for values frozen from an independent hand or brute-force
 computation, 'direct' for definitional bookkeeping.
+
+A check returns the two values it compares, ``(computed, expected)``, as
+library values: numbers, polynomials, bundles, Schur decompositions and
+tuples of these.  ``run_suite`` alone decides the verdict, ``pass`` exactly
+when ``computed == expected``, and prints both sides with the language's
+printer ``format_value``, so a failing check shows where they differ.
 """
 from __future__ import annotations
 
@@ -12,12 +18,12 @@ import json
 import random
 import time
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable
 
 from . import bundles, geometry, grr, quotient, schur
 from ._record import record
 from .algebra import GradedPoly, VariableTable, format_poly, monomial_basis
-from .evaluator import DEFAULT_TRUNCATION, Evaluator
+from .evaluator import DEFAULT_TRUNCATION, Evaluator, format_value
 
 
 @record
@@ -47,7 +53,7 @@ class Check:
     check_id: str
     anchor: str
     provenance: str
-    run: Callable[[int], tuple[bool, str, str]]  # truncation -> (ok, computed, expected)
+    run: Callable[[int], tuple[Any, Any]]  # truncation -> (computed, expected)
 
 
 RANDOM_SEED = 20240601  # of the random-identities battery
@@ -97,8 +103,9 @@ def run_suite(
         chk = by_id[cid]
         start = time.perf_counter()
         try:
-            ok, computed, expected = chk.run(trunc)
-            status = "pass" if ok else "fail"
+            computed, expected = chk.run(trunc)
+            status = "pass" if computed == expected else "fail"
+            computed, expected = format_value(computed), format_value(expected)
         except Exception as exc:  # a crash is a failed check, not a crashed suite
             status = "error"
             computed = f"{type(exc).__name__}: {exc}"
@@ -145,24 +152,23 @@ def exit_code(results: list[CheckResult]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _m6_report(pres: quotient.RingPresentation) -> tuple[bool, str]:
-    """Shared logic for the presentation check and the sensitivity check:
-    Poincare duality in degree 4, plus the genus-6 Hilbert function and
-    degree-2 pairing determinant."""
+def _m6_facts(pres: quotient.RingPresentation) -> tuple:
+    """What the presentation and sensitivity checks compare: the Hilbert
+    function through degree 8, the socle dimension and pairing ranks of the
+    Poincare duality test in degree 4, and the degree-2 pairing determinant
+    (None when duality fails)."""
     report = quotient.is_poincare_duality(pres, 4)
-    problems = []
-    if report.hilbert != (1, 1, 2, 1, 1, 0, 0, 0, 0):
-        problems.append(f"hilbert {report.hilbert}")
-    if not report:
-        problems.append(
-            f"no Poincare duality in degree 4: socle dimension {report.socle_dimension}, "
-            f"pairing ranks {report.pairing_ranks}"
-        )
-    else:
-        det = quotient.pairing_matrix(pres, 2, 4).determinant()
-        if det != Fraction(36608, 12769):
-            problems.append(f"degree-2 pairing determinant {det}")
-    return (not problems, "; ".join(problems) if problems else "all identities hold")
+    det = quotient.pairing_matrix(pres, 2, 4).determinant() if report else None
+    return report.hilbert, report.socle_dimension, report.pairing_ranks, det
+
+
+# the facts of the genus-6 kappa ring; pairing ranks are (degree, rank, full rank)
+M6_FACTS = (
+    (1, 1, 2, 1, 1, 0, 0, 0, 0),
+    1,
+    ((0, 1, 1), (1, 1, 1), (2, 2, 2), (3, 1, 1), (4, 1, 1)),
+    Fraction(36608, 12769),
+)
 
 
 @_check(
@@ -174,8 +180,7 @@ def _m6_report(pres: quotient.RingPresentation) -> tuple[bool, str]:
     "derived-oracle",
 )
 def _run_m6(trunc: int):
-    ok, msg = _m6_report(quotient.m6_presentation())
-    return ok, msg, "Hilbert (1,1,2,1,1,0,0,0,0); det 36608/12769; perfect pairings"
+    return _m6_facts(quotient.m6_presentation()), M6_FACTS
 
 
 @_check(
@@ -185,9 +190,7 @@ def _run_m6(trunc: int):
     "literature",
 )
 def _run_looijenga(trunc: int):
-    h = quotient.hilbert_function(quotient.m6_presentation(), 8)
-    tail = h[5:]
-    return tail == (0, 0, 0, 0), f"degrees 5..8 dims {tail}", "(0, 0, 0, 0)"
+    return quotient.hilbert_function(quotient.m6_presentation(), 8)[5:], (0, 0, 0, 0)
 
 
 @_check(
@@ -197,14 +200,11 @@ def _run_looijenga(trunc: int):
     "literature",
 )
 def _run_low_genus(trunc: int):
-    got = {}
-    ok = True
-    for g in range(2, 6):
-        h = quotient.hilbert_function(quotient.kappa1_power_presentation(g), g + 1)
-        expected = (1,) * (g - 1) + (0,) * (g + 2 - (g - 1))
-        got[g] = h
-        ok = ok and h == expected
-    return ok, str(got), "g-1 ones then zeros for each g"
+    genera = range(2, 6)
+    computed = tuple(
+        quotient.hilbert_function(quotient.kappa1_power_presentation(g), g + 1) for g in genera
+    )
+    return computed, tuple((1,) * (g - 1) + (0, 0, 0) for g in genera)
 
 
 @_check(
@@ -214,26 +214,20 @@ def _run_low_genus(trunc: int):
     "derived-oracle",
 )
 def _run_plucker(trunc: int):
-    dec = schur.decompose_sym2_wedge2(5)
-    expected_dec = schur.SchurDecomposition.from_dict(
-        {schur.Partition((2, 2)): 1, schur.Partition((1, 1, 1, 1)): 1}
-    )
-    dims = (
-        schur.dim_schur(schur.Partition((2, 2)), 5),
-        schur.dim_schur(schur.Partition((1, 1, 1, 1)), 5),
-    )
+    parts = schur.Partition((2, 2)), schur.Partition((1, 1, 1, 1))
     v = grr.mukai_bundle(trunc)
-    table = grr.mukai_model_table(trunc)
-    lhs = bundles.wedge_power(v, 4)
-    rhs = bundles.twist(bundles.dual(v), bundles.LineClass(GradedPoly.variable(table, "v1")))
-    bundle_ok = lhs.rank == rhs.rank == 5 and all(
-        lhs.c(i) == rhs.c(i) for i in range(1, trunc + 1)
-    )
-    ok = dec == expected_dec and dims == (50, 5) and bundle_ok
+    det_v = bundles.LineClass(GradedPoly.variable(grr.mukai_model_table(trunc), "v1"))
     return (
-        ok,
-        f"decomposition {dec}, dims {dims}, bundle identity {bundle_ok}",
-        "S(1,1,1,1) + S(2,2), dims (50, 5), bundle identity True",
+        (
+            schur.decompose_sym2_wedge2(5),
+            tuple(schur.dim_schur(p, 5) for p in parts),
+            bundles.wedge_power(v, 4),
+        ),
+        (
+            schur.SchurDecomposition.from_dict(dict.fromkeys(parts, 1)),
+            (50, 5),
+            bundles.twist(bundles.dual(v), det_v),
+        ),
     )
 
 
@@ -249,26 +243,20 @@ def _run_plucker(trunc: int):
 def _run_mukai(trunc: int):
     forms = geometry.forms_dim(5, 2)
     residual = forms - 5
-    total_dim = geometry.grass_dim(4, 10) + residual
     f = grr.plucker_sequence_decomposition(trunc)
     middle = bundles.wedge_power(grr.mukai_bundle(trunc), 2)
     ell = bundles.LineClass(GradedPoly.variable(f.table, "ell"))
     eprime = bundles.twist(grr.hodge_model_bundle(trunc), ell)
-    vanishing = _whitney_roundtrip(f.rank, 6)  # visible past degree 4
-    ok = (
-        forms == 21
-        and residual == 16
-        and total_dim == 40
-        and (f.rank, eprime.rank, middle.rank) == (4, 6, 10)
-        and _whitney_roundtrip(f.rank, trunc)
-        and vanishing
-    )
     computed = (
-        f"forms {forms}, residual rank {residual}, total space dim {total_dim}, "
-        f"ranks {f.rank}+{eprime.rank}={middle.rank}, "
-        f"vanishing beyond rank verified at truncation 6: {vanishing}"
+        forms,
+        residual,
+        geometry.grass_dim(4, 10) + residual,
+        (f.rank, eprime.rank, middle.rank),
+        # the round trip at truncation 6 is visible past degree 4
+        _whitney_roundtrip(f.rank, trunc),
+        _whitney_roundtrip(f.rank, 6),
     )
-    return ok, computed, "21, 16, 40, 4+6=10, vanishing verified"
+    return computed, (21, 16, 40, (4, 6, 10), True, True)
 
 
 def _whitney_roundtrip(rank: int, trunc: int) -> bool:
@@ -303,15 +291,12 @@ def _whitney_roundtrip(rank: int, trunc: int) -> bool:
     "literature",
 )
 def _run_quadrics(trunc: int):
-    got = []
-    ok = True
-    for g, expected in ((6, 6), (5, 3), (4, 1)):
-        count = geometry.canonical_quadrics(g)
-        grr_rank = grr.pushforward_rank(2, g)
-        sym_rank = g * (g + 1) // 2
-        got.append((g, count, sym_rank - grr_rank))
-        ok = ok and count == expected == sym_rank - grr_rank and grr_rank == 3 * g - 3
-    return ok, str(got), "(6,6,6), (5,3,3), (4,1,1)"
+    computed = tuple(
+        (g, geometry.canonical_quadrics(g), g * (g + 1) // 2 - grr.pushforward_rank(2, g),
+         grr.pushforward_rank(2, g))
+        for g in (6, 5, 4)
+    )
+    return computed, tuple((g, q, q, 3 * g - 3) for g, q in ((6, 6), (5, 3), (4, 1)))
 
 
 @_check(
@@ -322,27 +307,16 @@ def _run_quadrics(trunc: int):
     "derived-oracle",
 )
 def _run_maroni(trunc: int):
-    failures = []
-    for g in range(4, 13):
-        for n in range((g + 2) // 3 + 1):
-            k = geometry.maroni_k(g, n)
-            if geometry.maroni_admissible(g, n):
-                if k.denominator != 1:
-                    failures.append((g, n, "expected integral k"))
-                    continue
-                genus = geometry.genus_of_class(geometry.trigonal_class(g, n))
-                if genus != g:
-                    failures.append((g, n, f"genus {genus}"))
-            else:
-                if k.denominator == 1:
-                    failures.append((g, n, "parity failure not detected"))
-                    continue
-                # no integer k nearby can reach genus g either
-                for kk in range(int(k) - 2, int(k) + 3):
-                    cls = 3 * geometry.section_S(n) + kk * geometry.fiber_F(n)
-                    if geometry.genus_of_class(cls) == g:
-                        failures.append((g, n, f"integer k={kk} reaches genus {g}"))
-    return not failures, f"failures: {failures}" if failures else "all (g, n) agree", "no failures"
+    cases = [(g, n, geometry.maroni_k(g, n)) for g in range(4, 13) for n in range((g + 2) // 3 + 1)]
+    # (g, n, k) for every integer k at which 3S + kF has genus g, among the
+    # solution itself when it is integral and the integers near it otherwise
+    reached = tuple(
+        (g, n, kk)
+        for g, n, k in cases
+        for kk in ((int(k),) if k.denominator == 1 else range(int(k) - 2, int(k) + 3))
+        if geometry.genus_of_class(3 * geometry.section_S(n) + kk * geometry.fiber_F(n)) == g
+    )
+    return reached, tuple((g, n, k) for g, n, k in cases if geometry.maroni_admissible(g, n))
 
 
 @_check(
@@ -354,15 +328,12 @@ def _run_maroni(trunc: int):
     "derived-oracle",
 )
 def _run_strata(trunc: int):
-    g6 = geometry.stratum_dimensions(6)
-    maroni = geometry.maroni_divisor_dim(6)
-    g5 = geometry.stratum_dimensions(5)
-    ok = g6 == (15, 13, 12, 11, 10) and maroni == 12 and g5 == (12, 11, 9)
-    return (
-        ok,
-        f"g6 {g6}, maroni divisor {maroni}, g5 {g5}",
-        "(15, 13, 12, 11, 10), 12, (12, 11, 9)",
+    computed = (
+        geometry.stratum_dimensions(6),
+        geometry.maroni_divisor_dim(6),
+        geometry.stratum_dimensions(5),
     )
+    return computed, ((15, 13, 12, 11, 10), 12, (12, 11, 9))
 
 
 @_check(
@@ -376,28 +347,19 @@ def _run_strata(trunc: int):
 )
 def _run_grr(trunc: int):
     k1 = grr.kappa(trunc, 1)
-    hodge = grr.hodge_bundle(6, trunc)
-    ch_hodge = bundles.chern_character(hodge)
+    ch_hodge = bundles.chern_character(grr.hodge_bundle(6, trunc))
     ch2 = grr.ch_pushforward_omega_power(2, 6, trunc)
-    ranks_ok = all(
-        grr.ch_pushforward_omega_power(2, g, trunc)[0].as_scalar() == 3 * g - 3
-        for g in range(2, 9)
-    )
-    lam1_ok = all(grr.hodge_bundle(g, trunc).c(1) == k1 / 12 for g in range(2, 9))
-    ok = (
-        hodge.c(1) == k1 / 12
-        and ch_hodge[1] == k1 / 12
-        and ch_hodge[2].is_zero()
-        and ch2[1] == Fraction(13, 12) * k1
-        and ch2[0].as_scalar() == 15
-        and ranks_ok
-        and lam1_ok
-    )
+    genera = range(2, 9)
     computed = (
-        f"c1(Hodge) = {format_poly(hodge.c(1))}, ch2(Hodge) = {format_poly(ch_hodge[2])}, "
-        f"ch1(push omega^2) = {format_poly(ch2[1])}, rank = {ch2[0].as_scalar()}"
+        ch_hodge[1],
+        ch_hodge[2],
+        ch2[1],
+        # lambda1 and the rank of the pushed squared dualizing sheaf, g = 2..8
+        tuple(grr.hodge_bundle(g, trunc).c(1) for g in genera),
+        tuple(grr.ch_pushforward_omega_power(2, g, trunc)[0] for g in genera),
     )
-    return ok, computed, "kappa1/12, 0, 13/12 kappa1, 15 (= 3g-3)"
+    expected = (k1 / 12, 0, Fraction(13, 12) * k1, (k1 / 12,) * 7, tuple(3 * g - 3 for g in genera))
+    return computed, expected
 
 
 @_check(
@@ -412,21 +374,13 @@ def _run_sym_calc(trunc: int):
     w1 = GradedPoly.variable(wtab, "w1")
     w2 = GradedPoly.variable(wtab, "w2")
     w = bundles.FormalBundle(2, (w1, w2, GradedPoly.zero(wtab)), wtab)
-    s2 = bundles.sym_power(w, 2)
-    sym_ok = (
-        s2.rank == 3
-        and s2.c(1) == 3 * w1
-        and s2.c(2) == 2 * w1**2 + 4 * w2
-        and s2.c(3) == 4 * w1 * w2
-    )
-    hyp = bundles.solve_hyperelliptic_twist(6)
-    uni = bundles.solve_unimodular_twist(5)
-    ok = sym_ok and hyp.coefficient == Fraction(1, 15) and uni.coefficient == Fraction(1, 5)
     computed = (
-        f"c(Sym^2) = ({format_poly(s2.c(1))}, {format_poly(s2.c(2))}, {format_poly(s2.c(3))}), "
-        f"w1 = {hyp.coefficient} lambda1, c1(L) = {uni.coefficient} lambda1"
+        bundles.sym_power(w, 2),
+        bundles.solve_hyperelliptic_twist(6).coefficient,
+        bundles.solve_unimodular_twist(5).coefficient,
     )
-    return ok, computed, "(3w1, 2w1^2+4w2, 4w1w2), 1/15, 1/5"
+    sym2 = bundles.FormalBundle(3, (3 * w1, 2 * w1**2 + 4 * w2, 4 * w1 * w2), wtab)
+    return computed, (sym2, Fraction(1, 15), Fraction(1, 5))
 
 
 @_check(
@@ -437,19 +391,10 @@ def _run_sym_calc(trunc: int):
 )
 def _run_sensitivity(trunc: int):
     base = quotient.KAPPA_M6_COEFFS
-    undetected = []
-    for i in range(4):
-        perturbed = tuple(c + 1 if j == i else c for j, c in enumerate(base))
-        pres = quotient.m6_presentation(perturbed)
-        ok, _ = _m6_report(pres)
-        vanishing = quotient.hilbert_function(pres, 8)[5:] == (0, 0, 0, 0)
-        if ok and vanishing:
-            undetected.append(perturbed)
-    return (
-        not undetected,
-        f"undetected perturbations: {undetected}" if undetected else "all 4 perturbations detected",
-        "every single-coefficient perturbation detected",
-    )
+    perturbed = [tuple(c + 1 if j == i else c for j, c in enumerate(base)) for i in range(4)]
+    # the perturbations whose presentation keeps every fact of the genus-6 ring
+    undetected = tuple(p for p in perturbed if _m6_facts(quotient.m6_presentation(p)) == M6_FACTS)
+    return undetected, ()
 
 
 @_check(
@@ -462,9 +407,12 @@ def _run_sensitivity(trunc: int):
     "derived-oracle",
 )
 def _run_random(trunc: int):
+    """Each identity compares as its difference with zero: its two sides are
+    random classes through degree `trunc`, too long to print.  A bundle's
+    difference is that of its ranks and of its Chern classes."""
     rng = random.Random(RANDOM_SEED)
     table = VariableTable(("a1", "b1", "u", "v"), (1, 1, 1, 2))
-    problems: list[str] = []
+    sides: list[tuple[Any, Any]] = []  # the two sides of each identity
 
     def rand_poly(d: int, bound: int) -> GradedPoly:
         """Integer coefficients in [-bound, bound] on the degree-d monomials."""
@@ -477,57 +425,47 @@ def _run_random(trunc: int):
         cs = tuple(rand_poly(i, 2) for i in range(1, trunc + 1))
         return bundles.FormalBundle(rank, cs, table)
 
-    for trial in range(4):
+    def difference(x: Any, y: Any) -> Any:
+        if isinstance(x, bundles.FormalBundle):
+            top = max(len(x.chern), len(y.chern))
+            return (x.rank - y.rank, *(difference(x.c(i), y.c(i)) for i in range(1, top + 1)))
+        return 0 if x == y else x - y  # the same value, without subtracting long equal sides
+
+    def zero(y: Any) -> Any:
+        """The difference of an identity that holds, whose right side is y."""
+        return (0,) * (1 + len(y.chern)) if isinstance(y, bundles.FormalBundle) else 0
+
+    for _ in range(4):
         a = rand_bundle(rng.randint(4, 6))
         b = rand_bundle(rng.randint(4, 6))
-        s = bundles.direct_sum(a, b)
-        q = bundles.sequence_quotient(s, a)
-        if q != bundles.FormalBundle(b.rank, b.chern, table):
-            problems.append(f"whitney roundtrip failed on trial {trial}")
-        t1, t2 = rand_poly_deg1(), rand_poly_deg1()
-        tw = bundles.twist(bundles.twist(a, bundles.LineClass(t1)), bundles.LineClass(t2))
-        tw2 = bundles.twist(a, bundles.LineClass(t1 + t2))
-        if tw != tw2:
-            problems.append(f"twist additivity failed on trial {trial}")
-        if bundles.dual(bundles.dual(a)) != a:
-            problems.append(f"dual involution failed on trial {trial}")
+        sides.append((bundles.sequence_quotient(bundles.direct_sum(a, b), a), b))
+        t1, t2 = bundles.LineClass(rand_poly_deg1()), bundles.LineClass(rand_poly_deg1())
+        both = bundles.LineClass(t1.c1 + t2.c1)
+        sides.append((bundles.twist(bundles.twist(a, t1), t2), bundles.twist(a, both)))
+        sides.append((bundles.dual(bundles.dual(a)), a))
         rank3 = rand_bundle(3)
-        back = bundles.chern_from_character(bundles.chern_character(rank3), 3)
-        if any(back.c(i) != rank3.c(i) for i in range(1, trunc + 1)):
-            problems.append(f"character roundtrip failed on trial {trial}")
+        sides.append((bundles.chern_from_character(bundles.chern_character(rank3), 3), rank3))
 
     # split bundles: operations agree with explicit products over line classes
     lines = [rand_poly_deg1() for _ in range(3)]
     split = bundles.bundle_from_line_classes(lines, trunc)
-    wedge2 = bundles.wedge_power(split, 2)
-    explicit = bundles.bundle_from_line_classes(
-        [lines[0] + lines[1], lines[0] + lines[2], lines[1] + lines[2]], trunc
-    )
-    if any(wedge2.c(i) != explicit.c(i) for i in range(1, trunc + 1)):
-        problems.append("wedge^2 disagrees with the explicit split computation")
-    sym2 = bundles.sym_power(split, 2)
-    explicit_sym = bundles.bundle_from_line_classes(
-        [lines[i] + lines[j] for i in range(3) for j in range(i, 3)], trunc
-    )
-    if any(sym2.c(i) != explicit_sym.c(i) for i in range(1, trunc + 1)):
-        problems.append("sym^2 disagrees with the explicit split computation")
+    wedge2 = [lines[0] + lines[1], lines[0] + lines[2], lines[1] + lines[2]]
+    sym2 = [lines[i] + lines[j] for i in range(3) for j in range(i, 3)]
+    sides.append((bundles.wedge_power(split, 2), bundles.bundle_from_line_classes(wedge2, trunc)))
+    sides.append((bundles.sym_power(split, 2), bundles.bundle_from_line_classes(sym2, trunc)))
 
     # LR dimension identities
     small = [schur.Partition(p) for p in ((1,), (2,), (1, 1), (2, 1), (3,))]
     for _ in range(6):
         lam, mu = rng.choice(small), rng.choice(small)
         n = rng.randint(2, 5)
-        lhs = schur.dim_schur(lam, n) * schur.dim_schur(mu, n)
-        rhs = sum(
-            m * schur.dim_schur(nu, n) for nu, m in schur.lr_product(lam, mu).terms
-        )
-        if lhs != rhs:
-            problems.append(f"LR dimension identity failed for {lam} * {mu} at n={n}")
+        terms = schur.lr_product(lam, mu).terms
+        dims = schur.dim_schur(lam, n) * schur.dim_schur(mu, n)
+        sides.append((dims, sum(m * schur.dim_schur(nu, n) for nu, m in terms)))
 
     for k, n in ((1, 4), (2, 4), (2, 5), (3, 6)):
-        rect = schur.Partition(((n - k),) * k)
-        if geometry.plucker_degree(k, n) != schur.syt_count(rect):
-            problems.append(f"pluecker degree != SYT count for G({k},{n})")
+        rect = schur.Partition((n - k,) * k)
+        sides.append((geometry.plucker_degree(k, n), schur.syt_count(rect)))
 
     # the printer users see reads back through the language
     ev = Evaluator(trunc)
@@ -535,7 +473,6 @@ def _run_random(trunc: int):
     for _ in range(4):
         scale = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         p = scale * sum((rand_poly(d, 5) for d in range(4)), GradedPoly.zero(table))
-        if ev.run(format_poly(p)) != p:
-            problems.append(f"{format_poly(p)!r} does not read back as itself")
+        sides.append((ev.run(format_poly(p)), p))
 
-    return (not problems, "; ".join(problems) if problems else "all identities hold", "no failures")
+    return tuple(difference(x, y) for x, y in sides), tuple(zero(y) for _, y in sides)

@@ -30,6 +30,10 @@ code, becomes one there too, with the message ``expression nested too
 deeply``.  An error names a number by its value and any other value by
 what it is, in the words of the argument kinds (``a bundle``).
 
+A name is looked up in the environment of assignments and scopes first,
+then in the standard ``prelude``, which an ``Evaluator`` builds the first
+time a name is not found there and then keeps.
+
 A *closed* ring literal, whose relations use only numbers, its own
 variables and arithmetic, means the same everywhere: an ``Evaluator`` keeps
 its presentation in an LRU of 1024 literals keyed by the syntax tree, so a
@@ -336,7 +340,8 @@ class Evaluator:
         if not isinstance(trunc, int) or trunc < 0:
             raise EvalError(f"truncation must be an integer >= 0, got {trunc!r}")
         self.trunc = trunc
-        self.env: dict[str, Any] = prelude(trunc)
+        self.env: dict[str, Any] = {}
+        self._prelude: dict[str, Any] | None = None
         # closed ring literal -> its presentation; bounded like graded_piece
         self._closed_rings = lru_cache(maxsize=1024)(lambda node: self._build_ring(node, {}))
 
@@ -368,9 +373,13 @@ class Evaluator:
         if isinstance(node, Num):
             return Fraction(node.value)
         if isinstance(node, Var):
-            if node.name not in env:
+            if node.name in env:
+                return env[node.name]
+            if self._prelude is None:
+                self._prelude = prelude(self.trunc)
+            if node.name not in self._prelude:
                 raise EvalError(f"unknown identifier {node.name!r}")
-            return env[node.name]
+            return self._prelude[node.name]
         if isinstance(node, Neg):
             return _operate("neg", self.eval(node.arg, env))
         if isinstance(node, BinOp):

@@ -61,7 +61,81 @@ def test_mukai_bookkeeping_fails_on_a_wrong_rank(monkeypatch):
     monkeypatch.setattr(grr, "plucker_sequence_decomposition", rank3)
     (result,) = checks.run_suite(("mukai-bookkeeping",))
     assert result.status == "fail"
-    assert "ranks 3+6=10" in result.computed and result.computed.endswith("False")
+    assert result.computed == "(21, 16, 40, (3, 6, 10), False, False)"
+    assert result.expected == "(21, 16, 40, (4, 6, 10), True, True)"
+
+
+# A check returns the values it compares, so a wrong value in the library
+# shows on the computed side of a failing check, whatever the check prints.
+def _doubled_c1(b):
+    from chowcalc import bundles
+
+    return bundles.FormalBundle(b.rank, (2 * b.chern[0],) + b.chern[1:], b.table)
+
+
+def _wrong_lambda1_at_genus_3(monkeypatch):
+    from chowcalc import grr
+
+    real = grr.hodge_bundle
+
+    def hodge_bundle(g, trunc):
+        return _doubled_c1(real(g, trunc)) if g == 3 else real(g, trunc)
+
+    monkeypatch.setattr(grr, "hodge_bundle", hodge_bundle)
+
+
+def _whitney_fails_at_trunc(monkeypatch):
+    real = checks._whitney_roundtrip
+    monkeypatch.setattr(
+        checks, "_whitney_roundtrip", lambda rank, trunc: trunc == 6 and real(rank, trunc)
+    )
+
+
+def _sym2_of_wrong_rank(monkeypatch):
+    from chowcalc import bundles
+
+    real = bundles.sym_power
+
+    def sym_power(b, k):
+        s = real(b, k)
+        return bundles.FormalBundle(s.rank + 1, s.chern, s.table) if k == 2 else s
+
+    monkeypatch.setattr(bundles, "sym_power", sym_power)
+
+
+def _character_inverse_doubles_c1(monkeypatch):
+    from chowcalc import bundles
+
+    real = bundles.chern_from_character
+    monkeypatch.setattr(
+        bundles, "chern_from_character", lambda ch, rank: _doubled_c1(real(ch, rank))
+    )
+
+
+@pytest.mark.parametrize(
+    "check_id, mutate, shows",
+    [
+        ("grr-constants", _wrong_lambda1_at_genus_3, "(1/12 * kappa1, 1/6 * kappa1, "),
+        ("mukai-bookkeeping", _whitney_fails_at_trunc, "(4, 6, 10), False, True)"),
+        ("sym-power-calculus", _sym2_of_wrong_rank, "(bundle(rank 4; "),
+        # the character round trip of the first trial, as a difference from zero
+        ("random-identities", _character_inverse_doubles_c1, "(0, -a1 - 2 * b1 + 2 * u, 0, "),
+    ],
+    ids=["grr-constants", "mukai-bookkeeping", "sym-power-calculus", "random-identities"],
+)
+def test_a_wrong_value_fails_its_check_and_shows(monkeypatch, check_id, mutate, shows):
+    mutate(monkeypatch)
+    (result,) = checks.run_suite((check_id,), trunc=8)
+    assert result.status == "fail"
+    assert result.computed != result.expected
+    assert shows in result.computed
+
+
+def test_every_check_returns_the_values_it_compares():
+    for check in checks._REGISTRY:
+        computed, expected = check.run(4)
+        assert computed == expected
+        assert not isinstance(computed, (bool, str)) and not isinstance(expected, (bool, str))
 
 
 def test_machine_readable_schema():

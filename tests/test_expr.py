@@ -274,6 +274,56 @@ def test_definitions_file_loading():
     assert ev.run("rank(Vdual)") == 5
 
 
+# -- the prelude is built when a name first needs it ----------------------------------
+
+
+@pytest.fixture
+def preludes(monkeypatch):
+    """The truncation of every prelude built while the test runs."""
+    from chowcalc import evaluator
+
+    built = []
+    real = evaluator.prelude
+
+    def prelude(trunc):
+        built.append(trunc)
+        return real(trunc)
+
+    monkeypatch.setattr(evaluator, "prelude", prelude)
+    return built
+
+
+@pytest.mark.parametrize("src", ["1+1", "plucker(G(2, 6))", "genus(F[2], 3*S + 1*F)"])
+def test_a_line_without_prelude_names_builds_no_prelude(src, preludes):
+    Evaluator(8).run(src)
+    assert preludes == []
+
+
+def test_the_random_battery_builds_no_prelude(preludes):
+    from chowcalc.checks import run_suite
+
+    (result,) = run_suite(("random-identities",), 4)
+    assert result.status == "pass" and preludes == []
+
+
+def test_the_prelude_is_built_once_per_evaluator(preludes):
+    ev = Evaluator(4)
+    assert ev.run("rank(E)") == 6 and ev.run("rank(V)") == 5
+    assert preludes == [4]
+
+
+def test_an_assignment_shadows_the_prelude_before_and_after_it_is_built(preludes):
+    ev = Evaluator(4)
+    ev.run("E = 3")
+    assert ev.run("E") == 3 and preludes == []
+    assert ev.run("rank(V)") == 5 and preludes == [4]
+    assert ev.run("E") == 3
+    late = Evaluator(4)
+    assert late.run("rank(E)") == 6
+    late.run("E = 3")
+    assert late.run("E") == 3 and preludes == [4, 4]
+
+
 def test_eval_rationals_print_as_fractions():
     assert format_value(Evaluator().run("7/3")) == "7/3"
     assert format_value(Evaluator().run("4/2")) == "2"
