@@ -250,7 +250,7 @@ def _run_mukai(trunc: int):
     computed = (
         forms,
         residual,
-        geometry.grass_dim(4, 10) + residual,
+        geometry.Grassmannian(4, 10).dim + residual,
         (f.rank, eprime.rank, middle.rank),
         # the round trip at truncation 6 is visible past degree 4
         _whitney_roundtrip(f.rank, trunc),
@@ -465,7 +465,7 @@ def _run_random(trunc: int):
 
     for k, n in ((1, 4), (2, 4), (2, 5), (3, 6)):
         rect = schur.Partition((n - k,) * k)
-        sides.append((geometry.plucker_degree(k, n), schur.syt_count(rect)))
+        sides.append((geometry.Grassmannian(k, n).plucker_degree(), schur.syt_count(rect)))
 
     # the printer users see reads back through the language
     ev = Evaluator(trunc)

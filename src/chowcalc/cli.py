@@ -1,13 +1,12 @@
 """Command-line interface.
 
-    chowcalc verify [--only id,...] [--format text|json] [--trunc D] [--config FILE]
+    chowcalc verify [--only id,...] [--format text|json] [--trunc D] [--list]
     chowcalc eval [--defs FILE] [--trunc D] EXPR
     chowcalc repl [--defs FILE] [--trunc D]
 
 Exit codes: 0 all selected checks pass / expression evaluated; 1 some check
 failed; 2 usage, parse, or evaluation error.  Configuration comes only from
-flags and the optional key=value config file; environment variables are
-never consulted, so runs are reproducible.
+flags; environment variables are never consulted, so runs are reproducible.
 
 Only ``verify`` imports the check battery (``chowcalc.checks``, and with it
 ``json``): ``eval`` and ``repl`` start without it.
@@ -22,24 +21,6 @@ from .evaluator import DEFAULT_TRUNCATION, EvalError, Evaluator, format_value, s
 from .expr import ParseError
 
 
-_CONFIG_KEYS = ("format", "only", "trunc")
-
-
-def _load_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
-        for line in statements([raw]):  # none or one; an error quotes the raw line
-            if "=" not in line:
-                raise ValueError(f"bad config line (need key=value): {raw!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
-            if key in out:
-                raise ValueError(f"duplicate key {key!r}")
-            out[key] = value
-    return out
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chowcalc",
@@ -50,11 +31,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--only", help="comma-separated check ids", default=None)
-    verify.add_argument("--format", choices=("text", "json"), default=None)
+    verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument(
-        "--trunc", type=int, default=None, help=f"truncation order (default {DEFAULT_TRUNCATION})"
+        "--trunc", type=int, default=DEFAULT_TRUNCATION,
+        help=f"truncation order (default {DEFAULT_TRUNCATION})",
     )
-    verify.add_argument("--config", help="key=value config file", default=None)
     verify.add_argument("--list", action="store_true", help="list check ids and exit")
 
     ev = sub.add_parser("eval", help="evaluate one expression")
@@ -72,39 +53,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args) -> int:
     from . import checks
 
-    trunc = args.trunc
-    only = args.only
-    fmt = args.format
-    if args.config:
-        try:
-            cfg = _load_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        if trunc is None and "trunc" in cfg:
-            try:
-                trunc = int(cfg["trunc"])
-            except ValueError:
-                bad = cfg["trunc"]
-                print(f"error: config trunc must be an integer, got {bad!r}", file=sys.stderr)
-                return 2
-        if only is None and "only" in cfg:
-            only = cfg["only"]
-        if fmt is None and "format" in cfg:
-            fmt = cfg["format"]
-            if fmt not in ("text", "json"):
-                print(f"error: config format must be text or json, got {fmt!r}", file=sys.stderr)
-                return 2
     if args.list:
         print("\n".join(checks.check_ids()))
         return 0
+    only = args.only
     selection = None if only is None else tuple(s.strip() for s in only.split(",") if s.strip())
     try:
-        results = checks.run_suite(selection, DEFAULT_TRUNCATION if trunc is None else trunc)
+        results = checks.run_suite(selection, args.trunc)
     except ValueError as exc:  # a bad truncation or selection
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(checks.format_json(results) if fmt == "json" else checks.format_text(results))
+    print(checks.format_json(results) if args.format == "json" else checks.format_text(results))
     return checks.exit_code(results)
 
 

@@ -41,9 +41,9 @@ re-asked literal returns the same object and the tables that
 ``quotient.graded_piece`` cached for it.  Any other literal is built afresh,
 and a literal that fails is never kept.
 
-A definitions file, a repl session and the ``verify`` config file share one
-comment rule, ``statements``: each line is cut at its first ``#``, and
-blank lines are skipped.
+A definitions file and a repl session share one comment rule,
+``statements``: each line is cut at its first ``#``, and blank lines are
+skipped.
 """
 from __future__ import annotations
 
@@ -79,9 +79,9 @@ DEFAULT_TRUNCATION = 4
 
 
 def statements(lines: Iterable[str]) -> Iterator[str]:
-    """The statements of `lines`, one per line: each line cut at its first
-    '#', stripped, and skipped if nothing is left.  Lazy, so a repl reads
-    its next line only after the last one has run."""
+    """The statements of a definitions file or a repl session, one per line:
+    each line cut at its first '#', stripped, and skipped if nothing is left.
+    Lazy, so a repl reads its next line only after the last one has run."""
     for line in lines:
         source = line.split("#", 1)[0].strip()
         if source:

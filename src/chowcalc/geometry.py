@@ -251,14 +251,6 @@ def _giambelli(g: Grassmannian, lam: tuple[int, ...]) -> GradedPoly:
     return sigma(lam)
 
 
-def grass_dim(k: int, n: int) -> int:
-    return Grassmannian(k, n).dim
-
-
-def plucker_degree(k: int, n: int) -> int:
-    return Grassmannian(k, n).plucker_degree()
-
-
 # -- linear systems and stratum dimensions ------------------------------------
 
 
@@ -329,7 +321,7 @@ def stratum_dimensions(g: int) -> tuple[int, ...]:
         )
     if g == 5:
         return (
-            grass_dim(3, forms_dim(4, 2)) - sl_dim(5),
+            Grassmannian(3, forms_dim(4, 2)).dim - sl_dim(5),
             trigonal_stratum_dim(5, 1),
             hyperelliptic_dim(5),
         )

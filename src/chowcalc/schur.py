@@ -29,7 +29,11 @@ class Partition:
 
     @staticmethod
     def of(*parts: int) -> "Partition":
-        return Partition(tuple(p for p in parts if p != 0))
+        """The partition with these parts, trailing zeros dropped."""
+        end = len(parts)
+        while end and parts[end - 1] == 0:
+            end -= 1
+        return Partition(tuple(parts[:end]))
 
     @property
     def size(self) -> int:

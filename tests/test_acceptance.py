@@ -72,7 +72,7 @@ def test_05_mukai_bookkeeping():
     with criterion("mukai-bookkeeping"):
         assert geometry.forms_dim(5, 2) == 21
         assert 21 - 5 == 16  # residual quadrics after the Pluecker relations
-        assert geometry.grass_dim(4, 10) + 16 == 40
+        assert geometry.Grassmannian(4, 10).dim + 16 == 40
         # linear-forms sequence: rank 4 sub, rank 6 quotient, and the two sum
         # to the rank of the second exterior power of the rank-5 bundle
         f = grr.plucker_sequence_decomposition(4)

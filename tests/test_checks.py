@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,9 @@ import pytest
 
 from chowcalc import checks
 from chowcalc.cli import main
+from chowcalc.evaluator import DEFAULT_TRUNCATION
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_suite_passes_completely():
@@ -230,12 +235,41 @@ def test_cli_verify_empty_only_is_a_usage_error(only, capsys):
     assert captured.err == "error: no check selected\n" and captured.out == ""
 
 
-def test_cli_verify_empty_config_only_is_a_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("only =\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
+def test_cli_verify_defaults_to_text_at_the_default_truncation(capsys):
+    # random-identities prints one entry per degree, so its report shows the truncation
+    reports = []
+    for flags in ([], ["--trunc", str(DEFAULT_TRUNCATION), "--format", "text"]):
+        assert main(["verify", "--only", "random-identities", *flags]) == 0
+        reports.append(re.sub(r" +\d+\.\d ms", "", capsys.readouterr().out))
+    assert reports[0] == reports[1]
+
+
+# argparse reads each flag, so a bad value, or a flag verify no longer takes
+# (a config file), is a usage message before any check runs.
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trunc", "abc"], "argument --trunc: invalid int value: 'abc'"),
+        (["--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["--config", "x.cfg"], "unrecognized arguments: --config x.cfg"),
+    ],
+)
+def test_cli_verify_rejects_unreadable_flags(flags, message, capsys):
+    assert main(["verify", *flags]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: no check selected\n" and captured.out == ""
+    assert captured.out == "" and captured.err.startswith("usage: chowcalc")
+    assert message in captured.err
+
+
+def test_readme_verify_examples_exit_0(capsys):
+    """Run every line of the sh block under "The verification suite"."""
+    section = README.read_text().split("## The verification suite", 1)[1]
+    lines = section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    assert lines
+    for line in lines:
+        argv = shlex.split(line.split("#", 1)[0])
+        assert argv[:2] == ["chowcalc", "verify"], line
+        assert main(argv[1:]) == 0, line
 
 
 def test_cli_verify_list(capsys):
@@ -291,66 +325,8 @@ def test_cli_defs_file_not_utf8(tmp_path, monkeypatch, capsys, command):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
-def test_cli_config_file(tmp_path, capsys):
-    cfg = tmp_path / "chowcalc.cfg"
-    cfg.write_text("trunc = 4\nonly = m6-presentation\n")
-    assert main(["verify", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "m6-presentation" in out and "1/1 checks passed" in out
-
-
 def test_cli_usage_error_exits_2(capsys):
     assert main(["no-such-subcommand"]) == 2
-
-
-def test_cli_malformed_config_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("this is not a key value line\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
-    assert "config error" in capsys.readouterr().err
-
-
-def test_cli_config_shares_the_comment_rule_of_statements(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("# header\n\n  only = strata-dimensions  # one check\n")
-    assert main(["verify", "--config", str(cfg)]) == 0
-    assert "1/1 checks passed" in capsys.readouterr().out
-    cfg.write_text("# header\n\n  trunc 6  # no equals sign\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
-    bad = "'  trunc 6  # no equals sign'"
-    assert capsys.readouterr().err == f"config error: bad config line (need key=value): {bad}\n"
-
-
-def test_cli_config_rejects_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("fromat = json\nonly = strata-dimensions\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "config error: unknown key 'fromat' (known: format, only, trunc)\n"
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize(
-    "text, key",
-    [("trunc = 4\ntrunc = 1x\n", "trunc"), ("only = strata-dimensions\nonly = nope\n", "only")],
-)
-def test_cli_config_rejects_duplicate_key(tmp_path, capsys, text, key):
-    cfg = tmp_path / "dup.cfg"
-    cfg.write_text(text)
-    assert main(["verify", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"config error: duplicate key {key!r}\n"
-
-
-def test_cli_flags_override_config(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("format = json\nonly = strata-dimensions\n")
-    assert main(["verify", "--config", str(cfg), "--format", "text"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("PASS")  # text format despite config
-    assert main(["verify", "--config", str(cfg)]) == 0
-    json.loads(capsys.readouterr().out)  # config format applies otherwise
 
 
 def test_cli_repl_batch(monkeypatch, capsys):
@@ -423,29 +399,6 @@ def test_cli_verify_rejects_truncation_below_two(trunc, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: truncation must be an integer >= 2, got {trunc}\n"
     assert captured.out == ""
-
-
-def test_cli_verify_rejects_non_integer_config_trunc(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("trunc = abc\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.out == ""
-
-
-def test_cli_verify_rejects_low_config_trunc(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("trunc = 1\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
-    assert capsys.readouterr() == ("", "error: truncation must be an integer >= 2, got 1\n")
-
-
-def test_cli_verify_rejects_unknown_config_format(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("format = xml\nonly = strata-dimensions\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_cli_eval_rejects_negative_truncation(capsys):

@@ -216,6 +216,18 @@ def test_genus_guards_name_the_genus(src):
         Evaluator().run(src)
 
 
+# Only trailing zeros are dropped from a partition list: a zero before a
+# nonzero part is an error, not a shorter partition.
+@pytest.mark.parametrize(
+    "src", ["schurdim([1, 0, 1], 3)", "schubert(G(3, 6), [1, 0, 1])", "lr([0, 1], [1])"]
+)
+def test_a_zero_before_a_nonzero_part_is_an_error(src):
+    name = src.split("(")[0]
+    with pytest.raises(EvalError, match=rf"^{name}: parts must be positive$"):
+        Evaluator().run(src)
+    assert Evaluator().run("schurdim([2, 1, 0], 3)") == 8
+
+
 def test_guard_errors_surface_verbatim():
     ev = Evaluator()
     with pytest.raises(EvalError, match="need genus >= 3"):

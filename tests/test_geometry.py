@@ -13,7 +13,6 @@ from chowcalc.geometry import (
     fiber_F,
     forms_dim,
     genus_of_class,
-    grass_dim,
     h0_hirzebruch,
     hirzebruch_aut_dim,
     hyperelliptic_dim,
@@ -22,7 +21,6 @@ from chowcalc.geometry import (
     maroni_divisor_dim,
     maroni_k,
     plane_quintic_dim,
-    plucker_degree,
     section_E,
     section_S,
     stratum_dimensions,
@@ -153,9 +151,9 @@ def test_h0_rejects_negative_section_multiples():
 
 
 def test_grass_dims():
-    assert grass_dim(4, 10) == 24
-    assert grass_dim(4, 10) + 16 == 40
-    assert grass_dim(3, 15) == 36
+    assert Grassmannian(4, 10).dim == 24
+    assert Grassmannian(4, 10).dim + 16 == 40
+    assert Grassmannian(3, 15).dim == 36
 
 
 def test_grass_hilbert_matches_box_partition_counts():
@@ -171,17 +169,17 @@ def test_plucker_degrees_match_tableau_counts():
     for k in (1, 2, 3):
         for n in range(k + 1, 8):
             rect = Partition(((n - k),) * k)
-            assert plucker_degree(k, n) == syt_count(rect), (k, n)
+            assert Grassmannian(k, n).plucker_degree() == syt_count(rect), (k, n)
 
 
 def test_plucker_degree_g25_is_5():
-    assert plucker_degree(2, 5) == 5
+    assert Grassmannian(2, 5).plucker_degree() == 5
 
 
 def test_plucker_degree_g4_10_from_pieri():
     # the Grassmannian of Mukai's genus-6 bookkeeping; its point class (6^4)
     # has size 24
-    assert plucker_degree(4, 10) == syt_count(Partition((6, 6, 6, 6))) == 140229804
+    assert Grassmannian(4, 10).plucker_degree() == syt_count(Partition((6, 6, 6, 6))) == 140229804
 
 
 # -- references: Betti counts, the quotient ring, Laplace-expansion Giambelli --
@@ -371,7 +369,7 @@ def test_maroni_divisor_dimension():
 
 def test_genus5_strata():
     assert stratum_dimensions(5) == (12, 11, 9)
-    assert grass_dim(3, 15) - 24 == 12
+    assert Grassmannian(3, 15).dim - 24 == 12
 
 
 def test_strata_only_for_known_genera():
