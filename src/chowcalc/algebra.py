@@ -5,8 +5,8 @@ All values are immutable after construction and every operation is exact
 rational arithmetic; there is no floating point anywhere in this package.
 
 Every sum of products, sum q*a*b, goes through one kernel,
-``linear_combination``; ``*`` and the truncated series product and inverse
-are built on it.  It uses the
+``linear_combination``; ``*``, the truncated series product and the series
+quotient are built on it.  It uses the
 content/primitive-part idea (von zur Gathen and Gerhard, *Modern Computer
 Algebra*, section 6.2): each operand is scaled to integers by the LCM of
 its denominators, integer numerators are accumulated over the LCM of all
@@ -17,17 +17,20 @@ by a gcd on every operation.
 The kernel works on packed exponent vectors (Johnson 1974; Monagan and
 Pearce, CASC 2007): an exponent vector is one int with a fixed bit field per
 variable, so the product of two monomials is one integer addition and the
-accumulator is keyed by ints; each distinct output key is unpacked into an
-exponent tuple once.  A polynomial's integer content (the LCM of its
-denominators and its packed keys with integer numerators) is computed at
-most once and stored on it, and every product stores the content of its
-result, so chained products, powers and series never repack.  Width rule:
+accumulator is keyed by ints.  Integer content is the representation of a
+kernel result: a product holds only its content (the LCM of its
+denominators, its packed keys with integer numerators, and the one degree
+its terms share when that is known), and builds its exponent tuples and
+Fractions the first time a caller reads coefficients.  Its length, zero and
+degree tests and equality read the content, so chained products, powers,
+series and the bundle classes built on them never build a Fraction.  A
+polynomial from the public constructor holds Fractions and computes its
+content at most once, when it is first multiplied.  Width rule:
 a field has at least 16 bits and holds twice the largest exponent of its
 polynomial, so a sum of two keys of one width never carries from one field
 into the next.  A call packs all its operands at the widest width stored
 among them, repacking the narrower ones, and a result whose exponents
-outgrow that width stores no content and is packed afresh, wider, when it
-is next multiplied.
+outgrow that width is repacked wider before it is returned.
 
 Results from internal operations are built with the trusted
 ``GradedPoly._from_clean``; the public constructor keeps full validation.
@@ -118,10 +121,13 @@ def _grlex_key(table: VariableTable, exps: tuple[int, ...]) -> tuple:
 class GradedPoly:
     """Multivariate polynomial with rational coefficients over a VariableTable.
 
-    Terms map exponent tuples to nonzero Fractions; zero coefficients are
-    never stored.  Instances are immutable.  The hash and the integer
-    content that the product kernel reads are filled in lazily; neither
-    takes part in equality.
+    A polynomial is held as its terms, a dict from exponent tuples to nonzero
+    Fractions, as its integer content (see ``_integer_content``), or as both.
+    The public constructor stores terms; a product stores only content, and
+    the terms are built from it the first time a caller reads coefficients.
+    Length, zero and degree tests and equality read whichever form is there.
+    Instances are immutable; the hash and the second form are filled in
+    lazily, and neither takes part in equality.
     """
 
     __slots__ = ("table", "_terms", "_hash", "_content")
@@ -143,15 +149,20 @@ class GradedPoly:
         object.__setattr__(self, "_content", None)
 
     @staticmethod
-    def _from_clean(table: VariableTable, terms: dict[tuple[int, ...], Fraction]) -> "GradedPoly":
-        """Trusted constructor for internal results: every key must already be
-        a valid exponent tuple for `table` and every value a nonzero Fraction.
-        `terms` is stored without validation or copying."""
+    def _from_clean(
+        table: VariableTable,
+        terms: dict[tuple[int, ...], Fraction] | None,
+        content: tuple | None = None,
+    ) -> "GradedPoly":
+        """Trusted constructor for internal results: every key of `terms` must
+        already be a valid exponent tuple for `table` and every value a nonzero
+        Fraction; `terms` is stored without validation or copying.  A kernel
+        result passes None and its `content` instead."""
         p = object.__new__(GradedPoly)
         object.__setattr__(p, "table", table)
         object.__setattr__(p, "_terms", terms)
         object.__setattr__(p, "_hash", None)
-        object.__setattr__(p, "_content", None)
+        object.__setattr__(p, "_content", content)
         return p
 
     # -- constructors ------------------------------------------------------
@@ -162,17 +173,18 @@ class GradedPoly:
 
     @staticmethod
     def constant(table: VariableTable, c: RationalLike) -> "GradedPoly":
-        return GradedPoly(table, {(0,) * len(table): rat(c)})
+        q = rat(c)
+        return GradedPoly._from_clean(table, {(0,) * len(table): q} if q else {})
 
     @staticmethod
     def one(table: VariableTable) -> "GradedPoly":
-        return GradedPoly.constant(table, 1)
+        return GradedPoly._from_clean(table, {(0,) * len(table): Fraction(1)})
 
     @staticmethod
     def variable(table: VariableTable, name: str) -> "GradedPoly":
         i = table.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(table)))
-        return GradedPoly(table, {exps: 1})
+        return GradedPoly._from_clean(table, {exps: Fraction(1)})
 
     @staticmethod
     def monomial(table: VariableTable, exps: Sequence[int], c: RationalLike = 1) -> "GradedPoly":
@@ -180,62 +192,91 @@ class GradedPoly:
 
     # -- inspection --------------------------------------------------------
 
+    def _coefficients(self) -> dict[tuple[int, ...], Fraction]:
+        """The terms, built from the integer content on first read."""
+        terms = self._terms
+        if terms is None:
+            den, keyed, width, _, _ = self._content
+            exps = _unpack(keyed, width, len(self.table))
+            if den == 1:  # integer content, the common case: no gcd to take
+                terms = dict(zip(exps, map(Fraction, keyed.values())))
+            else:
+                terms = {e: Fraction(n, den) for e, n in zip(exps, keyed.values())}
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
+    def _exponents(self) -> Iterable[tuple[int, ...]]:
+        if self._terms is not None:
+            return self._terms
+        _, keyed, width, _, _ = self._content
+        return _unpack(keyed, width, len(self.table))
+
+    def _degrees(self) -> set[int]:
+        """The weighted degrees of the terms, read off the content when it
+        records the one degree they share."""
+        c = self._content
+        if c is not None and c[4] is not None:
+            return {c[4]} if c[1] else set()
+        degree = self.table.degree
+        return {degree(e) for e in self._exponents()}
+
     def items(self) -> Iterable[tuple[tuple[int, ...], Fraction]]:
-        return self._terms.items()
+        return self._coefficients().items()
 
     def __len__(self) -> int:
-        return len(self._terms)
+        terms = self._terms
+        return len(terms if terms is not None else self._content[1])
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        return self._coefficients().get(tuple(exps), Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self.coefficient((0,) * len(self.table))
 
     def as_scalar(self) -> Fraction:
         """The value of a constant polynomial; error if non-constant."""
-        if any(any(exps) for exps in self._terms):
+        if any(any(exps) for exps in self._exponents()):
             raise ValueError("polynomial is not constant")
         return self.constant_term()
 
     def is_homogeneous(self) -> bool:
-        degs = {self.table.degree(e) for e in self._terms}
-        return len(degs) <= 1
+        return len(self._degrees()) <= 1
 
     def degree(self) -> int:
         """Weighted degree of a nonzero homogeneous polynomial."""
-        degs = {self.table.degree(e) for e in self._terms}
+        degs = self._degrees()
         if len(degs) != 1:
             raise ValueError("degree undefined (zero or inhomogeneous polynomial)")
         return degs.pop()
 
     def max_degree(self) -> int:
-        return max((self.table.degree(e) for e in self._terms), default=0)
+        return max(self._degrees(), default=0)
 
     def homogeneous_component(self, d: int) -> "GradedPoly":
         degree = self.table.degree
         return GradedPoly._from_clean(
-            self.table, {e: c for e, c in self._terms.items() if degree(e) == d}
+            self.table, {e: c for e, c in self.items() if degree(e) == d}
         )
 
     def truncate(self, max_degree: int) -> "GradedPoly":
         degree = self.table.degree
         return GradedPoly._from_clean(
-            self.table, {e: c for e, c in self._terms.items() if degree(e) <= max_degree}
+            self.table, {e: c for e, c in self.items() if degree(e) <= max_degree}
         )
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         """Graded-lex leading term (highest degree, then lex-largest exponents)."""
-        if not self._terms:
+        terms = self._coefficients()
+        if not terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self._terms, key=lambda e: _grlex_key(self.table, e))
-        return exps, self._terms[exps]
+        exps = max(terms, key=lambda e: _grlex_key(self.table, e))
+        return exps, terms[exps]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self._terms.items(), key=lambda t: _grlex_key(self.table, t[0]), reverse=True)
+        return sorted(self.items(), key=lambda t: _grlex_key(self.table, t[0]), reverse=True)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -249,8 +290,8 @@ class GradedPoly:
         if isinstance(other, (int, Fraction)):
             other = GradedPoly.constant(self.table, other)
         self._check(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
+        terms = dict(self.items())
+        for e, c in other.items():
             if e in terms:
                 s = terms[e] + c
                 if s:
@@ -264,7 +305,7 @@ class GradedPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly._from_clean(self.table, {e: -c for e, c in self._terms.items()})
+        return GradedPoly._from_clean(self.table, {e: -c for e, c in self.items()})
 
     def __sub__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
@@ -279,7 +320,7 @@ class GradedPoly:
             if not other:
                 return GradedPoly.zero(self.table)
             q = rat(other)
-            return GradedPoly._from_clean(self.table, {e: c * q for e, c in self._terms.items()})
+            return GradedPoly._from_clean(self.table, {e: c * q for e, c in self.items()})
         return linear_combination(self.table, ((1, self, other),))
 
     __rmul__ = __mul__
@@ -310,12 +351,24 @@ class GradedPoly:
             other = GradedPoly.constant(self.table, other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self.table == other.table and self._terms == other._terms
+        if self.table is not other.table and self.table != other.table:
+            return False
+        if self._terms is not None and other._terms is not None:
+            return self._terms == other._terms
+        if len(self) != len(other):
+            return False
+        # Content is canonical at a given width: the LCM of the reduced
+        # denominators, and one packed key per exponent tuple.
+        a, b = _integer_content(self), _integer_content(other)
+        if a[2] != b[2]:
+            width = max(a[2], b[2])
+            a, b = _integer_content(self, width), _integer_content(other, width)
+        return a[0] == b[0] and a[1] == b[1]
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.table, tuple(sorted(self._terms.items()))))
+            h = hash((self.table, tuple(sorted(self.items()))))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -335,60 +388,73 @@ def _field_width(top: int) -> int:
     return max(16, (2 * top).bit_length())
 
 
+def _unpack(keys: Iterable[int], width: int, nvars: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of `keys`, packed `width` bits per field."""
+    shifts = range(0, nvars * width, width)
+    mask = (1 << width) - 1
+    return [tuple([k >> s & mask for s in shifts]) for k in keys]
+
+
 def _integer_content(p: GradedPoly, width: int = 0) -> tuple:
-    """(L, [(key, L*c)], width, top) for p: L is the LCM of the denominators
-    of p, each key is an exponent vector packed `width` bits per field
-    (variable i in bits i*width and up), and every exponent of p is at most
-    `top`, with ``_field_width(top) <= width``.  Stored on p, so it is
-    computed once per polynomial; products store the content of their
-    results.  A stored content narrower than `width` is repacked at
-    `width`; a new content is packed at `width`, or wider if p needs it."""
+    """(L, {key: L*c}, width, top, degree) for p: L is the LCM of the
+    denominators of p, each key is an exponent vector packed `width` bits
+    per field (variable i in bits i*width and up), every exponent of p is at
+    most `top`, with ``_field_width(top) <= width``, and `degree` is the
+    weighted degree shared by every term, or None when that is not known.
+    L is the LCM of the reduced denominators, so equal polynomials have equal
+    contents at one width.  Stored on p, so it is computed once per
+    polynomial; products store only the content of their results.  A stored
+    content narrower than `width` is repacked at `width`; a new content is
+    packed at `width`, or wider if p needs it."""
     c = p._content
     if c is None or c[2] < width:
-        terms = p._terms
-        top = max(chain.from_iterable(terms), default=0)
+        if c is None:
+            terms = p._terms
+            exps = terms.keys()
+            den = lcm(*[q.denominator for q in terms.values()])
+            nums = [q.numerator * (den // q.denominator) for q in terms.values()]
+            degs = {p.table.degree(e) for e in exps}
+            deg = degs.pop() if len(degs) == 1 else None
+        else:
+            den, keyed, narrow, _, deg = c
+            exps = _unpack(keyed, narrow, len(p.table))
+            nums = keyed.values()
+        top = max(chain.from_iterable(exps), default=0)
         width = max(width, _field_width(top))
         shifts = range(0, len(p.table) * width, width)
-        den = lcm(*[q.denominator for q in terms.values()])
-        keyed = [
-            (sum(map(lshift, e, shifts)), q.numerator * (den // q.denominator))
-            for e, q in terms.items()
-        ]
-        c = (den, keyed, width, top)
+        keyed = {sum(map(lshift, e, shifts)): n for e, n in zip(exps, nums)}
+        c = (den, keyed, width, top, deg)
         object.__setattr__(p, "_content", c)
     return c
 
 
-def _sum_products(table: VariableTable, pairs: list, den: int, width: int, top: int) -> GradedPoly:
+def _sum_products(
+    table: VariableTable, pairs: list, den: int, width: int, top: int, deg: int | None
+) -> GradedPoly:
     """sum s*a*b/den over the (s, a, b) in pairs, a and b given by the packed
     keys and numerators of their integer contents at `width`, with `top`
-    bounding every exponent of the result: the one inner loop of every
-    product and sum of products.  The result carries its content when
-    `width` can hold its exponents; otherwise it is packed afresh, wider,
-    when it is next multiplied."""
+    bounding every exponent of the result and `deg` its degree if known: the
+    one inner loop of every product and sum of products.  The result holds
+    only its content, repacked wider when `width` cannot hold the next
+    product of its exponents."""
     acc: dict[int, int] = {}
     for scale, na, nb in pairs:
-        for k1, n1 in na:
+        for k1, n1 in na.items():
             n1 *= scale
-            for k2, n2 in nb:
+            for k2, n2 in nb.items():
                 k = k1 + k2
                 if k in acc:
                     acc[k] += n1 * n2
                 else:
                     acc[k] = n1 * n2
-    keyed = [(k, n) for k, n in acc.items() if n]
-    shifts = range(0, len(table) * width, width)
-    mask = (1 << width) - 1
-    if den == 1:  # integer operands, the common case: no gcd to take
-        terms = {tuple([k >> s & mask for s in shifts]): Fraction(n) for k, n in keyed}
-    else:
-        g = gcd(den, *[n for _, n in keyed])
+    keyed = {k: n for k, n in acc.items() if n}
+    if den != 1:
+        g = gcd(den, *keyed.values())
         den //= g
-        keyed = [(k, n // g) for k, n in keyed]
-        terms = {tuple([k >> s & mask for s in shifts]): Fraction(n, den) for k, n in keyed}
-    p = GradedPoly._from_clean(table, terms)
-    if _field_width(top) <= width:
-        object.__setattr__(p, "_content", (den, keyed, width, top))
+        keyed = {k: n // g for k, n in keyed.items()}
+    p = GradedPoly._from_clean(table, None, (den, keyed, width, top, deg))
+    if _field_width(top) > width:
+        _integer_content(p, _field_width(top))
     return p
 
 
@@ -398,29 +464,34 @@ def linear_combination(
     """sum q*a*b over the (q, a, b) in `terms`, all over `table`.  Each pair is
     scaled to integers by its own denominator, the numerators accumulate over
     the LCM of those denominators, and each output term is divided once."""
-    operands: dict[int, GradedPoly] = {}  # id(p) -> p; holding p pins its id
     triples = []
+    width = 16
     for q, a, b in terms:
         for p in (a, b):
-            if p.table != table:
+            if p.table is not table and p.table != table:
                 msg = f"variable tables differ: {table.names} vs {p.table.names}"
                 raise TableMismatchError(msg)
         if q:
-            operands[id(a)] = a
-            operands[id(b)] = b
-            triples.append((q, id(a), id(b)))
-    # One width for every operand, the widest that any of them is stored at.
-    width = max([_integer_content(p)[2] for p in operands.values()], default=16)
-    content = {i: _integer_content(p, width) for i, p in operands.items()}
+            ca = a._content or _integer_content(a)
+            cb = b._content or _integer_content(b)
+            triples.append((q, ca, cb, a, b))
+            width = max(width, ca[2], cb[2])
+    if width > 16:  # one width for every operand, the widest stored among them
+        triples = [
+            (q, _integer_content(a, width), _integer_content(b, width), a, b)
+            for q, _, _, a, b in triples
+        ]
     pairs = []
     top = 0
-    for q, a, b in triples:
-        (da, na, _, ta), (db, nb, _, tb) = content[a], content[b]
-        pairs.append((q.numerator, q.denominator * da * db, na, nb))
-        top = max(top, ta + tb)
+    degs = set()
+    for q, (da, na, _, ta, ga), (db, nb, _, tb, gb), _, _ in triples:
+        if na and nb:
+            pairs.append((q.numerator, q.denominator * da * db, na, nb))
+            top = max(top, ta + tb)
+            degs.add(None if ga is None or gb is None else ga + gb)
     den = lcm(*[d for _, d, _, _ in pairs])
     scaled = [(n * (den // d), na, nb) for n, d, na, nb in pairs]
-    return _sum_products(table, scaled, den, width, top)
+    return _sum_products(table, scaled, den, width, top, degs.pop() if len(degs) == 1 else None)
 
 
 def series_mul(a: Sequence[GradedPoly], b: Sequence[GradedPoly], trunc: int) -> list[GradedPoly]:
@@ -434,15 +505,22 @@ def series_mul(a: Sequence[GradedPoly], b: Sequence[GradedPoly], trunc: int) -> 
     ]
 
 
-def series_inverse(a: Sequence[GradedPoly], trunc: int) -> list[GradedPoly]:
-    """Coefficients 0..trunc of 1/a for a series a with constant term 1."""
-    if a[0] != GradedPoly.one(a[0].table):
-        raise ValueError("series inverse needs constant term 1")
-    inv = [a[0]]
-    for d in range(1, trunc + 1):
-        terms = ((-1, a[i], inv[d - i]) for i in range(1, min(d + 1, len(a))))
-        inv.append(linear_combination(a[0].table, terms))
-    return inv
+def series_quotient(
+    t: Sequence[GradedPoly], s: Sequence[GradedPoly], trunc: int
+) -> list[GradedPoly]:
+    """Coefficients 0..trunc of t/s for a series s with constant term 1, by
+    q_d = t_d - sum_(i>=1) s_i q_(d-i): one sum of products per degree, and
+    the inverse of s is the case t = [1] (missing coefficients are zero)."""
+    table = s[0].table
+    one = GradedPoly.one(table)
+    if s[0] != one:
+        raise ValueError("series division needs a divisor with constant term 1")
+    q: list[GradedPoly] = []
+    for d in range(trunc + 1):
+        terms = [(1, t[d], one)] if d < len(t) else []
+        terms += [(-1, s[i], q[d - i]) for i in range(1, min(d + 1, len(s)))]
+        q.append(linear_combination(table, terms))
+    return q
 
 
 def format_poly(p: GradedPoly) -> str:

@@ -2,14 +2,17 @@
 
 A bundle is a rank plus c_1..c_D, read as a class in the lambda-ring of
 K-theory truncated in degree D.  Whitney sums and exact-sequence quotients
-multiply and divide total Chern series.  Symmetric and exterior powers go
+multiply and divide total Chern series; a quotient divides directly,
+q_d = t_d - sum_(i>=1) s_i q_(d-i), without forming the inverse of the
+subbundle's series first.  Symmetric and exterior powers go
 through the Chern character: the Adams operation psi^j scales ch_d by j^d,
 and Newton's recurrence n * h_n = sum_j (+-1)^(j-1) psi^j(ch) * h_(n-j)
 (sign + for Sym, alternating for wedge) gives ch(Sym^n) or ch(wedge^n),
 which `chern_from_character` turns back into Chern classes.  A twist by a
 line uses the closed form c(V (x) L) = sum_i c_i(V) (1 + t)^(r - i).  Every
 such sum of products is one call per degree to the series kernel in
-``algebra`` (``series_mul``, ``series_inverse``, ``linear_combination``).
+``algebra`` (``series_mul``, ``series_quotient``, ``linear_combination``),
+whose results hold integer content until their coefficients are read.
 
 No Chern roots are introduced, so the cost does not grow with the rank;
 Sym^k and wedge^k cost O(k^2) truncated series products.  Every operation
@@ -29,8 +32,8 @@ from .algebra import (
     GradedPoly,
     VariableTable,
     linear_combination,
-    series_inverse,
     series_mul,
+    series_quotient,
 )
 
 
@@ -45,7 +48,7 @@ class LineClass:
     c1: GradedPoly
 
     def __post_init__(self) -> None:
-        if not self.c1.is_zero() and self.c1.degree() != 1:
+        if not self.c1.is_zero() and not (self.c1.is_homogeneous() and self.c1.degree() == 1):
             raise BundleError("a line class must be homogeneous of degree 1")
 
 
@@ -70,7 +73,7 @@ class FormalBundle:
         for i, c in enumerate(chern, start=1):
             if c.table != self.table:
                 raise BundleError("chern classes over different tables")
-            if not c.is_zero() and c.degree() != i:
+            if not c.is_zero() and not (c.is_homogeneous() and c.degree() == i):
                 raise BundleError(f"c_{i} must be homogeneous of degree {i}")
         object.__setattr__(self, "chern", chern)
 
@@ -203,7 +206,7 @@ def sequence_quotient(total: FormalBundle, sub: FormalBundle) -> FormalBundle:
     if sub.rank > total.rank:
         raise BundleError("subbundle rank exceeds total rank")
     trunc = min(total.truncation, sub.truncation)
-    q = series_mul(total.total_chern(), series_inverse(sub.total_chern(), trunc), trunc)
+    q = series_quotient(total.total_chern(), sub.total_chern(), trunc)
     rank = total.rank - sub.rank
     return FormalBundle(rank, tuple(q[1:]), total.table)
 

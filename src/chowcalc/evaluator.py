@@ -31,8 +31,10 @@ deeply``.  An error names a number by its value and any other value by
 what it is, in the words of the argument kinds (``a bundle``).
 
 A name is looked up in the environment of assignments and scopes first,
-then in the standard ``prelude``, which an ``Evaluator`` builds the first
-time a name is not found there and then keeps.
+then in the standard ``prelude``.  The prelude is four groups of names,
+and an ``Evaluator`` builds a group the first time it looks up one of its
+names, then keeps it: a line that reads only ``M6`` never builds the
+genus-6 bundles.
 
 A *closed* ring literal, whose relations use only numbers, its own
 variables and arithmetic, means the same everywhere: an ``Evaluator`` keeps
@@ -88,34 +90,35 @@ def statements(lines: Iterable[str]) -> Iterator[str]:
             yield source
 
 
-def prelude(trunc: int) -> dict[str, Any]:
-    """Standard environment: the genus-6 kappa presentation, the kappa ring
-    variables, and the named bundles of the verification models."""
-    env: dict[str, Any] = {}
-    m6 = quotient.m6_presentation()
-    env["M6"] = m6
-    for name in m6.table.names:
-        env[name] = GradedPoly.variable(m6.table, name)
-
+def prelude(trunc: int, name: str) -> dict[str, Any]:
+    """The group of the standard environment that binds `name`, or {} if no
+    group does: `M6`, the genus-6 kappa presentation, with its variables;
+    the Hodge bundle `E` with the kappa ring variables; the Mukai model's `V`
+    and `F` with the names of its table; or the generic rank-2 `W` with
+    `w1`, `w2`.  Only that group is built."""
+    if name == "M6" or name in quotient.kappa_table().names:
+        m6 = quotient.m6_presentation()
+        return {"M6": m6, **_variables(m6.table)}
     ktab = grr.kappa_ring(trunc)
-    for name in ktab.names:
-        env[name] = GradedPoly.variable(ktab, name)
-    env["E"] = grr.hodge_bundle(6, trunc)
-
+    if name == "E" or name in ktab.names:
+        return {"E": grr.hodge_bundle(6, trunc), **_variables(ktab)}
     mtab = grr.mukai_model_table(trunc)
-    for name in mtab.names:
-        env[name] = GradedPoly.variable(mtab, name)
-    env["V"] = grr.mukai_bundle(trunc)
-    env["F"] = grr.plucker_sequence_decomposition(trunc)
-
+    if name in ("V", "F") or name in mtab.names:
+        return {
+            "V": grr.mukai_bundle(trunc),
+            "F": grr.plucker_sequence_decomposition(trunc),
+            **_variables(mtab),
+        }
     wtab = VariableTable(("w1", "w2"), (1, 2))
-    for name in wtab.names:
-        env[name] = GradedPoly.variable(wtab, name)
-    zero_w = GradedPoly.zero(wtab)
-    w_classes = [GradedPoly.variable(wtab, "w1"), GradedPoly.variable(wtab, "w2")]
-    w_classes += [zero_w] * max(0, trunc - 2)
-    env["W"] = bundles.FormalBundle(2, tuple(w_classes[:trunc]), wtab)
-    return env
+    if name == "W" or name in wtab.names:
+        w_classes = [GradedPoly.variable(wtab, "w1"), GradedPoly.variable(wtab, "w2")]
+        w_classes += [GradedPoly.zero(wtab)] * max(0, trunc - 2)
+        return {"W": bundles.FormalBundle(2, tuple(w_classes[:trunc]), wtab), **_variables(wtab)}
+    return {}
+
+
+def _variables(table: VariableTable) -> dict[str, GradedPoly]:
+    return {name: GradedPoly.variable(table, name) for name in table.names}
 
 
 # -- argument kinds --------------------------------------------------------------
@@ -341,7 +344,7 @@ class Evaluator:
             raise EvalError(f"truncation must be an integer >= 0, got {trunc!r}")
         self.trunc = trunc
         self.env: dict[str, Any] = {}
-        self._prelude: dict[str, Any] | None = None
+        self._prelude: dict[str, Any] = {}  # the prelude groups built so far
         # closed ring literal -> its presentation; bounded like graded_piece
         self._closed_rings = lru_cache(maxsize=1024)(lambda node: self._build_ring(node, {}))
 
@@ -375,10 +378,10 @@ class Evaluator:
         if isinstance(node, Var):
             if node.name in env:
                 return env[node.name]
-            if self._prelude is None:
-                self._prelude = prelude(self.trunc)
             if node.name not in self._prelude:
-                raise EvalError(f"unknown identifier {node.name!r}")
+                self._prelude.update(prelude(self.trunc, node.name))
+                if node.name not in self._prelude:
+                    raise EvalError(f"unknown identifier {node.name!r}")
             return self._prelude[node.name]
         if isinstance(node, Neg):
             return _operate("neg", self.eval(node.arg, env))

@@ -13,9 +13,10 @@ from chowcalc.algebra import (
     linear_combination,
     monomial_basis,
     mul_trunc,
-    series_inverse,
     series_mul,
+    series_quotient,
 )
+from chowcalc.bundles import FormalBundle, sequence_quotient
 from chowcalc.evaluator import Evaluator, format_value
 
 KAPPA = VariableTable(("k1", "k2"), (1, 2))
@@ -594,6 +595,12 @@ def _ref_series_inverse(a, trunc):
     return inv
 
 
+def _ref_series_quotient(t, s, trunc):
+    """t / s as the product of t with the reference inverse of s: how
+    Whitney quotients were computed before they divided directly."""
+    return series_mul(t, _ref_series_inverse(s, trunc), trunc)
+
+
 wseries = st.lists(wpolys(), min_size=1, max_size=4)
 
 
@@ -608,11 +615,94 @@ def test_series_mul_matches_reference_loop(a, b, trunc):
 def test_series_inverse_matches_reference_loop(a, trunc):
     one = GradedPoly.one(WTABLE)
     a = [one] + a[1:]
-    inv = series_inverse(a, trunc)
+    inv = series_quotient([one], a, trunc)  # the inverse is the quotient of 1
     assert inv == _ref_series_inverse(a, trunc)
     assert series_mul(a, inv, trunc) == [one] + [GradedPoly.zero(WTABLE)] * trunc
 
 
 def test_series_inverse_needs_constant_term_one():
     with pytest.raises(ValueError, match="constant term 1"):
-        series_inverse([GradedPoly.constant(WTABLE, 2)], 3)
+        series_quotient([GradedPoly.one(WTABLE)], [GradedPoly.constant(WTABLE, 2)], 3)
+
+
+@given(wseries, wseries, st.integers(min_value=0, max_value=6))
+def test_series_quotient_matches_product_with_reference_inverse(t, s, trunc):
+    s = [GradedPoly.one(WTABLE)] + s[1:]
+    assert series_quotient(t, s, trunc) == _ref_series_quotient(t, s, trunc)
+
+
+@st.composite
+def exact_sequences(draw):
+    """(total, sub) over WTABLE, sub of rank at most total's, truncations 1..4
+    and random classes c_1..c_D, so that a rank below D has classes above it
+    (a virtual class)."""
+
+    def classes():
+        return tuple(
+            GradedPoly(WTABLE, {e: draw(scalars) for e in monomial_basis(WTABLE, i)})
+            for i in range(1, draw(st.integers(1, 4)) + 1)
+        )
+
+    rank = draw(st.integers(0, 4))
+    total = FormalBundle(rank, classes(), WTABLE)
+    return total, FormalBundle(draw(st.integers(0, rank)), classes(), WTABLE)
+
+
+def _full_bundle(rank, trunc):
+    """Every monomial of degree i in c_i, with coefficient 1/i."""
+    cs = [dict.fromkeys(monomial_basis(WTABLE, i), Fraction(1, i)) for i in range(1, trunc + 1)]
+    return FormalBundle(rank, tuple(GradedPoly(WTABLE, c) for c in cs), WTABLE)
+
+
+@given(exact_sequences())
+@example((_full_bundle(3, 4), _full_bundle(1, 4)))
+def test_sequence_quotient_matches_product_with_reference_inverse(pair):
+    total, sub = pair
+    q = sequence_quotient(total, sub)
+    trunc = min(total.truncation, sub.truncation)
+    assert q.rank == total.rank - sub.rank and q.truncation == trunc
+    assert list(q.chern) == _ref_series_quotient(total.total_chern(), sub.total_chern(), trunc)[1:]
+
+
+# -- kernel results hold integer content until a caller reads coefficients -------
+
+# Sums of products whose exponents pass 16 bits, so that results are packed
+# wider, or repacked wider for the next product.
+big_combinations = st.lists(st.tuples(scalars, big_wpolys, big_wpolys), max_size=3)
+_wide = _as_poly({(2**15, 0, 1): Fraction(1, 3), (1, 0, 0): 2})
+
+
+@given(combinations() | big_combinations, st.integers(min_value=-1, max_value=12))
+@example([(Fraction(5, 3), _a, _b), (Fraction(-5, 3), _a, _b)], 3)  # cancels to zero
+@example([(Fraction(1, 2), _wide, _wide), (3, _wide, _a)], 2)  # exponents past 2**16
+def test_kernel_results_read_like_polynomials_rebuilt_from_their_items(terms, max_degree):
+    p = linear_combination(WTABLE, terms)
+    rebuilt = GradedPoly(WTABLE, dict(linear_combination(WTABLE, terms).items()))
+    assert len(p) == len(rebuilt) and p.is_zero() == rebuilt.is_zero()
+    assert p.is_homogeneous() == rebuilt.is_homogeneous()
+    if rebuilt.is_homogeneous() and not rebuilt.is_zero():
+        assert p.degree() == rebuilt.degree()
+    else:
+        with pytest.raises(ValueError, match="degree undefined"):
+            p.degree()
+    assert p == rebuilt and rebuilt == p
+    twice = linear_combination(WTABLE, [(2 * q, a, b) for q, a, b in terms])
+    assert (p == twice) == p.is_zero()  # same numerators over half the LCM, for one
+    assert p._terms is None  # none of the reads above built the Fraction dict
+    assert hash(p) == hash(rebuilt)
+    assert list(p.items()) == list(rebuilt.items())
+    for e, c in rebuilt.items():
+        assert p.coefficient(e) == c
+    assert p.truncate(max_degree) == rebuilt.truncate(max_degree)
+    assert format_poly(p) == format_poly(rebuilt)
+
+
+def test_series_products_leave_their_intermediates_as_integer_content():
+    a, b, c = (GradedPoly.variable(WTABLE, name) for name in WTABLE.names)
+    one = GradedPoly.one(WTABLE)
+    first = series_mul([one, a, b * Fraction(1, 2), c], [one, -a, b, 3 * c], 6)
+    second = series_mul(first, first, 6)
+    third = series_quotient(second, [one, a, b], 6)
+    bundle = FormalBundle(3, tuple(third[1:]), WTABLE)  # reads every degree
+    assert len(bundle.c(6)) == len(third[6]) > 0
+    assert all(p._terms is None for p in first + second + third)

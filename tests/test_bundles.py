@@ -57,6 +57,13 @@ def test_chern_class_index_must_be_nonnegative():
         b.c(-1)
 
 
+def test_an_inhomogeneous_class_is_rejected_by_its_own_message():
+    with pytest.raises(BundleError, match="^c_2 must be homogeneous of degree 2$"):
+        FormalBundle(2, (W1, W2 + T), TABLE)
+    with pytest.raises(BundleError, match="^a line class must be homogeneous of degree 1$"):
+        LineClass(T + W2)
+
+
 # -- dual -----------------------------------------------------------------------
 
 

@@ -192,6 +192,20 @@ def test_quadrics_bundle_needs_genus_three():
         Evaluator().run("quadricsbundle(2)")
 
 
+# An inhomogeneous class gets the bundle's own error, not the polynomial's
+# "degree undefined".
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        ("bundle(2; k1, k2) / bundle(1; k1+k2)", "^c_1 must be homogeneous of degree 1$"),
+        ("twist(V, v1+v2)", "^twist: a line class must be homogeneous of degree 1$"),
+    ],
+)
+def test_an_inhomogeneous_class_is_named_by_the_bundle(src, message):
+    with pytest.raises(EvalError, match=message):
+        Evaluator().run(src)
+
+
 # A library error is named by the innermost call it was raised in; one
 # raised outside any call is not named.
 @pytest.mark.parametrize(
@@ -291,15 +305,15 @@ def test_definitions_file_loading():
 
 @pytest.fixture
 def preludes(monkeypatch):
-    """The truncation of every prelude built while the test runs."""
+    """The truncation of every prelude group built while the test runs."""
     from chowcalc import evaluator
 
     built = []
     real = evaluator.prelude
 
-    def prelude(trunc):
+    def prelude(trunc, name):
         built.append(trunc)
-        return real(trunc)
+        return real(trunc, name)
 
     monkeypatch.setattr(evaluator, "prelude", prelude)
     return built
@@ -320,8 +334,35 @@ def test_the_random_battery_builds_no_prelude(preludes):
 
 def test_the_prelude_is_built_once_per_evaluator(preludes):
     ev = Evaluator(4)
-    assert ev.run("rank(E)") == 6 and ev.run("rank(V)") == 5
-    assert preludes == [4]
+    assert ev.run("rank(E)") == 6 and ev.run("kappa1 - kappa1") == 0 and ev.run("rank(E)") == 6
+    assert preludes == [4]  # E and the kappa_i are one group
+    assert ev.run("rank(V)") == 5 and ev.run("rank(F)") == 4 and ev.run("v1 - v1") == 0
+    assert preludes == [4, 4]
+
+
+def test_each_prelude_group_binds_its_own_names():
+    from chowcalc.evaluator import prelude
+
+    assert set(prelude(4, "k2")) == {"M6", "k1", "k2"}
+    assert set(prelude(4, "E")) == {"E", "kappa1", "kappa2", "kappa3", "kappa4"}
+    mukai = {"V", "F", "v1", "v2", "v3", "v4", "v5", "ell"} | {f"lambda{i}" for i in range(1, 5)}
+    assert set(prelude(4, "ell")) == mukai
+    assert set(prelude(4, "w1")) == {"W", "w1", "w2"}
+    assert prelude(4, "nope") == {}
+
+
+@pytest.mark.parametrize(
+    "src", ["nf(k1^4, M6)", "hilbert(M6, 6)", "nf(k1^5, M6)", "nf(k1*k2^2, M6)"]
+)
+def test_a_line_that_reads_m6_builds_no_bundle(src, monkeypatch):
+    from chowcalc import grr
+
+    def unwanted(*args):
+        raise AssertionError("a genus-6 bundle was built for a line that reads only M6")
+
+    for name in ("plucker_sequence_decomposition", "hodge_bundle", "mukai_bundle"):
+        monkeypatch.setattr(grr, name, unwanted)
+    Evaluator(8).run(src)
 
 
 def test_an_assignment_shadows_the_prelude_before_and_after_it_is_built(preludes):

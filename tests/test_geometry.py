@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from chowcalc.algebra import GradedPoly, monomial_basis, series_inverse
+from chowcalc.algebra import GradedPoly, monomial_basis, series_quotient
 from chowcalc.bundles import BundleError, maroni_split_degrees
 from chowcalc.geometry import (
     Grassmannian,
@@ -207,7 +207,7 @@ def _grass_presentation(g):
     vanishing of the quotient's classes in degrees n-k+1..n (the degreewise
     form of c(S) * c(Q) = 1)."""
     c = [g.chern_sub(i) for i in range(g.k + 1)]
-    inv = series_inverse(c, g.n)
+    inv = series_quotient([GradedPoly.one(g.table())], c, g.n)
     return RingPresentation(g.table(), tuple(inv[d] for d in range(g.n - g.k + 1, g.n + 1)))
 
 
