@@ -17,15 +17,15 @@ by a gcd on every operation.
 The kernel works on packed exponent vectors (Johnson 1974; Monagan and
 Pearce, CASC 2007): an exponent vector is one int with a fixed bit field per
 variable, so the product of two monomials is one integer addition and the
-accumulator is keyed by ints.  Integer content is the representation of a
-kernel result: a product holds only its content (the LCM of its
-denominators, its packed keys with integer numerators, and the one degree
-its terms share when that is known), and builds its exponent tuples and
-Fractions the first time a caller reads coefficients.  Its length, zero and
-degree tests and equality read the content, so chained products, powers,
-series and the bundle classes built on them never build a Fraction.  A
-polynomial from the public constructor holds Fractions and computes its
-content at most once, when it is first multiplied.  Width rule:
+accumulator is keyed by ints.  Integer content is the representation of
+every polynomial: its common denominator (the LCM of its denominators), its
+packed keys with integer numerators, and the one degree its terms share
+when that is known.  The constructors build it directly (an int coefficient
+never becomes a Fraction), and so do ``+``, ``-``, scalar ``*`` and ``/``
+and the kernel; the exponent tuples and Fractions are built, and cached,
+the first time a caller reads coefficients.  Length, zero and degree tests
+and equality read the content, so chained products, powers, series and the
+bundle classes built on them never build a Fraction.  Width rule:
 a field has at least 16 bits and holds twice the largest exponent of its
 polynomial, so a sum of two keys of one width never carries from one field
 into the next.  A call packs all its operands at the widest width stored
@@ -33,7 +33,7 @@ among them, repacking the narrower ones, and a result whose exponents
 outgrow that width is repacked wider before it is returned.
 
 Results from internal operations are built with the trusted
-``GradedPoly._from_clean``; the public constructor keeps full validation.
+``GradedPoly._from_content``; the public constructor keeps full validation.
 """
 from __future__ import annotations
 
@@ -121,79 +121,72 @@ def _grlex_key(table: VariableTable, exps: tuple[int, ...]) -> tuple:
 class GradedPoly:
     """Multivariate polynomial with rational coefficients over a VariableTable.
 
-    A polynomial is held as its terms, a dict from exponent tuples to nonzero
-    Fractions, as its integer content (see ``_integer_content``), or as both.
-    The public constructor stores terms; a product stores only content, and
-    the terms are built from it the first time a caller reads coefficients.
-    Length, zero and degree tests and equality read whichever form is there.
-    Instances are immutable; the hash and the second form are filled in
-    lazily, and neither takes part in equality.
+    A polynomial is held as its integer content (see ``_pack``): the LCM of
+    its denominators, its packed exponent keys with integer numerators, and
+    the one degree its terms share when that is known.  Every constructor and
+    every operation builds that content directly, so an int coefficient never
+    becomes a Fraction; the dict from exponent tuples to nonzero Fractions is
+    only a cache, built the first time a caller reads coefficients.  Length,
+    zero and degree tests and equality read the content.  Instances are
+    immutable: the hash and the Fraction dict are filled in lazily, and the
+    content may be replaced by the same content packed wider; none of these
+    takes part in equality.
     """
 
-    __slots__ = ("table", "_terms", "_hash", "_content")
+    __slots__ = ("table", "_content", "_terms", "_hash")
     __setattr__ = __delattr__ = immutable
 
     def __init__(self, table: VariableTable, terms: Mapping[tuple[int, ...], RationalLike]):
-        cleaned: dict[tuple[int, ...], Fraction] = {}
+        kept: dict[tuple[int, ...], int | Fraction] = {}
         nvars = len(table)
         for exps, c in terms.items():
-            q = rat(c)
-            if q == 0:
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
+            if not c:
                 continue
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            if len(exps) != nvars or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent vector {exps!r} for table {table.names}")
-            cleaned[tuple(exps)] = q
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_terms", cleaned)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_content", None)
+            kept[tuple(exps)] = c
+        _init(self, table, _pack(table, kept))
 
     @staticmethod
-    def _from_clean(
-        table: VariableTable,
-        terms: dict[tuple[int, ...], Fraction] | None,
-        content: tuple | None = None,
-    ) -> "GradedPoly":
-        """Trusted constructor for internal results: every key of `terms` must
-        already be a valid exponent tuple for `table` and every value a nonzero
-        Fraction; `terms` is stored without validation or copying.  A kernel
-        result passes None and its `content` instead."""
+    def _from_content(table: VariableTable, content: tuple) -> "GradedPoly":
+        """Trusted constructor for internal results: `content` must already be
+        a canonical integer content for `table` (see ``_pack``)."""
         p = object.__new__(GradedPoly)
-        object.__setattr__(p, "table", table)
-        object.__setattr__(p, "_terms", terms)
-        object.__setattr__(p, "_hash", None)
-        object.__setattr__(p, "_content", content)
+        _init(p, table, content)
         return p
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(table: VariableTable) -> "GradedPoly":
-        return GradedPoly._from_clean(table, {})
+        return GradedPoly._from_content(table, (1, {}, 16, 0, None))
 
     @staticmethod
     def constant(table: VariableTable, c: RationalLike) -> "GradedPoly":
-        q = rat(c)
-        return GradedPoly._from_clean(table, {(0,) * len(table): q} if q else {})
+        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        if not c:
+            return GradedPoly.zero(table)
+        return GradedPoly._from_content(table, (c.denominator, {0: c.numerator}, 16, 0, 0))
 
     @staticmethod
     def one(table: VariableTable) -> "GradedPoly":
-        return GradedPoly._from_clean(table, {(0,) * len(table): Fraction(1)})
+        return GradedPoly._from_content(table, (1, {0: 1}, 16, 0, 0))
 
     @staticmethod
     def variable(table: VariableTable, name: str) -> "GradedPoly":
         i = table.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(table)))
-        return GradedPoly._from_clean(table, {exps: Fraction(1)})
+        return GradedPoly._from_content(table, (1, {1 << 16 * i: 1}, 16, 1, table.weights[i]))
 
     @staticmethod
     def monomial(table: VariableTable, exps: Sequence[int], c: RationalLike = 1) -> "GradedPoly":
-        return GradedPoly(table, {tuple(exps): rat(c)})
+        return GradedPoly(table, {tuple(exps): c})
 
     # -- inspection --------------------------------------------------------
 
     def _coefficients(self) -> dict[tuple[int, ...], Fraction]:
-        """The terms, built from the integer content on first read."""
+        """The terms as Fractions, built from the integer content on first read."""
         terms = self._terms
         if terms is None:
             den, keyed, width, _, _ = self._content
@@ -205,40 +198,33 @@ class GradedPoly:
             object.__setattr__(self, "_terms", terms)
         return terms
 
-    def _exponents(self) -> Iterable[tuple[int, ...]]:
-        if self._terms is not None:
-            return self._terms
-        _, keyed, width, _, _ = self._content
-        return _unpack(keyed, width, len(self.table))
-
     def _degrees(self) -> set[int]:
         """The weighted degrees of the terms, read off the content when it
         records the one degree they share."""
-        c = self._content
-        if c is not None and c[4] is not None:
-            return {c[4]} if c[1] else set()
-        degree = self.table.degree
-        return {degree(e) for e in self._exponents()}
+        _, keyed, width, _, deg = self._content
+        if deg is not None:
+            return {deg} if keyed else set()
+        return set(map(self.table.degree, _unpack(keyed, width, len(self.table))))
 
     def items(self) -> Iterable[tuple[tuple[int, ...], Fraction]]:
         return self._coefficients().items()
 
     def __len__(self) -> int:
-        terms = self._terms
-        return len(terms if terms is not None else self._content[1])
+        return len(self._content[1])
 
     def is_zero(self) -> bool:
-        return not len(self)
+        return not self._content[1]
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self._coefficients().get(tuple(exps), Fraction(0))
 
     def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * len(self.table))
+        den, keyed, _, _, _ = self._content
+        return Fraction(keyed.get(0, 0), den)
 
     def as_scalar(self) -> Fraction:
         """The value of a constant polynomial; error if non-constant."""
-        if any(any(exps) for exps in self._exponents()):
+        if any(self._content[1]):  # key 0 is the constant monomial
             raise ValueError("polynomial is not constant")
         return self.constant_term()
 
@@ -255,17 +241,21 @@ class GradedPoly:
     def max_degree(self) -> int:
         return max(self._degrees(), default=0)
 
-    def homogeneous_component(self, d: int) -> "GradedPoly":
+    def _select(self, keep, deg: int | None) -> "GradedPoly":
+        """The terms whose degree satisfies `keep`, of degree `deg` if known."""
+        den, keyed, width, top, shared = self._content
+        if shared is not None:
+            return self if keep(shared) else GradedPoly.zero(self.table)
         degree = self.table.degree
-        return GradedPoly._from_clean(
-            self.table, {e: c for e, c in self.items() if degree(e) == d}
-        )
+        exps = _unpack(keyed, width, len(self.table))
+        kept = {k: n for (k, n), e in zip(keyed.items(), exps) if keep(degree(e))}
+        return GradedPoly._from_content(self.table, _reduced(den, kept, width, top, deg))
+
+    def homogeneous_component(self, d: int) -> "GradedPoly":
+        return self._select(lambda e: e == d, d)
 
     def truncate(self, max_degree: int) -> "GradedPoly":
-        degree = self.table.degree
-        return GradedPoly._from_clean(
-            self.table, {e: c for e, c in self.items() if degree(e) <= max_degree}
-        )
+        return self._select(lambda e: e <= max_degree, None)
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         """Graded-lex leading term (highest degree, then lex-largest exponents)."""
@@ -281,36 +271,43 @@ class GradedPoly:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "GradedPoly") -> None:
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise TableMismatchError(
                 f"variable tables differ: {self.table.names} vs {other.table.names}"
             )
 
-    def __add__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
+    def _add(self, other: "GradedPoly | RationalLike", sign: int) -> "GradedPoly":
+        """self + sign*other on the integer contents, over the LCM of their
+        denominators, in the order of self's terms and then other's new ones."""
         if isinstance(other, (int, Fraction)):
             other = GradedPoly.constant(self.table, other)
         self._check(other)
-        terms = dict(self.items())
-        for e, c in other.items():
-            if e in terms:
-                s = terms[e] + c
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
+        (da, na, width, ta, ga), (db, nb, _, tb, gb) = _at_one_width(self, other)
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        acc = {k: n * sa for k, n in na.items()} if sa != 1 else dict(na)
+        for k, n in nb.items():
+            if k in acc:
+                acc[k] += n * sb
             else:
-                terms[e] = c
-        return GradedPoly._from_clean(self.table, terms)
+                acc[k] = n * sb
+        keyed = {k: n for k, n in acc.items() if n}
+        deg = ga if not nb or ga == gb else gb if not na else None
+        return GradedPoly._from_content(self.table, _reduced(den, keyed, width, max(ta, tb), deg))
+
+    def __add__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly._from_clean(self.table, {e: -c for e, c in self.items()})
+        den, keyed, width, top, deg = self._content
+        return GradedPoly._from_content(
+            self.table, (den, {k: -n for k, n in keyed.items()}, width, top, deg)
+        )
 
     def __sub__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
-        if isinstance(other, (int, Fraction)):
-            other = GradedPoly.constant(self.table, other)
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other: RationalLike) -> "GradedPoly":
         return GradedPoly.constant(self.table, other) - self
@@ -319,8 +316,11 @@ class GradedPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return GradedPoly.zero(self.table)
-            q = rat(other)
-            return GradedPoly._from_clean(self.table, {e: c * q for e, c in self.items()})
+            den, keyed, width, top, deg = self._content
+            num = other.numerator
+            keyed = {k: n * num for k, n in keyed.items()}
+            content = _reduced(den * other.denominator, keyed, width, top, deg)
+            return GradedPoly._from_content(self.table, content)
         return linear_combination(self.table, ((1, self, other),))
 
     __rmul__ = __mul__
@@ -353,16 +353,11 @@ class GradedPoly:
             return NotImplemented
         if self.table is not other.table and self.table != other.table:
             return False
-        if self._terms is not None and other._terms is not None:
-            return self._terms == other._terms
         if len(self) != len(other):
             return False
         # Content is canonical at a given width: the LCM of the reduced
         # denominators, and one packed key per exponent tuple.
-        a, b = _integer_content(self), _integer_content(other)
-        if a[2] != b[2]:
-            width = max(a[2], b[2])
-            a, b = _integer_content(self, width), _integer_content(other, width)
+        a, b = _at_one_width(self, other)
         return a[0] == b[0] and a[1] == b[1]
 
     def __hash__(self) -> int:
@@ -374,6 +369,13 @@ class GradedPoly:
 
     def __repr__(self) -> str:
         return f"GradedPoly({format_poly(self)})"
+
+
+def _init(p: GradedPoly, table: VariableTable, content: tuple) -> None:
+    object.__setattr__(p, "table", table)
+    object.__setattr__(p, "_content", content)
+    object.__setattr__(p, "_terms", None)
+    object.__setattr__(p, "_hash", None)
 
 
 def mul_trunc(a: GradedPoly, b: GradedPoly, max_degree: int) -> GradedPoly:
@@ -395,37 +397,61 @@ def _unpack(keys: Iterable[int], width: int, nvars: int) -> list[tuple[int, ...]
     return [tuple([k >> s & mask for s in shifts]) for k in keys]
 
 
-def _integer_content(p: GradedPoly, width: int = 0) -> tuple:
-    """(L, {key: L*c}, width, top, degree) for p: L is the LCM of the
-    denominators of p, each key is an exponent vector packed `width` bits
-    per field (variable i in bits i*width and up), every exponent of p is at
-    most `top`, with ``_field_width(top) <= width``, and `degree` is the
-    weighted degree shared by every term, or None when that is not known.
-    L is the LCM of the reduced denominators, so equal polynomials have equal
-    contents at one width.  Stored on p, so it is computed once per
-    polynomial; products store only the content of their results.  A stored
-    content narrower than `width` is repacked at `width`; a new content is
-    packed at `width`, or wider if p needs it."""
+def _pack(table: VariableTable, terms: Mapping[tuple[int, ...], int | Fraction]) -> tuple:
+    """The integer content (L, {key: L*c}, width, top, degree) of the nonzero
+    terms {exponents: c}: L is the LCM of the denominators, each key is an
+    exponent vector packed `width` bits per field (variable i in bits
+    i*width and up), every exponent is at most `top`, with
+    ``_field_width(top) <= width``, and `degree` is the weighted degree
+    shared by every term, or None when that is not known.  L is the LCM of
+    the reduced denominators, so equal polynomials have equal contents at
+    one width; an int coefficient is its own numerator."""
+    den = lcm(*{c.denominator for c in terms.values()})
+    top = max(chain.from_iterable(terms), default=0)
+    width = _field_width(top)
+    shifts = range(0, len(table) * width, width)
+    keyed = {
+        sum(map(lshift, e, shifts)): c.numerator * (den // c.denominator)
+        for e, c in terms.items()
+    }
+    weights = table.weights
+    degs = {sum(map(mul, e, weights)) for e in terms}
+    return (den, keyed, width, top, degs.pop() if len(degs) == 1 else None)
+
+
+def _reduced(den: int, keyed: dict[int, int], width: int, top: int, deg: int | None) -> tuple:
+    """The content of sum n*x^k/den over `keyed`, with den and the numerators
+    divided by their gcd, so that den is the LCM of the reduced denominators."""
+    if den != 1:
+        g = gcd(den, *keyed.values())
+        if g != 1:
+            den //= g
+            keyed = {k: n // g for k, n in keyed.items()}
+    return (den, keyed, width, top, deg)
+
+
+def _integer_content(p: GradedPoly, width: int) -> tuple:
+    """The content of p packed at least `width` bits per field.  A stored
+    content narrower than `width` is repacked at `width` and replaces it on
+    p, so each polynomial is repacked at most once per width."""
     c = p._content
-    if c is None or c[2] < width:
-        if c is None:
-            terms = p._terms
-            exps = terms.keys()
-            den = lcm(*[q.denominator for q in terms.values()])
-            nums = [q.numerator * (den // q.denominator) for q in terms.values()]
-            degs = {p.table.degree(e) for e in exps}
-            deg = degs.pop() if len(degs) == 1 else None
-        else:
-            den, keyed, narrow, _, deg = c
-            exps = _unpack(keyed, narrow, len(p.table))
-            nums = keyed.values()
-        top = max(chain.from_iterable(exps), default=0)
-        width = max(width, _field_width(top))
+    if c[2] < width:
+        den, keyed, narrow, top, deg = c
+        exps = _unpack(keyed, narrow, len(p.table))
         shifts = range(0, len(p.table) * width, width)
-        keyed = {sum(map(lshift, e, shifts)): n for e, n in zip(exps, nums)}
+        keyed = {sum(map(lshift, e, shifts)): n for e, n in zip(exps, keyed.values())}
         c = (den, keyed, width, top, deg)
         object.__setattr__(p, "_content", c)
     return c
+
+
+def _at_one_width(a: GradedPoly, b: GradedPoly) -> tuple[tuple, tuple]:
+    """The contents of a and b, packed at the wider of their two widths."""
+    ca, cb = a._content, b._content
+    if ca[2] == cb[2]:
+        return ca, cb
+    width = max(ca[2], cb[2])
+    return _integer_content(a, width), _integer_content(b, width)
 
 
 def _sum_products(
@@ -434,9 +460,9 @@ def _sum_products(
     """sum s*a*b/den over the (s, a, b) in pairs, a and b given by the packed
     keys and numerators of their integer contents at `width`, with `top`
     bounding every exponent of the result and `deg` its degree if known: the
-    one inner loop of every product and sum of products.  The result holds
-    only its content, repacked wider when `width` cannot hold the next
-    product of its exponents."""
+    one inner loop of every product and sum of products.  The result is
+    repacked wider when `width` cannot hold the next product of its
+    exponents."""
     acc: dict[int, int] = {}
     for scale, na, nb in pairs:
         for k1, n1 in na.items():
@@ -448,11 +474,7 @@ def _sum_products(
                 else:
                     acc[k] = n1 * n2
     keyed = {k: n for k, n in acc.items() if n}
-    if den != 1:
-        g = gcd(den, *keyed.values())
-        den //= g
-        keyed = {k: n // g for k, n in keyed.items()}
-    p = GradedPoly._from_clean(table, None, (den, keyed, width, top, deg))
+    p = GradedPoly._from_content(table, _reduced(den, keyed, width, top, deg))
     if _field_width(top) > width:
         _integer_content(p, _field_width(top))
     return p
@@ -472,10 +494,8 @@ def linear_combination(
                 msg = f"variable tables differ: {table.names} vs {p.table.names}"
                 raise TableMismatchError(msg)
         if q:
-            ca = a._content or _integer_content(a)
-            cb = b._content or _integer_content(b)
-            triples.append((q, ca, cb, a, b))
-            width = max(width, ca[2], cb[2])
+            triples.append((q, a._content, b._content, a, b))
+            width = max(width, a._content[2], b._content[2])
     if width > 16:  # one width for every operand, the widest stored among them
         triples = [
             (q, _integer_content(a, width), _integer_content(b, width), a, b)

@@ -5,8 +5,17 @@
     chowcalc repl [--defs FILE] [--trunc D]
 
 Exit codes: 0 all selected checks pass / expression evaluated; 1 some check
-failed; 2 usage, parse, or evaluation error.  Configuration comes only from
-flags; environment variables are never consulted, so runs are reproducible.
+failed; 2 usage, parse, or evaluation error; 141 (128 + SIGPIPE, the code a
+shell gives a process ended by a broken pipe) standard output was closed
+before every answer was written, as in ``chowcalc repl | head -1``.
+Configuration comes only from flags; environment variables are never
+consulted, so runs are reproducible.
+
+``run`` is the program entry (``python -m chowcalc`` and the ``chowcalc``
+script): it flushes the answer and ends the process at once, without the
+interpreter's teardown, which would free every object one at a time after
+the answer is already out.  ``main`` returns the exit code instead, for
+callers in the same process.
 
 Only ``verify`` imports the check battery (``chowcalc.checks``, and with it
 ``json``): ``eval`` and ``repl`` start without it.
@@ -14,6 +23,7 @@ Only ``verify`` imports the check battery (``chowcalc.checks``, and with it
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -94,10 +104,13 @@ def _cmd_repl(args) -> int:
     status = 0
     for line in statements(sys.stdin):
         try:
-            print(format_value(ev.run(line)))
+            text = format_value(ev.run(line))
         except (ParseError, EvalError) as exc:
-            print(f"error: {exc}")
+            text = f"error: {exc}"
             status = 2
+        # One write per answer: print writes the newline separately, which
+        # unbuffered output sends to the reader as a second chunk.
+        sys.stdout.write(text + "\n")
     return status
 
 
@@ -116,5 +129,20 @@ def main(argv: list[str] | None = None) -> int:
     return 2
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+BROKEN_PIPE = 141
+
+
+def run() -> None:
+    """Run ``main`` on the command line, flush its output and end the
+    process with its exit code, skipping interpreter teardown.  A closed
+    standard output ends it quietly with BROKEN_PIPE."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = BROKEN_PIPE
+    try:
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = BROKEN_PIPE
+    os._exit(code)

@@ -491,17 +491,19 @@ def test_products_of_large_exponents_never_carry(a, b, c):
 def test_stored_content_leaves_equality_hashing_and_immutability_alone():
     a = _x_plus_y(Fraction(1, 3), 2)
     b = _x_plus_y(Fraction(1, 3), 2)
-    a * a  # a now stores its integer content; b does not
-    assert a._content is not None and b._content is None
-    assert a == b and hash(a) == hash(b)
-    product = a * b  # a product stores the content of its result
+    list(a.items())  # a now caches its Fraction dict; b does not
+    assert a._terms is not None and b._terms is None
+    assert a == b and b == a and hash(a) == hash(b)
+    a * _as_poly({(2**15, 0, 0): 1})  # a is repacked wider for this product; b is not
+    assert a._content[2] > b._content[2]
+    assert a == b and b == a and hash(a) == hash(b)
+    product = a * b
     fresh = _as_poly(product.items())
-    assert product._content is not None and fresh._content is None
     assert product == fresh and hash(product) == hash(fresh)
     with pytest.raises(AttributeError):
         a._content = None
     with pytest.raises(AttributeError):
-        del product._content
+        del product._terms
 
 
 def test_public_constructor_validates_exponents():

@@ -1,0 +1,135 @@
+"""``GradedPoly`` against the Fraction-dict polynomial it replaced
+(``_ref_poly.RefPoly``): every constructor and every chain of ``+ - neg * /``
+gives the same terms in the same order, the same length and degrees, the
+same hash and the same printed form, and equals, both ways, the polynomial
+rebuilt from its terms.  The reads that need no coefficient (length, zero
+and degree tests, ``==``) build no Fraction.
+"""
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from _ref_poly import RefPoly
+from chowcalc.algebra import GradedPoly, VariableTable, format_poly
+
+WTABLE = VariableTable(("a", "b", "c"), (1, 2, 3))
+TABLES = (WTABLE, VariableTable(("x",), (2,)), VariableTable((), ()))
+
+# Small exponents, and some at and past the 16-bit field boundary, so that
+# operands are packed at different widths.
+exponents = st.integers(0, 3) | st.sampled_from((2**15, 2**16, 2**40))
+coefficients = (
+    st.integers(-5, 5)
+    | st.builds(Fraction, st.integers(-20, 20), st.sampled_from((1, 2, 3, 7, 65537)))
+)
+nonzero = coefficients.filter(bool)
+
+
+@st.composite
+def leaves(draw, table):
+    """A (GradedPoly, RefPoly) pair from one of the constructors."""
+    n = len(table)
+    kind = draw(st.sampled_from(("zero", "one", "constant", "variable", "monomial", "terms")))
+    if kind == "variable" and n:
+        name = draw(st.sampled_from(table.names))
+        return GradedPoly.variable(table, name), RefPoly.variable(table, name)
+    if kind == "monomial":
+        exps = draw(st.tuples(*[exponents] * n))
+        c = draw(coefficients)
+        return GradedPoly.monomial(table, exps, c), RefPoly.monomial(table, exps, c)
+    if kind == "terms":
+        terms = draw(st.dictionaries(st.tuples(*[exponents] * n), coefficients, max_size=5))
+        return GradedPoly(table, terms), RefPoly(table, terms)
+    if kind == "constant":
+        c = draw(coefficients)
+        return GradedPoly.constant(table, c), RefPoly.constant(table, c)
+    if kind == "one":
+        return GradedPoly.one(table), RefPoly.one(table)
+    return GradedPoly.zero(table), RefPoly.zero(table)
+
+
+OPS = {
+    "add": lambda x, y, q: x + y,
+    "sub": lambda x, y, q: x - y,
+    "neg": lambda x, y, q: -x,
+    "mul": lambda x, y, q: x * y,
+    "scale": lambda x, y, q: x * q,
+    "rscale": lambda x, y, q: q * x,
+    "div": lambda x, y, q: x / q,
+    "add_number": lambda x, y, q: x + q,
+    "radd_number": lambda x, y, q: q + x,
+    "sub_number": lambda x, y, q: x - q,
+    "rsub_number": lambda x, y, q: q - x,
+}
+
+
+@st.composite
+def programs(draw):
+    """A table, and a pool of (GradedPoly, RefPoly) pairs: two to four
+    constructor results, then up to six results of operations on earlier
+    entries of the pool."""
+    table = draw(st.sampled_from(TABLES))
+    pool = draw(st.lists(leaves(table), min_size=2, max_size=4))
+    for _ in range(draw(st.integers(0, 6))):
+        op = draw(st.sampled_from(sorted(OPS)))
+        i = draw(st.integers(0, len(pool) - 1))
+        j = draw(st.integers(0, len(pool) - 1))
+        q = draw(nonzero if op == "div" else coefficients)
+        (p1, r1), (p2, r2) = pool[i], pool[j]
+        pool.append((OPS[op](p1, p2, q), OPS[op](r1, r2, q)))
+    return table, pool
+
+
+def _assert_same(p, r):
+    read = p._terms is not None  # an example object met in an earlier example
+    degs = r.degrees()
+    assert len(p) == len(r) and p.is_zero() == (not len(r))
+    assert p.is_homogeneous() == (len(degs) <= 1)
+    if len(degs) == 1:
+        assert p.degree() == degs.pop()
+    else:
+        with pytest.raises(ValueError, match="degree undefined"):
+            p.degree()
+    rebuilt = GradedPoly(r.table, dict(r.items()))
+    assert p == rebuilt and rebuilt == p
+    assert p != rebuilt + 1 and rebuilt + 1 != p
+    assert read or p._terms is None  # none of the reads above built the Fraction dict
+    assert list(p.items()) == list(r.items())
+    assert all(type(c) is Fraction for _, c in p.items())
+    assert hash(p) == hash(rebuilt) == r.hash_value()
+    assert format_poly(p) == r.format()
+
+
+_x = (GradedPoly.variable(WTABLE, "a"), RefPoly.variable(WTABLE, "a"))
+_half = (GradedPoly.constant(WTABLE, Fraction(1, 2)), RefPoly.constant(WTABLE, Fraction(1, 2)))
+_wide = (GradedPoly.monomial(WTABLE, (2**16, 0, 1), 3), RefPoly.monomial(WTABLE, (2**16, 0, 1), 3))
+
+
+@given(programs())
+@example((WTABLE, [_x, _half, (_x[0] * _half[0], _x[1] * _half[1])]))
+@example((WTABLE, [_x, _wide, (_x[0] + _wide[0], _x[1] + _wide[1])]))  # two widths
+@example((WTABLE, [_half, _half, (_half[0] + _half[0], _half[1] + _half[1])]))  # 1/2 + 1/2
+@example((WTABLE, [_x, _x, (_x[0] - _x[0], _x[1] - _x[1])]))  # cancels to zero
+def test_polynomials_match_the_fraction_dict_reference(program):
+    _, pool = program
+    for p, r in pool:
+        _assert_same(p, r)
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 0, 0, 0), (1, -1, 0), (-2, 0, 0)])
+def test_bad_exponent_vectors_raise_as_before(bad):
+    for cls in (GradedPoly, RefPoly):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            cls(WTABLE, {(0, 0, 0): 1, bad: Fraction(1, 3)})
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            cls.monomial(WTABLE, bad, 2)
+        # a zero coefficient drops its term before the vector is checked
+        assert len(cls(WTABLE, {bad: 0, (1, 0, 0): 2})) == 1
+
+
+def test_division_by_zero_raises_as_before():
+    for p in (GradedPoly.variable(WTABLE, "a"), RefPoly.variable(WTABLE, "a")):
+        with pytest.raises(ZeroDivisionError):
+            p / 0
