@@ -17,20 +17,20 @@ by a gcd on every operation.
 The kernel works on packed exponent vectors (Johnson 1974; Monagan and
 Pearce, CASC 2007): an exponent vector is one int with a fixed bit field per
 variable, so the product of two monomials is one integer addition and the
-accumulator is keyed by ints.  Integer content is the representation of
-every polynomial: its common denominator (the LCM of its denominators), its
-packed keys with integer numerators, and the one degree its terms share
-when that is known.  The constructors build it directly (an int coefficient
-never becomes a Fraction), and so do ``+``, ``-``, scalar ``*`` and ``/``
-and the kernel; the exponent tuples and Fractions are built, and cached,
-the first time a caller reads coefficients.  Length, zero and degree tests
-and equality read the content, so chained products, powers, series and the
-bundle classes built on them never build a Fraction.  Width rule:
-a field has at least 16 bits and holds twice the largest exponent of its
-polynomial, so a sum of two keys of one width never carries from one field
-into the next.  A call packs all its operands at the widest width stored
-among them, repacking the narrower ones, and a result whose exponents
-outgrow that width is repacked wider before it is returned.
+accumulator is keyed by ints.  Integer content is the only representation
+of a polynomial: its common denominator (the LCM of its denominators), its
+packed keys with integer numerators, the field width, a bound on its
+exponents, and the one degree its terms share when that is known.  It is
+written once, when the polynomial is built: the constructors build it
+directly (an int coefficient never becomes a Fraction), and so do ``+``,
+``-``, scalar ``*`` and ``/`` and the kernel.  Nothing is cached beside it:
+``items`` builds the exponent tuples and Fractions on each call, and
+``coefficient`` looks up one packed key.  Width rule: a field has at least
+16 bits and holds twice the largest exponent of its polynomial, so a sum of
+two keys of one width never carries from one field into the next; every
+content has ``width == _field_width(top)``.  An operation packs its operands
+at the one width it needs in a copy used for that call alone; the kernel
+packs them at its result's width.
 
 Results from internal operations are built with the trusted
 ``GradedPoly._from_content``; the public constructor keeps full validation.
@@ -121,19 +121,16 @@ def _grlex_key(table: VariableTable, exps: tuple[int, ...]) -> tuple:
 class GradedPoly:
     """Multivariate polynomial with rational coefficients over a VariableTable.
 
-    A polynomial is held as its integer content (see ``_pack``): the LCM of
-    its denominators, its packed exponent keys with integer numerators, and
-    the one degree its terms share when that is known.  Every constructor and
-    every operation builds that content directly, so an int coefficient never
-    becomes a Fraction; the dict from exponent tuples to nonzero Fractions is
-    only a cache, built the first time a caller reads coefficients.  Length,
-    zero and degree tests and equality read the content.  Instances are
-    immutable: the hash and the Fraction dict are filled in lazily, and the
-    content may be replaced by the same content packed wider; none of these
-    takes part in equality.
+    A polynomial is its table and its integer content (see ``_pack``): the
+    LCM of its denominators, its packed exponent keys with integer
+    numerators, the field width, a bound on its exponents and the one degree
+    its terms share when that is known.  Every constructor and every
+    operation builds that content directly, so an int coefficient never
+    becomes a Fraction, and it is never replaced.  Instances are immutable:
+    only the hash is filled in lazily, and it takes no part in equality.
     """
 
-    __slots__ = ("table", "_content", "_terms", "_hash")
+    __slots__ = ("table", "_content", "_hash")
     __setattr__ = __delattr__ = immutable
 
     def __init__(self, table: VariableTable, terms: Mapping[tuple[int, ...], RationalLike]):
@@ -147,14 +144,18 @@ class GradedPoly:
             if len(exps) != nvars or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent vector {exps!r} for table {table.names}")
             kept[tuple(exps)] = c
-        _init(self, table, _pack(table, kept))
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_content", _pack(table, kept))
+        object.__setattr__(self, "_hash", None)
 
     @staticmethod
     def _from_content(table: VariableTable, content: tuple) -> "GradedPoly":
         """Trusted constructor for internal results: `content` must already be
         a canonical integer content for `table` (see ``_pack``)."""
         p = object.__new__(GradedPoly)
-        _init(p, table, content)
+        object.__setattr__(p, "table", table)
+        object.__setattr__(p, "_content", content)
+        object.__setattr__(p, "_hash", None)
         return p
 
     # -- constructors ------------------------------------------------------
@@ -185,19 +186,6 @@ class GradedPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def _coefficients(self) -> dict[tuple[int, ...], Fraction]:
-        """The terms as Fractions, built from the integer content on first read."""
-        terms = self._terms
-        if terms is None:
-            den, keyed, width, _, _ = self._content
-            exps = _unpack(keyed, width, len(self.table))
-            if den == 1:  # integer content, the common case: no gcd to take
-                terms = dict(zip(exps, map(Fraction, keyed.values())))
-            else:
-                terms = {e: Fraction(n, den) for e, n in zip(exps, keyed.values())}
-            object.__setattr__(self, "_terms", terms)
-        return terms
-
     def _degrees(self) -> set[int]:
         """The weighted degrees of the terms, read off the content when it
         records the one degree they share."""
@@ -206,8 +194,13 @@ class GradedPoly:
             return {deg} if keyed else set()
         return set(map(self.table.degree, _unpack(keyed, width, len(self.table))))
 
-    def items(self) -> Iterable[tuple[tuple[int, ...], Fraction]]:
-        return self._coefficients().items()
+    def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """The (exponents, nonzero Fraction) terms, built from the content."""
+        den, keyed, width, _, _ = self._content
+        exps = _unpack(keyed, width, len(self.table))
+        if den == 1:  # integer content, the common case: no gcd to take
+            return list(zip(exps, map(Fraction, keyed.values())))
+        return [(e, Fraction(n, den)) for e, n in zip(exps, keyed.values())]
 
     def __len__(self) -> int:
         return len(self._content[1])
@@ -216,7 +209,14 @@ class GradedPoly:
         return not self._content[1]
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self._coefficients().get(tuple(exps), Fraction(0))
+        """The coefficient of x^exps, read off one packed key.  It is 0 for a
+        vector of the wrong length, with a negative entry, or with an entry
+        above the exponent bound `top`, whose key could alias another term's."""
+        den, keyed, width, top, _ = self._content
+        if len(exps) != len(self.table) or any(not 0 <= e <= top for e in exps):
+            return Fraction(0)
+        key = sum(map(lshift, exps, range(0, len(exps) * width, width)))
+        return Fraction(keyed.get(key, 0), den)
 
     def constant_term(self) -> Fraction:
         den, keyed, _, _, _ = self._content
@@ -259,11 +259,9 @@ class GradedPoly:
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         """Graded-lex leading term (highest degree, then lex-largest exponents)."""
-        terms = self._coefficients()
-        if not terms:
+        if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        exps = max(terms, key=lambda e: _grlex_key(self.table, e))
-        return exps, terms[exps]
+        return max(self.items(), key=lambda t: _grlex_key(self.table, t[0]))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.items(), key=lambda t: _grlex_key(self.table, t[0]), reverse=True)
@@ -371,13 +369,6 @@ class GradedPoly:
         return f"GradedPoly({format_poly(self)})"
 
 
-def _init(p: GradedPoly, table: VariableTable, content: tuple) -> None:
-    object.__setattr__(p, "table", table)
-    object.__setattr__(p, "_content", content)
-    object.__setattr__(p, "_terms", None)
-    object.__setattr__(p, "_hash", None)
-
-
 def mul_trunc(a: GradedPoly, b: GradedPoly, max_degree: int) -> GradedPoly:
     """Product with all terms of weighted degree > max_degree dropped."""
     return (a * b).truncate(max_degree)
@@ -402,7 +393,7 @@ def _pack(table: VariableTable, terms: Mapping[tuple[int, ...], int | Fraction])
     terms {exponents: c}: L is the LCM of the denominators, each key is an
     exponent vector packed `width` bits per field (variable i in bits
     i*width and up), every exponent is at most `top`, with
-    ``_field_width(top) <= width``, and `degree` is the weighted degree
+    ``width == _field_width(top)``, and `degree` is the weighted degree
     shared by every term, or None when that is not known.  L is the LCM of
     the reduced denominators, so equal polynomials have equal contents at
     one width; an int coefficient is its own numerator."""
@@ -430,42 +421,54 @@ def _reduced(den: int, keyed: dict[int, int], width: int, top: int, deg: int | N
     return (den, keyed, width, top, deg)
 
 
-def _integer_content(p: GradedPoly, width: int) -> tuple:
-    """The content of p packed at least `width` bits per field.  A stored
-    content narrower than `width` is repacked at `width` and replaces it on
-    p, so each polynomial is repacked at most once per width."""
-    c = p._content
-    if c[2] < width:
-        den, keyed, narrow, top, deg = c
-        exps = _unpack(keyed, narrow, len(p.table))
-        shifts = range(0, len(p.table) * width, width)
-        keyed = {sum(map(lshift, e, shifts)): n for e, n in zip(exps, keyed.values())}
-        c = (den, keyed, width, top, deg)
-        object.__setattr__(p, "_content", c)
-    return c
+def _repacked(content: tuple, width: int, nvars: int) -> tuple:
+    """`content` with its keys packed `width` bits per field: the content
+    itself when it is packed so already, else a new content for the caller
+    alone, never stored on a polynomial."""
+    den, keyed, old, top, deg = content
+    if old == width:
+        return content
+    shifts = range(0, nvars * width, width)
+    exps = _unpack(keyed, old, nvars)
+    repacked = {sum(map(lshift, e, shifts)): n for e, n in zip(exps, keyed.values())}
+    return (den, repacked, width, top, deg)
 
 
 def _at_one_width(a: GradedPoly, b: GradedPoly) -> tuple[tuple, tuple]:
     """The contents of a and b, packed at the wider of their two widths."""
     ca, cb = a._content, b._content
-    if ca[2] == cb[2]:
-        return ca, cb
     width = max(ca[2], cb[2])
-    return _integer_content(a, width), _integer_content(b, width)
+    return _repacked(ca, width, len(a.table)), _repacked(cb, width, len(a.table))
 
 
-def _sum_products(
-    table: VariableTable, pairs: list, den: int, width: int, top: int, deg: int | None
+def linear_combination(
+    table: VariableTable, terms: Iterable[tuple[RationalLike, GradedPoly, GradedPoly]]
 ) -> GradedPoly:
-    """sum s*a*b/den over the (s, a, b) in pairs, a and b given by the packed
-    keys and numerators of their integer contents at `width`, with `top`
-    bounding every exponent of the result and `deg` its degree if known: the
-    one inner loop of every product and sum of products.  The result is
-    repacked wider when `width` cannot hold the next product of its
-    exponents."""
+    """sum q*a*b over the (q, a, b) in `terms`, all over `table`: the one
+    inner loop of every product and sum of products.  Each pair is scaled to
+    integers by its own denominator, the numerators accumulate over the LCM
+    of those denominators, and each output term is divided once.  Every
+    operand is packed at the result's width, so sums of keys never carry."""
+    pairs = []
+    top = 0
+    degs = set()
+    for q, a, b in terms:
+        for p in (a, b):
+            if p.table is not table and p.table != table:
+                msg = f"variable tables differ: {table.names} vs {p.table.names}"
+                raise TableMismatchError(msg)
+        (da, na, _, ta, ga), (db, nb, _, tb, gb) = a._content, b._content
+        if q and na and nb:
+            pairs.append((q.numerator, q.denominator * da * db, a._content, b._content))
+            top = max(top, ta + tb)
+            degs.add(None if ga is None or gb is None else ga + gb)
+    width = _field_width(top)
+    den = lcm(*[d for _, d, _, _ in pairs])
     acc: dict[int, int] = {}
-    for scale, na, nb in pairs:
-        for k1, n1 in na.items():
+    for n, d, ca, cb in pairs:
+        scale = n * (den // d)
+        nb = _repacked(cb, width, len(table))[1]
+        for k1, n1 in _repacked(ca, width, len(table))[1].items():
             n1 *= scale
             for k2, n2 in nb.items():
                 k = k1 + k2
@@ -474,44 +477,8 @@ def _sum_products(
                 else:
                     acc[k] = n1 * n2
     keyed = {k: n for k, n in acc.items() if n}
-    p = GradedPoly._from_content(table, _reduced(den, keyed, width, top, deg))
-    if _field_width(top) > width:
-        _integer_content(p, _field_width(top))
-    return p
-
-
-def linear_combination(
-    table: VariableTable, terms: Iterable[tuple[RationalLike, GradedPoly, GradedPoly]]
-) -> GradedPoly:
-    """sum q*a*b over the (q, a, b) in `terms`, all over `table`.  Each pair is
-    scaled to integers by its own denominator, the numerators accumulate over
-    the LCM of those denominators, and each output term is divided once."""
-    triples = []
-    width = 16
-    for q, a, b in terms:
-        for p in (a, b):
-            if p.table is not table and p.table != table:
-                msg = f"variable tables differ: {table.names} vs {p.table.names}"
-                raise TableMismatchError(msg)
-        if q:
-            triples.append((q, a._content, b._content, a, b))
-            width = max(width, a._content[2], b._content[2])
-    if width > 16:  # one width for every operand, the widest stored among them
-        triples = [
-            (q, _integer_content(a, width), _integer_content(b, width), a, b)
-            for q, _, _, a, b in triples
-        ]
-    pairs = []
-    top = 0
-    degs = set()
-    for q, (da, na, _, ta, ga), (db, nb, _, tb, gb), _, _ in triples:
-        if na and nb:
-            pairs.append((q.numerator, q.denominator * da * db, na, nb))
-            top = max(top, ta + tb)
-            degs.add(None if ga is None or gb is None else ga + gb)
-    den = lcm(*[d for _, d, _, _ in pairs])
-    scaled = [(n * (den // d), na, nb) for n, d, na, nb in pairs]
-    return _sum_products(table, scaled, den, width, top, degs.pop() if len(degs) == 1 else None)
+    deg = degs.pop() if len(degs) == 1 else None
+    return GradedPoly._from_content(table, _reduced(den, keyed, width, top, deg))
 
 
 def series_mul(a: Sequence[GradedPoly], b: Sequence[GradedPoly], trunc: int) -> list[GradedPoly]:

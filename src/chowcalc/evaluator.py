@@ -496,7 +496,7 @@ def format_value(v: Any) -> str:
         return "[" + ", ".join(rows) + "]"
     if isinstance(v, bundles.FormalBundle):
         cs = ", ".join(f"c{i+1} = {format_poly(c)}" for i, c in enumerate(v.chern))
-        return f"bundle(rank {v.rank}; {cs})"
+        return f"bundle(rank {v.rank}; {cs})" if cs else f"bundle(rank {v.rank})"
     if isinstance(v, grr.PsiSeries):
         parts = []
         for j, c in enumerate(v.coeffs):

@@ -277,10 +277,6 @@ def pgl_dim(n: int) -> int:
     return n * n - 1
 
 
-def sl_dim(n: int) -> int:
-    return n * n - 1
-
-
 # Hyperelliptic curves are presented by binary forms: the ambient parameter
 # count used here is 2g+3 (the printed convention for the affine family of
 # branch data), minus dim GL(2).
@@ -321,7 +317,7 @@ def stratum_dimensions(g: int) -> tuple[int, ...]:
         )
     if g == 5:
         return (
-            Grassmannian(3, forms_dim(4, 2)).dim - sl_dim(5),
+            Grassmannian(3, forms_dim(4, 2)).dim - pgl_dim(5),
             trigonal_stratum_dim(5, 1),
             hyperelliptic_dim(5),
         )

@@ -65,9 +65,10 @@ def ideal_degree_piece(pres: RingPresentation, d: int) -> ExactMatrix:
         deg = rel.degree()
         if deg > d:
             continue
+        terms = rel.items()
         for mult in monomial_basis(pres.table, d - deg):
             row = [Fraction(0)] * len(basis)
-            for exps, c in rel.items():
+            for exps, c in terms:
                 row[index[tuple(map(add, mult, exps))]] = c
             rows.append(row)
     return ExactMatrix(rows, cols=len(basis))

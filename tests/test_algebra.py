@@ -479,31 +479,51 @@ big_wpolys = st.dictionaries(
 @example(_as_poly({(2**15 - 1, 0, 1): 1}), _as_poly({(2**15 - 1, 0, 0): 1}),
          _as_poly({(2**15, 1, 0): 1, (0, 0, 1): 3}))
 def test_products_of_large_exponents_never_carry(a, b, c):
+    contents = [p._content for p in (a, b, c)]
     ab, bc = a * b, b * c
     assert list(ab.items()) == _ref_mul(a, b)
     assert list((ab * c).items()) == _ref_mul(_as_poly(_ref_mul(a, b)), c)
     assert list((a * bc).items()) == _ref_mul(a, _as_poly(_ref_mul(b, c)))
     assert list((ab * ab).items()) == _ref_mul(ab, ab)
     terms = [(Fraction(1, 3), a, b), (2, ab, c), (-1, a, bc), (1, c, c)]
-    assert dict(linear_combination(WTABLE, terms).items()) == _ref_linear_combination(terms)
+    combination = linear_combination(WTABLE, terms)
+    assert dict(combination.items()) == _ref_linear_combination(terms)
+    assert (a + c == b) == (dict((a + c).items()) == dict(b.items()))
+    # no operation above stored a repacked content on its operands
+    assert all(p._content is q for p, q in zip((a, b, c), contents))
+    for p in (a, ab, bc, combination):
+        coefficients = dict(p.items())
+        for e in [e for e, _ in (a * bc).items()] + list(coefficients):
+            assert p.coefficient(e) == coefficients.get(e, 0)
 
 
 def test_stored_content_leaves_equality_hashing_and_immutability_alone():
     a = _x_plus_y(Fraction(1, 3), 2)
     b = _x_plus_y(Fraction(1, 3), 2)
-    list(a.items())  # a now caches its Fraction dict; b does not
-    assert a._terms is not None and b._terms is None
+    list(a.items())  # reading the coefficients of a stores nothing on a
     assert a == b and b == a and hash(a) == hash(b)
-    a * _as_poly({(2**15, 0, 0): 1})  # a is repacked wider for this product; b is not
-    assert a._content[2] > b._content[2]
-    assert a == b and b == a and hash(a) == hash(b)
+    content = a._content
+    for e in (2**15, 2**40):
+        wide = _as_poly({(e, 0, 0): 1, (0, 0, 1): Fraction(1, 5)})
+        # every operation packs a wider for itself and leaves a's content alone
+        assert a != wide and a + wide != a and a * wide == wide * b
+        assert a._content is content
+        assert a == b and b == a and hash(a) == hash(b)
     product = a * b
     fresh = _as_poly(product.items())
     assert product == fresh and hash(product) == hash(fresh)
     with pytest.raises(AttributeError):
         a._content = None
     with pytest.raises(AttributeError):
-        del product._terms
+        del product._content
+
+
+def test_coefficient_is_zero_off_the_polynomial():
+    p = _as_poly({(2, 0, 1): Fraction(3, 4), (0, 1, 0): -2})
+    assert p.coefficient((2, 0, 1)) == Fraction(3, 4) and p.coefficient([0, 1, 0]) == -2
+    for exps in ((1, 0, 0), (0, 0, 0), (2, 0), (2, 0, 1, 0), (), (3, -1, 1), (2**16, 0, 0)):
+        assert p.coefficient(exps) == 0 and type(p.coefficient(exps)) is Fraction
+    assert GradedPoly.zero(WTABLE).coefficient((0, 0, 0)) == 0
 
 
 def test_public_constructor_validates_exponents():
@@ -690,7 +710,6 @@ def test_kernel_results_read_like_polynomials_rebuilt_from_their_items(terms, ma
     assert p == rebuilt and rebuilt == p
     twice = linear_combination(WTABLE, [(2 * q, a, b) for q, a, b in terms])
     assert (p == twice) == p.is_zero()  # same numerators over half the LCM, for one
-    assert p._terms is None  # none of the reads above built the Fraction dict
     assert hash(p) == hash(rebuilt)
     assert list(p.items()) == list(rebuilt.items())
     for e, c in rebuilt.items():
@@ -707,4 +726,3 @@ def test_series_products_leave_their_intermediates_as_integer_content():
     third = series_quotient(second, [one, a, b], 6)
     bundle = FormalBundle(3, tuple(third[1:]), WTABLE)  # reads every degree
     assert len(bundle.c(6)) == len(third[6]) > 0
-    assert all(p._terms is None for p in first + second + third)

@@ -377,6 +377,12 @@ def test_an_assignment_shadows_the_prelude_before_and_after_it_is_built(preludes
     assert late.run("E") == 3 and preludes == [4, 4]
 
 
+@pytest.mark.parametrize("name, rank", [("E", 6), ("V", 5), ("W", 2)])
+def test_bundles_without_classes_print_only_their_rank(name, rank):
+    assert format_value(Evaluator(trunc=0).run(name)) == f"bundle(rank {rank})"
+    assert format_value(Evaluator(trunc=1).run(name)).startswith(f"bundle(rank {rank}; c1 = ")
+
+
 def test_eval_rationals_print_as_fractions():
     assert format_value(Evaluator().run("7/3")) == "7/3"
     assert format_value(Evaluator().run("4/2")) == "2"
