@@ -50,7 +50,13 @@ RationalLike = int | Fraction
 
 
 def rat(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction.  Only an int (bool included) or a Fraction is taken:
+    a float or a str would bring in a binary or parsed approximation."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
 
 
 class TableMismatchError(ValueError):
@@ -138,7 +144,7 @@ class GradedPoly:
         nvars = len(table)
         for exps, c in terms.items():
             if not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
+                c = rat(c)
             if not c:
                 continue
             if len(exps) != nvars or min(exps, default=0) < 0:
@@ -166,7 +172,7 @@ class GradedPoly:
 
     @staticmethod
     def constant(table: VariableTable, c: RationalLike) -> "GradedPoly":
-        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        c = c if isinstance(c, (int, Fraction)) else rat(c)
         if not c:
             return GradedPoly.zero(table)
         return GradedPoly._from_content(table, (c.denominator, {0: c.numerator}, 16, 0, 0))
@@ -279,6 +285,8 @@ class GradedPoly:
         denominators, in the order of self's terms and then other's new ones."""
         if isinstance(other, (int, Fraction)):
             other = GradedPoly.constant(self.table, other)
+        elif not isinstance(other, GradedPoly):
+            return NotImplemented
         self._check(other)
         (da, na, width, ta, ga), (db, nb, _, tb, gb) = _at_one_width(self, other)
         den = lcm(da, db)
@@ -319,6 +327,8 @@ class GradedPoly:
             keyed = {k: n * num for k, n in keyed.items()}
             content = _reduced(den * other.denominator, keyed, width, top, deg)
             return GradedPoly._from_content(self.table, content)
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
         return linear_combination(self.table, ((1, self, other),))
 
     __rmul__ = __mul__

@@ -265,7 +265,7 @@ FUNCTIONS: dict[str, Function] = {
     "td": Function(("int",), None, lambda t, g: grr.todd_series(g, t)),
     "omega": Function(("int", "int"), None, lambda t, k, g: grr.exp_psi(k, g, t)),
     "psi": Function(("int",), None, lambda t, g: grr.psi(g, t)),
-    "push": Function(("psi",), None, lambda t, s: grr.push_psi(s.truncate(t + 1))),
+    "push": Function(("psi",), None, lambda t, s: grr.push_psi(s)),
     "hodge": Function(("int",), None, lambda t, g: grr.hodge_bundle(g, t)),
     "pushbundle": Function(("int", "int"), None, lambda t, k, g: grr.pushforward_bundle(k, g, t)),
     "quadricsbundle": Function(("int",), None, lambda t, g: grr.quadrics_bundle(g, t)),

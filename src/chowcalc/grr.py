@@ -2,11 +2,12 @@
 
 Classes on the universal curve are truncated series in psi = c1(omega)
 with coefficients in the free kappa-ring Q[kappa_1..kappa_D]; the
-fiberwise pushforward sends psi^(a+1) to kappa_a (with kappa_0 = 2g - 2)
-and drops degree by one.  Chern data of the direct images of powers of
-the relative dualizing sheaf, and of the Hodge bundle, follow from the
-Todd series of the relative tangent, whose coefficients are Bernoulli
-numbers computed in-module.
+fiberwise pushforward sends psi^j to kappa_(j-1) (with kappa_0 = 2g - 2)
+and drops degree by one, so psi^j for j > D + 1 is dropped, like every
+class above degree D.  Chern data of the direct images of powers of the
+relative dualizing sheaf, and of the Hodge bundle, follow from the Todd
+series of the relative tangent, whose coefficients are Bernoulli numbers
+computed in-module.
 
 The genus-6 model carries Mukai's rank-5 bundle V, the Hodge bundle E and
 a free twist ell over one table; ``plucker_sequence_decomposition`` returns
@@ -113,9 +114,6 @@ class PsiSeries:
     def __sub__(self, other: "PsiSeries") -> "PsiSeries":
         return self + -other
 
-    def truncate(self, order: int) -> "PsiSeries":
-        return PsiSeries(self.genus, self.coeffs[: order + 1])
-
 
 def psi(g: int, trunc: int) -> PsiSeries:
     table = kappa_ring(trunc)
@@ -142,13 +140,11 @@ def todd_series(g: int, trunc: int) -> PsiSeries:
 
 
 def push_psi(s: PsiSeries) -> GradedPoly:
-    """Fiberwise pushforward: psi^(a+1) -> kappa_a for a >= 1, psi -> 2g - 2,
-    and psi^0 -> 0.  Linear over the kappa-ring; drops degree by one."""
+    """Fiberwise pushforward: psi^j -> kappa_(j-1) for j >= 2, psi -> 2g - 2
+    and psi^0 -> 0; psi^j for j > D + 1 is dropped, like every class above
+    degree D.  Linear over the kappa-ring; drops degree by one."""
     table = s.table
     trunc = len(table)
-    for j, coeff in enumerate(s.coeffs):
-        if j - 1 > trunc and not coeff.is_zero():
-            raise ValueError(f"psi^{j} pushes to kappa_{j-1}, beyond the truncation order {trunc}")
     images = [GradedPoly.constant(table, 2 * s.genus - 2)]  # of psi^1, psi^2, ...
     images += [kappa(trunc, a) for a in range(1, trunc + 1)]
     return linear_combination(table, ((1, c, img) for c, img in zip(s.coeffs[1:], images)))
@@ -163,8 +159,7 @@ def ch_pushforward_omega_power(k: int, g: int, trunc: int) -> list[GradedPoly]:
     """
     if k < 1 or g < 2:
         raise ValueError("need k >= 1 and genus >= 2")
-    series = (exp_psi(k, g, trunc) * todd_series(g, trunc)).truncate(trunc + 1)
-    total = push_psi(series)
+    total = push_psi(exp_psi(k, g, trunc) * todd_series(g, trunc))
     ch = [total.homogeneous_component(d) for d in range(trunc + 1)]
     if k == 1:
         ch[0] = ch[0] + 1

@@ -13,11 +13,14 @@ from chowcalc.algebra import (
     linear_combination,
     monomial_basis,
     mul_trunc,
+    rat,
     series_mul,
     series_quotient,
 )
 from chowcalc.bundles import FormalBundle, sequence_quotient
 from chowcalc.evaluator import Evaluator, format_value
+from chowcalc.geometry import HirzebruchClass
+from chowcalc.grr import exp_psi
 
 KAPPA = VariableTable(("k1", "k2"), (1, 2))
 
@@ -215,6 +218,40 @@ def test_table_mismatch_raises():
     other = VariableTable(("x",), (1,))
     with pytest.raises(TableMismatchError):
         k("k1") + GradedPoly.variable(other, "x")
+
+
+X = GradedPoly.variable(VariableTable(("x",), (1,)), "x")
+
+
+# A float or a str would enter as a binary or parsed approximation, so every
+# entry point that takes a coefficient refuses them.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GradedPoly(X.table, {(1,): 0.1}),
+        lambda: GradedPoly.constant(X.table, 0.5),
+        lambda: GradedPoly.constant(X.table, "1/3"),
+        lambda: X / 0.1,
+        lambda: X * 0.5,
+        lambda: 0.5 * X,
+        lambda: X + 0.5,
+        lambda: 0.5 + X,
+        lambda: X - 0.5,
+        lambda: 0.5 - X,
+        lambda: rat(0.1),
+        lambda: rat("1/3"),
+        lambda: ExactMatrix([[0.1]]),
+        lambda: HirzebruchClass(1, 0.1, 0),
+        lambda: exp_psi(0.5, 6, 1),
+    ],
+)
+def test_a_float_or_str_coefficient_is_a_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_rat_takes_ints_bools_and_fractions():
+    assert (rat(3), rat(True), rat(Fraction(1, 3))) == (3, 1, Fraction(1, 3))
 
 
 TERMS = st.dictionaries(

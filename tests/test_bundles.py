@@ -25,6 +25,7 @@ from chowcalc.bundles import (
     twist,
     wedge_power,
 )
+from chowcalc.geometry import maroni_admissible
 
 D = 4
 TABLE = VariableTable(("w1", "w2", "t", "s"), (1, 2, 1, 1))
@@ -374,6 +375,19 @@ def test_trigonal_twist_rank_bookkeeping():
     for g, n in ((4, 0), (5, 1), (6, 0), (6, 2), (7, 1), (8, 0)):
         sol = solve_trigonal_twist(g, n)
         assert (sol.a + 1) + (sol.b + 1) == g
+
+
+TRIGONAL_PAIRS = [(g, n) for g in range(4, 15) for n in range(g) if maroni_admissible(g, n)]
+
+
+# Hand-derived closed forms, an oracle apart from the scroll build: the scroll
+# has c1 = (b+1) alpha1 and c2 = (C(a+2,3) + C(b+2,3)) beta2 + C(b+1,2) alpha1^2.
+@pytest.mark.parametrize("g,n", TRIGONAL_PAIRS)
+def test_trigonal_twist_matches_the_closed_forms(g, n):
+    sol = solve_trigonal_twist(g, n)
+    q = Fraction(1, sol.b + 1)
+    s = Fraction(1, comb(sol.a + 2, 3) + comb(sol.b + 2, 3))
+    assert (sol.q, sol.s, sol.r) == (q, s, -comb(sol.b + 1, 2) * q * q * s)
 
 
 def test_trigonal_twist_rejects_bad_parity():

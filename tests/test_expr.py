@@ -147,6 +147,8 @@ def test_arithmetic_on_section_counts(src, printed):
         ("k1 ^ (0 - 1)", "negative polynomial power"),
         ("genus(F[1], S / 0)", "division by zero"),
         ("psi(6) / 0", "division by zero"),
+        ("F / V", "subbundle rank exceeds total rank"),
+        ("psi(6) + psi(5)", "incompatible psi series"),
     ],
 )
 def test_operator_errors(src, message):
@@ -215,6 +217,15 @@ def test_an_inhomogeneous_class_is_named_by_the_bundle(src, message):
         ("rank(V / E)", "rank: bundles over different tables"),
         ("sym(2, sum(V, E))", "sum: direct sum over different tables"),
         ("V / E", "bundles over different tables"),
+        ("schubert(G(2, 4), [3])", "schubert: partition (3) does not fit in G(2,4)"),
+        ("h0(F[1], 1/2*S)", "h0: section count needs an integral class"),
+        ("bundle(2; k1, [1])", "bundle classes must be polynomials (or 0)"),
+        ("bundle(2; 0, 0)", "bundle classes must involve at least one variable"),
+        ("F[1, 2]", "surface constructor takes one index: F[n]"),
+        ("X[1]", "unknown indexed constructor 'X'"),
+        ("F[1/2]", "F index must be an integer, got 1/2"),
+        ("nf(k1^4 + k1, M6)", "nf: normal form requires a homogeneous input"),
+        ("hilbert(M6, -1)", "hilbert: max degree must be >= 0"),
     ],
 )
 def test_library_errors_name_the_innermost_call(src, message):
@@ -381,6 +392,12 @@ def test_an_assignment_shadows_the_prelude_before_and_after_it_is_built(preludes
 def test_bundles_without_classes_print_only_their_rank(name, rank):
     assert format_value(Evaluator(trunc=0).run(name)) == f"bundle(rank {rank})"
     assert format_value(Evaluator(trunc=1).run(name)).startswith(f"bundle(rank {rank}; c1 = ")
+
+
+# A class given as 0 is the zero class: the bundle keeps all four classes.
+def test_a_zero_bundle_class_is_the_zero_class():
+    b = Evaluator(4).run("bundle(2; k1, 0)")
+    assert (b.rank, len(b.chern)) == (2, 4) and b.c(2).is_zero()
 
 
 def test_eval_rationals_print_as_fractions():

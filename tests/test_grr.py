@@ -14,10 +14,12 @@ from chowcalc.bundles import (
     wedge_power,
 )
 from chowcalc.checks import _whitney_roundtrip
+from chowcalc.evaluator import Evaluator
 from chowcalc.grr import (
     PsiSeries,
     bernoulli,
     ch_pushforward_omega_power,
+    exp_psi,
     hodge_bundle,
     hodge_model_bundle,
     kappa,
@@ -25,11 +27,13 @@ from chowcalc.grr import (
     mukai_bundle,
     mukai_model_table,
     plucker_sequence_decomposition,
+    psi,
     push_psi,
     pushforward_bundle,
     pushforward_rank,
     quadrics_bundle,
     todd_coefficient,
+    todd_series,
 )
 
 D = 4
@@ -92,6 +96,25 @@ def test_push_is_linear_over_the_kappa_ring():
     zero = GradedPoly.zero(KT)
     series = PsiSeries(6, (zero, zero, K1 * 3, GradedPoly.one(KT)))
     assert push_psi(series) == 3 * K1 * K1 + K2
+
+
+# psi^j pushes to kappa_(j-1), so a series pushes as its cut at psi^(D+1).
+@pytest.mark.parametrize("trunc", range(1, 7))
+def test_push_psi_drops_powers_past_the_truncation(trunc):
+    om, td, p = exp_psi(2, 6, trunc), todd_series(6, trunc), psi(6, trunc)
+    powers = p
+    for _ in range(trunc + 1):
+        powers = powers * p
+    for s in (om * td, om * om * td, td * p * p, powers, om * powers - td):
+        assert s.order > trunc + 1
+        assert push_psi(s) == push_psi(PsiSeries(s.genus, s.coeffs[: trunc + 2]))
+
+
+@pytest.mark.parametrize("trunc", range(1, 7))
+def test_push_in_the_language_drops_powers_past_the_truncation(trunc):
+    s = exp_psi(2, 6, trunc) * todd_series(6, trunc) * psi(6, trunc)
+    pushed = Evaluator(trunc).run("push(omega(2, 6) * td(6) * psi(6))")
+    assert pushed == push_psi(PsiSeries(s.genus, s.coeffs[: trunc + 2]))
 
 
 def test_psi_series_arithmetic():
