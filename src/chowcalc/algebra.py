@@ -120,10 +120,6 @@ def monomial_basis(table: VariableTable, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _grlex_key(table: VariableTable, exps: tuple[int, ...]) -> tuple:
-    return (table.degree(exps), exps)
-
-
 class GradedPoly:
     """Multivariate polynomial with rational coefficients over a VariableTable.
 
@@ -263,14 +259,10 @@ class GradedPoly:
     def truncate(self, max_degree: int) -> "GradedPoly":
         return self._select(lambda e: e <= max_degree, None)
 
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        """Graded-lex leading term (highest degree, then lex-largest exponents)."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.items(), key=lambda t: _grlex_key(self.table, t[0]))
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.items(), key=lambda t: _grlex_key(self.table, t[0]), reverse=True)
+        """Terms in graded-lex order: highest degree, then lex-largest exponents."""
+        degree = self.table.degree
+        return sorted(self.items(), key=lambda t: (degree(t[0]), t[0]), reverse=True)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -1,12 +1,12 @@
 """Partitions, GL(n) representation dimensions, Littlewood-Richardson
-products, and the one plethysm this project needs: Sym^2 of a second
-exterior power, decomposed by brute-force symmetric-polynomial subtraction.
+products, symmetric-group characters, and the one plethysm this project
+needs: Sym^2 of a second exterior power, computed by characters from its
+power-sum expansion, so the answer is the same for every n >= 4.
 Partitions of any size are allowed, in `lr_product` too, whose tableau
 enumeration grows exponentially with the product degree.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -185,7 +185,7 @@ def _partitions_of(n: int, max_len: int, max_part: int):
     yield from go(n, max_part, ())
 
 
-# -- Schur polynomials and the Sym^2(wedge^2) plethysm ------------------------
+# -- Schur polynomials, characters and the Sym^2(wedge^2) plethysm ------------
 
 
 @lru_cache(maxsize=None)
@@ -225,42 +225,42 @@ def schur_polynomial(lam: Partition, n: int) -> GradedPoly:
     return GradedPoly(table, terms)
 
 
-def _elementary2(n: int) -> GradedPoly:
-    table = _x_table(n)
-    terms = {}
-    for i, j in itertools.combinations(range(n), 2):
-        exps = tuple(1 if k in (i, j) else 0 for k in range(n))
-        terms[exps] = 1
-    return GradedPoly(table, terms)
+def character(lam: Partition, rho: Partition) -> int:
+    """chi^lam(rho), the irreducible character of S_n at cycle type rho, by the
+    Murnaghan-Nakayama rule (Macdonald I.7): each part r of rho removes a border
+    strip, moving one beta-number down by r, signed by the beta-numbers passed."""
+    if lam.size != rho.size:
+        raise ValueError("lam and rho must be partitions of the same size")
+
+    def strip(beta: frozenset[int], parts: tuple[int, ...]) -> int:
+        if not parts:
+            return 1
+        r, total = parts[0], 0
+        for b in beta:
+            if b >= r and b - r not in beta:
+                passed = sum(1 for c in beta if b - r < c < b)
+                total += (-1) ** passed * strip(beta - {b} | {b - r}, parts[1:])
+        return total
+
+    return strip(frozenset(p + lam.length - 1 - i for i, p in enumerate(lam.parts)), rho.parts)
 
 
-def decompose_schur(p: GradedPoly, n: int) -> SchurDecomposition:
-    """Schur expansion of a symmetric polynomial in x_1..x_n by repeated
-    subtraction of the Schur polynomial of the leading exponent."""
-    out: dict[Partition, int] = {}
-    work = p
-    while not work.is_zero():
-        exps, coeff = work.leading_term()
-        lam_parts = tuple(e for e in exps if e)
-        if any(a < b for a, b in zip(exps, exps[1:])) or coeff.denominator != 1:
-            raise ValueError("leading term is not dominant; polynomial is not symmetric")
-        lam = Partition(lam_parts)
-        mult = int(coeff)
-        if mult <= 0:
-            raise ValueError("polynomial is not Schur-positive")
-        out[lam] = out.get(lam, 0) + mult
-        work = work - mult * schur_polynomial(lam, n)
-    return SchurDecomposition.from_dict(out)
+# h2[f] = (f^2 + p2[f])/2 and e2 = (p1^2 - p2)/2, with p2[p_k] = p_2k, give
+# h2[e2] = ((p1^2 - p2)^2/4 + (p2^2 - p4)/2)/2 = (p1^4 - 2p1^2p2 + 3p2^2 - 2p4)/8,
+# listed as (rho, coefficient of p_rho in 8*h2[e2]).
+_H2_E2 = (((1, 1, 1, 1), 1), ((2, 1, 1), -2), ((2, 2), 3), ((4,), -2))
 
 
 def decompose_sym2_wedge2(n: int) -> SchurDecomposition:
-    """Schur expansion of Sym^2(wedge^2 C^n), i.e. the plethysm h2[e2].
-
-    For a sum of monomials p, h2[p] = (p^2 + p(x -> x^2)) / 2.
-    """
+    """Schur expansion of Sym^2(wedge^2 C^n), i.e. the plethysm h2[e2], by
+    characters: p_rho = sum_lam chi^lam(rho) s_lam over lam a partition of 4
+    (at most n rows), so the answer is the same for every n >= 4."""
     if n < 4:
         raise ValueError("need n >= 4")
-    e2 = _elementary2(n)
-    # p(x -> x^2) doubles every exponent of p
-    e2_sq_vars = GradedPoly(e2.table, {tuple(2 * e for e in exps): c for exps, c in e2.items()})
-    return decompose_schur((e2 * e2 + e2_sq_vars) / 2, n)
+    out: dict[Partition, int] = {}
+    for parts in _partitions_of(4, n, 4):
+        lam = Partition(parts)
+        mult, r = divmod(sum(c * character(lam, Partition(rho)) for rho, c in _H2_E2), 8)
+        assert r == 0
+        out[lam] = mult
+    return SchurDecomposition.from_dict(out)

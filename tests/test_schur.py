@@ -1,5 +1,8 @@
 import itertools
+from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from chowcalc.schur import (
     Partition,
     SchurDecomposition,
+    character,
     decompose_sym2_wedge2,
     dim_schur,
     lr_product,
@@ -156,12 +160,11 @@ def test_lr_symmetry():
 # -- the plethysm -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", range(4, 41))
 def test_sym2_wedge2_decomposition(n):
     dec = decompose_sym2_wedge2(n)
     assert dec == SchurDecomposition.from_dict({P(2, 2): 1, P(1, 1, 1, 1): 1})
-    wedge2 = n * (n - 1) // 2
-    assert sum(m * dim_schur(p, n) for p, m in dec.terms) == wedge2 * (wedge2 + 1) // 2
+    assert sum(m * dim_schur(p, n) for p, m in dec.terms) == comb(comb(n, 2) + 1, 2)
 
 
 def test_sym2_wedge2_dimensions_n5():
@@ -177,21 +180,94 @@ def test_sym2_wedge2_leaves_50_quadrics_after_pluecker():
     assert sum(m * dim_schur(p, 5) for p, m in dec.terms) - dim_schur(P(1, 1, 1, 1), 5) == 50
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_plethysm_reconstruction_oracle(n):
     """Independent check: the claimed Schur sum, reassembled from explicit
     SSYT polynomials, equals h2[e2] built directly from monomials, as the sum
     of the products of every unordered pair of weights of wedge^2, repeats
     included."""
-    from chowcalc.schur import _elementary2
     from chowcalc.algebra import GradedPoly
+    from chowcalc.schur import _x_table
 
-    e2 = _elementary2(n)
-    weights = [GradedPoly.monomial(e2.table, exps) for exps, _ in e2.items()]
+    table = _x_table(n)
+    weights = [
+        GradedPoly.monomial(table, [int(k in pair) for k in range(n)])
+        for pair in itertools.combinations(range(n), 2)
+    ]
     pairs = itertools.combinations_with_replacement(weights, 2)
-    plethysm = sum((a * b for a, b in pairs), GradedPoly.zero(e2.table))
+    plethysm = sum((a * b for a, b in pairs), GradedPoly.zero(table))
     reconstructed = schur_polynomial(P(2, 2), n) + schur_polynomial(P(1, 1, 1, 1), n)
     assert plethysm == reconstructed
+
+
+# -- characters, against code that shares nothing with the rule ----------------
+
+
+def _partitions(n):
+    return [Partition(parts) for parts in _partitions_up_to(n) if sum(parts) == n]
+
+
+def _z(rho):
+    """Size of the centraliser of a permutation of cycle type rho."""
+    return prod(part**m * factorial(m) for part, m in Counter(rho.parts).items())
+
+
+def _union(alpha, beta):
+    return Partition(tuple(sorted(alpha.parts + beta.parts, reverse=True)))
+
+
+def test_character_at_the_identity_counts_standard_tableaux():
+    for n in range(1, 9):
+        for lam in _partitions(n):
+            assert character(lam, Partition((1,) * n)) == syt_count(lam), lam
+
+
+def test_characters_are_orthonormal():
+    for n in range(1, 7):
+        for lam, mu in itertools.product(_partitions(n), repeat=2):
+            inner = sum(
+                Fraction(character(lam, rho) * character(mu, rho), _z(rho))
+                for rho in _partitions(n)
+            )
+            assert inner == (lam == mu), (lam, mu)
+
+
+def test_dim_schur_from_characters():
+    # dim S_lam(C^m) = s_lam(1^m) = sum_rho chi^lam(rho) m^l(rho) / z_rho
+    for n in range(1, 7):
+        for lam in _partitions(n):
+            for m in range(1, 7):
+                dim = sum(
+                    Fraction(character(lam, rho) * m**rho.length, _z(rho))
+                    for rho in _partitions(n)
+                )
+                assert dim == dim_schur(lam, m), (lam, m)
+
+
+def test_lr_product_from_characters():
+    # c^nu_{lam mu} = sum over alpha, beta of
+    #   chi^lam(alpha) chi^mu(beta) chi^nu(alpha u beta) / (z_alpha z_beta)
+    chi = lru_cache(maxsize=None)(character)
+    for a in range(1, 6):
+        for b in range(1, 7 - a):
+            for lam, mu in itertools.product(_partitions(a), _partitions(b)):
+                expected = {}
+                for nu in _partitions(a + b):
+                    c = sum(
+                        Fraction(
+                            chi(lam, alpha) * chi(mu, beta) * chi(nu, _union(alpha, beta)),
+                            _z(alpha) * _z(beta),
+                        )
+                        for alpha, beta in itertools.product(_partitions(a), _partitions(b))
+                    )
+                    assert c.denominator == 1
+                    expected[nu] = int(c)
+                assert lr_product(lam, mu) == SchurDecomposition.from_dict(expected), (lam, mu)
+
+
+def test_character_needs_equal_sizes():
+    with pytest.raises(ValueError):
+        character(P(2, 1), P(2))
 
 
 def test_needs_at_least_four_variables():
