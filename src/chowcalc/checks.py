@@ -330,7 +330,7 @@ def _run_maroni(trunc: int):
 def _run_strata(trunc: int):
     computed = (
         geometry.stratum_dimensions(6),
-        geometry.maroni_divisor_dim(6),
+        geometry.maroni_divisor_dim(),
         geometry.stratum_dimensions(5),
     )
     return computed, ((15, 13, 12, 11, 10), 12, (12, 11, 9))

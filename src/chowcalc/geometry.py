@@ -2,9 +2,10 @@
 counts, genus by adjunction, Pluecker degrees, and the dimension
 bookkeeping for the strata of moduli of curves in genus 4..6.
 A Grassmannian class is a polynomial in the Chern classes c1..ck of the
-tautological subbundle.  Integrals and Schubert classes use the dual Pieri
-rule on the Schubert basis (Fulton, Young Tableaux, 9.4); no presentation
-of the Chow ring is built.
+tautological subbundle.  The dual Pieri rule on the Schubert basis (Fulton,
+Young Tableaux, 9.4) gives the Schubert classes and one product,
+`Grassmannian.multiply`, behind integrals and `schur.lr_product`; no
+presentation of the Chow ring is built.
 """
 from __future__ import annotations
 
@@ -188,26 +189,32 @@ class Grassmannian:
             raise ValueError(f"partition {lam} does not fit in G({self.k},{self.n})")
         return _giambelli(self, lam.parts)
 
-    def integrate(self, x: GradedPoly) -> Fraction:
-        """Degree against the fundamental class (x of the top degree; a point
-        integrates to 1).  Each monomial acts on sigma_() by c_i = (-1)^i
-        sigma_(1^i); the signs of a monomial that reaches the point class
-        multiply to (-1)^dim, so the dual Pieri steps count strips unsigned."""
+    def multiply(self, x: GradedPoly, lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+        """x * sigma_lam as {nu: coefficient}, lam in the k x (n - k) box: each
+        monomial acts by c_i = (-1)^i sigma_(1^i), so the dual Pieri steps count
+        strips unsigned and the monomial's sign is (-1)^degree."""
         if x.table != self.table():
             raise ValueError("class over a different table")
-        if not x.is_zero() and x.degree() != self.dim:
-            raise ValueError(f"integrand degree {x.degree()} is not the dimension {self.dim}")
-        point, total = (self.n - self.k,) * self.k, Fraction(0)
+        out: dict[tuple[int, ...], Fraction] = {}
         for exps, q in x.items():
-            classes = {(): 1}
+            classes = {lam: 1}
             for i in (j for j, e in enumerate(exps, start=1) for _ in range(e)):
                 step: dict[tuple[int, ...], int] = {}
-                for lam, count in classes.items():
-                    for nu in _vertical_strips(lam, i, self.k, self.n - self.k):
+                for mu, count in classes.items():
+                    for nu in _vertical_strips(mu, i, self.k, self.n - self.k):
                         step[nu] = step.get(nu, 0) + count
                 classes = step
-            total += q * classes.get(point, 0)
-        return (-1) ** self.dim * total
+            q *= (-1) ** sum(j * e for j, e in enumerate(exps, start=1))
+            for nu, count in classes.items():
+                out[nu] = out.get(nu, 0) + q * count
+        return {nu: c for nu, c in out.items() if c}
+
+    def integrate(self, x: GradedPoly) -> Fraction:
+        """Degree against the fundamental class (x of the top degree; a point
+        integrates to 1): the point-class coefficient of x * sigma_()."""
+        if not x.is_zero() and x.degree() != self.dim:
+            raise ValueError(f"integrand degree {x.degree()} is not the dimension {self.dim}")
+        return self.multiply(x, ()).get((self.n - self.k,) * self.k, Fraction(0))
 
     def plucker_degree(self) -> int:
         """Degree in the Pluecker embedding: the top self-intersection of the
@@ -226,10 +233,10 @@ def _vertical_strips(lam: tuple[int, ...], m: int, k: int, width: int):
     """Dual Pieri rule: sigma_lam * sigma_(1^m) is the sum of sigma_nu over the
     partitions nu in the k x width box made of lam and one box in each of m rows."""
     rows = lam + (0,) * (k - len(lam))
-    for added in combinations(range(k), m):
-        nu = [p + (i in added) for i, p in enumerate(rows)]
-        if nu[0] <= width and all(a >= b for a, b in zip(nu, nu[1:])):
-            yield tuple(p for p in nu if p)
+    # a row below the width takes a box if the row above is longer or takes one too
+    for added in combinations([i for i in range(k) if rows[i] < width], m):
+        if all(i == 0 or rows[i - 1] > rows[i] or i - 1 in added for i in added):
+            yield tuple(p + (i in added) for i, p in enumerate(rows) if p or i in added)
 
 
 def _giambelli(g: Grassmannian, lam: tuple[int, ...]) -> GradedPoly:
@@ -324,7 +331,7 @@ def stratum_dimensions(g: int) -> tuple[int, ...]:
     raise ValueError("stratum table available for genus 5 and 6 only")
 
 
-def maroni_divisor_dim(g: int = 6) -> int:
-    """The locus of trigonal curves with the next Maroni invariant (n = 2
-    in genus 6)."""
-    return trigonal_stratum_dim(g, 2)
+def maroni_divisor_dim() -> int:
+    """The genus-6 trigonal curves of Maroni invariant 2, a divisor; in odd genus
+    the next stratum is not one (in genus 7, n = 3 has dimension 13 against 15)."""
+    return trigonal_stratum_dim(6, 2)

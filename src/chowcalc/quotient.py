@@ -108,14 +108,18 @@ def hilbert_function(pres: RingPresentation, max_d: int) -> tuple[int, ...]:
 
 
 def normal_form(x: GradedPoly, pres: RingPresentation) -> GradedPoly:
-    """Coset representative supported on the quotient basis of x's degree."""
+    """Coset representative supported on the quotient basis of x's degree;
+    zero, without building that piece, when `hilbert_function` proves it zero."""
     if x.table != pres.table:
         raise ValueError("polynomial over a different variable table")
     if x.is_zero():
         return x
     if not x.is_homogeneous():
         raise ValueError("normal form requires a homogeneous input")
-    table = graded_piece(pres, x.degree()).normal_forms
+    d = x.degree()
+    if not hilbert_function(pres, d)[d]:
+        return GradedPoly.zero(pres.table)
+    table = graded_piece(pres, d).normal_forms
     one = GradedPoly.one(pres.table)
     return linear_combination(pres.table, ((c, table[m], one) for m, c in x.items()))
 

@@ -2,8 +2,9 @@
 products, symmetric-group characters, and the one plethysm this project
 needs: Sym^2 of a second exterior power, computed by characters from its
 power-sum expansion, so the answer is the same for every n >= 4.
-Partitions of any size are allowed, in `lr_product` too, whose tableau
-enumeration grows exponentially with the product degree.
+Partitions of any size are allowed.  `lr_product` is a Schubert product on
+a Grassmannian large enough to hold every term (`geometry`'s dual Pieri
+rule), so the library multiplies Schur classes one way only.
 """
 from __future__ import annotations
 
@@ -42,10 +43,6 @@ class Partition:
     @property
     def length(self) -> int:
         return len(self.parts)
-
-    def contains(self, other: "Partition") -> bool:
-        padded = self.parts + (0,) * max(0, other.length - self.length)
-        return all(a >= b for a, b in zip(padded, other.parts))
 
     def arm(self, i: int, j: int) -> int:
         return self.parts[i] - (j + 1)
@@ -115,60 +112,21 @@ class SchurDecomposition:
 # -- Littlewood-Richardson ---------------------------------------------------
 
 
-def _lr_fillings(nu: Partition, lam: Partition, mu: Partition) -> int:
-    """Count LR skew tableaux of shape nu/lam and content mu.
-
-    Cells are visited in reverse reading order (top to bottom, right to left
-    within each row), so the lattice-word condition can be enforced at
-    placement time by comparing running entry counts.
-    """
-    rows = nu.length
-    lam_parts = lam.parts + (0,) * (rows - lam.length)
-    shape = [(lam_parts[i], nu.parts[i]) for i in range(rows)]  # fill columns a..b-1
-
-    cells = [(i, j) for i in range(rows) for j in range(shape[i][1] - 1, shape[i][0] - 1, -1)]
-    counts = [0] * (mu.length + 2)  # counts[v] = number of entries v placed so far
-    grid: dict[tuple[int, int], int] = {}
-
-    def place_rl(cell_idx: int) -> int:
-        if cell_idx == len(cells):
-            return 1 if tuple(counts[1 : mu.length + 1]) == mu.parts else 0
-        i, j = cells[cell_idx]
-        right = grid.get((i, j + 1))
-        above = grid.get((i - 1, j))
-        total = 0
-        for v in range(1, mu.length + 1):
-            if counts[v] >= mu.parts[v - 1]:
-                continue
-            if right is not None and v > right:
-                continue  # rows weakly increase left to right
-            if above is not None and v <= above:
-                continue  # columns strictly increase top to bottom
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # lattice word
-            grid[(i, j)] = v
-            counts[v] += 1
-            total += place_rl(cell_idx + 1)
-            counts[v] -= 1
-            del grid[(i, j)]
-        return total
-
-    return place_rl(0)
-
-
 def lr_product(lam: Partition, mu: Partition) -> SchurDecomposition:
-    """Littlewood-Richardson expansion of s_lam * s_mu."""
-    n = lam.size + mu.size
-    max_len = lam.length + mu.length
-    max_width = (lam.parts[0] if lam.parts else 0) + (mu.parts[0] if mu.parts else 0)
+    """Littlewood-Richardson expansion of s_lam * s_mu: the Schubert product in
+    G(k, k + w), k = l(lam) + l(mu) and w = lam_1 + mu_1, whose box holds every
+    nu with c^nu_{lam mu} != 0 (Fulton, Young Tableaux, 9.4)."""
+    # imported here because geometry imports this module for Partition
+    from .geometry import Grassmannian
+
+    if lam.parts[:1] < mu.parts[:1]:
+        lam, mu = mu, lam  # the shorter first row gives the smaller Giambelli expansion
+    k = max(1, lam.length + mu.length)
+    g = Grassmannian(k, k + max(1, sum(lam.parts[:1]) + sum(mu.parts[:1])))
     out: dict[Partition, int] = {}
-    for nu_parts in _partitions_of(n, max_len, max_width):
-        nu = Partition(nu_parts)
-        if not nu.contains(lam):
-            continue
-        c = _lr_fillings(nu, lam, mu)
-        if c:
-            out[nu] = c
+    for nu, c in g.multiply(g.schubert_class(mu), lam.parts).items():
+        assert c.denominator == 1
+        out[Partition(nu)] = int(c)
     return SchurDecomposition.from_dict(out)
 
 

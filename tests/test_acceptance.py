@@ -113,7 +113,7 @@ def test_07_maroni_adjunction():
 def test_08_strata_dimensions():
     with criterion("strata-dimensions"):
         assert geometry.stratum_dimensions(6) == (15, 13, 12, 11, 10)
-        assert geometry.maroni_divisor_dim(6) == 12
+        assert geometry.maroni_divisor_dim() == 12
         assert geometry.stratum_dimensions(5) == (12, 11, 9)
 
 

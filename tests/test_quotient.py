@@ -132,6 +132,18 @@ def test_normal_form_kappa1_squared_kappa2():
     assert normal_form(K1**2 * K2, M6) == Fraction(2032, 113) * K2**2
 
 
+def test_normal_form_past_the_zero_run_builds_no_piece_there():
+    # M6 is zero in degrees 5 and 6, and its largest weight is 2, so k1^200 is
+    # zero with only the seven pieces of degree <= 6 built, not the 198 x 101
+    # Macaulay matrix of degree 200; nonzero pieces keep their normal forms
+    graded_piece.cache_clear()
+    assert normal_form(K1**200, M6).is_zero()
+    assert graded_piece.cache_info().misses == 7
+    assert normal_form(K1**5 * K2, M6).is_zero()
+    assert normal_form(K1**4, M6) == Fraction(36864, 113) * K2**2
+    assert normal_form(K1**3, M6) == Fraction(2304, 127) * K1 * K2
+
+
 def test_normal_form_is_idempotent_and_fixes_representatives():
     for p in (K1**3, K1**4, K1**2 * K2, K1 * K2, K2**2):
         nf = normal_form(p, M6)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
+import _ref_lr
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -155,6 +156,23 @@ def test_lr_dimension_identity(lam, mu, n):
 def test_lr_symmetry():
     for lam, mu in itertools.combinations(SMALL, 2):
         assert lr_product(lam, mu) == lr_product(mu, lam)
+
+
+def test_lr_product_matches_the_tableau_rule():
+    # the Schubert product against the LR tableau count, on every pair with
+    # |lam| + |mu| <= 8 (the empty partition included) and two larger ones
+    shapes = [P()] + [Partition(parts) for parts in _partitions_up_to(8)]
+    pairs = [(lam, mu) for lam in shapes for mu in shapes if lam.size + mu.size <= 8]
+    assert len(pairs) == 434
+    a, b, c, d = P(4, 3, 2, 1), P(3, 2, 1), P(5, 3, 1), P(4, 2, 2)
+    for lam, mu in pairs + [(a, b), (b, a), (c, d), (d, c)]:
+        assert lr_product(lam, mu) == _ref_lr.lr_product(lam, mu), (lam, mu)
+
+
+def test_lr_product_with_an_empty_factor():
+    assert str(lr_product(P(), P())) == "S()"
+    for lam in (P(1), P(3, 1), P(2, 2, 1), P(6)):
+        assert lr_product(lam, P()) == lr_product(P(), lam) == SchurDecomposition.from_dict({lam: 1})
 
 
 # -- the plethysm -------------------------------------------------------------------
