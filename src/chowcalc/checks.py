@@ -154,12 +154,15 @@ def exit_code(results: list[CheckResult]) -> int:
 
 def _m6_facts(pres: quotient.RingPresentation) -> tuple:
     """What the presentation and sensitivity checks compare: the Hilbert
-    function through degree 8, the socle dimension and pairing ranks of the
-    Poincare duality test in degree 4, and the degree-2 pairing determinant
-    (None when duality fails)."""
-    report = quotient.is_poincare_duality(pres, 4)
-    det = quotient.pairing_matrix(pres, 2, 4).determinant() if report else None
-    return report.hilbert, report.socle_dimension, report.pairing_ranks, det
+    function through degree 8, its degree-4 entry (the socle dimension), the
+    (degree, rank, full rank) of each pairing into degree 4 when that piece
+    is 1-dimensional, and the degree-2 pairing determinant when the ring is
+    Gorenstein with socle in degree 4 (None otherwise)."""
+    h = quotient.hilbert_function(pres, 8)
+    mats = [quotient.pairing_matrix(pres, i, 4) for i in range(5)] if h[4] == 1 else []
+    ranks = tuple((i, m.rank(), min(m.rows, m.cols)) for i, m in enumerate(mats))
+    det = mats[2].determinant() if quotient.is_poincare_duality(pres, 4) else None
+    return h, h[4], ranks, det
 
 
 # the facts of the genus-6 kappa ring; pairing ranks are (degree, rank, full rank)

@@ -44,7 +44,6 @@ class GradedPiece:
     the rest of its reduced row.  The table is never mutated after it is
     built."""
 
-    degree: int
     quotient_basis: tuple[tuple[int, ...], ...]
     normal_forms: Mapping[tuple[int, ...], GradedPoly]
 
@@ -87,7 +86,7 @@ def graded_piece(pres: RingPresentation, d: int) -> GradedPiece:
         # a reduced row is zero in every other pivot column
         table[basis[i]] = GradedPoly(pres.table, {basis[j]: -row[j] for j in free})
     quotient = tuple(basis[j] for j in free)
-    return GradedPiece(degree=d, quotient_basis=quotient, normal_forms=table)
+    return GradedPiece(quotient, table)
 
 
 def hilbert_function(pres: RingPresentation, max_d: int) -> tuple[int, ...]:
@@ -152,51 +151,23 @@ def pairing_matrix(pres: RingPresentation, i: int, top: int) -> ExactMatrix:
     return ExactMatrix(rows, cols=len(right))
 
 
-@record
-class PoincareReport:
-    """Outcome of the Gorenstein / Poincare-duality test on a presentation."""
-
-    top: int
-    hilbert: tuple[int, ...]
-    symmetric: bool
-    vanishes_beyond_top: bool
-    socle_dimension: int
-    pairing_ranks: tuple[tuple[int, int, int], ...]  # (i, rank, expected)
-    holds: bool
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def is_poincare_duality(pres: RingPresentation, top: int) -> PoincareReport:
-    """True iff the Hilbert function is symmetric on 0..top and zero after
-    (checked through degree max(2*top, top+4)), the top piece is
-    1-dimensional, and all pairings into it are perfect."""
-    check_through = max(2 * top, top + 4)
-    h = hilbert_function(pres, check_through)
-    symmetric = all(h[i] == h[top - i] for i in range(top + 1))
-    vanishes = all(h[d] == 0 for d in range(top + 1, check_through + 1))
-    socle_dim = h[top]
-    ranks = []
-    pairings_ok = socle_dim == 1
-    if socle_dim == 1:
-        for i in range(top + 1):
-            mat = pairing_matrix(pres, i, top)
-            expected = min(mat.rows, mat.cols)
-            rank = mat.rank()
-            ranks.append((i, rank, expected))
-            if rank < expected or mat.rows != mat.cols:
-                pairings_ok = False
-    holds = symmetric and vanishes and socle_dim == 1 and pairings_ok
-    return PoincareReport(
-        top=top,
-        hilbert=h,
-        symmetric=symmetric,
-        vanishes_beyond_top=vanishes,
-        socle_dimension=socle_dim,
-        pairing_ranks=tuple(ranks),
-        holds=holds,
-    )
+def is_poincare_duality(pres: RingPresentation, top: int) -> bool:
+    """True iff the ring is Gorenstein with socle in degree `top`: the top
+    piece is 1-dimensional, the pieces in degrees top+1 .. top+w are zero (w
+    the largest weight, so by the zero-run rule of `hilbert_function` every
+    later piece is zero too), and every pairing R^i x R^(top-i) -> R^top is
+    square and of full rank.  Square pairings make the Hilbert function
+    symmetric on 0..top, so no separate symmetry test is needed."""
+    if top < 0:
+        raise ValueError("need top >= 0")
+    h = hilbert_function(pres, top + max(pres.table.weights, default=1))
+    if h[top] != 1 or any(h[top + 1 :]):
+        return False
+    for i in range(top + 1):
+        mat = pairing_matrix(pres, i, top)
+        if not mat.rows == mat.cols == mat.rank():
+            return False
+    return True
 
 
 # -- stock presentations -----------------------------------------------------

@@ -130,19 +130,6 @@ def lr_product(lam: Partition, mu: Partition) -> SchurDecomposition:
     return SchurDecomposition.from_dict(out)
 
 
-def _partitions_of(n: int, max_len: int, max_part: int):
-    def go(remaining: int, largest: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        if len(prefix) == max_len:
-            return
-        for p in range(min(largest, remaining), 0, -1):
-            yield from go(remaining - p, p, prefix + (p,))
-
-    yield from go(n, max_part, ())
-
-
 # -- Schur polynomials, characters and the Sym^2(wedge^2) plethysm ------------
 
 
@@ -207,17 +194,17 @@ def character(lam: Partition, rho: Partition) -> int:
 # h2[e2] = ((p1^2 - p2)^2/4 + (p2^2 - p4)/2)/2 = (p1^4 - 2p1^2p2 + 3p2^2 - 2p4)/8,
 # listed as (rho, coefficient of p_rho in 8*h2[e2]).
 _H2_E2 = (((1, 1, 1, 1), 1), ((2, 1, 1), -2), ((2, 2), 3), ((4,), -2))
+_PARTITIONS_OF_4 = tuple(Partition(p) for p in ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)))
 
 
 def decompose_sym2_wedge2(n: int) -> SchurDecomposition:
     """Schur expansion of Sym^2(wedge^2 C^n), i.e. the plethysm h2[e2], by
-    characters: p_rho = sum_lam chi^lam(rho) s_lam over lam a partition of 4
-    (at most n rows), so the answer is the same for every n >= 4."""
+    characters: p_rho = sum_lam chi^lam(rho) s_lam over the five partitions lam
+    of 4, each of at most 4 rows, so the answer is the same for every n >= 4."""
     if n < 4:
         raise ValueError("need n >= 4")
     out: dict[Partition, int] = {}
-    for parts in _partitions_of(4, n, 4):
-        lam = Partition(parts)
+    for lam in _PARTITIONS_OF_4:
         mult, r = divmod(sum(c * character(lam, Partition(rho)) for rho, c in _H2_E2), 8)
         assert r == 0
         out[lam] = mult

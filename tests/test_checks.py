@@ -191,6 +191,12 @@ def test_suite_config_rejects_bad_truncation(trunc):
         checks.run_suite(trunc=trunc)
 
 
+@pytest.mark.parametrize("trunc", [2, 3])
+def test_suite_passes_at_its_least_truncation(trunc):
+    results = checks.run_suite(None, trunc)
+    assert [r.status for r in results] == ["pass"] * 12, checks.format_text(results)
+
+
 def test_exit_codes():
     results = checks.run_suite()
     assert checks.exit_code(results) == 0

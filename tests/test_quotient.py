@@ -276,11 +276,11 @@ def _ref_pairing_matrix(pres, i, top):
 
 
 @st.composite
-def complete_intersections(draw):
+def complete_intersections(draw, max_weight=2):
     """(ring, top degree): relation i is c*x_i^k_i plus terms of the same
     degree in x_(i+1..n), so the only common zero is the origin."""
     n = draw(st.integers(min_value=1, max_value=3))
-    weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(1, max_weight), min_size=n, max_size=n))
     powers = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     table = VariableTable(tuple(f"x{i}" for i in range(n)), tuple(weights))
     relations = []
@@ -337,9 +337,8 @@ def test_graded_piece_cache_is_bounded():
 
 
 def test_m6_is_a_poincare_duality_ring():
-    report = is_poincare_duality(M6, 4)
-    assert report
-    assert report.hilbert[:5] == (1, 1, 2, 1, 1)
+    assert is_poincare_duality(M6, 4) is True
+    assert hilbert_function(M6, 4) == (1, 1, 2, 1, 1)
 
 
 def test_monomial_kappa_ring_genus_6_is_poincare():
@@ -356,9 +355,10 @@ def test_complete_intersection_is_poincare():
 
 def test_truncated_polynomial_ring_fails_duality():
     pres = kappa1_power_presentation(4)  # Q[k1]/(k1^3)
-    report = is_poincare_duality(pres, 4)
-    assert not report
-    assert not report.symmetric
+    assert is_poincare_duality(pres, 4) is False
+    h = hilbert_function(pres, 4)
+    assert h == (1, 1, 1, 0, 0)
+    assert h != h[::-1]
 
 
 def test_non_gorenstein_ring_fails_duality():
@@ -366,6 +366,49 @@ def test_non_gorenstein_ring_fails_duality():
     pres = RingPresentation(T, (K1**2, K1 * K2))
     assert hilbert_function(pres, 4) == (1, 1, 1, 0, 1)
     assert not is_poincare_duality(pres, 4)
+
+
+def test_duality_needs_every_piece_above_top_to_vanish():
+    # Q[x,y]/(x^2, xy) with weights (1, 10): the pieces in degrees 2..9 are
+    # zero, but y survives in degree 10, so degree 1 is not the socle.
+    t = VariableTable(("x", "y"), (1, 10))
+    x, y = GradedPoly.variable(t, "x"), GradedPoly.variable(t, "y")
+    pres = RingPresentation(t, (x**2, x * y))
+    assert hilbert_function(pres, 10) == (1, 1) + (0,) * 8 + (1,)
+    assert is_poincare_duality(pres, 1) is False
+
+
+@pytest.mark.parametrize(
+    "power, top, hilbert",
+    [
+        (3, 2, (1, 2, 1, 0)),  # x*y = 0 pairs R^1 with itself in rank 1 of 2
+        (4, 3, (1, 2, 1, 1, 0)),  # R^1 x R^2 -> R^3 is 2 x 1, of full rank 1
+    ],
+)
+def test_duality_needs_square_perfect_pairings(power, top, hilbert):
+    # Q[x,y]/(xy, y^2, x^power): the top piece is 1-dimensional and the next is zero
+    t = VariableTable(("x", "y"), (1, 1))
+    x, y = GradedPoly.variable(t, "x"), GradedPoly.variable(t, "y")
+    pres = RingPresentation(t, (x * y, y**2, x**power))
+    assert hilbert_function(pres, top + 1) == hilbert
+    assert is_poincare_duality(pres, top) is False
+
+
+@settings(max_examples=40, deadline=None)
+@given(complete_intersections(max_weight=3))
+def test_complete_intersection_is_gorenstein_in_its_socle_degree_only(ring):
+    # A complete intersection is Gorenstein with socle degree sum(d_i - w_i).
+    pres, top = ring
+    assert is_poincare_duality(pres, top) is True
+    assert is_poincare_duality(pres, top + 1) is False
+    if top >= 1:
+        assert is_poincare_duality(pres, top - 1) is False
+
+
+@pytest.mark.parametrize("top", range(-6, 0))
+def test_duality_rejects_negative_top(top):
+    with pytest.raises(ValueError, match="^need top >= 0$"):
+        is_poincare_duality(M6, top)
 
 
 def test_presentation_rejects_inhomogeneous_relations():
