@@ -31,6 +31,7 @@ from ._record import record
 from .algebra import (
     GradedPoly,
     VariableTable,
+    format_poly,
     linear_combination,
     series_mul,
     series_quotient,
@@ -247,17 +248,24 @@ def chern_from_character(ch: list[GradedPoly], rank: int) -> FormalBundle:
 
 
 @record
-class HyperellipticTwist:
-    """Solution of Sym^(g-1) W = Hodge for a rank-2 W: w1 = coefficient * lambda1."""
+class TwistSolution:
+    """The classes a twist solver finds, as (name, class) pairs, each class a
+    polynomial in lambda1, lambda2, and the convention that fixes them."""
 
-    genus: int
-    coefficient: Fraction  # w1 = coefficient * lambda1
+    classes: tuple[tuple[str, GradedPoly], ...]
+    note: str = ""
 
     def __str__(self) -> str:
-        return f"w1 = {self.coefficient} * lambda1"
+        return ", ".join(f"{name} = {format_poly(c)}" for name, c in self.classes) + self.note
 
 
-def solve_hyperelliptic_twist(g: int) -> HyperellipticTwist:
+# the Hodge classes every solution is written in, and the free classes the
+# solvers read their coefficients off
+_LAMBDA = VariableTable(("lambda1", "lambda2"), (1, 2))
+_FREE = VariableTable(("alpha1", "beta2"), (1, 2))
+
+
+def solve_hyperelliptic_twist(g: int) -> TwistSolution:
     """Equate first Chern classes in Sym^(g-1) W = E for rank-2 W.
 
     The degree-1 coefficient of Sym^(g-1) on rank 2 is read off the
@@ -268,59 +276,22 @@ def solve_hyperelliptic_twist(g: int) -> HyperellipticTwist:
     lead = universal_chern(2, g - 1, 1)[0].coefficient((1,))  # coefficient of e1
     if lead != Fraction(g * (g - 1), 2):
         raise BundleError("symmetric power coefficient disagrees with root-sum count")
-    return HyperellipticTwist(genus=g, coefficient=1 / lead)
+    return TwistSolution((("w1", GradedPoly.variable(_LAMBDA, "lambda1") / lead),))
 
 
-@record
-class UnimodularTwist:
-    """Solution of V (x) L = Hodge with det V trivial: c1(L) = lambda1 / rank."""
-
-    rank: int
-    coefficient: Fraction
-
-    def __str__(self) -> str:
-        return f"c1(L) = {self.coefficient} * lambda1"
-
-
-def solve_unimodular_twist(rank: int) -> UnimodularTwist:
-    """For rank-r V with c1(V) = 0 and V (x) L = E: r * c1(L) = lambda1."""
+def solve_unimodular_twist(rank: int) -> TwistSolution:
+    """For rank-r V with c1(V) = 0 and V (x) L = E: a twist by a free class
+    alpha1 has c1 = A alpha1, so c1(L) = lambda1 / A; a second twist at the
+    solution is compared with lambda1."""
     if rank < 1:
         raise BundleError("rank must be >= 1")
-    table = VariableTable(("l1",), (1,))
-    lam1 = GradedPoly.variable(table, "l1")
-    v = trivial_bundle(table, rank, 1)  # c1 = 0 is all that matters in degree 1
-    coeff = Fraction(1, rank)
-    twisted = twist(v, LineClass(lam1 * coeff))
-    if twisted.c(1) != lam1:
+    alpha1 = GradedPoly.variable(_FREE, "alpha1")
+    generic = twist(trivial_bundle(_FREE, rank, 1), LineClass(alpha1))
+    lam1 = GradedPoly.variable(_LAMBDA, "lambda1")
+    c1 = lam1 / generic.c(1).coefficient((1, 0))
+    if twist(trivial_bundle(_LAMBDA, rank, 1), LineClass(c1)).c(1) != lam1:
         raise BundleError("twist solution failed verification")
-    return UnimodularTwist(rank=rank, coefficient=coeff)
-
-
-@record
-class TrigonalTwist:
-    """Chern-class comparison data for the scroll decomposition of a trigonal
-    canonical embedding: Hodge (x) M = Sym^a V + L (x) Sym^b V with rank-2 V,
-    c1(V) = 0.
-
-    The line M is an unknown the comparison cannot pin down; it is fixed by
-    the convention c1(M) = 0, under which alpha1 = q * lambda1 and
-    beta2 = r * lambda1^2 + s * lambda2.
-    """
-
-    genus: int
-    maroni: int
-    k: int
-    a: int
-    b: int
-    q: Fraction
-    r: Fraction
-    s: Fraction
-
-    def __str__(self) -> str:
-        return (
-            f"alpha1 = {self.q} * lambda1, beta2 = {self.r} * lambda1^2 + "
-            f"{self.s} * lambda2  (c1(M) = 0 * lambda1)"
-        )
+    return TwistSolution((("c1(L)", c1),))
 
 
 def maroni_split_degrees(g: int, n: int) -> tuple[int, int, int]:
@@ -339,24 +310,28 @@ def _scroll(a: int, b: int, alpha1: GradedPoly, beta2: GradedPoly) -> FormalBund
     return direct_sum(sym_power(v, a), twist(sym_power(v, b), LineClass(alpha1)))
 
 
-def solve_trigonal_twist(g: int, n: int) -> TrigonalTwist:
+def solve_trigonal_twist(g: int, n: int) -> TwistSolution:
     """Solve the degree-1 and degree-2 Chern-class comparisons of the scroll
-    decomposition for (q, r, s), a triangular system once c1(M) = 0.
+    decomposition of a trigonal canonical embedding,
+    Hodge (x) M = Sym^a V + L (x) Sym^b V with rank-2 V, c1(V) = 0,
+    c2(V) = beta2 and c1(L) = alpha1.  The line M is an unknown the
+    comparison cannot pin down; under the convention c1(M) = 0,
+    alpha1 = q lambda1 and beta2 = r lambda1^2 + s lambda2 is a triangular
+    system.
 
     By degree the scroll has c1 = A alpha1 and c2 = B beta2 + C alpha1^2, so
     one build with free alpha1, beta2 reads off q = 1/A, s = 1/B and
     r = -C q^2 s.  A second build at the solution is compared with
     Hodge (x) M, whose c1 and c2 are lambda1 and lambda2 when c1(M) = 0.
     """
-    k, a, b = maroni_split_degrees(g, n)
-    free = VariableTable(("alpha1", "beta2"), (1, 2))
-    generic = _scroll(a, b, GradedPoly.variable(free, "alpha1"), GradedPoly.variable(free, "beta2"))
+    _, a, b = maroni_split_degrees(g, n)
+    generic = _scroll(a, b, *(GradedPoly.variable(_FREE, name) for name in _FREE.names))
     q = 1 / generic.c(1).coefficient((1, 0))
     s = 1 / generic.c(2).coefficient((0, 1))
     r = -generic.c(2).coefficient((2, 0)) * q * q * s
-    table = VariableTable(("l1", "l2"), (1, 2))
-    l1, l2 = GradedPoly.variable(table, "l1"), GradedPoly.variable(table, "l2")
-    rhs = _scroll(a, b, l1 * q, r * l1 * l1 + s * l2)
-    if rhs.rank != g or rhs.c(1) != l1 or rhs.c(2) != l2:
+    lam1, lam2 = (GradedPoly.variable(_LAMBDA, name) for name in _LAMBDA.names)
+    alpha1, beta2 = q * lam1, r * lam1 * lam1 + s * lam2
+    rhs = _scroll(a, b, alpha1, beta2)
+    if rhs.rank != g or rhs.c(1) != lam1 or rhs.c(2) != lam2:
         raise BundleError("trigonal twist solution failed verification")
-    return TrigonalTwist(genus=g, maroni=n, k=k, a=a, b=b, q=q, r=r, s=s)
+    return TwistSolution((("alpha1", alpha1), ("beta2", beta2)), "  (c1(M) = 0 * lambda1)")

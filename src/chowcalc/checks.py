@@ -379,8 +379,8 @@ def _run_sym_calc(trunc: int):
     w = bundles.FormalBundle(2, (w1, w2, GradedPoly.zero(wtab)), wtab)
     computed = (
         bundles.sym_power(w, 2),
-        bundles.solve_hyperelliptic_twist(6).coefficient,
-        bundles.solve_unimodular_twist(5).coefficient,
+        bundles.solve_hyperelliptic_twist(6).classes[0][1].coefficient((1, 0)),
+        bundles.solve_unimodular_twist(5).classes[0][1].coefficient((1, 0)),
     )
     sym2 = bundles.FormalBundle(3, (3 * w1, 2 * w1**2 + 4 * w2, 4 * w1 * w2), wtab)
     return computed, (sym2, Fraction(1, 15), Fraction(1, 5))

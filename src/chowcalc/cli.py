@@ -115,6 +115,20 @@ def _cmd_repl(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Answers are exact: an integer of any length is read and printed whole.
+    # The interpreter-wide limit on integer strings (none before 3.10.7) is
+    # lifted for the command only, so the caller's own str(int) keeps it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run_command(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run_command(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -183,9 +183,7 @@ _NOUNS: dict[type, str] = {
     tuple: "a list",
     ExactMatrix: "a matrix",
     schur.SchurDecomposition: "a Schur decomposition",
-    bundles.HyperellipticTwist: "a twist solution",
-    bundles.UnimodularTwist: "a twist solution",
-    bundles.TrigonalTwist: "a twist solution",
+    bundles.TwistSolution: "a twist solution",
 }
 
 

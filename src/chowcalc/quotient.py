@@ -89,26 +89,32 @@ def graded_piece(pres: RingPresentation, d: int) -> GradedPiece:
     return GradedPiece(quotient, table)
 
 
-def hilbert_function(pres: RingPresentation, max_d: int) -> tuple[int, ...]:
-    """Dimensions of the graded pieces in degrees 0..max_d.
-
-    Once as many consecutive pieces as the largest variable weight are zero,
-    every later piece is zero and is not built: a monomial of higher degree
-    is a variable times a monomial of lower degree that is already zero."""
-    if max_d < 0:
-        raise ValueError("max degree must be >= 0")
+def _piece_dims(pres: RingPresentation, max_d: int) -> list[int]:
+    """Dimensions of the graded pieces from degree 0, through max_d or up to
+    the first run of as many zero pieces as the largest variable weight:
+    every later piece is zero and is not built, since a monomial of higher
+    degree is a variable times a monomial of lower degree that is already zero."""
     run = max(pres.table.weights, default=1)
     dims: list[int] = []
     for d in range(max_d + 1):
         if len(dims) >= run and not any(dims[-run:]):
             break
         dims.append(graded_piece(pres, d).dim)
-    return tuple(dims) + (0,) * (max_d + 1 - len(dims))
+    return dims
+
+
+def hilbert_function(pres: RingPresentation, max_d: int) -> tuple[int, ...]:
+    """Dimensions of the graded pieces in degrees 0..max_d, zero after
+    `_piece_dims` stops."""
+    if max_d < 0:
+        raise ValueError("max degree must be >= 0")
+    dims = tuple(_piece_dims(pres, max_d))
+    return dims + (0,) * (max_d + 1 - len(dims))
 
 
 def normal_form(x: GradedPoly, pres: RingPresentation) -> GradedPoly:
     """Coset representative supported on the quotient basis of x's degree;
-    zero, without building that piece, when `hilbert_function` proves it zero."""
+    zero, without building that piece, when `_piece_dims` proves it zero."""
     if x.table != pres.table:
         raise ValueError("polynomial over a different variable table")
     if x.is_zero():
@@ -116,7 +122,7 @@ def normal_form(x: GradedPoly, pres: RingPresentation) -> GradedPoly:
     if not x.is_homogeneous():
         raise ValueError("normal form requires a homogeneous input")
     d = x.degree()
-    if not hilbert_function(pres, d)[d]:
+    if not any(_piece_dims(pres, d)[d:]):  # empty when the zero run came first
         return GradedPoly.zero(pres.table)
     table = graded_piece(pres, d).normal_forms
     one = GradedPoly.one(pres.table)
@@ -154,7 +160,7 @@ def pairing_matrix(pres: RingPresentation, i: int, top: int) -> ExactMatrix:
 def is_poincare_duality(pres: RingPresentation, top: int) -> bool:
     """True iff the ring is Gorenstein with socle in degree `top`: the top
     piece is 1-dimensional, the pieces in degrees top+1 .. top+w are zero (w
-    the largest weight, so by the zero-run rule of `hilbert_function` every
+    the largest weight, so by the zero-run rule of `_piece_dims` every
     later piece is zero too), and every pairing R^i x R^(top-i) -> R^top is
     square and of full rank.  Square pairings make the Hilbert function
     symmetric on 0..top, so no separate symmetry test is needed."""

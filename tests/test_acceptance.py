@@ -141,8 +141,10 @@ def test_10_sym_power_calculus():
         w = bundles.FormalBundle(2, (w1, w2, GradedPoly.zero(wtab)), wtab)
         s2 = bundles.sym_power(w, 2)
         assert (s2.c(1), s2.c(2), s2.c(3)) == (3 * w1, 2 * w1**2 + 4 * w2, 4 * w1 * w2)
-        assert bundles.solve_hyperelliptic_twist(6).coefficient == Fraction(1, 15)
-        assert bundles.solve_unimodular_twist(5).coefficient == Fraction(1, 5)
+        (name, w1), = bundles.solve_hyperelliptic_twist(6).classes
+        assert name == "w1" and w1.coefficient((1, 0)) == Fraction(1, 15)
+        (name, c1), = bundles.solve_unimodular_twist(5).classes
+        assert name == "c1(L)" and c1.coefficient((1, 0)) == Fraction(1, 5)
 
 
 def test_11_sensitivity():

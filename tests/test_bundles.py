@@ -11,11 +11,13 @@ from chowcalc.bundles import (
     BundleError,
     FormalBundle,
     LineClass,
+    TwistSolution,
     bundle_from_line_classes,
     chern_character,
     chern_from_character,
     direct_sum,
     dual,
+    maroni_split_degrees,
     sequence_quotient,
     solve_hyperelliptic_twist,
     solve_trigonal_twist,
@@ -337,12 +339,16 @@ def test_hand_newton_identity_for_c2():
 # -- twist solvers ------------------------------------------------------------------------
 
 
+LAMBDA = VariableTable(("lambda1", "lambda2"), (1, 2))
+L1, L2 = GradedPoly.variable(LAMBDA, "lambda1"), GradedPoly.variable(LAMBDA, "lambda2")
+
+
 def test_hyperelliptic_twist_genus_2():
-    assert solve_hyperelliptic_twist(2).coefficient == 1
+    assert solve_hyperelliptic_twist(2) == TwistSolution((("w1", L1),))
 
 
 def test_hyperelliptic_twist_genus_6():
-    assert solve_hyperelliptic_twist(6).coefficient == Fraction(1, 15)
+    assert solve_hyperelliptic_twist(6) == TwistSolution((("w1", L1 / 15),))
 
 
 @pytest.mark.parametrize("g", range(2, 9))
@@ -351,30 +357,44 @@ def test_sym_rank_matches_hodge_rank(g):
 
 
 def test_unimodular_twist_rank_5():
-    assert solve_unimodular_twist(5).coefficient == Fraction(1, 5)
+    assert solve_unimodular_twist(5) == TwistSolution((("c1(L)", L1 / 5),))
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_unimodular_twist_is_lambda1_over_the_rank(rank):
+    assert solve_unimodular_twist(rank).classes == (("c1(L)", L1 / rank),)
+
+
+def test_unimodular_twist_rejects_rank_0():
+    with pytest.raises(BundleError, match="rank must be >= 1"):
+        solve_unimodular_twist(0)
+
+
+def trigonal(q, r, s):
+    """The trigonal solution alpha1 = q lambda1, beta2 = r lambda1^2 + s lambda2."""
+    note = "  (c1(M) = 0 * lambda1)"
+    return TwistSolution((("alpha1", q * L1), ("beta2", r * L1 * L1 + s * L2)), note)
 
 
 def test_trigonal_twist_genus6_maroni0():
-    sol = solve_trigonal_twist(6, 0)
-    assert (sol.k, sol.a, sol.b) == (4, 2, 2)
-    assert (sol.q, sol.r, sol.s) == (Fraction(1, 3), Fraction(-1, 24), Fraction(1, 8))
+    assert maroni_split_degrees(6, 0) == (4, 2, 2)
+    assert solve_trigonal_twist(6, 0) == trigonal(Fraction(1, 3), Fraction(-1, 24), Fraction(1, 8))
 
 
 def test_trigonal_twist_genus4():
-    sol = solve_trigonal_twist(4, 0)
-    assert (sol.q, sol.r, sol.s) == (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 2))
+    assert solve_trigonal_twist(4, 0) == trigonal(Fraction(1, 2), Fraction(-1, 8), Fraction(1, 2))
 
 
 def test_trigonal_twist_maroni_divisor():
-    sol = solve_trigonal_twist(6, 2)
-    assert (sol.a, sol.b) == (3, 1)
-    assert (sol.q, sol.r, sol.s) == (Fraction(1, 2), Fraction(-1, 44), Fraction(1, 11))
+    assert maroni_split_degrees(6, 2)[1:] == (3, 1)
+    assert solve_trigonal_twist(6, 2) == trigonal(Fraction(1, 2), Fraction(-1, 44), Fraction(1, 11))
 
 
 def test_trigonal_twist_rank_bookkeeping():
     for g, n in ((4, 0), (5, 1), (6, 0), (6, 2), (7, 1), (8, 0)):
-        sol = solve_trigonal_twist(g, n)
-        assert (sol.a + 1) + (sol.b + 1) == g
+        _, a, b = maroni_split_degrees(g, n)
+        assert (a + 1) + (b + 1) == g
+        solve_trigonal_twist(g, n)  # checks the scroll's rank against g itself
 
 
 TRIGONAL_PAIRS = [(g, n) for g in range(4, 15) for n in range(g) if maroni_admissible(g, n)]
@@ -384,10 +404,19 @@ TRIGONAL_PAIRS = [(g, n) for g in range(4, 15) for n in range(g) if maroni_admis
 # has c1 = (b+1) alpha1 and c2 = (C(a+2,3) + C(b+2,3)) beta2 + C(b+1,2) alpha1^2.
 @pytest.mark.parametrize("g,n", TRIGONAL_PAIRS)
 def test_trigonal_twist_matches_the_closed_forms(g, n):
-    sol = solve_trigonal_twist(g, n)
-    q = Fraction(1, sol.b + 1)
-    s = Fraction(1, comb(sol.a + 2, 3) + comb(sol.b + 2, 3))
-    assert (sol.q, sol.s, sol.r) == (q, s, -comb(sol.b + 1, 2) * q * q * s)
+    _, a, b = maroni_split_degrees(g, n)
+    q = Fraction(1, b + 1)
+    s = Fraction(1, comb(a + 2, 3) + comb(b + 2, 3))
+    assert solve_trigonal_twist(g, n) == trigonal(q, -comb(b + 1, 2) * q * q * s, s)
+
+
+def test_twist_solutions_print_through_format_poly():
+    # a coefficient 1 or 0 is printed as every other polynomial prints it
+    assert str(solve_trigonal_twist(4, 2)) == (
+        "alpha1 = lambda1, beta2 = 1/4 * lambda2  (c1(M) = 0 * lambda1)"
+    )
+    assert str(solve_hyperelliptic_twist(2)) == "w1 = lambda1"
+    assert str(solve_unimodular_twist(1)) == "c1(L) = lambda1"
 
 
 def test_trigonal_twist_rejects_bad_parity():

@@ -4,6 +4,7 @@ it prints the same bytes and exits with the same code as ``cli.main`` in
 process, and that a closed standard output ends it quietly.
 """
 import contextlib
+import decimal
 import io
 import os
 import re
@@ -43,23 +44,41 @@ def _untimed(out: bytes) -> bytes:
     return re.sub(rb"^(\S+  \S+) +\d+\.\d ms", rb"\1", out, flags=re.M)
 
 
+# 2^20000, 6021 digits: past the interpreter's default limit of 4300 digits
+# on integer strings, which Decimal does not have
+LONG = str(decimal.Decimal(2**20000))
+# argv, stdin, exit code and, where the answer is known, stdout; the long
+# cases also read a literal of 5000 digits and answer the line after it
 CASES = {
-    "verify-text": (["verify", "--trunc", "4"], "", 0),
-    "verify-json": (["verify", "--trunc", "4", "--format", "json"], "", 0),
-    "eval-error": (["eval", "1 + * 2"], "", 2),
-    "repl-golden": (["repl", "--trunc", "4"], (GOLDEN / "repl_input.txt").read_text(), 2),
+    "verify-text": (["verify", "--trunc", "4"], "", 0, None),
+    "verify-json": (["verify", "--trunc", "4", "--format", "json"], "", 0, None),
+    "eval-error": (["eval", "1 + * 2"], "", 2, None),
+    "repl-golden": (["repl", "--trunc", "4"], (GOLDEN / "repl_input.txt").read_text(), 2, None),
+    "eval-long": (["eval", "2^20000"], "", 0, LONG + "\n"),
+    "repl-long": (
+        ["repl"], "2^20000\n" + "7" * 5000 + " + 1\n1+1\n", 0,
+        LONG + "\n" + "7" * 4999 + "8\n2\n",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_the_entry_prints_and_exits_like_main(case):
-    argv, stdin, code = CASES[case]
+    argv, stdin, code, out = CASES[case]
     proc = subprocess.run(
         [sys.executable, "-m", "chowcalc", *argv], input=stdin.encode(),
         capture_output=True, env=ENV, timeout=120,
     )
     assert proc.returncode == code, proc.stderr
     assert _untimed(proc.stdout) == _untimed(_in_process(argv, stdin)[0])
+    if out is not None:
+        assert (proc.stdout, proc.stderr) == (out.encode(), b"")
+
+
+def test_main_leaves_the_limit_on_integer_strings_as_it_found_it():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert _in_process(["eval", "2^20000"], "") == ((LONG + "\n").encode(), 0)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_the_entry_flushes_a_long_repl_to_a_file(tmp_path):

@@ -1,0 +1,177 @@
+"""The fault catalogue: which checks of `chowcalc verify` catch which fault.
+
+Each row plants one fault by monkeypatching one library function in every
+module that binds it, runs `run_suite` at each listed truncation, and
+compares the set of checks that do not pass with the row.  A change in which
+check catches a fault shows as a diff here.  A fault no check catches keeps
+its row, with an empty set, until a derived comparison catches it; its
+witness, a small library call whose value the fault changes, shows that the
+fault is planted all the same.
+"""
+from functools import _lru_cache_wrapper
+from math import comb
+from typing import Any, Callable, NamedTuple
+
+import pytest
+
+from chowcalc import algebra, bundles, checks, evaluator, geometry, grr, quotient, schur
+from chowcalc.algebra import GradedPoly, VariableTable
+from chowcalc.schur import Partition
+
+MODULES = (algebra, bundles, checks, evaluator, geometry, grr, quotient, schur)
+
+T = VariableTable(("x", "y"), (1, 2))
+X = GradedPoly.variable(T, "x")
+FIVE_LINES = bundles.bundle_from_line_classes([X] * 5, 5)  # c_5 = x^5
+
+
+class Fault(NamedTuple):
+    id: str
+    module: Any
+    name: str
+    plant: Callable[[Callable], Callable]  # the original function -> the faulty one
+    failing: dict[int, set[str]]  # truncation -> the checks that do not pass
+    witness: Callable[[], Any]  # a value the fault changes
+
+
+def _dual_unsigned_above_4(dual):
+    def faulty(b):
+        d = dual(b)
+        return bundles.FormalBundle(d.rank, d.chern[:4] + b.chern[4:], d.table)
+
+    return faulty
+
+
+def _chern_from_character_cut_at_4(chern_from_character):
+    def faulty(ch, rank):
+        b = chern_from_character(ch, rank)
+        cut = tuple(c * 0 for c in b.chern[4:])
+        return bundles.FormalBundle(b.rank, b.chern[:4] + cut, b.table)
+
+    return faulty
+
+
+def _hilbert_stops_after_one_zero(hilbert_function):
+    def faulty(pres, max_d):
+        h = hilbert_function(pres, max_d)
+        stop = h.index(0) + 1 if 0 in h else len(h)
+        return h[:stop] + (0,) * (len(h) - stop)
+
+    return faulty
+
+
+FAULTS = [
+    Fault(
+        "dim_schur off by one on three or more rows", schur, "dim_schur",
+        lambda f: lambda lam, n: f(lam, n) + (lam.length >= 3),
+        {4: {"plucker-lemma", "random-identities"}, 8: {"plucker-lemma", "random-identities"}},
+        lambda: schur.dim_schur(Partition((1, 1, 1)), 3),
+    ),
+    Fault(
+        "syt_count off by one from size 7", schur, "syt_count",
+        lambda f: lambda lam: f(lam) + (lam.size >= 7),
+        {4: {"random-identities"}, 8: {"random-identities"}},
+        lambda: schur.syt_count(Partition((7,))),
+    ),
+    Fault(
+        "h0_hirzebruch drops its last piece", geometry, "h0_hirzebruch",
+        lambda f: lambda c: f(c) - max(0, int(c.b) - int(c.a) * c.n + 1),
+        {4: {"strata-dimensions"}, 8: {"strata-dimensions"}},
+        lambda: geometry.h0_hirzebruch(geometry.HirzebruchClass(0, 1, 0)),
+    ),
+    Fault(
+        "maroni_divisor_dim returns 11", geometry, "maroni_divisor_dim",
+        lambda f: lambda: 11,
+        {4: {"strata-dimensions"}, 8: {"strata-dimensions"}},
+        lambda: geometry.maroni_divisor_dim(),
+    ),
+    Fault(
+        "chern_from_character drops c_5 and above", bundles, "chern_from_character",
+        _chern_from_character_cut_at_4,
+        {4: set(), 8: {"plucker-lemma", "random-identities"}},
+        lambda: bundles.sym_power(FIVE_LINES, 1),
+    ),
+    Fault(
+        "dual misses the sign above degree 4", bundles, "dual",
+        _dual_unsigned_above_4,
+        {4: set(), 8: {"plucker-lemma"}},
+        lambda: bundles.dual(FIVE_LINES),
+    ),
+    Fault(
+        "_binomial takes C(m - n, m) for negative n", bundles, "_binomial",
+        lambda f: lambda n, m: f(n, m) if n >= 0 else (-1) ** m * comb(m - n, m),
+        {4: set(), 8: set()},
+        # a rank-0 class with c_1 != 0, which twist reads above its rank
+        lambda: bundles.twist(bundles.FormalBundle(0, (X, X * 0), T), bundles.LineClass(X)),
+    ),
+    Fault(
+        "bernoulli(6) has the wrong sign", grr, "bernoulli",
+        lambda f: lambda n: -f(n) if n == 6 else f(n),
+        {4: set(), 8: set()},
+        lambda: grr.bernoulli(6),
+    ),
+    Fault(
+        "hilbert_function stops after one zero piece", quotient, "hilbert_function",
+        _hilbert_stops_after_one_zero,
+        {4: set(), 8: set()},
+        # Q[x, y]/(x) with y of weight 2 is zero in every odd degree only
+        lambda: quotient.hilbert_function(quotient.RingPresentation(T, (X,)), 2),
+    ),
+    Fault(
+        "lr_product sets every multiplicity to 1", schur, "lr_product",
+        lambda f: lambda lam, mu: schur.SchurDecomposition(
+            tuple((p, 1) for p, _ in f(lam, mu).terms)
+        ),
+        {4: set(), 8: set()},
+        lambda: schur.lr_product(Partition((2, 1)), Partition((2, 1))),  # 2 * S(3,2,1)
+    ),
+]
+
+
+def _clear_caches():
+    """Empty every lru_cache of the library, so that no value computed
+    without the fault hides it, and none computed with it outlives it."""
+    for module in MODULES:
+        for value in vars(module).values():
+            if isinstance(value, _lru_cache_wrapper):
+                value.cache_clear()
+
+
+@pytest.fixture
+def clean_caches():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+def _plant(monkeypatch, fault):
+    """Bind the faulty function under every name that binds the original."""
+    original = getattr(fault.module, fault.name)
+    faulty = fault.plant(original)
+    for module in MODULES:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, faulty)
+
+
+def _failing(trunc):
+    return {r.check_id for r in checks.run_suite(None, trunc) if r.status != "pass"}
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=[f.id for f in FAULTS])
+def test_the_checks_that_catch_each_fault(monkeypatch, clean_caches, fault):
+    sound = fault.witness()
+    _clear_caches()
+    _plant(monkeypatch, fault)
+    assert fault.witness() != sound
+    assert {t: _failing(t) for t in fault.failing} == fault.failing
+
+
+def test_a_fault_is_planted_in_every_module_that_binds_it(monkeypatch):
+    fault = next(f for f in FAULTS if f.name == "chern_from_character")
+    _plant(monkeypatch, fault)
+    assert grr.chern_from_character is bundles.chern_from_character
+
+
+def test_every_check_passes_without_a_fault(clean_caches):
+    assert _failing(4) == _failing(8) == set()

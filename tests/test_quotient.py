@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,20 @@ def test_normal_form_past_the_zero_run_builds_no_piece_there():
     assert normal_form(K1**5 * K2, M6).is_zero()
     assert normal_form(K1**4, M6) == Fraction(36864, 113) * K2**2
     assert normal_form(K1**3, M6) == Fraction(2304, 127) * K1 * K2
+
+
+def test_normal_form_past_the_zero_run_costs_no_memory_in_the_degree():
+    # the zero proof reads the dimensions up to the zero run, not a tuple
+    # padded to the degree (about 16 MB at degree 10^6)
+    x = K1 ** 10**6
+    normal_form(K1**4, M6)
+    tracemalloc.start()
+    try:
+        assert normal_form(x, M6).is_zero()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_normal_form_is_idempotent_and_fixes_representatives():

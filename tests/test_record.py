@@ -25,12 +25,7 @@ SAMPLES = {
     "RowReduction": [(1, ExactMatrix([[1]]), (0,), Fraction(1)), (0, ExactMatrix([[0]]), (), None)],
     "LineClass": [(X,), (-X,), (X * 0,)],
     "FormalBundle": [(2, (X, Y), T), (2, (X, Y * 3), T), (0, (), K)],
-    "HyperellipticTwist": [(3, Fraction(1, 3)), (4, Fraction(1, 6))],
-    "UnimodularTwist": [(5, Fraction(1, 5)), (5, Fraction(2, 5))],
-    "TrigonalTwist": [
-        (6, 0, 4, 2, 2, Fraction(1, 3), Fraction(-1, 24), Fraction(1, 8)),
-        (6, 2, 1, 3, 1, Fraction(1, 2), Fraction(-1, 44), Fraction(1, 11)),
-    ],
+    "TwistSolution": [((("w1", X),),), ((("a", X), ("b", X * X + Y)), "  (note)")],
     "CheckResult": [
         ("m6", "anchor", "direct", "pass", "1", "1", 1.5),
         ("m6", "anchor", "direct", "fail", "1", "2", 1.5),
@@ -116,7 +111,7 @@ def _bare(sig):
 
 
 def test_every_record_class_has_samples():
-    assert len(RECORDS) == 27
+    assert len(RECORDS) == 25
     assert sorted(name for _, name in RECORDS) == sorted(SAMPLES)
     checked = {name for module, name in RECORDS if "__post_init__" in vars(_class(module, name))}
     assert set(REJECTED) == checked
