@@ -7,7 +7,7 @@ Subpackages:
              forms, Poincare-duality pairings
   bundles    formal vector bundles and root-free (Adams operation) Chern calculus
   schur      partitions, Schur/Littlewood-Richardson combinatorics
-  geometry   Hirzebruch surfaces, Grassmannians, stratum dimension counts
+  geometry   Hirzebruch surfaces as Chow rings, Grassmannians, stratum dimensions
   grr        pushforwards along the universal curve into the kappa ring
   expr/evaluator/checks/cli   the verification CLI
 """

@@ -311,13 +311,14 @@ def _run_quadrics(trunc: int):
 )
 def _run_maroni(trunc: int):
     cases = [(g, n, geometry.maroni_k(g, n)) for g in range(4, 13) for n in range((g + 2) // 3 + 1)]
+    surface = {n: geometry.surface_classes(n) for _, n, _ in cases}
     # (g, n, k) for every integer k at which 3S + kF has genus g, among the
     # solution itself when it is integral and the integers near it otherwise
     reached = tuple(
         (g, n, kk)
         for g, n, k in cases
         for kk in ((int(k),) if k.denominator == 1 else range(int(k) - 2, int(k) + 3))
-        if geometry.genus_of_class(3 * geometry.section_S(n) + kk * geometry.fiber_F(n)) == g
+        if geometry.genus_of_class(n, 3 * surface[n]["S"] + kk * surface[n]["F"]) == g
     )
     return reached, tuple((g, n, k) for g, n, k in cases if geometry.maroni_admissible(g, n))
 

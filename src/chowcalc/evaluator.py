@@ -1,7 +1,7 @@
 """Evaluator for the CLI expression language.
 
 Values are plain library objects: Fractions, graded polynomials, formal
-bundles, ring presentations, Grassmannians, Hirzebruch classes, psi
+bundles, ring presentations, Grassmannians, Hirzebruch surfaces, psi
 series, Schur decompositions, and tuples of these.
 
 Every function of the language is one row of the table ``FUNCTIONS``: the
@@ -9,14 +9,16 @@ kinds of its arguments, an optional scope argument, and a function of
 ``(trunc, *checked arguments)``.  ``Evaluator._call`` checks the arity and
 each argument against ``_KINDS``, so every arity and type error reads the
 same way.  The scope argument is evaluated first and binds names for the
-other arguments: a surface ``F[n]`` binds its classes ``E``, ``S`` and
-``F``, a Grassmannian ``G(k, n)`` binds ``c1..ck`` and ``sigma1``, and a
-ring binds its variables.
+other arguments: a surface ``F[n]`` binds its divisor classes ``E``, ``S``
+and ``F``, polynomials of degree 1 on ``geometry.SURFACE_TABLE``, a
+Grassmannian ``G(k, n)`` binds ``c1..ck`` and ``sigma1``, and a ring binds
+its variables.
 
 Unary minus and the operators ``+ - * / ^`` are rows of ``OPERATORS``, read
 by the same ``_KINDS``: the first row whose kinds accept the operands
-applies, an int operand reads as a Fraction, and each operator has one
-error, such as ``cannot add A and B``, for operands no row accepts.
+applies, an int or a constant polynomial reads as a Fraction, and each
+operator has one error, such as ``cannot add A and B``, for operands no row
+accepts.
 
 Library code reports bad input with ``ValueError`` or ``ArithmeticError``.
 A function call turns one raised while it runs into ``EvalError``, its
@@ -138,6 +140,18 @@ def _integer(v: Any) -> int | None:
     return int(q) if q is not None and q.denominator == 1 else None
 
 
+def _poly(v: Any) -> Fraction | GradedPoly | None:
+    """v as a number if it is one, so a constant meets any table's polynomials."""
+    q = _rational(v)
+    return v if q is None and isinstance(v, GradedPoly) else q
+
+
+def _divisor(v: Any) -> GradedPoly | None:
+    """v as a class of degree 1 on the surface table; the zero class is one."""
+    surface = isinstance(v, GradedPoly) and v.table == geometry.SURFACE_TABLE
+    return v if surface and v.homogeneous_component(1) == v else None
+
+
 def _partition(v: Any) -> schur.Partition | None:
     if not isinstance(v, tuple):
         return None
@@ -157,24 +171,20 @@ _KINDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
     "G": ("a Grassmannian G(k, n)", _instance(geometry.Grassmannian)),
     "ring": ("a ring", _instance(quotient.RingPresentation)),
     "surface": ("a surface F[n]", _instance(geometry.HirzebruchSurfaceHandle)),
-    "divisor": ("a divisor class", _instance(geometry.HirzebruchClass)),
+    "divisor": ("a divisor class", _divisor),
     "psi": ("a psi series", _instance(grr.PsiSeries)),
-    "poly": ("a polynomial", lambda v: v if isinstance(v, GradedPoly) else _rational(v)),
+    "poly": ("a polynomial", _poly),
     "scalar": ("a rational number", _rational),
 }
 
 # scope kind -> the names its value binds for the other arguments
 _SCOPES: dict[str, Callable[[Any], dict[str, Any]]] = {
-    "surface": lambda s: {
-        "E": geometry.section_E(s.n),
-        "S": geometry.section_S(s.n),
-        "F": geometry.fiber_F(s.n),
-    },
+    "surface": lambda s: geometry.surface_classes(s.n),
     "G": lambda g: {
         **{f"c{i}": g.chern_sub(i) for i in range(1, g.k + 1)},
         "sigma1": g.sigma1(),
     },
-    "ring": lambda p: {name: GradedPoly.variable(p.table, name) for name in p.table.names},
+    "ring": lambda p: _variables(p.table),
 }
 
 
@@ -220,10 +230,12 @@ class Function(NamedTuple):
 
 FUNCTIONS: dict[str, Function] = {
     # geometry
-    "genus": Function(("surface", "divisor"), 0, lambda t, s, x: geometry.genus_of_class(x)),
-    "h0": Function(("surface", "divisor"), 0, lambda t, s, x: Fraction(geometry.h0_hirzebruch(x))),
+    "genus": Function(("surface", "divisor"), 0, lambda t, s, x: geometry.genus_of_class(s.n, x)),
+    "h0": Function(
+        ("surface", "divisor"), 0, lambda t, s, x: Fraction(geometry.h0_hirzebruch(s.n, x))
+    ),
     "intersect": Function(
-        ("surface", "divisor", "divisor"), 0, lambda t, s, x, y: geometry.intersect(x, y)
+        ("surface", "divisor", "divisor"), 0, lambda t, s, x, y: geometry.intersect(s.n, x, y)
     ),
     "G": Function(("int", "int"), None, lambda t, k, n: geometry.Grassmannian(k, n)),
     "dim": Function(("G",), None, lambda t, g: Fraction(g.dim)),
@@ -293,21 +305,17 @@ def _power(x: Fraction | GradedPoly, k: int) -> Fraction | GradedPoly:
 # operator ("neg" is unary minus) -> rows (kind of each operand, fn); the first
 # row whose kinds accept the operands applies
 OPERATORS: dict[str, tuple[tuple[Any, ...], ...]] = {
-    "neg": (("poly", neg), ("divisor", neg), ("psi", neg)),
-    "+": (("poly", "poly", add), ("divisor", "divisor", add), ("psi", "psi", add)),
-    "-": (("poly", "poly", sub), ("divisor", "divisor", sub), ("psi", "psi", sub)),
+    "neg": (("poly", neg), ("psi", neg)),
+    "+": (("poly", "poly", add), ("psi", "psi", add)),
+    "-": (("poly", "poly", sub), ("psi", "psi", sub)),
     "*": (
         ("poly", "poly", mul),
-        ("divisor", "divisor", geometry.intersect),
-        ("scalar", "divisor", mul),
-        ("divisor", "scalar", mul),
         ("psi", "psi", mul),
         ("psi", "scalar", mul),
         ("scalar", "psi", mul),
     ),
     "/": (
         ("poly", "scalar", truediv),
-        ("divisor", "scalar", lambda x, q: x * (1 / q)),
         ("psi", "scalar", lambda x, q: x * (1 / q)),
         ("bundle", "bundle", bundles.sequence_quotient),
     ),
@@ -408,9 +416,7 @@ class Evaluator:
 
     def _build_ring(self, node: RingExpr, env: Mapping[str, Any]) -> quotient.RingPresentation:
         table = VariableTable(node.variables, node.weights)
-        child = dict(env)
-        for name in node.variables:
-            child[name] = GradedPoly.variable(table, name)
+        child = {**env, **_variables(table)}
         rels = []
         for rel in node.relations:
             value = self.eval(rel, child)

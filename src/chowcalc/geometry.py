@@ -1,6 +1,7 @@
 """Intersection theory of Hirzebruch surfaces and Grassmannians: section
 counts, genus by adjunction, Pluecker degrees, and the dimension
 bookkeeping for the strata of moduli of curves in genus 4..6.
+A divisor on F_n is a degree-1 polynomial in E and F, read off the Chow ring.
 A Grassmannian class is a polynomial in the Chern classes c1..ck of the
 tautological subbundle.  The dual Pieri rule on the Schubert basis (Fulton,
 Young Tableaux, 9.4) gives the Schubert classes and one product,
@@ -15,7 +16,8 @@ from itertools import combinations
 from math import comb
 
 from ._record import record
-from .algebra import GradedPoly, RationalLike, VariableTable, linear_combination, rat
+from .algebra import GradedPoly, VariableTable, linear_combination
+from .quotient import RingPresentation, normal_form
 from .schur import Partition
 
 
@@ -33,84 +35,45 @@ class HirzebruchSurfaceHandle:
             raise ValueError("Hirzebruch index must be >= 0")
 
 
-@record
-class HirzebruchClass:
-    """Divisor class a*E + b*F on the Hirzebruch surface F_n, where E is the
-    section of self-intersection -n, F the fiber, and S := E + n*F the
-    disjoint section of self-intersection +n."""
-
-    n: int
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("Hirzebruch index must be >= 0")
-        object.__setattr__(self, "a", rat(self.a))
-        object.__setattr__(self, "b", rat(self.b))
-
-    def __add__(self, other: "HirzebruchClass") -> "HirzebruchClass":
-        self._check(other)
-        return HirzebruchClass(self.n, self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "HirzebruchClass") -> "HirzebruchClass":
-        self._check(other)
-        return HirzebruchClass(self.n, self.a - other.a, self.b - other.b)
-
-    def __rmul__(self, c: RationalLike) -> "HirzebruchClass":
-        return HirzebruchClass(self.n, rat(c) * self.a, rat(c) * self.b)
-
-    __mul__ = __rmul__
-
-    def __neg__(self) -> "HirzebruchClass":
-        return HirzebruchClass(self.n, -self.a, -self.b)
-
-    def _check(self, other: "HirzebruchClass") -> None:
-        if self.n != other.n:
-            raise ValueError(f"classes live on different surfaces F_{self.n} and F_{other.n}")
+SURFACE_TABLE = VariableTable(("E", "F"), (1, 1))
+_E, _F = (GradedPoly.variable(SURFACE_TABLE, name) for name in SURFACE_TABLE.names)
+_EE, _EF, _FF = _E * _E, _E * _F, _F * _F
 
 
-def section_E(n: int) -> HirzebruchClass:
-    return HirzebruchClass(n, Fraction(1), Fraction(0))
+def hirzebruch_ring(n: int) -> RingPresentation:
+    """A*(F_n) = Q[E, F]/(F^2, E^2 + n*E*F), E*F the point class (Fulton,
+    Intersection Theory, Ex. 8.3.9); `graded_piece` keys it by value."""
+    return RingPresentation(SURFACE_TABLE, (_FF, _EE + n * _EF))
 
 
-def fiber_F(n: int) -> HirzebruchClass:
-    return HirzebruchClass(n, Fraction(0), Fraction(1))
+def surface_classes(n: int) -> dict[str, GradedPoly]:
+    """The section E (E^2 = -n), the fiber F, and S := E + n*F (S^2 = n)."""
+    return {"E": _E, "S": _E + n * _F, "F": _F}
 
 
-def section_S(n: int) -> HirzebruchClass:
-    """The section disjoint from E: S = E + n*F, with S^2 = +n."""
-    return HirzebruchClass(n, Fraction(1), Fraction(n))
+def intersect(n: int, x: GradedPoly, y: GradedPoly) -> Fraction:
+    """The intersection number on F_n: the point-class coefficient of x*y."""
+    return normal_form(x * y, hirzebruch_ring(n)).coefficient((1, 1))
 
 
-def canonical_class(n: int) -> HirzebruchClass:
-    return HirzebruchClass(n, Fraction(-2), Fraction(-(n + 2)))
+def genus_of_class(n: int, c: GradedPoly) -> Fraction:
+    """Arithmetic genus by adjunction: 2g - 2 = C.(C + K), K = -2E - (n+2)F."""
+    return 1 + intersect(n, c, c - 2 * _E - (n + 2) * _F) / 2
 
 
-def intersect(x: HirzebruchClass, y: HirzebruchClass) -> Fraction:
-    """Intersection form: E^2 = -n, E.F = 1, F^2 = 0."""
-    x._check(y)
-    return -x.n * x.a * y.a + x.a * y.b + x.b * y.a
-
-
-def genus_of_class(c: HirzebruchClass) -> Fraction:
-    """Arithmetic genus by adjunction: 2g - 2 = C.(C + K)."""
-    return 1 + (intersect(c, c) + intersect(c, canonical_class(c.n))) / 2
-
-
-def h0_hirzebruch(c: HirzebruchClass) -> int:
+def h0_hirzebruch(n: int, c: GradedPoly) -> int:
     """h^0(F_n, O(aE + bF)) = sum_j max(0, b - j*n + 1) over j = 0..a.
 
     Pushing forward to the base splits the sections into line-bundle pieces
     of degrees b, b-n, ..., b-a*n.  Only a >= 0 with integral coefficients
     is supported; anything else raises.
     """
-    if c.a.denominator != 1 or c.b.denominator != 1:
+    a, b = c.coefficient((1, 0)), c.coefficient((0, 1))
+    if a.denominator != 1 or b.denominator != 1:
         raise ValueError("section count needs an integral class")
-    a, b = int(c.a), int(c.b)
     if a < 0:
         raise ValueError("section count unsupported for a < 0")
-    return sum(max(0, b - j * c.n + 1) for j in range(a + 1))
+    return sum(max(0, int(b) - j * n + 1) for j in range(int(a) + 1))
 
 
 def maroni_k(g: int, n: int) -> Fraction:
@@ -135,11 +98,11 @@ def maroni_admissible(g: int, n: int) -> bool:
         return False
 
 
-def trigonal_class(g: int, n: int) -> HirzebruchClass:
+def trigonal_class(g: int, n: int) -> GradedPoly:
     k = maroni_k(g, n)
     if k.denominator != 1:
         raise ValueError(f"no integral class: parity of Maroni invariant {n} fails for genus {g}")
-    return 3 * section_S(n) + int(k) * fiber_F(n)
+    return 3 * surface_classes(n)["S"] + int(k) * _F
 
 
 def hirzebruch_aut_dim(n: int) -> int:
@@ -298,7 +261,7 @@ def bielliptic_dim(g: int) -> int:
 
 def trigonal_stratum_dim(g: int, n: int) -> int:
     """Projectivised linear system on F_n modulo the surface automorphisms."""
-    return h0_hirzebruch(trigonal_class(g, n)) - 1 - hirzebruch_aut_dim(n)
+    return h0_hirzebruch(n, trigonal_class(g, n)) - 1 - hirzebruch_aut_dim(n)
 
 
 def plane_quintic_dim() -> int:

@@ -102,12 +102,13 @@ def test_07_maroni_adjunction():
                 k = geometry.maroni_k(g, n)
                 if geometry.maroni_admissible(g, n):
                     assert k.denominator == 1
-                    assert geometry.genus_of_class(geometry.trigonal_class(g, n)) == g
+                    assert geometry.genus_of_class(n, geometry.trigonal_class(g, n)) == g
                 else:
                     assert k.denominator != 1  # parity failure detected
+                    classes = geometry.surface_classes(n)
                     for kk in range(int(k) - 2, int(k) + 3):
-                        cls = 3 * geometry.section_S(n) + kk * geometry.fiber_F(n)
-                        assert geometry.genus_of_class(cls) != g
+                        cls = 3 * classes["S"] + kk * classes["F"]
+                        assert geometry.genus_of_class(n, cls) != g
 
 
 def test_08_strata_dimensions():

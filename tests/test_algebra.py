@@ -19,7 +19,7 @@ from chowcalc.algebra import (
 )
 from chowcalc.bundles import FormalBundle, sequence_quotient
 from chowcalc.evaluator import Evaluator, format_value
-from chowcalc.geometry import HirzebruchClass
+from chowcalc.geometry import surface_classes
 from chowcalc.grr import exp_psi
 
 KAPPA = VariableTable(("k1", "k2"), (1, 2))
@@ -241,7 +241,7 @@ X = GradedPoly.variable(VariableTable(("x",), (1,)), "x")
         lambda: rat(0.1),
         lambda: rat("1/3"),
         lambda: ExactMatrix([[0.1]]),
-        lambda: HirzebruchClass(1, 0.1, 0),
+        lambda: 0.1 * surface_classes(1)["S"],
         lambda: exp_psi(0.5, 6, 1),
     ],
 )

@@ -443,6 +443,62 @@ def test_surface_class_products():
     assert ev.run("h0(F[0], 3*S + 4*F)") == 20
 
 
+# A divisor class is a polynomial of degree 1 in E and F: a product of two
+# classes is a class of degree 2, and intersect gives the number.
+def test_divisor_arithmetic_is_polynomial_arithmetic():
+    ev = Evaluator()
+    assert ev.run("intersect(F[1], S, 2*E - F)") == -1
+    assert ev.run("genus(F[1], S / 2)") == Fraction(3, 8)
+    assert ev.run("h0(F[2], E)") == 1  # E is a rigid -2 curve
+    assert format_value(ev.run("genus(F[1], h0(F[1], F) * S)")) == "0"
+
+
+@pytest.mark.parametrize(
+    "src, which, got",
+    [
+        ("genus(F[1], S ^ 2)", "argument 2 of genus", "a polynomial"),
+        ("intersect(F[1], S * F, S)", "argument 2 of intersect", "a polynomial"),
+        ("intersect(F[1], S, E + 1)", "argument 3 of intersect", "a polynomial"),
+        ("h0(F[1], k1)", "argument 2 of h0", "a polynomial"),
+        ("h0(F[1], 3)", "argument 2 of h0", "3"),
+    ],
+)
+def test_a_divisor_class_has_degree_1_on_the_surface_table(src, which, got):
+    with pytest.raises(EvalError, match=f"^{which} must be a divisor class, got {got}$"):
+        Evaluator().run(src)
+
+
+# The zero class of the surface is a divisor, that of O, of genus 1 with one
+# section; the number 0 is a number, like any constant.
+@pytest.mark.parametrize("zero", ["S - S", "0 * E"])
+def test_the_zero_class_counts_as_a_divisor(zero):
+    ev = Evaluator()
+    assert ev.run(f"genus(F[1], {zero})") == 1
+    assert ev.run(f"h0(F[1], {zero})") == 1
+    assert ev.run(f"intersect(F[2], E, {zero})") == 0
+
+
+@pytest.mark.parametrize("number", ["0", "k1 - k1", "(S - S) + 0"])
+def test_the_number_0_is_not_a_divisor(number):
+    with pytest.raises(EvalError, match="^argument 2 of genus must be a divisor class, got 0$"):
+        Evaluator().run(f"genus(F[1], {number})")
+
+
+# A constant polynomial counts as a number, so it meets a polynomial of any
+# table.
+@pytest.mark.parametrize(
+    "src, printed",
+    [
+        ("(k1 - k1 + 2) * w1", "2 * w1"),
+        ("(k1 - k1 + 2) + w1", "w1 + 2"),
+        ("nf(k1 - k1 + 2, ring[x; 1](x^2))", "2"),
+        ("genus(F[1], (k1 - k1 + 2) * S)", "0"),
+    ],
+)
+def test_a_constant_polynomial_counts_as_a_number(src, printed):
+    assert format_value(Evaluator().run(src)) == printed
+
+
 def test_presentation_header_errors_are_eval_errors():
     with pytest.raises(EvalError, match="weights must be >= 1"):
         Evaluator().run("ring[x; 0](x^2)")

@@ -23,6 +23,7 @@ MODULES = (algebra, bundles, checks, evaluator, geometry, grr, quotient, schur)
 T = VariableTable(("x", "y"), (1, 2))
 X = GradedPoly.variable(T, "x")
 FIVE_LINES = bundles.bundle_from_line_classes([X] * 5, 5)  # c_5 = x^5
+SURFACE_E, SURFACE_F = (GradedPoly.variable(geometry.SURFACE_TABLE, v) for v in ("E", "F"))
 
 
 class Fault(NamedTuple):
@@ -51,6 +52,22 @@ def _chern_from_character_cut_at_4(chern_from_character):
     return faulty
 
 
+def _h0_drops_its_last_piece(h0_hirzebruch):
+    def faulty(n, c):
+        a, b = int(c.coefficient((1, 0))), int(c.coefficient((0, 1)))
+        return h0_hirzebruch(n, c) - max(0, b - a * n + 1)
+
+    return faulty
+
+
+def _hirzebruch_relation_sign_flipped(hirzebruch_ring):
+    def faulty(n):
+        e, f = SURFACE_E, SURFACE_F
+        return quotient.RingPresentation(geometry.SURFACE_TABLE, (f * f, e * e - n * e * f))
+
+    return faulty
+
+
 def _hilbert_stops_after_one_zero(hilbert_function):
     def faulty(pres, max_d):
         h = hilbert_function(pres, max_d)
@@ -75,9 +92,15 @@ FAULTS = [
     ),
     Fault(
         "h0_hirzebruch drops its last piece", geometry, "h0_hirzebruch",
-        lambda f: lambda c: f(c) - max(0, int(c.b) - int(c.a) * c.n + 1),
+        _h0_drops_its_last_piece,
         {4: {"strata-dimensions"}, 8: {"strata-dimensions"}},
-        lambda: geometry.h0_hirzebruch(geometry.HirzebruchClass(0, 1, 0)),
+        lambda: geometry.h0_hirzebruch(0, geometry.surface_classes(0)["E"]),
+    ),
+    Fault(
+        "hirzebruch_ring relation reads E^2 - n*E*F", geometry, "hirzebruch_ring",
+        _hirzebruch_relation_sign_flipped,
+        {4: {"maroni-adjunction"}, 8: {"maroni-adjunction"}},
+        lambda: geometry.intersect(2, SURFACE_E, SURFACE_E),  # -2 on F_2
     ),
     Fault(
         "maroni_divisor_dim returns 11", geometry, "maroni_divisor_dim",

@@ -1,54 +1,120 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import prod
 
+import _ref_bott
 import _ref_lr
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowcalc.algebra import GradedPoly, monomial_basis, series_quotient
-from chowcalc.bundles import BundleError, maroni_split_degrees
+from chowcalc.bundles import BundleError, FormalBundle, dual, maroni_split_degrees, sym_power
 from chowcalc.geometry import (
+    SURFACE_TABLE,
     Grassmannian,
-    canonical_class,
     canonical_quadrics,
-    fiber_F,
     forms_dim,
     genus_of_class,
     h0_hirzebruch,
     hirzebruch_aut_dim,
+    hirzebruch_ring,
     hyperelliptic_dim,
     intersect,
     maroni_admissible,
     maroni_divisor_dim,
     maroni_k,
     plane_quintic_dim,
-    section_E,
-    section_S,
     stratum_dimensions,
+    surface_classes,
     trigonal_class,
     trigonal_stratum_dim,
 )
-from chowcalc.quotient import RingPresentation, hilbert_function, normal_form, socle_monomial
+from chowcalc.quotient import (
+    RingPresentation,
+    hilbert_function,
+    is_poincare_duality,
+    normal_form,
+    socle_monomial,
+)
 from chowcalc.schur import Partition, syt_count
 
 
-# -- intersection form -----------------------------------------------------------
+# -- Hirzebruch surfaces: the Chow ring and its intersection form ---------------
+
+
+def _esf(n):
+    c = surface_classes(n)
+    return c["E"], c["S"], c["F"]
+
+
+def _canonical(n):
+    e, _, f = _esf(n)
+    return -2 * e - (n + 2) * f
 
 
 def test_section_self_intersections():
-    assert intersect(section_E(2), section_E(2)) == -2
-    assert intersect(section_S(2), section_S(2)) == 2
+    e, s, _ = _esf(2)
+    assert intersect(2, e, e) == -2
+    assert intersect(2, s, s) == 2
     for n in range(1, 5):
-        assert intersect(section_S(n), section_E(n)) == 0
-        assert intersect(fiber_F(n), fiber_F(n)) == 0
-        assert intersect(section_E(n), fiber_F(n)) == 1
+        e, s, f = _esf(n)
+        assert intersect(n, s, e) == 0
+        assert intersect(n, f, f) == 0
+        assert intersect(n, e, f) == 1
 
 
 def test_canonical_class_degree():
-    # K.(K) = 8 on every Hirzebruch surface
+    # K.(K) = 8 on every Hirzebruch surface, and adjunction reads the same K:
+    # genus(K) = 1 + (K.K + K.K)/2 = 9
     for n in range(4):
-        K = canonical_class(n)
-        assert intersect(K, K) == 8
+        K = _canonical(n)
+        assert intersect(n, K, K) == 8
+        assert genus_of_class(n, K) == 9
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_hirzebruch_ring_is_a_surface(n):
+    ring = hirzebruch_ring(n)
+    assert hilbert_function(ring, 4) == (1, 2, 1, 0, 0)
+    assert is_poincare_duality(ring, 2)
+    assert socle_monomial(ring, 2) == (1, 1)  # E*F, the class of a point
+    e, _, f = _esf(n)
+    assert normal_form(e * e, ring) == -n * e * f
+
+
+def test_intersect_matches_the_closed_form():
+    """The point coefficient of x*y in A*(F_n) against the intersection form
+    E^2 = -n, E.F = 1, F^2 = 0 on (aE + bF).(cE + dF), on 9450 pairs."""
+    for n in range(6):
+        e, _, f = _esf(n)
+        for a in range(-3, 4):
+            for b in range(-3, 6):
+                for c in range(-2, 3):
+                    for d in range(-2, 3):
+                        expected = -n * a * c + a * d + b * c
+                        assert intersect(n, a * e + b * f, c * e + d * f) == expected
+
+
+def test_a_negative_index_is_the_surface_with_e_and_s_swapped():
+    """In Q[E, F]/(F^2, E^2 - n*E*F) the class E has E^2 = n: F_(-n) is F_n,
+    and aE + bF there is aS + bF on F_n, for intersections, genus and h0."""
+    for n in range(1, 5):
+        e, s, f = _esf(n)
+        assert surface_classes(-n)["S"] == e - n * f
+        for a in range(4):
+            for b in range(-2, 4):
+                here, there = a * e + b * f, a * s + b * f
+                assert intersect(-n, here, f) == intersect(n, there, f) == a
+                assert genus_of_class(-n, here) == genus_of_class(n, there)
+                assert h0_hirzebruch(-n, here) == h0_hirzebruch(n, there)
+
+
+def test_classes_live_on_one_table():
+    for n in range(4):
+        assert {c.table for c in surface_classes(n).values()} == {SURFACE_TABLE}
+        assert trigonal_class(6, 0).table == SURFACE_TABLE
 
 
 # -- adjunction --------------------------------------------------------------------
@@ -56,18 +122,18 @@ def test_canonical_class_degree():
 
 def test_genus_of_trigonal_class_f0():
     c = trigonal_class(6, 0)  # 3S + 4F on F_0
-    assert intersect(c, c) == 24
-    assert intersect(c, canonical_class(0)) == -14
-    assert genus_of_class(c) == 6
+    assert intersect(0, c, c) == 24
+    assert intersect(0, c, _canonical(0)) == -14
+    assert genus_of_class(0, c) == 6
 
 
 def test_genus_of_fiber_is_zero():
-    assert genus_of_class(fiber_F(3)) == 0
+    assert genus_of_class(3, _esf(3)[2]) == 0
 
 
 def test_genus_of_trigonal_class_f2():
     assert maroni_k(6, 2) == 1
-    assert genus_of_class(trigonal_class(6, 2)) == 6
+    assert genus_of_class(2, trigonal_class(6, 2)) == 6
 
 
 @pytest.mark.parametrize("g", range(4, 13))
@@ -76,12 +142,12 @@ def test_maroni_parity_and_adjunction(g):
         k = maroni_k(g, n)
         if maroni_admissible(g, n):
             assert k.denominator == 1
-            assert genus_of_class(trigonal_class(g, n)) == g
+            assert genus_of_class(n, trigonal_class(g, n)) == g
         else:
             assert k.denominator == 2
+            _, s, f = _esf(n)
             for kk in range(int(k) - 2, int(k) + 3):
-                cls = 3 * section_S(n) + kk * fiber_F(n)
-                assert genus_of_class(cls) != g
+                assert genus_of_class(n, 3 * s + kk * f) != g
 
 
 @pytest.mark.parametrize("g, n", [(-1, 0), (3, 0), (6, -1), (6, 3), (7, 4)])
@@ -120,16 +186,16 @@ def test_maroni_admissibility_is_one_rule():
 
 def test_h0_of_moving_section():
     for n in range(5):
-        assert h0_hirzebruch(section_S(n)) == n + 2
+        assert h0_hirzebruch(n, _esf(n)[1]) == n + 2
 
 
 def test_h0_trigonal_f0_is_20():
-    assert h0_hirzebruch(trigonal_class(6, 0)) == 4 * 5 == 20
+    assert h0_hirzebruch(0, trigonal_class(6, 0)) == 4 * 5 == 20
 
 
 def test_h0_trigonal_f2():
     # pieces of degrees 7, 5, 3, 1: 8 + 6 + 4 + 2
-    assert h0_hirzebruch(trigonal_class(6, 2)) == 20
+    assert h0_hirzebruch(2, trigonal_class(6, 2)) == 20
 
 
 @pytest.mark.parametrize("g", range(4, 13))
@@ -138,14 +204,42 @@ def test_h0_of_canonical_scroll_piece_is_g(g):
         if not maroni_admissible(g, n):
             continue
         k = int(maroni_k(g, n))
-        cls = section_S(n) + (n + k - 2) * fiber_F(n)
+        _, s, f = _esf(n)
+        cls = s + (n + k - 2) * f
         if k >= 2 or n + k >= 2:
-            assert h0_hirzebruch(cls) == (2 * n + k - 1) + (n + k - 1) == g
+            assert h0_hirzebruch(n, cls) == (2 * n + k - 1) + (n + k - 1) == g
 
 
 def test_h0_rejects_negative_section_multiples():
-    with pytest.raises(ValueError):
-        h0_hirzebruch(-1 * section_E(1))
+    with pytest.raises(ValueError, match="a < 0"):
+        h0_hirzebruch(1, -1 * _esf(1)[0])
+    with pytest.raises(ValueError, match="integral class"):
+        h0_hirzebruch(1, _esf(1)[1] / 2)
+
+
+def test_h0_of_the_rigid_negative_section_is_1():
+    # E on F_2 is a -2 curve: its only section vanishes on E itself
+    assert h0_hirzebruch(2, _esf(2)[0]) == 1
+
+
+def _euler_characteristic(n, d):
+    """Riemann-Roch on F_n: chi(O(D)) = 1 + D.(D - K)/2."""
+    return 1 + intersect(n, d, d - _canonical(n)) / 2
+
+
+def test_h0_is_riemann_roch_when_no_piece_is_below_minus_1():
+    """pi_* O(aE + bF) = sum over j = 0..a of O(b - j*n) on P^1, so h^1 = h^2
+    = 0 and h^0 = chi exactly when every piece has degree b - j*n >= -1."""
+    for n in range(6):
+        e, _, f = _esf(n)
+        for a in range(5):
+            for b in range(a * n - 1, a * n + 6):
+                assert h0_hirzebruch(n, a * e + b * f) == _euler_characteristic(n, a * e + b * f)
+
+
+def test_h0_differs_from_riemann_roch_below_minus_1():
+    e = _esf(2)[0]  # pieces O(0) and O(-2): h^1 = 1
+    assert (h0_hirzebruch(2, e), _euler_characteristic(2, e)) == (1, 0)
 
 
 # -- Grassmannians ------------------------------------------------------------------
@@ -271,6 +365,45 @@ def test_pieri_integral_matches_quotient_reference(k, n):
     for exps in monomial_basis(g.table(), g.dim):
         x = GradedPoly.monomial(g.table(), exps, 3)
         assert g.integrate(x) == _quotient_integral(g, x), exps
+
+
+@st.composite
+def _top_degree_classes(draw):
+    """G(k, n) with k <= 4 and n <= min(k + 5, 9), and up to three monomials
+    of its top degree with coefficients in -5..5."""
+    k = draw(st.integers(1, 4))
+    g = Grassmannian(k, draw(st.integers(k + 1, min(k + 5, 9))))
+    monomials = st.sampled_from(monomial_basis(g.table(), g.dim))
+    terms = draw(st.dictionaries(monomials, st.integers(-5, 5), min_size=1, max_size=3))
+    return g, GradedPoly(g.table(), terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_top_degree_classes())
+def test_integrate_matches_bott_residues(case):
+    g, x = case
+    assert g.integrate(x) == _ref_bott.integrate(g.k, g.n, x)
+
+
+def test_degree_of_g25_by_bott_residues():
+    g = Grassmannian(2, 5)  # the Grassmannian of the genus-6 Mukai model
+    assert g.plucker_degree() == _ref_bott.integrate(2, 5, g.sigma1() ** g.dim) == 5
+
+
+@pytest.mark.parametrize("n, d, lines", [(4, 3, 27), (5, 5, 2875)])
+def test_lines_on_hypersurfaces_by_bott_residues(n, d, lines):
+    """A general hypersurface of degree d = 2n - 5 in P^(n-1) holds
+    c_top(Sym^d S^*) lines: 27 on a cubic surface, 2875 on a quintic
+    threefold.  At a fixed point the roots of Sym^d S^* are the negated sums
+    of d of the weights of S."""
+    g = Grassmannian(2, n)
+    zeros = (GradedPoly.zero(g.table()),) * (g.dim - 2)
+    sub = FormalBundle(2, (g.chern_sub(1), g.chern_sub(2)) + zeros, g.table())
+    by_calculus = g.integrate(sym_power(dual(sub), d).c(g.dim))
+    by_roots = _ref_bott.localize(
+        2, n, lambda w: prod(-sum(m) for m in combinations_with_replacement(w, d))
+    )
+    assert by_calculus == by_roots == lines
 
 
 def test_schubert_duality_pairing():

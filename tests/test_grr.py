@@ -217,6 +217,16 @@ def test_quadrics_bundle_ranks():
     assert quadrics_bundle(4, D).rank == 1
 
 
+def test_quadrics_bundle_in_genus_3_is_the_hyperelliptic_divisor():
+    """Rank 0 = 6 - 6, and c1 = c1(Sym^2 E) - c1(pi_* omega^2) = (g + 1) lambda -
+    13 lambda = -9 lambda with lambda = kappa1/12: minus the class of the
+    hyperelliptic locus in M_3, where Sym^2 E -> pi_* omega^2 fails to be onto."""
+    q = quadrics_bundle(3, D)
+    lam = K1 / 12
+    assert q.rank == 0
+    assert q.c(1) == (3 + 1) * lam - 13 * lam == -9 * lam == Fraction(-3, 4) * K1
+
+
 @pytest.mark.parametrize("g", [2, 1, 0])
 def test_quadrics_bundle_needs_genus_three(g):
     with pytest.raises(ValueError, match="need genus >= 3"):

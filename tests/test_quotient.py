@@ -110,6 +110,10 @@ def test_hilbert_function_equals_every_piece_built(pres, first_zero):
     assert hilbert_function(pres, top) == tuple(graded_piece(pres, d).dim for d in range(top + 1))
 
 
+def test_hilbert_function_through_degree_0_is_the_unit():
+    assert hilbert_function(M6, 0) == (1,)
+
+
 def test_hilbert_function_of_m6_far_out_builds_seven_pieces():
     graded_piece.cache_clear()
     assert hilbert_function(M6, 200) == (1, 1, 2, 1, 1) + (0,) * 196
