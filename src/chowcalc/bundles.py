@@ -9,8 +9,8 @@ through the Chern character: the Adams operation psi^j scales ch_d by j^d,
 and Newton's recurrence n * h_n = sum_j (+-1)^(j-1) psi^j(ch) * h_(n-j)
 (sign + for Sym, alternating for wedge) gives ch(Sym^n) or ch(wedge^n),
 which `chern_from_character` turns back into Chern classes.  A twist by a
-line uses the closed form c(V (x) L) = sum_i c_i(V) (1 + t)^(r - i).  Every
-such sum of products is one call per degree to the series kernel in
+line of class t has a closed form, c(V (x) L) = sum_i c_i(V) (1 + t)^(r - i).
+Every such sum of products is one call per degree to the series kernel in
 ``algebra`` (``series_mul``, ``series_quotient``, ``linear_combination``),
 whose results hold integer content until their coefficients are read.
 
@@ -40,17 +40,6 @@ from .algebra import (
 
 class BundleError(ValueError):
     pass
-
-
-@record
-class LineClass:
-    """A line bundle, recorded by its first Chern class (degree 1)."""
-
-    c1: GradedPoly
-
-    def __post_init__(self) -> None:
-        if not self.c1.is_zero() and not (self.c1.is_homogeneous() and self.c1.degree() == 1):
-            raise BundleError("a line class must be homogeneous of degree 1")
 
 
 @record
@@ -121,10 +110,11 @@ def dual(b: FormalBundle) -> FormalBundle:
     return FormalBundle(b.rank, cs, b.table)
 
 
-def twist(b: FormalBundle, t: LineClass) -> FormalBundle:
-    """Tensor with a line of class t: c(V (x) L) = sum_i c_i(V) (1 + t)^(r - i),
-    a binomial series in t when i > r."""
-    t1 = t.c1
+def twist(b: FormalBundle, t1: GradedPoly) -> FormalBundle:
+    """Tensor with the line L of class t1 = c_1(L), of degree 1 or zero:
+    c(V (x) L) = sum_i c_i(V) (1 + t1)^(r - i), a binomial series when i > r."""
+    if not t1.is_zero() and not (t1.is_homogeneous() and t1.degree() == 1):
+        raise BundleError("a line class must be homogeneous of degree 1")
     if t1.table != b.table:
         raise BundleError("twist class over a different table")
     if t1.is_zero():
@@ -286,10 +276,10 @@ def solve_unimodular_twist(rank: int) -> TwistSolution:
     if rank < 1:
         raise BundleError("rank must be >= 1")
     alpha1 = GradedPoly.variable(_FREE, "alpha1")
-    generic = twist(trivial_bundle(_FREE, rank, 1), LineClass(alpha1))
+    generic = twist(trivial_bundle(_FREE, rank, 1), alpha1)
     lam1 = GradedPoly.variable(_LAMBDA, "lambda1")
     c1 = lam1 / generic.c(1).coefficient((1, 0))
-    if twist(trivial_bundle(_LAMBDA, rank, 1), LineClass(c1)).c(1) != lam1:
+    if twist(trivial_bundle(_LAMBDA, rank, 1), c1).c(1) != lam1:
         raise BundleError("twist solution failed verification")
     return TwistSolution((("c1(L)", c1),))
 
@@ -307,7 +297,7 @@ def _scroll(a: int, b: int, alpha1: GradedPoly, beta2: GradedPoly) -> FormalBund
     and c1(L) = alpha1."""
     table = alpha1.table
     v = FormalBundle(2, (GradedPoly.zero(table), beta2), table)
-    return direct_sum(sym_power(v, a), twist(sym_power(v, b), LineClass(alpha1)))
+    return direct_sum(sym_power(v, a), twist(sym_power(v, b), alpha1))
 
 
 def solve_trigonal_twist(g: int, n: int) -> TwistSolution:

@@ -219,7 +219,7 @@ def _run_low_genus(trunc: int):
 def _run_plucker(trunc: int):
     parts = schur.Partition((2, 2)), schur.Partition((1, 1, 1, 1))
     v = grr.mukai_bundle(trunc)
-    det_v = bundles.LineClass(GradedPoly.variable(grr.mukai_model_table(trunc), "v1"))
+    det_v = GradedPoly.variable(grr.mukai_model_table(trunc), "v1")
     return (
         (
             schur.decompose_sym2_wedge2(5),
@@ -248,7 +248,7 @@ def _run_mukai(trunc: int):
     residual = forms - 5
     f = grr.plucker_sequence_decomposition(trunc)
     middle = bundles.wedge_power(grr.mukai_bundle(trunc), 2)
-    ell = bundles.LineClass(GradedPoly.variable(f.table, "ell"))
+    ell = GradedPoly.variable(f.table, "ell")
     eprime = bundles.twist(grr.hodge_model_bundle(trunc), ell)
     computed = (
         forms,
@@ -443,9 +443,8 @@ def _run_random(trunc: int):
         a = rand_bundle(rng.randint(4, 6))
         b = rand_bundle(rng.randint(4, 6))
         sides.append((bundles.sequence_quotient(bundles.direct_sum(a, b), a), b))
-        t1, t2 = bundles.LineClass(rand_poly_deg1()), bundles.LineClass(rand_poly_deg1())
-        both = bundles.LineClass(t1.c1 + t2.c1)
-        sides.append((bundles.twist(bundles.twist(a, t1), t2), bundles.twist(a, both)))
+        t1, t2 = rand_poly_deg1(), rand_poly_deg1()
+        sides.append((bundles.twist(bundles.twist(a, t1), t2), bundles.twist(a, t1 + t2)))
         sides.append((bundles.dual(bundles.dual(a)), a))
         rank3 = rand_bundle(3)
         sides.append((bundles.chern_from_character(bundles.chern_character(rank3), 3), rank3))

@@ -1,18 +1,18 @@
 """Evaluator for the CLI expression language.
 
 Values are plain library objects: Fractions, graded polynomials, formal
-bundles, ring presentations, Grassmannians, Hirzebruch surfaces, psi
-series, Schur decompositions, and tuples of these.
+bundles, ring presentations (``F[n]`` is the Chow ring of F_n), Grassmannians,
+psi series, Schur decompositions, and tuples of these.
 
 Every function of the language is one row of the table ``FUNCTIONS``: the
 kinds of its arguments, an optional scope argument, and a function of
 ``(trunc, *checked arguments)``.  ``Evaluator._call`` checks the arity and
 each argument against ``_KINDS``, so every arity and type error reads the
 same way.  The scope argument is evaluated first and binds names for the
-other arguments: a surface ``F[n]`` binds its divisor classes ``E``, ``S``
-and ``F``, polynomials of degree 1 on ``geometry.SURFACE_TABLE``, a
-Grassmannian ``G(k, n)`` binds ``c1..ck`` and ``sigma1``, and a ring binds
-its variables.
+other arguments: a surface, the ring of some F_n, binds its divisor classes
+``E``, ``S`` and ``F`` (degree 1 on ``geometry.SURFACE_TABLE``) and passes
+on n, a Grassmannian ``G(k, n)`` binds ``c1..ck`` and ``sigma1``, and a ring
+binds its variables.
 
 Unary minus and the operators ``+ - * / ^`` are rows of ``OPERATORS``, read
 by the same ``_KINDS``: the first row whose kinds accept the operands
@@ -152,6 +152,14 @@ def _divisor(v: Any) -> GradedPoly | None:
     return v if surface and v.homogeneous_component(1) == v else None
 
 
+def _surface(v: Any) -> int | None:
+    """n >= 0 if v is the ring of F_n, relation for relation, else None; n is
+    read off the E*F coefficient of the last relation, E^2 + n*E*F."""
+    rels = v.relations if isinstance(v, quotient.RingPresentation) else ()
+    n = _integer(rels[-1].coefficient((1, 1))) if rels else None
+    return n if n is not None and n >= 0 and v == geometry.hirzebruch_ring(n) else None
+
+
 def _partition(v: Any) -> schur.Partition | None:
     if not isinstance(v, tuple):
         return None
@@ -170,7 +178,7 @@ _KINDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
     "bundle": ("a bundle", _instance(bundles.FormalBundle)),
     "G": ("a Grassmannian G(k, n)", _instance(geometry.Grassmannian)),
     "ring": ("a ring", _instance(quotient.RingPresentation)),
-    "surface": ("a surface F[n]", _instance(geometry.HirzebruchSurfaceHandle)),
+    "surface": ("a surface F[n]", _surface),
     "divisor": ("a divisor class", _divisor),
     "psi": ("a psi series", _instance(grr.PsiSeries)),
     "poly": ("a polynomial", _poly),
@@ -179,7 +187,7 @@ _KINDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
 
 # scope kind -> the names its value binds for the other arguments
 _SCOPES: dict[str, Callable[[Any], dict[str, Any]]] = {
-    "surface": lambda s: geometry.surface_classes(s.n),
+    "surface": geometry.surface_classes,
     "G": lambda g: {
         **{f"c{i}": g.chern_sub(i) for i in range(1, g.k + 1)},
         "sigma1": g.sigma1(),
@@ -230,12 +238,12 @@ class Function(NamedTuple):
 
 FUNCTIONS: dict[str, Function] = {
     # geometry
-    "genus": Function(("surface", "divisor"), 0, lambda t, s, x: geometry.genus_of_class(s.n, x)),
+    "genus": Function(("surface", "divisor"), 0, lambda t, n, x: geometry.genus_of_class(n, x)),
     "h0": Function(
-        ("surface", "divisor"), 0, lambda t, s, x: Fraction(geometry.h0_hirzebruch(s.n, x))
+        ("surface", "divisor"), 0, lambda t, n, x: Fraction(geometry.h0_hirzebruch(n, x))
     ),
     "intersect": Function(
-        ("surface", "divisor", "divisor"), 0, lambda t, s, x, y: geometry.intersect(s.n, x, y)
+        ("surface", "divisor", "divisor"), 0, lambda t, n, x, y: geometry.intersect(n, x, y)
     ),
     "G": Function(("int", "int"), None, lambda t, k, n: geometry.Grassmannian(k, n)),
     "dim": Function(("G",), None, lambda t, g: Fraction(g.dim)),
@@ -264,7 +272,7 @@ FUNCTIONS: dict[str, Function] = {
     "twist": Function(
         ("bundle", "poly"),
         None,
-        lambda t, b, x: bundles.twist(b, bundles.LineClass(_lift(x, b.table))),
+        lambda t, b, x: bundles.twist(b, _lift(x, b.table)),
     ),
     "sym": Function(("int", "bundle"), None, lambda t, k, b: bundles.sym_power(b, k)),
     "wedge": Function(("int", "bundle"), None, lambda t, k, b: bundles.wedge_power(b, k)),
@@ -403,7 +411,10 @@ class Evaluator:
             if node.name == "F":
                 if len(node.args) != 1:
                     raise EvalError("surface constructor takes one index: F[n]")
-                return geometry.HirzebruchSurfaceHandle(_int(self.eval(node.args[0], env), "F index"))
+                n = _int(self.eval(node.args[0], env), "F index")
+                if n < 0:  # a ValueError, so that an enclosing call names it
+                    raise ValueError("Hirzebruch index must be >= 0")
+                return geometry.hirzebruch_ring(n)
             raise EvalError(f"unknown indexed constructor {node.name!r}")
         if isinstance(node, Call):
             return self._call(node, env)
@@ -419,10 +430,12 @@ class Evaluator:
         child = {**env, **_variables(table)}
         rels = []
         for rel in node.relations:
-            value = self.eval(rel, child)
-            if isinstance(value, (int, Fraction)):
+            value = _poly(self.eval(rel, child))
+            if value is None:
+                raise EvalError("ring relations must be polynomials")
+            if not isinstance(value, GradedPoly) and value:
                 raise EvalError("ring relations must involve the ring variables")
-            rels.append(value)
+            rels.append(_lift(value, table))
         return quotient.RingPresentation(table, tuple(rels))
 
     def _bundle(self, node: BundleExpr, env: Mapping[str, Any]) -> bundles.FormalBundle:
@@ -517,8 +530,6 @@ def format_value(v: Any) -> str:
         return presentation_to_text(v)
     if isinstance(v, geometry.Grassmannian):
         return f"G({v.k}, {v.n})"
-    if isinstance(v, geometry.HirzebruchSurfaceHandle):
-        return f"F[{v.n}]"
     return str(v)
 
 

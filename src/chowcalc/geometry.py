@@ -1,7 +1,8 @@
 """Intersection theory of Hirzebruch surfaces and Grassmannians: section
 counts, genus by adjunction, Pluecker degrees, and the dimension
 bookkeeping for the strata of moduli of curves in genus 4..6.
-A divisor on F_n is a degree-1 polynomial in E and F, read off the Chow ring.
+The surface F_n is its Chow ring, `hirzebruch_ring(n)`, and a divisor on it
+is a degree-1 polynomial in E and F whose intersections are read off that ring.
 A Grassmannian class is a polynomial in the Chern classes c1..ck of the
 tautological subbundle.  The dual Pieri rule on the Schubert basis (Fulton,
 Young Tableaux, 9.4) gives the Schubert classes and one product,
@@ -22,17 +23,6 @@ from .schur import Partition
 
 
 # -- Hirzebruch surfaces -------------------------------------------------------
-
-
-@record
-class HirzebruchSurfaceHandle:
-    """The surface F_n itself (used by the CLI to scope E, S, F classes)."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("Hirzebruch index must be >= 0")
 
 
 SURFACE_TABLE = VariableTable(("E", "F"), (1, 1))

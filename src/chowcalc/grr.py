@@ -24,7 +24,6 @@ from ._record import record
 from .algebra import GradedPoly, RationalLike, VariableTable, linear_combination, rat, series_mul
 from .bundles import (
     FormalBundle,
-    LineClass,
     chern_from_character,
     sequence_quotient,
     sym_power,
@@ -245,7 +244,7 @@ def plucker_sequence_decomposition(trunc: int) -> FormalBundle:
         FormalBundle(b.rank, b.chern[:low], table)
         for b in (mukai_bundle(trunc), hodge_model_bundle(trunc))
     )
-    eprime = twist(e, LineClass(GradedPoly.variable(table, "ell")))
+    eprime = twist(e, GradedPoly.variable(table, "ell"))
     f = sequence_quotient(wedge_power(v, 2), eprime)
     zeros = (GradedPoly.zero(table),) * (trunc - low)
     return FormalBundle(f.rank, f.chern + zeros, table)

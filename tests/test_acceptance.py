@@ -60,9 +60,7 @@ def test_04_plucker_lemma():
         v = grr.mukai_bundle(4)
         table = grr.mukai_model_table(4)
         lhs = bundles.wedge_power(v, 4)
-        rhs = bundles.twist(
-            bundles.dual(v), bundles.LineClass(GradedPoly.variable(table, "v1"))
-        )
+        rhs = bundles.twist(bundles.dual(v), GradedPoly.variable(table, "v1"))
         assert lhs.rank == rhs.rank == 5
         for i in range(1, 5):
             assert lhs.c(i) == rhs.c(i)
@@ -76,7 +74,7 @@ def test_05_mukai_bookkeeping():
         # linear-forms sequence: rank 4 sub, rank 6 quotient, and the two sum
         # to the rank of the second exterior power of the rank-5 bundle
         f = grr.plucker_sequence_decomposition(4)
-        ell = bundles.LineClass(GradedPoly.variable(f.table, "ell"))
+        ell = GradedPoly.variable(f.table, "ell")
         eprime = bundles.twist(grr.hodge_model_bundle(4), ell)
         middle = bundles.wedge_power(grr.mukai_bundle(4), 2)
         assert f.rank == 4 and eprime.rank == 6

@@ -10,7 +10,6 @@ from chowcalc.algebra import ExactMatrix, GradedPoly, VariableTable, monomial_ba
 from chowcalc.bundles import (
     BundleError,
     FormalBundle,
-    LineClass,
     TwistSolution,
     bundle_from_line_classes,
     chern_character,
@@ -64,7 +63,7 @@ def test_an_inhomogeneous_class_is_rejected_by_its_own_message():
     with pytest.raises(BundleError, match="^c_2 must be homogeneous of degree 2$"):
         FormalBundle(2, (W1, W2 + T), TABLE)
     with pytest.raises(BundleError, match="^a line class must be homogeneous of degree 1$"):
-        LineClass(T + W2)
+        twist(rank2_bundle(), T + W2)
 
 
 # -- dual -----------------------------------------------------------------------
@@ -92,20 +91,29 @@ def test_dual_of_rank_5():
 
 def test_twist_rank_2_root_expansion():
     # roots a, b with e1 = w1, e2 = w2: (1 + a + t)(1 + b + t)
-    tw = twist(rank2_bundle(), LineClass(T))
+    tw = twist(rank2_bundle(), T)
     assert tw.c(1) == W1 + 2 * T
     assert tw.c(2) == W2 + W1 * T + T**2
 
 
+# The class of a line is homogeneous of degree 1, or zero, on the bundle's table.
+def test_twist_takes_only_the_class_of_a_line():
+    other = GradedPoly.variable(VariableTable(("u",), (1,)), "u")
+    for bad, message in ((W2, "a line class must be homogeneous of degree 1"),
+                         (other, "twist class over a different table")):
+        with pytest.raises(BundleError, match=f"^{message}$"):
+            twist(rank2_bundle(), bad)
+
+
 def test_twist_by_zero_is_identity():
     b = rank2_bundle()
-    assert twist(b, LineClass(ZERO)) == b
+    assert twist(b, ZERO) == b
 
 
 def test_twist_rank5_by_lambda1_over_5():
     # det-trivial rank 5 twisted by lambda1/5 has c1 = lambda1
     v = trivial_bundle(TABLE, 5, D)
-    tw = twist(v, LineClass(T / 5))
+    tw = twist(v, T / 5)
     assert tw.c(1) == T
 
 
@@ -123,15 +131,15 @@ def _closed_form_twist(b, t):
 
 def test_twist_matches_closed_form():
     for b in (rank2_bundle(), generic_bundle(4, salt=4), generic_bundle(5, salt=5)):
-        tw = twist(b, LineClass(T + 2 * S))
+        tw = twist(b, T + 2 * S)
         oracle = _closed_form_twist(b, T + 2 * S)
         assert list(tw.chern) == oracle
 
 
 def test_twist_additivity():
     b = generic_bundle(4)
-    lhs = twist(twist(b, LineClass(T)), LineClass(S))
-    rhs = twist(b, LineClass(T + S))
+    lhs = twist(twist(b, T), S)
+    rhs = twist(b, T + S)
     assert lhs == rhs
 
 
@@ -189,7 +197,7 @@ def test_wedge_zero_is_trivial():
 def test_wedge4_rank5_equals_twisted_dual():
     v = generic_bundle(5)
     lhs = wedge_power(v, 4)
-    rhs = twist(dual(v), LineClass(v.c(1)))
+    rhs = twist(dual(v), v.c(1))
     assert lhs.rank == rhs.rank == 5
     assert all(lhs.c(i) == rhs.c(i) for i in range(1, D + 1))
 
@@ -235,7 +243,7 @@ def _virtual():
 
 
 def test_twist_of_virtual_class():
-    tw = twist(_virtual(), LineClass(S))
+    tw = twist(_virtual(), S)
     oracle = sequence_quotient(_split([a + S for a in A_LINES]), _split([U + S]))
     assert tw == oracle
 
@@ -457,8 +465,8 @@ def test_property_whitney_quotient_roundtrip(a, b):
 
 @given(bundles_strategy(), LINE_CLASSES, LINE_CLASSES)
 def test_property_twist_additivity(b, t1, t2):
-    lhs = twist(twist(b, LineClass(t1)), LineClass(t2))
-    assert lhs == twist(b, LineClass(t1 + t2))
+    lhs = twist(twist(b, t1), t2)
+    assert lhs == twist(b, t1 + t2)
 
 
 @given(bundles_strategy())
@@ -471,7 +479,7 @@ def test_property_dual_involution_and_character_roundtrip(b):
 @given(bundles_strategy(min_rank=4, max_rank=5), LINE_CLASSES)
 def test_property_character_is_additive_and_twist_multiplicative(b, t):
     # ch(twist) degree 1: ch1 + rank * t
-    tw = twist(b, LineClass(t))
+    tw = twist(b, t)
     ch, ch_tw = chern_character(b), chern_character(tw)
     assert ch_tw[1] == ch[1] + b.rank * t
 

@@ -23,6 +23,7 @@ from chowcalc.expr import (
     Var,
     parse,
 )
+from chowcalc.geometry import SURFACE_TABLE
 from chowcalc.grr import PsiSeries
 
 
@@ -149,6 +150,7 @@ def test_arithmetic_on_section_counts(src, printed):
         ("psi(6) / 0", "division by zero"),
         ("F / V", "subbundle rank exceeds total rank"),
         ("psi(6) + psi(5)", "incompatible psi series"),
+        ("F[1] + 2", "cannot add a ring and 2"),
     ],
 )
 def test_operator_errors(src, message):
@@ -224,6 +226,7 @@ def test_an_inhomogeneous_class_is_named_by_the_bundle(src, message):
         ("F[1, 2]", "surface constructor takes one index: F[n]"),
         ("X[1]", "unknown indexed constructor 'X'"),
         ("F[1/2]", "F index must be an integer, got 1/2"),
+        ("h0(F[-1], S)", "h0: Hirzebruch index must be >= 0"),
         ("nf(k1^4 + k1, M6)", "nf: normal form requires a homogeneous input"),
         ("hilbert(M6, -1)", "hilbert: max degree must be >= 0"),
     ],
@@ -435,6 +438,34 @@ def test_intersection_numbers():
     assert ev.run("intersect(F[2], E, E)") == -2
     assert ev.run("intersect(F[2], S, S)") == 2
     assert ev.run("intersect(F[2], S, E)") == 0
+
+
+# F[n] is its Chow ring Q[E, F]/(F^2, E^2 + n*E*F), so the ring functions
+# take it and see its variables E and F; E*F is the point class.
+@pytest.mark.parametrize("n", range(4))
+def test_a_surface_is_its_chow_ring(n):
+    ev = Evaluator()
+    e, f = (GradedPoly.variable(SURFACE_TABLE, name) for name in ("E", "F"))
+    assert ev.run(f"hilbert(F[{n}], 3)") == (1, 2, 1, 0)
+    assert ev.run(f"nf(E^2, F[{n}])") == -n * e * f
+    assert format_value(ev.run(f"pairing(F[{n}], 1, 2)")) == f"[[{-n}, 1], [1, 0]]"
+
+
+def test_a_printed_surface_reads_back_as_the_surface():
+    ev = Evaluator()
+    text = format_value(ev.run("F[2]"))
+    assert text == "ring[E, F; 1, 1](F^2, E^2 + 2 * E * F)"
+    assert ev.run(f"genus({text}, 3*S + 1*F)") == 6
+
+
+# Only the ring of some F_n, n >= 0, relation for relation, is a surface.
+@pytest.mark.parametrize(
+    "ring", ["ring[E, F; 1, 1](E*F)", "M6", "ring[E, F; 1, 1](F^2, E^2 - E*F)"]
+)
+def test_a_ring_that_is_no_surface_is_refused(ring):
+    with pytest.raises(EvalError) as err:
+        Evaluator().run(f"genus({ring}, E)")
+    assert str(err.value) == "argument 1 of genus must be a surface F[n], got a ring"
 
 
 def test_surface_class_products():

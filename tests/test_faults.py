@@ -77,6 +77,20 @@ def _hilbert_stops_after_one_zero(hilbert_function):
     return faulty
 
 
+def _strips_stack_no_two_boxes(vertical_strips):
+    """The dual Pieri rule without its stacking clause: a row takes a box only
+    below a longer row, so no strip puts two boxes in one column."""
+
+    def faulty(lam, m, k, width):
+        rows = lam + (0,) * (k - len(lam))
+        for nu in vertical_strips(lam, m, k, width):
+            grown = [i for i, p in enumerate(nu) if p > rows[i]]
+            if all(i == 0 or rows[i - 1] > rows[i] for i in grown):
+                yield nu
+
+    return faulty
+
+
 FAULTS = [
     Fault(
         "dim_schur off by one on three or more rows", schur, "dim_schur",
@@ -125,7 +139,21 @@ FAULTS = [
         lambda f: lambda n, m: f(n, m) if n >= 0 else (-1) ** m * comb(m - n, m),
         {4: set(), 8: set()},
         # a rank-0 class with c_1 != 0, which twist reads above its rank
-        lambda: bundles.twist(bundles.FormalBundle(0, (X, X * 0), T), bundles.LineClass(X)),
+        lambda: bundles.twist(bundles.FormalBundle(0, (X, X * 0), T), X),
+    ),
+    # tier-1 also catches it: test_grr.py::test_push_psi_is_degree_of_relative_dualizing_sheaf
+    Fault(
+        "push_psi reads kappa_0 as 2g", grr, "push_psi",
+        lambda f: lambda s: f(grr.PsiSeries(s.genus + 1, s.coeffs)),
+        {4: {"grr-constants"}, 8: {"grr-constants"}},
+        lambda: grr.push_psi(grr.psi(6, 4)),  # psi pushes to 2g - 2 = 10
+    ),
+    # tier-1 also catches it: test_geometry.py::test_multiply_in_the_schubert_basis
+    Fault(
+        "_vertical_strips stacks no two boxes of a strip", geometry, "_vertical_strips",
+        _strips_stack_no_two_boxes,
+        {4: {"random-identities"}, 8: {"random-identities"}},
+        lambda: schur.lr_product(Partition((1, 1)), Partition((1, 1))),  # only S(2,1,1) is left
     ),
     Fault(
         "bernoulli(6) has the wrong sign", grr, "bernoulli",

@@ -5,7 +5,6 @@ import pytest
 from chowcalc.algebra import GradedPoly
 from chowcalc.bundles import (
     FormalBundle,
-    LineClass,
     chern_character,
     dual,
     sequence_quotient,
@@ -259,7 +258,7 @@ def test_plucker_decomposition_ranks():
     f = plucker_sequence_decomposition(D)
     table = mukai_model_table(D)
     middle = wedge_power(mukai_bundle(D), 2)
-    eprime = twist(hodge_model_bundle(D), LineClass(GradedPoly.variable(table, "ell")))
+    eprime = twist(hodge_model_bundle(D), GradedPoly.variable(table, "ell"))
     assert (f.rank, eprime.rank, middle.rank) == (4, 6, 10)
     assert f.table == table and f.truncation == D
 
@@ -269,7 +268,7 @@ def _full_truncation_f(trunc):
     truncation, keeping c_1..c_4 and padding with zeros."""
     table = mukai_model_table(trunc)
     middle = wedge_power(mukai_bundle(trunc), 2)
-    eprime = twist(hodge_model_bundle(trunc), LineClass(GradedPoly.variable(table, "ell")))
+    eprime = twist(hodge_model_bundle(trunc), GradedPoly.variable(table, "ell"))
     q = sequence_quotient(middle, eprime)
     zero = GradedPoly.zero(table)
     cs = tuple(q.c(i) if i <= 4 else zero for i in range(1, trunc + 1))
@@ -313,15 +312,13 @@ def test_genus5_net_of_quadrics_model():
     """The rank-5 model in genus 5: untwisting the Hodge bundle by a fifth
     root of its determinant gives a bundle with trivial first Chern class,
     and the quadric kernel has rank 3."""
-    from chowcalc.bundles import LineClass, twist
-
     e5 = hodge_bundle(5, D)
     lam1 = e5.c(1)
     assert lam1 == K1 / 12
-    v = twist(e5, LineClass(-lam1 / 5))
+    v = twist(e5, -lam1 / 5)
     assert v.rank == 5
     assert v.c(1).is_zero()  # det V = O
-    assert twist(v, LineClass(lam1 / 5)).c(1) == lam1  # V (x) L recovers E
+    assert twist(v, lam1 / 5).c(1) == lam1  # V (x) L recovers E
     assert quadrics_bundle(5, D).rank == 3
 
 

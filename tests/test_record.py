@@ -23,7 +23,6 @@ K = VariableTable(("k",), (1,))
 SAMPLES = {
     "VariableTable": [(("a", "b"), (1, 2)), (("a",), (1,))],
     "RowReduction": [(1, ExactMatrix([[1]]), (0,), Fraction(1)), (0, ExactMatrix([[0]]), (), None)],
-    "LineClass": [(X,), (-X,), (X * 0,)],
     "FormalBundle": [(2, (X, Y), T), (2, (X, Y * 3), T), (0, (), K)],
     "TwistSolution": [((("w1", X),),), ((("a", X), ("b", X * X + Y)), "  (note)")],
     "CheckResult": [
@@ -41,7 +40,6 @@ SAMPLES = {
     "RingExpr": [(("x",), (1,), (Num(1),)), (("x", "y"), (1, 2), ())],
     "BundleExpr": [(Num(2), (Var("x"),)), (Num(1), ())],
     "Assign": [("a", Num(1)), ("b", Num(1))],
-    "HirzebruchSurfaceHandle": [(0,), (3,)],
     "Grassmannian": [(2, 4), (1, 3)],
     "PsiSeries": [(2, (X, Y)), (3, (X,))],
     "RingPresentation": [(T, (X * X - Y,)), (T, ())],
@@ -52,9 +50,7 @@ SAMPLES = {
 # Arguments that each ``__post_init__`` rejects.
 REJECTED = {
     "VariableTable": [(("a",), (1, 2)), (("a", "a"), (1, 1)), (("a",), (0,))],
-    "LineClass": [(Y,)],
     "FormalBundle": [(-1, (), T), (1, (Y,), T), (1, (GradedPoly.variable(K, "k"),), T)],
-    "HirzebruchSurfaceHandle": [(-1,)],
     "Grassmannian": [(2, 2), (0, 3)],
     "PsiSeries": [(1, (X,)), (2, ()), (2, (X, GradedPoly.one(K)))],
     "RingPresentation": [(T, (X * 0,)), (T, (X + Y,)), (K, (X,))],
@@ -109,7 +105,7 @@ def _bare(sig):
 
 
 def test_every_record_class_has_samples():
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 22
     assert sorted(name for _, name in RECORDS) == sorted(SAMPLES)
     checked = {name for module, name in RECORDS if "__post_init__" in vars(_class(module, name))}
     assert set(REJECTED) == checked

@@ -20,13 +20,21 @@ CLOSED = (
     ("ring[x, y, z; 1, 2, 2](x^4 - 7/5*y*z, y^2 + x^2*z, -z^2 + (x^2 - y)^2 - y*z)", 7),
 )
 
-# Each fails while its presentation is built, with this message.
+# Each fails while its presentation is built, with this message.  A relation
+# is judged by its value: a nonzero constant (a number or a constant
+# polynomial) is refused, zero is the zero relation, and a value that is no
+# polynomial is refused.
 FAILING = (
     ("hilbert(ring[x, y; 1, 1](x^2 - y), 3)", "hilbert: relations must be homogeneous"),
     ("hilbert(ring[x; 1](x - x), 2)", "hilbert: zero relation"),
+    ("hilbert(ring[x; 1](0), 2)", "hilbert: zero relation"),
     ("hilbert(ring[x; 1](x^(0 - 1)), 2)", "negative polynomial power"),
     ("hilbert(ring[x; 1](x^2 / 0), 2)", "division by zero"),
     ("hilbert(ring[x; 1](2), 2)", "ring relations must involve the ring variables"),
+    ("hilbert(ring[x; 1](x^0), 2)", "ring relations must involve the ring variables"),
+    ("hilbert(ring[x; 1](x - x + 1), 2)", "ring relations must involve the ring variables"),
+    ("hilbert(ring[x; 1](V), 2)", "ring relations must be polynomials"),
+    ("hilbert(ring[x; 1]([1]), 2)", "ring relations must be polynomials"),
 )
 
 
