@@ -1,7 +1,7 @@
 """chowcalc: exact computer algebra for intersection-theoretic bookkeeping
 on moduli of curves.
 
-Subpackages:
+Modules:
   algebra    exact rationals, weighted graded polynomials, row reduction
   quotient   finitely presented graded rings: Hilbert functions, normal
              forms, Poincare-duality pairings

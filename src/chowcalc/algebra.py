@@ -79,7 +79,9 @@ class VariableTable:
             raise ValueError("weights must be >= 1")
 
     @staticmethod
-    def make(pairs: Sequence[tuple[str, int]]) -> "VariableTable":
+    def indexed(*groups: tuple[str, int]) -> "VariableTable":
+        """prefix1..prefixm of weights 1..m for each (prefix, m), in order."""
+        pairs = [(f"{prefix}{i}", i) for prefix, m in groups for i in range(1, m + 1)]
         return VariableTable(tuple(n for n, _ in pairs), tuple(w for _, w in pairs))
 
     def __len__(self) -> int:

@@ -19,6 +19,7 @@ Sym^k and wedge^k cost O(k^2) truncated series products.  Every operation
 is functorial on the class, classes above the rank included (a virtual
 difference A - L, or a model whose higher classes carry relations): they
 enter every formula and are never dropped or checked.  Everything is exact.
+A model of free classes is a ``free_bundle``, c_i the table's prefix_i or 0.
 """
 from __future__ import annotations
 
@@ -87,6 +88,15 @@ class FormalBundle:
 
 def trivial_bundle(table: VariableTable, rank: int, trunc: int) -> FormalBundle:
     return FormalBundle(rank, tuple(GradedPoly.zero(table) for _ in range(trunc)), table)
+
+
+def free_bundle(rank: int, table: VariableTable, prefix: str, trunc: int) -> FormalBundle:
+    """c_i is the table's variable prefix_i, or 0 where it has none, for i <= trunc."""
+    cs = tuple(
+        GradedPoly.variable(table, name) if name in table.names else GradedPoly.zero(table)
+        for name in (f"{prefix}{i}" for i in range(1, trunc + 1))
+    )
+    return FormalBundle(rank, cs, table)
 
 
 def bundle_from_line_classes(classes: list[GradedPoly], trunc: int) -> FormalBundle:
@@ -173,10 +183,7 @@ def _power_classes(b: FormalBundle, k: int, sign: int, rank: int) -> tuple[Grade
 def universal_chern(r: int, k: int, trunc: int) -> tuple[GradedPoly, ...]:
     """c_1..c_trunc of sym^k of a generic rank-r class, as polynomials in its
     classes e_1..e_trunc (free above the rank too)."""
-    names = tuple(f"e{i}" for i in range(1, trunc + 1))
-    table = VariableTable(names, tuple(range(1, trunc + 1)))
-    generic = FormalBundle(r, [GradedPoly.variable(table, n) for n in names], table)
-    return sym_power(generic, k).chern
+    return sym_power(free_bundle(r, VariableTable.indexed(("e", trunc)), "e", trunc), k).chern
 
 
 def direct_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:
@@ -251,7 +258,7 @@ class TwistSolution:
 
 # the Hodge classes every solution is written in, and the free classes the
 # solvers read their coefficients off
-_LAMBDA = VariableTable(("lambda1", "lambda2"), (1, 2))
+_LAMBDA = VariableTable.indexed(("lambda", 2))
 _FREE = VariableTable(("alpha1", "beta2"), (1, 2))
 
 

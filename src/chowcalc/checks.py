@@ -154,24 +154,16 @@ def exit_code(results: list[CheckResult]) -> int:
 
 def _m6_facts(pres: quotient.RingPresentation) -> tuple:
     """What the presentation and sensitivity checks compare: the Hilbert
-    function through degree 8, its degree-4 entry (the socle dimension), the
-    (degree, rank, full rank) of each pairing into degree 4 when that piece
-    is 1-dimensional, and the degree-2 pairing determinant when the ring is
-    Gorenstein with socle in degree 4 (None otherwise)."""
-    h = quotient.hilbert_function(pres, 8)
-    mats = [quotient.pairing_matrix(pres, i, 4) for i in range(5)] if h[4] == 1 else []
-    ranks = tuple((i, m.rank(), min(m.rows, m.cols)) for i, m in enumerate(mats))
-    det = mats[2].determinant() if quotient.is_poincare_duality(pres, 4) else None
-    return h, h[4], ranks, det
+    function through degree 8, whether the ring is Gorenstein with socle in
+    degree 4 (every pairing into degree 4 perfect), and then the degree-2
+    pairing determinant (None otherwise)."""
+    gorenstein = quotient.is_poincare_duality(pres, 4)
+    det = quotient.pairing_matrix(pres, 2, 4).determinant() if gorenstein else None
+    return quotient.hilbert_function(pres, 8), gorenstein, det
 
 
-# the facts of the genus-6 kappa ring; pairing ranks are (degree, rank, full rank)
-M6_FACTS = (
-    (1, 1, 2, 1, 1, 0, 0, 0, 0),
-    1,
-    ((0, 1, 1), (1, 1, 1), (2, 2, 2), (3, 1, 1), (4, 1, 1)),
-    Fraction(36608, 12769),
-)
+# the facts of the genus-6 kappa ring
+M6_FACTS = ((1, 1, 2, 1, 1, 0, 0, 0, 0), True, Fraction(36608, 12769))
 
 
 @_check(
@@ -267,20 +259,9 @@ def _whitney_roundtrip(rank: int, trunc: int) -> bool:
     free rank-6 class and divided by it again, comes back with its own
     classes and nothing beyond its rank, as it does exactly when no f_i
     with i <= trunc sits above the rank."""
-    aux = VariableTable.make(
-        [(f"f{i}", i) for i in range(1, 5)] + [(f"g{i}", i) for i in range(1, trunc + 1)]
-    )
-    sub = bundles.FormalBundle(
-        rank,
-        tuple(
-            GradedPoly.variable(aux, f"f{i}") if i <= 4 else GradedPoly.zero(aux)
-            for i in range(1, trunc + 1)
-        ),
-        aux,
-    )
-    quot = bundles.FormalBundle(
-        6, tuple(GradedPoly.variable(aux, f"g{i}") for i in range(1, trunc + 1)), aux
-    )
+    aux = VariableTable.indexed(("f", 4), ("g", trunc))
+    sub = bundles.free_bundle(rank, aux, "f", trunc)
+    quot = bundles.free_bundle(6, aux, "g", trunc)
     recovered = bundles.sequence_quotient(bundles.direct_sum(sub, quot), quot)
     above = all(c.is_zero() for c in recovered.chern[rank:])
     return recovered.rank == rank and recovered.chern == sub.chern and above
@@ -374,12 +355,10 @@ def _run_grr(trunc: int):
     "derived-oracle",
 )
 def _run_sym_calc(trunc: int):
-    wtab = VariableTable(("w1", "w2"), (1, 2))
-    w1 = GradedPoly.variable(wtab, "w1")
-    w2 = GradedPoly.variable(wtab, "w2")
-    w = bundles.FormalBundle(2, (w1, w2, GradedPoly.zero(wtab)), wtab)
+    wtab = VariableTable.indexed(("w", 2))
+    w1, w2 = (GradedPoly.variable(wtab, name) for name in wtab.names)
     computed = (
-        bundles.sym_power(w, 2),
+        bundles.sym_power(bundles.free_bundle(2, wtab, "w", 3), 2),
         bundles.solve_hyperelliptic_twist(6).classes[0][1].coefficient((1, 0)),
         bundles.solve_unimodular_twist(5).classes[0][1].coefficient((1, 0)),
     )

@@ -9,10 +9,11 @@ kinds of its arguments, an optional scope argument, and a function of
 ``(trunc, *checked arguments)``.  ``Evaluator._call`` checks the arity and
 each argument against ``_KINDS``, so every arity and type error reads the
 same way.  The scope argument is evaluated first and binds names for the
-other arguments: a surface, the ring of some F_n, binds its divisor classes
-``E``, ``S`` and ``F`` (degree 1 on ``geometry.SURFACE_TABLE``) and passes
-on n, a Grassmannian ``G(k, n)`` binds ``c1..ck`` and ``sigma1``, and a ring
-binds its variables.
+other arguments: a surface, any presentation of the ring of some F_n
+(``geometry.hirzebruch_index`` reads n off its ideal), binds its divisor
+classes ``E``, ``S`` and ``F`` (degree 1 on ``geometry.SURFACE_TABLE``) and
+passes on n, a Grassmannian ``G(k, n)`` binds ``c1..ck`` and ``sigma1``, and
+a ring binds its variables.
 
 Unary minus and the operators ``+ - * / ^`` are rows of ``OPERATORS``, read
 by the same ``_KINDS``: the first row whose kinds accept the operands
@@ -111,11 +112,9 @@ def prelude(trunc: int, name: str) -> dict[str, Any]:
             "F": grr.plucker_sequence_decomposition(trunc),
             **_variables(mtab),
         }
-    wtab = VariableTable(("w1", "w2"), (1, 2))
+    wtab = VariableTable.indexed(("w", 2))
     if name == "W" or name in wtab.names:
-        w_classes = [GradedPoly.variable(wtab, "w1"), GradedPoly.variable(wtab, "w2")]
-        w_classes += [GradedPoly.zero(wtab)] * max(0, trunc - 2)
-        return {"W": bundles.FormalBundle(2, tuple(w_classes[:trunc]), wtab), **_variables(wtab)}
+        return {"W": bundles.free_bundle(2, wtab, "w", trunc), **_variables(wtab)}
     return {}
 
 
@@ -152,14 +151,6 @@ def _divisor(v: Any) -> GradedPoly | None:
     return v if surface and v.homogeneous_component(1) == v else None
 
 
-def _surface(v: Any) -> int | None:
-    """n >= 0 if v is the ring of F_n, relation for relation, else None; n is
-    read off the E*F coefficient of the last relation, E^2 + n*E*F."""
-    rels = v.relations if isinstance(v, quotient.RingPresentation) else ()
-    n = _integer(rels[-1].coefficient((1, 1))) if rels else None
-    return n if n is not None and n >= 0 and v == geometry.hirzebruch_ring(n) else None
-
-
 def _partition(v: Any) -> schur.Partition | None:
     if not isinstance(v, tuple):
         return None
@@ -178,7 +169,7 @@ _KINDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
     "bundle": ("a bundle", _instance(bundles.FormalBundle)),
     "G": ("a Grassmannian G(k, n)", _instance(geometry.Grassmannian)),
     "ring": ("a ring", _instance(quotient.RingPresentation)),
-    "surface": ("a surface F[n]", _surface),
+    "surface": ("a surface F[n]", geometry.hirzebruch_index),
     "divisor": ("a divisor class", _divisor),
     "psi": ("a psi series", _instance(grr.PsiSeries)),
     "poly": ("a polynomial", _poly),

@@ -1,8 +1,9 @@
 """Intersection theory of Hirzebruch surfaces and Grassmannians: section
 counts, genus by adjunction, Pluecker degrees, and the dimension
 bookkeeping for the strata of moduli of curves in genus 4..6.
-The surface F_n is its Chow ring, `hirzebruch_ring(n)`, and a divisor on it
-is a degree-1 polynomial in E and F whose intersections are read off that ring.
+The surface F_n is its Chow ring, `hirzebruch_ring(n)`, recognised in any
+presentation by `hirzebruch_index`, and a divisor on it is a degree-1
+polynomial in E and F whose intersections are read off that ring.
 A Grassmannian class is a polynomial in the Chern classes c1..ck of the
 tautological subbundle.  The dual Pieri rule on the Schubert basis (Fulton,
 Young Tableaux, 9.4) gives the Schubert classes and one product,
@@ -18,7 +19,7 @@ from math import comb
 
 from ._record import record
 from .algebra import GradedPoly, VariableTable, linear_combination
-from .quotient import RingPresentation, normal_form
+from .quotient import RingPresentation, hilbert_function, normal_form
 from .schur import Partition
 
 
@@ -34,6 +35,22 @@ def hirzebruch_ring(n: int) -> RingPresentation:
     """A*(F_n) = Q[E, F]/(F^2, E^2 + n*E*F), E*F the point class (Fulton,
     Intersection Theory, Ex. 8.3.9); `graded_piece` keys it by value."""
     return RingPresentation(SURFACE_TABLE, (_FF, _EE + n * _EF))
+
+
+def hirzebruch_index(ring: object) -> int | None:
+    """n if `ring` presents A*(F_n) for some n >= 0, else None (also for a
+    value that is no ring).  With n = -(E*F coefficient of nf(E^2)), F^2 and
+    E^2 + n*E*F in the ring's ideal put (F^2, E^2 + n*E*F) inside it, and
+    equal Hilbert functions (1, 2, 1, 0, then zero) make the two equal."""
+    if not isinstance(ring, RingPresentation) or ring.table != SURFACE_TABLE:
+        return None
+    if hilbert_function(ring, 3) != (1, 2, 1, 0):
+        return None
+    c = normal_form(_EE, ring).coefficient((1, 1))
+    n = int(-c)
+    if n < 0 or n != -c or not normal_form(_FF, ring).is_zero():
+        return None
+    return n if normal_form(_EE + n * _EF, ring).is_zero() else None
 
 
 def surface_classes(n: int) -> dict[str, GradedPoly]:
@@ -179,7 +196,7 @@ class Grassmannian:
 
 @lru_cache(maxsize=None)
 def _grass_table(k: int) -> VariableTable:
-    return VariableTable(tuple(f"c{i}" for i in range(1, k + 1)), tuple(range(1, k + 1)))
+    return VariableTable.indexed(("c", k))
 
 
 def _vertical_strips(lam: tuple[int, ...], m: int, k: int, width: int):

@@ -10,7 +10,8 @@ series of the relative tangent, whose coefficients are Bernoulli numbers
 computed in-module.
 
 The genus-6 model carries Mukai's rank-5 bundle V, the Hodge bundle E and
-a free twist ell over one table; ``plucker_sequence_decomposition`` returns
+a free twist ell over one table, v1..v5, lambda1..lambda_D and ell; V and E
+are ``free_bundle`` on it.  ``plucker_sequence_decomposition`` returns
 the rank-4 bundle F of the linear-forms sequence
 0 -> F -> wedge^2 V -> E (x) L' -> 0, computed through its rank.
 """
@@ -25,6 +26,7 @@ from .algebra import GradedPoly, RationalLike, VariableTable, linear_combination
 from .bundles import (
     FormalBundle,
     chern_from_character,
+    free_bundle,
     sequence_quotient,
     sym_power,
     twist,
@@ -34,9 +36,7 @@ from .bundles import (
 
 @lru_cache(maxsize=None)
 def kappa_ring(trunc: int) -> VariableTable:
-    return VariableTable(
-        tuple(f"kappa{i}" for i in range(1, trunc + 1)), tuple(range(1, trunc + 1))
-    )
+    return VariableTable.indexed(("kappa", trunc))
 
 
 def kappa(trunc: int, i: int) -> GradedPoly:
@@ -203,26 +203,16 @@ def quadrics_bundle(g: int, trunc: int) -> FormalBundle:
 def mukai_model_table(trunc: int) -> VariableTable:
     """v_1..v_5 (Chern classes of the rank-5 bundle), lambda_1..lambda_trunc
     (Hodge classes), and the free twist parameter ell."""
-    names = tuple(f"v{i}" for i in range(1, 6))
-    weights = tuple(range(1, 6))
-    names += tuple(f"lambda{i}" for i in range(1, trunc + 1)) + ("ell",)
-    weights += tuple(range(1, trunc + 1)) + (1,)
-    return VariableTable(names, weights)
+    free = VariableTable.indexed(("v", 5), ("lambda", trunc))
+    return VariableTable(free.names + ("ell",), free.weights + (1,))
 
 
 def mukai_bundle(trunc: int) -> FormalBundle:
-    table = mukai_model_table(trunc)
-    cs = tuple(
-        GradedPoly.variable(table, f"v{i}") if i <= 5 else GradedPoly.zero(table)
-        for i in range(1, trunc + 1)
-    )
-    return FormalBundle(5, cs, table)
+    return free_bundle(5, mukai_model_table(trunc), "v", trunc)
 
 
 def hodge_model_bundle(trunc: int) -> FormalBundle:
-    table = mukai_model_table(trunc)
-    cs = tuple(GradedPoly.variable(table, f"lambda{i}") for i in range(1, trunc + 1))
-    return FormalBundle(6, cs, table)
+    return free_bundle(6, mukai_model_table(trunc), "lambda", trunc)
 
 
 def plucker_sequence_decomposition(trunc: int) -> FormalBundle:
@@ -233,18 +223,15 @@ def plucker_sequence_decomposition(trunc: int) -> FormalBundle:
     exterior power of the rank-5 bundle V.
 
     c_1..c_4 are those of c(wedge^2 V) / c(E (x) L'); c_i needs only the
-    classes of degree <= i, so both sides are cut at degree min(4, trunc).
+    classes of degree <= i, so both sides are built at degree min(4, trunc).
     The classes above the rank are zero up to trunc (the raw division with
     free lambda's and ell does not vanish there), and the rank comes from
     the quotient, 10 - 6.
     """
     table = mukai_model_table(trunc)
     low = min(4, trunc)
-    v, e = (
-        FormalBundle(b.rank, b.chern[:low], table)
-        for b in (mukai_bundle(trunc), hodge_model_bundle(trunc))
-    )
-    eprime = twist(e, GradedPoly.variable(table, "ell"))
+    v = free_bundle(5, table, "v", low)
+    eprime = twist(free_bundle(6, table, "lambda", low), GradedPoly.variable(table, "ell"))
     f = sequence_quotient(wedge_power(v, 2), eprime)
     zeros = (GradedPoly.zero(table),) * (trunc - low)
     return FormalBundle(f.rank, f.chern + zeros, table)

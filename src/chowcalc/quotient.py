@@ -182,7 +182,7 @@ KAPPA_M6_COEFFS = (127, -2304, 113, -36864)
 
 
 def kappa_table() -> VariableTable:
-    return VariableTable(("k1", "k2"), (1, 2))
+    return VariableTable.indexed(("k", 2))
 
 
 def m6_presentation(coeffs: tuple[int, int, int, int] = KAPPA_M6_COEFFS) -> RingPresentation:

@@ -71,6 +71,14 @@ def test_monomial_basis_is_strictly_descending_graded_lex(d):
     assert all(KAPPA.degree(e) == d for e in basis)
 
 
+def test_indexed_tables_follow_their_groups():
+    table = VariableTable.indexed(("v", 2), ("lambda", 3))
+    assert table.names == ("v1", "v2", "lambda1", "lambda2", "lambda3")
+    assert table.weights == (1, 2, 1, 2, 3)
+    assert VariableTable.indexed(("lambda", 3), ("v", 2)).names[:2] == ("lambda1", "lambda2")
+    assert VariableTable.indexed() == VariableTable.indexed(("x", 0)) == VariableTable((), ())
+
+
 # -- row reduction --------------------------------------------------------------
 
 

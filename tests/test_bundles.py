@@ -1,7 +1,8 @@
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, prod
 
+import _ref_bott
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from chowcalc.bundles import (
     chern_from_character,
     direct_sum,
     dual,
+    free_bundle,
     maroni_split_degrees,
     sequence_quotient,
     solve_hyperelliptic_twist,
@@ -26,7 +28,7 @@ from chowcalc.bundles import (
     twist,
     wedge_power,
 )
-from chowcalc.geometry import maroni_admissible
+from chowcalc.geometry import Grassmannian, maroni_admissible
 
 D = 4
 TABLE = VariableTable(("w1", "w2", "t", "s"), (1, 2, 1, 1))
@@ -502,3 +504,51 @@ def test_values_are_immutable():
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert W1.table == TABLE and hash(W1) == h and m.rows == 2 and b.rank == 2
+
+
+# -- free bundles and the functors against Chern roots --------------------------------
+
+
+def test_free_bundle_reads_its_classes_off_the_table():
+    table = VariableTable.indexed(("a", 2), ("b", 3))
+    a1, a2, b1, b2 = (GradedPoly.variable(table, name) for name in ("a1", "a2", "b1", "b2"))
+    zero = GradedPoly.zero(table)
+    assert free_bundle(4, table, "a", 4) == FormalBundle(4, (a1, a2, zero, zero), table)
+    assert free_bundle(6, table, "b", 2) == FormalBundle(6, (b1, b2), table)  # cut at trunc
+    assert free_bundle(1, table, "c", 1).chern == (zero,)
+
+
+# each functor of the dual subbundle S^* of G(k, n), and the Chern roots of
+# its value at a fixed point where S has the roots w
+FUNCTORS = {
+    "dual": (lambda s: dual(s), lambda w: [-a for a in w]),
+    "sym2": (
+        lambda s: sym_power(dual(s), 2),
+        lambda w: [-(a + b) for a, b in combinations_with_replacement(w, 2)],
+    ),
+    "wedge2": (
+        lambda s: wedge_power(dual(s), 2),
+        lambda w: [-(a + b) for a, b in combinations(w, 2)],
+    ),
+    "twist": (lambda s: twist(dual(s), -s.c(1)), lambda w: [-a - sum(w) for a in w]),
+}
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 6)])
+def test_chern_numbers_of_bundle_functors_agree_with_roots(k, n):
+    """Every top-degree product of Chern classes of S^*, Sym^2 S^*, wedge^2 S^*
+    and S^* (x) O(1) (sigma1 = -c1(S)) on G(k, n), integrated by the Schubert
+    calculus, equals its value by Bott's residue formula, where c_i at a fixed
+    point is the i-th elementary function of the functor's roots.  A class
+    above degree 4 enters: c_6 c_3(Sym^2 S^*) on G(3, 6) is 120."""
+    g = Grassmannian(k, n)
+    sub = free_bundle(k, g.table(), "c", g.dim)
+    one = GradedPoly.one(g.table())
+    for name, (functor, roots) in FUNCTORS.items():
+        b = functor(sub)
+        for exps in monomial_basis(VariableTable.indexed(("c", b.rank)), g.dim):
+            number = prod((b.c(i) ** e for i, e in enumerate(exps, start=1)), start=one)
+            by_roots = _ref_bott.localize(
+                k, n, lambda w: prod(map(pow, _ref_bott.elementary(roots(w), b.rank)[1:], exps))
+            )
+            assert g.integrate(number) == by_roots, (name, exps)

@@ -458,9 +458,40 @@ def test_a_printed_surface_reads_back_as_the_surface():
     assert ev.run(f"genus({text}, 3*S + 1*F)") == 6
 
 
-# Only the ring of some F_n, n >= 0, relation for relation, is a surface.
+# Any presentation of the ring of some F_n, n >= 0, is a surface, however its
+# relations are written: its ideal is that of F[n].
 @pytest.mark.parametrize(
-    "ring", ["ring[E, F; 1, 1](E*F)", "M6", "ring[E, F; 1, 1](F^2, E^2 - E*F)"]
+    "ring",
+    [
+        "ring[E, F; 1, 1](E^2 + 2*E*F, F^2)",
+        "ring[E, F; 1, 1](F^2, 2*E^2 + 4*E*F)",
+        "ring[E, F; 1, 1](F^2, E^2 + 2*E*F, E^3)",
+        "ring[E, F; 1, 1](F^2, E^2 + 2*E*F + F^2)",
+        "F[2]",
+    ],
+)
+def test_a_ring_with_the_ideal_of_a_surface_is_that_surface(ring):
+    assert Evaluator().run(f"genus({ring}, 3*S + 1*F)") == 6
+
+
+def test_a_ring_with_the_ideal_of_f0_is_f0():
+    ev = Evaluator()
+    assert ev.run("genus(ring[E, F; 1, 1](E^2, F^2), E)") == 0
+    assert ev.run("h0(ring[E, F; 1, 1](E^2, F^2), E + F)") == ev.run("h0(F[0], E + F)") == 4
+    assert ev.run("intersect(ring[E, F; 1, 1](F^2, E^2 + 3*E*F + F^2), S, S)") == 3
+
+
+# A ring whose ideal is that of no F_n, n >= 0, is refused.
+@pytest.mark.parametrize(
+    "ring",
+    [
+        "ring[E, F; 1, 1](E*F)",
+        "M6",
+        "ring[E, F; 1, 1](F^2, E^2 - E*F)",
+        "ring[E, F; 1, 1](F^2, E^2 + 1/2*E*F)",
+        "ring[E, F; 1, 1](E^2, E*F)",
+        "ring[E, F; 1, 1](E*F, F^2, E^3)",  # E^2 spans degree 2: no E^2 + n*E*F is 0
+    ],
 )
 def test_a_ring_that_is_no_surface_is_refused(ring):
     with pytest.raises(EvalError) as err:

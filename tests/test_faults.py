@@ -91,6 +91,28 @@ def _strips_stack_no_two_boxes(vertical_strips):
     return faulty
 
 
+def _last_pair_dropped(linear_combination):
+    def faulty(table, terms):
+        terms = list(terms)
+        return linear_combination(table, terms[:-1] if len(terms) >= 2 else terms)
+
+    return faulty
+
+
+def _multiply_unsigned(multiply):
+    """Grassmannian.multiply without the (-1)^degree of each monomial."""
+
+    def faulty(self, x, lam):
+        out: dict = {}
+        for exps, q in x.items():
+            mono = GradedPoly.monomial(x.table, exps, q)
+            for nu, c in multiply(self, mono, lam).items():
+                out[nu] = out.get(nu, 0) + (-1) ** mono.degree() * c
+        return {nu: c for nu, c in out.items() if c}
+
+    return faulty
+
+
 FAULTS = [
     Fault(
         "dim_schur off by one on three or more rows", schur, "dim_schur",
@@ -122,6 +144,8 @@ FAULTS = [
         {4: {"strata-dimensions"}, 8: {"strata-dimensions"}},
         lambda: geometry.maroni_divisor_dim(),
     ),
+    # tier-1 also catches it at truncation 4:
+    # test_bundles.py::test_chern_numbers_of_bundle_functors_agree_with_roots[3-6]
     Fault(
         "chern_from_character drops c_5 and above", bundles, "chern_from_character",
         _chern_from_character_cut_at_4,
@@ -176,6 +200,26 @@ FAULTS = [
         {4: set(), 8: set()},
         lambda: schur.lr_product(Partition((2, 1)), Partition((2, 1))),  # 2 * S(3,2,1)
     ),
+    Fault(
+        "linear_combination drops its last pair", algebra, "linear_combination",
+        _last_pair_dropped,
+        {t: {"grr-constants", "mukai-bookkeeping", "plucker-lemma", "random-identities",
+             "sym-power-calculus"} for t in (4, 8)},
+        lambda: algebra.linear_combination(T, [(1, X, X), (1, X, X)]),  # 2 * x^2
+    ),
+    Fault(
+        "series_quotient negates q_5 and above", algebra, "series_quotient",
+        lambda f: lambda t, s, trunc: [q if d < 5 else -q for d, q in enumerate(f(t, s, trunc))],
+        {4: set(), 8: {"random-identities"}},
+        lambda: algebra.series_quotient([X ** 0], [X ** 0, X], 5),  # q_5 = -x^5
+    ),
+    # an integral is no witness: every top-degree monomial on G(2, 4) has even degree
+    Fault(
+        "Grassmannian.multiply loses its per-monomial sign", geometry, "Grassmannian.multiply",
+        _multiply_unsigned,
+        {4: {"random-identities"}, 8: {"random-identities"}},
+        lambda: geometry.Grassmannian(2, 4).multiply(geometry.Grassmannian(2, 4).chern_sub(1), ()),
+    ),
 ]
 
 
@@ -196,9 +240,13 @@ def clean_caches():
 
 
 def _plant(monkeypatch, fault):
-    """Bind the faulty function under every name that binds the original."""
-    original = getattr(fault.module, fault.name)
+    """Bind the faulty function under every name that binds the original, and
+    on the class that owns it when the fault's name is `Class.method`."""
+    owner, _, attr = fault.name.rpartition(".")
+    holder = getattr(fault.module, owner) if owner else fault.module
+    original = getattr(holder, attr)
     faulty = fault.plant(original)
+    monkeypatch.setattr(holder, attr, faulty)
     for module in MODULES:
         for name, value in list(vars(module).items()):
             if value is original:

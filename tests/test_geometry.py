@@ -19,6 +19,7 @@ from chowcalc.geometry import (
     genus_of_class,
     h0_hirzebruch,
     hirzebruch_aut_dim,
+    hirzebruch_index,
     hirzebruch_ring,
     hyperelliptic_dim,
     intersect,
@@ -82,6 +83,10 @@ def test_hirzebruch_ring_is_a_surface(n):
     assert socle_monomial(ring, 2) == (1, 1)  # E*F, the class of a point
     e, _, f = _esf(n)
     assert normal_form(e * e, ring) == -n * e * f
+    assert hirzebruch_index(ring) == n
+    # the same ideal written another way is the same surface
+    rewritten = RingPresentation(SURFACE_TABLE, (e * e + n * e * f + f * f, 3 * f * f))
+    assert hirzebruch_index(rewritten) == n
 
 
 def test_intersect_matches_the_closed_form():
