@@ -10,6 +10,13 @@ ends by calling ``__post_init__`` if the class has one; a generic
 session builds tens of thousands of syntax-tree nodes.
 ``__eq__``, ``__hash__`` and ``__repr__`` (dataclass format) are closures
 over one ``operator.attrgetter`` and compile nothing.
+
+A record keeps its hash: the first ``hash()`` stores the hash of its fields
+with ``object.__setattr__`` as ``_record_hash`` (a class attribute of None
+until then), so a syntax tree that keys a memo is walked once, not on every
+lookup.  A field that cannot be hashed raises ``TypeError`` on every call,
+and nothing is kept.  A class declaring ``__slots__`` has no room for it and
+hashes its fields on every call.
 """
 from operator import attrgetter
 
@@ -48,6 +55,18 @@ def record(cls):
         return fmt.format(type(self).__qualname__, *get(self))
 
     cls.__init__, cls.__eq__, cls.__repr__ = scope["__init__"], __eq__, __repr__
-    cls.__hash__ = lambda self: hash(get(self))
+    if "__slots__" in ns:
+        cls.__hash__ = lambda self: hash(get(self))
+    else:
+        cls._record_hash = None
+
+        def __hash__(self):
+            h = self._record_hash
+            if h is None:
+                h = hash(get(self))
+                object.__setattr__(self, "_record_hash", h)
+            return h
+
+        cls.__hash__ = __hash__
     cls.__setattr__ = cls.__delattr__ = immutable
     return cls

@@ -44,7 +44,10 @@ variables and arithmetic, means the same everywhere: an ``Evaluator`` keeps
 its presentation in an LRU of 1024 literals keyed by the syntax tree, so a
 re-asked literal returns the same object and the tables that
 ``quotient.graded_piece`` cached for it.  Any other literal is built afresh,
-and a literal that fails is never kept.
+and a literal that fails is never kept.  The key costs a lookup: the parser
+returns one tree per literal text (``expr``), a record keeps its hash, and
+``_closed`` keeps its answer per tree in an LRU of 1024, so a re-asked
+literal is found by identity without walking its tree.
 
 A definitions file and a repl session share one comment rule,
 ``statements``: each line is cut at its first ``#``, and blank lines are
@@ -472,9 +475,11 @@ class Evaluator:
             raise EvalError(f"{name}: {exc}") from exc
 
 
+@lru_cache(maxsize=1024)
 def _closed(node: RingExpr) -> bool:
-    """Whether `node` is closed (module docstring).  The walk keeps its own
-    stack, so a deep tree is left for ``eval`` to reject as it does."""
+    """Whether `node` is closed (module docstring), kept per tree like the
+    presentations.  The walk keeps its own stack, so a deep tree is left for
+    ``eval`` to reject as it does."""
     names = set(node.variables)
     stack: list[Expr] = list(node.relations)
     while stack:

@@ -19,6 +19,14 @@ letters, digits or '_'.  Numbers are runs of decimal digits in any script
 other non-space character outside + - * / ^ ( ) [ ] , ; = is an unexpected
 character at its position.  Parse errors carry a position and the expected
 token set.
+
+A ring literal is parsed once per text: the parser keeps the tree of every
+literal it parsed, keyed by its source from ``ring`` to the ``)`` that
+closes its relations (found by bracket depth over the tokens), in an LRU of
+``RING_LITERAL_BOUND`` texts.  A re-asked literal is the identical
+``RingExpr``, so a memo keyed by it finds it by identity.  A literal whose
+brackets do not balance, or that fails, is parsed in place and not kept, so
+every error reads as before.
 """
 from __future__ import annotations
 
@@ -123,8 +131,14 @@ class Assign:
 Expr = Num | Var | Neg | BinOp | Call | Index | ListExpr | RingExpr | BundleExpr
 
 
+# ring literal text -> its tree, least recently used first
+_RING_LITERALS: dict[str, RingExpr] = {}
+RING_LITERAL_BOUND = 1024
+
+
 class _Parser:
     def __init__(self, src: str):
+        self.src = src
         self.tokens = tokenize(src)
         self.i = 0
 
@@ -185,7 +199,7 @@ class _Parser:
         if kind == "ident":
             after = self.tokens[self.i][0]
             if text == "ring" and after == "[":
-                return self.ring_tail()
+                return self.ring_literal(pos)
             if text == "bundle" and after == "(":
                 return self.bundle_tail()
             if self.accept("("):
@@ -196,6 +210,42 @@ class _Parser:
         if kind == "end":
             raise ParseError("unexpected end of input", pos, ("number", "identifier", "("))
         raise ParseError(f"unexpected token {text!r}", pos, ("number", "identifier", "(", "["))
+
+    def ring_literal(self, start: int) -> RingExpr:
+        """The ring literal whose 'ring' token is at `start`: the kept tree of
+        the same text, or the tree parsed in place, kept if it parses."""
+        end = self.literal_end()
+        if end is None:
+            return self.ring_tail()
+        key = self.src[start : self.tokens[end][2] + 1]
+        node = _RING_LITERALS.pop(key, None)
+        if node is None:
+            node = self.ring_tail()
+        else:
+            self.i = end + 1
+        _RING_LITERALS[key] = node
+        if len(_RING_LITERALS) > RING_LITERAL_BOUND:
+            del _RING_LITERALS[next(iter(_RING_LITERALS))]
+        return node
+
+    def literal_end(self) -> int | None:
+        """Index of the ')' that closes the relations of the ring literal
+        whose '[' is the next token, by bracket depth; None if the brackets
+        do not balance or no '(' follows the ']'."""
+        tokens, depth, header = self.tokens, 0, True
+        for j in range(self.i, len(tokens)):
+            kind = tokens[j][0]
+            if kind == "[" or kind == "(":
+                depth += 1
+            elif kind == "]" or kind == ")":
+                depth -= 1
+                if depth == 0:
+                    if not header:
+                        return j
+                    if tokens[j + 1][0] != "(":
+                        return None
+                    header = False
+        return None
 
     def ring_tail(self) -> RingExpr:
         self.i += 1  # '['

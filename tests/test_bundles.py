@@ -4,7 +4,7 @@ from math import comb, prod
 
 import _ref_bott
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowcalc.algebra import ExactMatrix, GradedPoly, VariableTable, monomial_basis
@@ -242,6 +242,38 @@ def _virtual():
     x = sequence_quotient(_split(A_LINES), _split([U]))
     assert x.rank == 2 and not x.c(3).is_zero() and not x.c(4).is_zero()
     return x
+
+
+LINE_TABLE = VariableTable(("x", "s", "y"), (1, 1, 2))
+
+
+@st.composite
+def virtual_twists(draw):
+    """(V, t): rank 0..2 and truncation 4..8, every class c_i nonzero (its
+    x^i coefficient is), so the classes above the rank are too; t != 0."""
+    rank, trunc = draw(st.integers(0, 2)), draw(st.integers(4, 8))
+    cs = []
+    for i in range(1, trunc + 1):
+        terms = {m: draw(st.integers(-3, 3)) for m in monomial_basis(LINE_TABLE, i)}
+        terms[(i, 0, 0)] = draw(st.sampled_from((-2, -1, 1, 2)))
+        cs.append(GradedPoly(LINE_TABLE, terms))
+    t = GradedPoly(LINE_TABLE, {(1, 0, 0): draw(st.integers(1, 3)), (0, 1, 0): draw(st.integers(-3, 3))})
+    return FormalBundle(rank, tuple(cs), LINE_TABLE), t
+
+
+@settings(max_examples=40, deadline=None)
+@given(virtual_twists())
+def test_twist_multiplies_the_character_by_e_to_the_class(case):
+    """ch(V (x) L) = ch(V) e^t on the Chern character alone, with no binomial
+    series of the classes above the rank."""
+    b, t = case
+    ch = chern_character(b)
+    powers = [GradedPoly.one(LINE_TABLE)]  # t^k / k!
+    for k in range(1, b.truncation + 1):
+        powers.append(powers[-1] * t / k)
+    zero = GradedPoly.zero(LINE_TABLE)
+    expected = [sum((ch[n - k] * powers[k] for k in range(n + 1)), zero) for n in range(len(ch))]
+    assert chern_character(twist(b, t)) == expected
 
 
 def test_twist_of_virtual_class():

@@ -43,9 +43,12 @@ def _stopped_at_non_decimal_digit(text, got):
 
 
 def assert_agrees(text):
-    got = _outcome(parse, text)
-    if not _stopped_at_non_decimal_digit(text, got):
-        assert got == _outcome(_ref_expr.parse, text)
+    """Parsed twice, so the second parse may take its ring literals from the
+    parser's memo: both must read as the reference does."""
+    for _ in range(2):
+        got = _outcome(parse, text)
+        if not _stopped_at_non_decimal_digit(text, got):
+            assert got == _outcome(_ref_expr.parse, text)
 
 
 # -- random text from grammar fragments -------------------------------------------

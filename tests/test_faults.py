@@ -158,6 +158,8 @@ FAULTS = [
         {4: set(), 8: {"plucker-lemma"}},
         lambda: bundles.dual(FIVE_LINES),
     ),
+    # tier-1 also catches it:
+    # test_bundles.py::test_twist_multiplies_the_character_by_e_to_the_class
     Fault(
         "_binomial takes C(m - n, m) for negative n", bundles, "_binomial",
         lambda f: lambda n, m: f(n, m) if n >= 0 else (-1) ** m * comb(m - n, m),
@@ -185,6 +187,8 @@ FAULTS = [
         {4: set(), 8: set()},
         lambda: grr.bernoulli(6),
     ),
+    # tier-1 also catches it:
+    # test_quotient.py::test_hilbert_function_of_a_complete_intersection_is_its_series
     Fault(
         "hilbert_function stops after one zero piece", quotient, "hilbert_function",
         _hilbert_stops_after_one_zero,

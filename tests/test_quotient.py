@@ -2,7 +2,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chowcalc.algebra import ExactMatrix, GradedPoly, VariableTable, monomial_basis
@@ -330,6 +330,31 @@ def test_normal_form_matches_vector_reduction(ring, data):
         x = GradedPoly(pres.table, dict(zip(basis, coeffs))) * scale
         assert normal_form(x, pres) == _ref_normal_form(x, pres)
     assert hilbert_function(pres, top + 1)[top:] == (1, 0)
+
+
+def _ci_series(weights, degrees, n):
+    """t^0..t^n of prod(1 - t^d) / prod(1 - t^w), the Hilbert series of a
+    complete intersection with relations of degrees d in generators of
+    weights w."""
+    c = [1] + [0] * n
+    for d in degrees:
+        c = [c[k] - (c[k - d] if k >= d else 0) for k in range(n + 1)]
+    for w in weights:
+        for k in range(w, n + 1):
+            c[k] += c[k - w]
+    return tuple(c)
+
+
+# Q[x, y]/(x, y^2) with y of weight 2 is zero in degree 1 and not in degree 2.
+@settings(max_examples=60, deadline=None)
+@given(complete_intersections(max_weight=3))
+@example((_ring((1, 2), lambda x, y: (x, y**2)), 2))
+@example((_ring((1, 3, 2), lambda x, y, z: (x, y**2 - z**3, z**2)), 5))
+def test_hilbert_function_of_a_complete_intersection_is_its_series(ring):
+    pres, top = ring
+    n = top + 2 * max(pres.table.weights) + 1  # through a zero run and past it
+    degrees = [r.degree() for r in pres.relations]
+    assert hilbert_function(pres, n) == _ci_series(pres.table.weights, degrees, n)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from chowcalc._record import record
 from chowcalc.algebra import ExactMatrix, GradedPoly, VariableTable
 from chowcalc.expr import Call, Index, Num, Var
 from chowcalc.schur import Partition
@@ -148,3 +149,55 @@ def test_record_matches_its_dataclass_twin(module, name):
 def test_records_of_different_classes_never_compare_equal():
     assert Call("f", (Num(1),)) != Index("f", (Num(1),))
     assert not Call("f", (Num(1),)) == Index("f", (Num(1),))
+
+
+# -- the kept hash ----------------------------------------------------------------
+
+
+class Counted:
+    """A field that counts the calls of its ``__hash__``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 7
+
+
+def test_a_record_hashes_its_fields_once():
+    field = Counted()
+    node = Var(field)
+    assert hash(node) == hash(node) == hash((field,))
+    assert field.calls == 2  # one for the record, one for the comparison tuple
+    assert {node: 1}[node] == 1 and field.calls == 2
+
+
+@pytest.mark.parametrize("module,name", RECORDS, ids=[r[1] for r in RECORDS])
+def test_the_kept_hash_is_the_hash_of_the_fields(module, name):
+    cls = _class(module, name)
+    for args in SAMPLES[name]:
+        rec = cls(*args)
+        fields = tuple(getattr(rec, n) for n in vars(cls)["__annotations__"])
+        for _ in range(2):  # computed, then kept
+            assert _outcome(hash, rec) == _outcome(hash, fields)
+
+
+def test_an_unhashable_field_raises_on_every_call():
+    node = Num([1])
+    for _ in range(3):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(node)
+    assert node._record_hash is None
+
+
+def test_a_slotted_record_hashes_its_fields_on_every_call():
+    @record
+    class Slotted:
+        __slots__ = ("a",)
+        a: object
+
+    field = Counted()
+    node = Slotted(field)
+    assert hash(node) == hash(node) == hash((field,))
+    assert field.calls == 3

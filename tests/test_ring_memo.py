@@ -1,13 +1,16 @@
-"""The evaluator's memo of closed ring literals: a re-asked literal returns
-the presentation built the first time, and everything read off it equals
-what today's path gives, which builds every literal afresh in the whole
-environment (``Evaluator._build_ring``) and stays the oracle."""
+"""The memos of ring literals.  The evaluator's memo of closed literals: a
+re-asked literal returns the presentation built the first time, and
+everything read off it equals what today's path gives, which builds every
+literal afresh in the whole environment (``Evaluator._build_ring``) and
+stays the oracle.  The parser's memo of literal texts: a re-asked text is
+the identical tree; ``test_expr_reference.py`` parses every text twice
+against the reference parser."""
 import pytest
 
-from chowcalc import quotient
+from chowcalc import expr, quotient
 from chowcalc.algebra import GradedPoly, monomial_basis
-from chowcalc.evaluator import EvalError, Evaluator, format_value
-from chowcalc.expr import parse
+from chowcalc.evaluator import EvalError, Evaluator, _closed, format_value
+from chowcalc.expr import ParseError, RingExpr, parse
 
 # Artinian Gorenstein rings and their top degrees: weights 1 and 2,
 # rational coefficients, ^, unary minus, and two to four variables.
@@ -108,3 +111,53 @@ def test_the_memo_is_bounded_and_stays_right_after_eviction():
         assert ev._closed_rings.cache_info().currsize <= bound
     assert ev._closed_rings.cache_info().currsize == bound
     assert ask(2) == "2 * y^2"  # the first literal, evicted by now
+
+
+# -- the parser's memo of literal texts ---------------------------------------------
+
+LITERAL = "ring[x, y; 1, 1](x^2, y^2)"
+
+
+def test_one_literal_in_two_statements_is_one_tree():
+    first = parse(f"hilbert({LITERAL}, 3)").args[0]
+    second = parse(f"pairing({LITERAL}, 1, 2)").args[0]
+    assert isinstance(first, RingExpr) and second is first
+    assert parse(f"a = {LITERAL}").value is first
+    ev = Evaluator()
+    assert format_value(ev.run(f"hilbert({LITERAL}, 3)")) == "(1, 2, 1, 0)"
+    assert format_value(ev.run(f"pairing({LITERAL}, 1, 2)")) == "[[0, 1], [1, 0]]"
+    assert ev._closed_rings.cache_info().currsize == 1
+    assert _closed.cache_info().maxsize == 1024
+
+
+def test_the_literal_memo_is_bounded_and_least_recently_used():
+    expr._RING_LITERALS.clear()
+    bound = expr.RING_LITERAL_BOUND
+    assert bound == 1024
+    texts = [f"ring[x; 1](x^{k})" for k in range(1, bound + 2)]
+    kept = parse(texts[0])
+    for text in texts[1:bound]:
+        parse(text)
+    assert parse(texts[0]) is kept  # a hit makes it the most recent
+    parse(texts[bound])  # evicts the least recent, texts[1]
+    assert len(expr._RING_LITERALS) == bound
+    assert texts[0] in expr._RING_LITERALS and texts[1] not in expr._RING_LITERALS
+    assert parse(texts[0]) is kept and parse(texts[1]) == parse(texts[1])
+
+
+def test_a_literal_nested_too_deeply_is_never_kept():
+    deep = "ring[x; 1](" + "(" * 300 + "x" + ")" * 300 + ")"
+    for _ in range(2):
+        with pytest.raises(RecursionError):
+            parse(f"hilbert({deep}, 2)")
+        assert deep not in expr._RING_LITERALS
+
+
+@pytest.mark.parametrize(
+    "literal", ["ring[x, y; 1](x)", "ring[1; 1](x)", "ring[x 1](x)", "ring[x; 1](x +)"]
+)
+def test_a_literal_that_fails_is_never_kept(literal):
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            parse(f"hilbert({literal}, 2)")
+        assert literal not in expr._RING_LITERALS
