@@ -25,12 +25,18 @@ written once, when the polynomial is built: the constructors build it
 directly (an int coefficient never becomes a Fraction), and so do ``+``,
 ``-``, scalar ``*`` and ``/`` and the kernel.  Nothing is cached beside it:
 ``items`` builds the exponent tuples and Fractions on each call, and
-``coefficient`` looks up one packed key.  Width rule: a field has at least
-16 bits and holds twice the largest exponent of its polynomial, so a sum of
-two keys of one width never carries from one field into the next; every
-content has ``width == _field_width(top)``.  An operation packs its operands
-at the one width it needs in a copy used for that call alone; the kernel
-packs them at its result's width.
+``coefficient`` looks up one packed key.  Width rule: a field holds
+twice the largest exponent of its polynomial, so a sum of two keys of one
+width never carries from one field into the next; every content has
+``width == _field_width(top)``.  Exponents up to 31 take 6 bits: five
+such fields fill one 30-bit CPython digit, so the keys of a table of at
+most five variables, such as the kappa and surface tables, are one-digit
+ints, which the kernel adds and hashes fastest.  Past 31 a field has at
+least 16 bits, so exponents from 32 to 32767 share one width.  An
+operation packs its operands at the one width it needs in a copy used for
+that call alone (a sum or ``==`` of a polynomial with exponents up to 31
+and one with larger exponents repacks the first); the kernel packs them
+at its result's width.
 
 Results from internal operations are built with the trusted
 ``GradedPoly._from_content``; the public constructor keeps full validation.
@@ -142,12 +148,14 @@ class GradedPoly:
         nvars = len(table)
         for exps, c in terms.items():
             if not isinstance(c, (int, Fraction)):
-                c = rat(c)
-            if not c:
-                continue
-            if len(exps) != nvars or min(exps, default=0) < 0:
-                raise ValueError(f"bad exponent vector {exps!r} for table {table.names}")
-            kept[tuple(exps)] = c
+                rat(c)  # raises the TypeError
+            if c:
+                if len(exps) != nvars:
+                    raise ValueError(f"bad exponent vector {exps!r} for table {table.names}")
+                kept[tuple(exps)] = c
+        if min(chain.from_iterable(kept), default=0) < 0:
+            exps = next(e for e in kept if min(e) < 0)
+            raise ValueError(f"bad exponent vector {exps!r} for table {table.names}")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_content", _pack(table, kept))
         object.__setattr__(self, "_hash", None)
@@ -166,23 +174,24 @@ class GradedPoly:
 
     @staticmethod
     def zero(table: VariableTable) -> "GradedPoly":
-        return GradedPoly._from_content(table, (1, {}, 16, 0, None))
+        return GradedPoly._from_content(table, (1, {}, _MIN_WIDTH, 0, None))
 
     @staticmethod
     def constant(table: VariableTable, c: RationalLike) -> "GradedPoly":
         c = c if isinstance(c, (int, Fraction)) else rat(c)
         if not c:
             return GradedPoly.zero(table)
-        return GradedPoly._from_content(table, (c.denominator, {0: c.numerator}, 16, 0, 0))
+        return GradedPoly._from_content(table, (c.denominator, {0: c.numerator}, _MIN_WIDTH, 0, 0))
 
     @staticmethod
     def one(table: VariableTable) -> "GradedPoly":
-        return GradedPoly._from_content(table, (1, {0: 1}, 16, 0, 0))
+        return GradedPoly._from_content(table, (1, {0: 1}, _MIN_WIDTH, 0, 0))
 
     @staticmethod
     def variable(table: VariableTable, name: str) -> "GradedPoly":
         i = table.index(name)
-        return GradedPoly._from_content(table, (1, {1 << 16 * i: 1}, 16, 1, table.weights[i]))
+        key = 1 << _MIN_WIDTH * i
+        return GradedPoly._from_content(table, (1, {key: 1}, _MIN_WIDTH, 1, table.weights[i]))
 
     @staticmethod
     def monomial(table: VariableTable, exps: Sequence[int], c: RationalLike = 1) -> "GradedPoly":
@@ -226,9 +235,14 @@ class GradedPoly:
         den, keyed, _, _, _ = self._content
         return Fraction(keyed.get(0, 0), den)
 
+    def is_constant(self) -> bool:
+        """True for a constant, zero included: no key but 0, the constant
+        monomial, without unpacking a term."""
+        return not any(self._content[1])
+
     def as_scalar(self) -> Fraction:
         """The value of a constant polynomial; error if non-constant."""
-        if any(self._content[1]):  # key 0 is the constant monomial
+        if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return self.constant_term()
 
@@ -241,9 +255,6 @@ class GradedPoly:
         if len(degs) != 1:
             raise ValueError("degree undefined (zero or inhomogeneous polynomial)")
         return degs.pop()
-
-    def max_degree(self) -> int:
-        return max(self._degrees(), default=0)
 
     def _select(self, keep, deg: int | None) -> "GradedPoly":
         """The terms whose degree satisfies `keep`, of degree `deg` if known."""
@@ -378,11 +389,19 @@ def mul_trunc(a: GradedPoly, b: GradedPoly, max_degree: int) -> GradedPoly:
     return (a * b).truncate(max_degree)
 
 
+_MIN_WIDTH = 6  # bits per field up to exponent 31: see the module docstring
+_WIDE_WIDTH = 16  # the least width past that, shared by exponents 32 to 32767
+
+
 def _field_width(top: int) -> int:
     """Bits per exponent field for exponents of at most `top`: twice `top`
     must fit in one field, so that a sum of two keys never carries from one
-    field into the next, and no field is narrower than 16 bits."""
-    return max(16, (2 * top).bit_length())
+    field into the next.  Exponents up to 31 take ``_MIN_WIDTH`` (6) bits;
+    past that a field has at least ``_WIDE_WIDTH`` (16) bits, so that
+    operands with exponents from 32 to 32767 share one width and are never
+    repacked to meet each other."""
+    width = (2 * top).bit_length()
+    return _MIN_WIDTH if width <= _MIN_WIDTH else max(_WIDE_WIDTH, width)
 
 
 def _unpack(keys: Iterable[int], width: int, nvars: int) -> list[tuple[int, ...]]:
@@ -469,17 +488,15 @@ def linear_combination(
     width = _field_width(top)
     den = lcm(*[d for _, d, _, _ in pairs])
     acc: dict[int, int] = {}
+    get = acc.get  # one probe of the accumulator per term
     for n, d, ca, cb in pairs:
         scale = n * (den // d)
-        nb = _repacked(cb, width, len(table))[1]
+        nb = list(_repacked(cb, width, len(table))[1].items())
         for k1, n1 in _repacked(ca, width, len(table))[1].items():
             n1 *= scale
-            for k2, n2 in nb.items():
+            for k2, n2 in nb:
                 k = k1 + k2
-                if k in acc:
-                    acc[k] += n1 * n2
-                else:
-                    acc[k] = n1 * n2
+                acc[k] = get(k, 0) + n1 * n2
     keyed = {k: n for k, n in acc.items() if n}
     deg = degs.pop() if len(degs) == 1 else None
     return GradedPoly._from_content(table, _reduced(den, keyed, width, top, deg))

@@ -132,7 +132,7 @@ def _rational(v: Any) -> Fraction | None:
     """v as a rational scalar (a constant polynomial counts), else None."""
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
-    if isinstance(v, GradedPoly) and v.max_degree() == 0:
+    if isinstance(v, GradedPoly) and v.is_constant():
         return v.constant_term()
     return None
 

@@ -31,9 +31,12 @@ _E, _F = (GradedPoly.variable(SURFACE_TABLE, name) for name in SURFACE_TABLE.nam
 _EE, _EF, _FF = _E * _E, _E * _F, _F * _F
 
 
+@lru_cache(maxsize=64)
 def hirzebruch_ring(n: int) -> RingPresentation:
     """A*(F_n) = Q[E, F]/(F^2, E^2 + n*E*F), E*F the point class (Fulton,
-    Intersection Theory, Ex. 8.3.9); `graded_piece` keys it by value."""
+    Intersection Theory, Ex. 8.3.9).  One presentation per n is kept, so a
+    query on F_n finds its `graded_piece` by identity, not by rehashing and
+    comparing a new presentation."""
     return RingPresentation(SURFACE_TABLE, (_FF, _EE + n * _EF))
 
 

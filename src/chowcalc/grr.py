@@ -4,10 +4,13 @@ Classes on the universal curve are truncated series in psi = c1(omega)
 with coefficients in the free kappa-ring Q[kappa_1..kappa_D]; the
 fiberwise pushforward sends psi^j to kappa_(j-1) (with kappa_0 = 2g - 2)
 and drops degree by one, so psi^j for j > D + 1 is dropped, like every
-class above degree D.  Chern data of the direct images of powers of the
-relative dualizing sheaf, and of the Hodge bundle, follow from the Todd
-series of the relative tangent, whose coefficients are Bernoulli numbers
-computed in-module.
+class above degree D.  A product of psi series is truncated at psi^(D+1)
+too, like every class above the truncation, so a power of psi past it is
+0; factors such as e^(k psi) and the Todd series are given only that far,
+so a product's coefficients past it would not be determined.  Chern data
+of the direct images of powers of the relative dualizing sheaf, and of the
+Hodge bundle, follow from the Todd series of the relative tangent, whose
+coefficients are Bernoulli numbers computed in-module.
 
 The genus-6 model carries Mukai's rank-5 bundle V, the Hodge bundle E and
 a free twist ell over one table, v1..v5, lambda1..lambda_D and ell; V and E
@@ -101,9 +104,10 @@ class PsiSeries:
         if isinstance(other, (int, Fraction, GradedPoly)):
             return PsiSeries(self.genus, tuple(c * other for c in self.coeffs))
         self._check(other)
-        return PsiSeries(
-            self.genus, tuple(series_mul(self.coeffs, other.coeffs, self.order + other.order))
-        )
+        # psi^(D+1), the last power that push_psi reads, is the last one
+        # that factors such as exp_psi and todd_series determine
+        order = min(self.order + other.order, len(self.table) + 1)
+        return PsiSeries(self.genus, tuple(series_mul(self.coeffs, other.coeffs, order)))
 
     __rmul__ = __mul__
 

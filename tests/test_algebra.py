@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from chowcalc import algebra
 from chowcalc.algebra import (
     ExactMatrix,
     GradedPoly,
@@ -338,6 +339,32 @@ def test_formatted_polys_reparse_to_the_same_value(p):
     ev = Evaluator()
     ev.env.update({name: GradedPoly.variable(p.table, name) for name in p.table.names})
     assert ev.run(format_poly(p)) == p
+
+
+def test_reading_back_a_printed_polynomial_unpacks_linearly_many_keys(monkeypatch):
+    """Each `+` of the read-back asks whether its operands are numbers.  A
+    constant is read off the content, so the keys that pass through
+    `_unpack` stay linear in the number of terms: reading a mixed-degree
+    partial sum's degrees at every `+` made them quadratic."""
+    table = VariableTable(("a1", "b1", "u", "v"), (1, 1, 1, 2))
+    basis = [e for d in range(9) for e in monomial_basis(table, d)]
+    p = GradedPoly(table, {e: (-1) ** i * (i + 1) for i, e in enumerate(basis)})
+    text = format_poly(p)
+    ev = Evaluator()
+    ev.env.update({name: GradedPoly.variable(table, name) for name in table.names})
+    unpacked = []
+    unpack = algebra._unpack
+
+    def counting(keys, width, nvars):
+        keys = list(keys)
+        unpacked.append(len(keys))
+        return unpack(keys, width, nvars)
+
+    monkeypatch.setattr(algebra, "_unpack", counting)
+    q = ev.run(text)
+    monkeypatch.undo()
+    assert len(p) == 295 and q == p
+    assert sum(unpacked) <= 2 * len(p)
 
 
 @pytest.mark.parametrize("src", ["M6", "ring[a, b, c; 1, 2, 3](a^3 - 2/3 * a * b, 5 * c^2 + b^3)"])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -104,16 +105,48 @@ def test_push_psi_drops_powers_past_the_truncation(trunc):
     powers = p
     for _ in range(trunc + 1):
         powers = powers * p
-    for s in (om * td, om * om * td, td * p * p, powers, om * powers - td):
+    # a product stops at psi^(D+1), so the series past it are built by hand
+    tail = tuple(j * kappa(trunc, 1) for j in range(1, 4))
+    for product in (om * td, om * om * td, td * p * p, powers, om * powers - td):
+        assert product.order == trunc + 1
+        s = PsiSeries(product.genus, product.coeffs + tail)
         assert s.order > trunc + 1
         assert push_psi(s) == push_psi(PsiSeries(s.genus, s.coeffs[: trunc + 2]))
 
 
+def _bernoulli_polynomial_series(k, n):
+    """B_0(k)/0!, ..., B_n(k)/n!: the coefficients of t e^(kt) / (e^t - 1),
+    as e^(kt) times the inverse of (e^t - 1)/t = sum t^j / (j + 1)!."""
+    divisor = [Fraction(1, factorial(j + 1)) for j in range(n + 1)]
+    inverse = [Fraction(1)]
+    for d in range(1, n + 1):
+        inverse.append(-sum(divisor[i] * inverse[d - i] for i in range(1, d + 1)))
+    exp_k = [Fraction(k) ** j / factorial(j) for j in range(n + 1)]
+    return [sum(exp_k[i] * inverse[d - i] for i in range(d + 1)) for d in range(n + 1)]
+
+
+@pytest.mark.parametrize("k", (-1, 1, 2, 3))
+@pytest.mark.parametrize("trunc", (2, 4, 8))
+def test_omega_power_times_todd_is_the_bernoulli_polynomial_series(k, trunc):
+    """Coefficient n of e^(k psi) td is B_n(k)/n! for every n <= D + 1, and
+    the product stops there, where both factors stop."""
+    s = exp_psi(k, 6, trunc) * todd_series(6, trunc)
+    assert s.order == trunc + 1
+    assert [c.as_scalar() for c in s.coeffs] == _bernoulli_polynomial_series(k, trunc + 1)
+
+
 @pytest.mark.parametrize("trunc", range(1, 7))
 def test_push_in_the_language_drops_powers_past_the_truncation(trunc):
+    """In the language a psi product already stops at psi^(D+1), so the
+    powers past the truncation are dropped by the product, before `push`
+    sees them: D + 2 factors of psi push to 0, D + 1 to kappa_D."""
+    ev = Evaluator(trunc)
     s = exp_psi(2, 6, trunc) * todd_series(6, trunc) * psi(6, trunc)
-    pushed = Evaluator(trunc).run("push(omega(2, 6) * td(6) * psi(6))")
-    assert pushed == push_psi(PsiSeries(s.genus, s.coeffs[: trunc + 2]))
+    assert s.order == trunc + 1
+    assert ev.run("push(omega(2, 6) * td(6) * psi(6))") == push_psi(s)
+    powers = " * ".join(["psi(6)"] * (trunc + 1))
+    assert ev.run(f"push({powers})") == kappa(trunc, trunc)
+    assert ev.run(f"push({powers} * psi(6))") == 0
 
 
 def test_psi_series_arithmetic():

@@ -5,12 +5,14 @@ same hash and the same printed form, and equals, both ways, the polynomial
 rebuilt from its terms.
 """
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _ref_poly import RefPoly
+from chowcalc import algebra
 from chowcalc.algebra import GradedPoly, VariableTable, format_poly
 
 WTABLE = VariableTable(("a", "b", "c"), (1, 2, 3))
@@ -113,6 +115,74 @@ def test_polynomials_match_the_fraction_dict_reference(program):
     _, pool = program
     for p, r in pool:
         _assert_same(p, r)
+
+
+# The field widths.  Exponents up to 31 pack 6 bits per field, 32 to 32767
+# pack 16, and 32768 up pack more, so sums and products here meet operands
+# of two widths.  Tables of 1, 4, 5 and 6 variables put the 6-bit keys
+# inside one 30-bit int digit, at its edge and past it.
+FLOOR_TABLES = tuple(VariableTable.indexed(("x", n)) for n in (1, 4, 5, 6))
+floor_exponents = st.sampled_from((0, 1, 31, 32, 62, 63, 64, 32767, 32768))
+
+
+@st.composite
+def floor_triples(draw):
+    """Three (GradedPoly, RefPoly) pairs over one table, with exponents at
+    and around the steps of the field width."""
+    table = draw(st.sampled_from(FLOOR_TABLES))
+    terms = st.dictionaries(st.tuples(*[floor_exponents] * len(table)), coefficients, max_size=4)
+    return [(GradedPoly(table, t), RefPoly(table, t)) for t in (draw(terms) for _ in range(3))]
+
+
+def _floor_monomial(n, e):
+    table = FLOOR_TABLES[0]
+    return GradedPoly.monomial(table, (e,), n), RefPoly.monomial(table, (e,), n)
+
+
+@given(floor_triples())
+@example([_floor_monomial(1, 31), _floor_monomial(2, 32), _floor_monomial(3, 64)])
+@example([_floor_monomial(1, 31), _floor_monomial(1, 31), _floor_monomial(-1, 63)])
+@example([_floor_monomial(1, 32767), _floor_monomial(1, 1), _floor_monomial(1, 32768)])
+def test_sums_products_and_equality_across_the_field_floor(triple):
+    (a, ra), (b, rb), (c, rc) = triple
+    results = [
+        (a + b, ra + rb),
+        (a - b, ra - rb),
+        (a * b, ra * rb),
+        (a * b * c, ra * rb * rc),
+        (a * b + c, ra * rb + rc),
+        # a content wider than its exponents need, equal to one packed at the floor
+        ((a + c) - c, (ra + rc) - rc),
+        (a * c - c * a + b, ra * rc - rc * ra + rb),
+    ]
+    for p, r in results:
+        _assert_same(p, r)
+
+
+def test_four_variable_products_up_to_exponent_31_have_one_digit_keys():
+    """Every key below 2^30 is one digit of a CPython int."""
+    table = VariableTable(("a1", "b1", "u", "v"), (1, 1, 1, 2))
+    a, b = (
+        GradedPoly(table, {e: i + 1 for i, e in enumerate(product((0, 1, top), repeat=4))})
+        for top in (15, 16)
+    )
+    for p in (a, b, a * b, a * b - a, (a + 1) * (b - 1)):
+        assert max(p._content[1]) < 2**30
+    assert max((b * b)._content[1]) >= 2**30  # exponent 32 needs a 16-bit field
+
+
+def test_field_widths_step_from_6_to_16_bits():
+    assert [algebra._field_width(t) for t in (0, 31, 32, 32767, 32768)] == [6, 6, 16, 16, 17]
+
+
+def test_operands_with_exponents_from_32_to_32767_are_not_repacked(monkeypatch):
+    """They share the 16-bit width, so a sum, a product or `==` of two of
+    them unpacks no key to repack it."""
+    table = FLOOR_TABLES[1]
+    a = GradedPoly(table, {(40, 1, 0, 2): 3, (0, 5, 7, 1): -1})
+    b = GradedPoly(table, {(300, 0, 0, 0): 1, (2, 2, 2, 2): 5})
+    monkeypatch.setattr(algebra, "_unpack", None)
+    assert a + b != a * b and a - b == -(b - a)
 
 
 @pytest.mark.parametrize("bad", [(1,), (1, 0, 0, 0), (1, -1, 0), (-2, 0, 0)])
