@@ -103,7 +103,7 @@ class VariableTable:
         return sum(map(mul, exponents, self.weights))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # keyed by the user's tables, so bounded like graded_piece
 def monomial_basis(table: VariableTable, d: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors of weighted degree exactly d, graded-lex descending.
 

@@ -332,16 +332,18 @@ def _run_strata(trunc: int):
 )
 def _run_grr(trunc: int):
     k1 = grr.kappa(trunc, 1)
-    ch_hodge = bundles.chern_character(grr.hodge_bundle(6, trunc))
-    ch2 = grr.ch_pushforward_omega_power(2, 6, trunc)
     genera = range(2, 9)
+    hodge = [grr.hodge_bundle(g, trunc) for g in genera]
+    ch2 = [grr.ch_pushforward_omega_power(2, g, trunc) for g in genera]
+    six = genera.index(6)
+    ch_hodge = bundles.chern_character(hodge[six])
     computed = (
         ch_hodge[1],
         ch_hodge[2],
-        ch2[1],
+        ch2[six][1],
         # lambda1 and the rank of the pushed squared dualizing sheaf, g = 2..8
-        tuple(grr.hodge_bundle(g, trunc).c(1) for g in genera),
-        tuple(grr.ch_pushforward_omega_power(2, g, trunc)[0] for g in genera),
+        tuple(h.c(1) for h in hodge),
+        tuple(ch[0] for ch in ch2),
     )
     expected = (k1 / 12, 0, Fraction(13, 12) * k1, (k1 / 12,) * 7, tuple(3 * g - 3 for g in genera))
     return computed, expected

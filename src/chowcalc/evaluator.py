@@ -45,9 +45,11 @@ its presentation in an LRU of 1024 literals keyed by the syntax tree, so a
 re-asked literal returns the same object and the tables that
 ``quotient.graded_piece`` cached for it.  Any other literal is built afresh,
 and a literal that fails is never kept.  The key costs a lookup: the parser
-returns one tree per literal text (``expr``), a record keeps its hash, and
-``_closed`` keeps its answer per tree in an LRU of 1024, so a re-asked
-literal is found by identity without walking its tree.
+keeps one tree per statement or literal text in one memo (``expr``), so a
+re-asked line or literal is the identical tree; a record keeps its hash,
+and ``_closed`` keeps its answer per tree in an LRU of 1024, so a re-asked
+literal is found by identity without walking its tree.  The parser's memo
+keeps trees, not values: every statement is evaluated each time it runs.
 
 A definitions file and a repl session share one comment rule,
 ``statements``: each line is cut at its first ``#``, and blank lines are

@@ -20,13 +20,19 @@ other non-space character outside + - * / ^ ( ) [ ] , ; = is an unexpected
 character at its position.  Parse errors carry a position and the expected
 token set.
 
-A ring literal is parsed once per text: the parser keeps the tree of every
-literal it parsed, keyed by its source from ``ring`` to the ``)`` that
-closes its relations (found by bracket depth over the tokens), in an LRU of
-``RING_LITERAL_BOUND`` texts.  A re-asked literal is the identical
-``RingExpr``, so a memo keyed by it finds it by identity.  A literal whose
-brackets do not balance, or that fails, is parsed in place and not kept, so
-every error reads as before.
+A text is parsed once: the parser keeps the tree of every statement it
+parsed, keyed by its text, in an LRU of ``TREE_BOUND`` texts.  Ring
+literals share that memo, for a literal's source from ``ring`` to the ``)``
+that closes its relations is itself a statement whose tree is its
+``RingExpr``; each literal parsed in place is kept under that text.  A
+re-asked statement is the kept tree and is not tokenized.  Before a new
+statement is tokenized, each ``ring[...](...)`` span in it is found by its
+bracket characters; a span whose text is kept becomes one token standing
+for its tree, and only the text around it is tokenized.  So a re-asked
+literal is the identical ``RingExpr``, and a memo keyed by it finds it by
+identity.  A parse that fails with such a token is redone from every token,
+so every error reads as it would without the memo, and a statement or
+literal that fails is never kept.
 """
 from __future__ import annotations
 
@@ -51,20 +57,26 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|([-+*/^()\[\],;=])|(\S))")
 def tokenize(src: str) -> list[tuple[str, str, int]]:
     """(kind, text, position) per token, then ('end', '', len(src)).  The kind
     is 'number', 'ident', or a punctuation character's own text."""
-    out = []
-    for m in _TOKEN.finditer(src):
-        g = m.lastindex
-        text, pos = m[g], m.start(g)
-        if g == 1:
-            out.append(("number", text, pos))
-        elif g == 3:
-            out.append((text, text, pos))
-        elif g == 2 and (text[0].isalpha() or text[0] == "_"):
-            out.append(("ident", text, pos))
-        else:  # also a word led by a numeral that is no letter, like '²' or '½'
-            raise ParseError(f"unexpected character {text[0]!r}", pos)
+    out: list = []
+    _scan(src, 0, len(src), out)
     out.append(("end", "", len(src)))
     return out
+
+
+def _scan(src: str, pos: int, endpos: int, out: list) -> None:
+    """Append the tokens of src[pos:endpos] to `out`, at their positions in
+    `src`."""
+    for m in _TOKEN.finditer(src, pos, endpos):
+        g = m.lastindex
+        text, at = m[g], m.start(g)
+        if g == 1:
+            out.append(("number", text, at))
+        elif g == 3:
+            out.append((text, text, at))
+        elif g == 2 and (text[0].isalpha() or text[0] == "_"):
+            out.append(("ident", text, at))
+        else:  # also a word led by a numeral that is no letter, like '²' or '½'
+            raise ParseError(f"unexpected character {text[0]!r}", at)
 
 
 # -- AST ----------------------------------------------------------------------
@@ -131,15 +143,24 @@ class Assign:
 Expr = Num | Var | Neg | BinOp | Call | Index | ListExpr | RingExpr | BundleExpr
 
 
-# ring literal text -> its tree, least recently used first
-_RING_LITERALS: dict[str, RingExpr] = {}
-RING_LITERAL_BOUND = 1024
+# statement or ring literal text -> its tree, least recently used first
+_TREES: dict[str, Expr | Assign] = {}
+TREE_BOUND = 1024
+
+
+def _keep(text: str, node: Expr | Assign) -> None:
+    """Keep `node` as the most recent tree, evicting the least recent past
+    the bound."""
+    _TREES.pop(text, None)
+    _TREES[text] = node
+    if len(_TREES) > TREE_BOUND:
+        del _TREES[next(iter(_TREES))]
 
 
 class _Parser:
-    def __init__(self, src: str):
+    def __init__(self, src: str, tokens: list):
         self.src = src
-        self.tokens = tokenize(src)
+        self.tokens = tokens
         self.i = 0
 
     def take(self, kind: str) -> str:
@@ -199,7 +220,9 @@ class _Parser:
         if kind == "ident":
             after = self.tokens[self.i][0]
             if text == "ring" and after == "[":
-                return self.ring_literal(pos)
+                node = self.ring_tail()
+                _keep(self.src[pos : self.tokens[self.i - 1][2] + 1], node)  # to its ')'
+                return node
             if text == "bundle" and after == "(":
                 return self.bundle_tail()
             if self.accept("("):
@@ -207,45 +230,11 @@ class _Parser:
             if self.accept("["):
                 return Index(text, self.expr_list("]"))
             return Var(text)
+        if kind == "tree":  # a kept ring literal
+            return text
         if kind == "end":
             raise ParseError("unexpected end of input", pos, ("number", "identifier", "("))
         raise ParseError(f"unexpected token {text!r}", pos, ("number", "identifier", "(", "["))
-
-    def ring_literal(self, start: int) -> RingExpr:
-        """The ring literal whose 'ring' token is at `start`: the kept tree of
-        the same text, or the tree parsed in place, kept if it parses."""
-        end = self.literal_end()
-        if end is None:
-            return self.ring_tail()
-        key = self.src[start : self.tokens[end][2] + 1]
-        node = _RING_LITERALS.pop(key, None)
-        if node is None:
-            node = self.ring_tail()
-        else:
-            self.i = end + 1
-        _RING_LITERALS[key] = node
-        if len(_RING_LITERALS) > RING_LITERAL_BOUND:
-            del _RING_LITERALS[next(iter(_RING_LITERALS))]
-        return node
-
-    def literal_end(self) -> int | None:
-        """Index of the ')' that closes the relations of the ring literal
-        whose '[' is the next token, by bracket depth; None if the brackets
-        do not balance or no '(' follows the ']'."""
-        tokens, depth, header = self.tokens, 0, True
-        for j in range(self.i, len(tokens)):
-            kind = tokens[j][0]
-            if kind == "[" or kind == "(":
-                depth += 1
-            elif kind == "]" or kind == ")":
-                depth -= 1
-                if depth == 0:
-                    if not header:
-                        return j
-                    if tokens[j + 1][0] != "(":
-                        return None
-                    header = False
-        return None
 
     def ring_tail(self) -> RingExpr:
         self.i += 1  # '['
@@ -282,17 +271,78 @@ class _Parser:
         self.take(closer)
         return tuple(items)
 
+    def statement(self) -> Expr | Assign:
+        t = self.tokens
+        if t[0][0] == "ident" and t[1][0] == "=":  # an ident is never the last token
+            self.i = 2
+            node = Assign(t[0][1], self.expr())
+        else:
+            node = self.expr()
+        kind, text, pos = t[self.i]
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r}", pos)
+        return node
+
+
+# 'ring' then '[', as the scanner reads them: 'ring' starts a word
+_RING_START = re.compile(r"\bring\s*\[")
+_BRACKET = re.compile(r"[\[\]()]")
+_PAREN_NEXT = re.compile(r"\s*\(")
+
+
+def _literal_end(src: str, i: int) -> int | None:
+    """One past the ')' that closes the relations of the ring literal whose
+    '[' is at `i`, by bracket depth; None if the brackets do not balance or
+    no '(' follows the ']'."""
+    depth, header = 0, True
+    for m in _BRACKET.finditer(src, i):
+        if m[0] in "[(":
+            depth += 1
+        else:
+            depth -= 1
+            if depth == 0:
+                if not header:
+                    return m.end()
+                if not _PAREN_NEXT.match(src, m.end()):
+                    return None
+                header = False
+    return None
+
+
+def _tokens_around_kept(src: str) -> list | None:
+    """The tokens of `src` with each ring literal whose text is kept as one
+    ('tree', its tree, its position) token; None if no literal is kept."""
+    out: list = []
+    pos = 0
+    for m in _RING_START.finditer(src):
+        start = m.start()
+        if start < pos:  # inside a kept literal
+            continue
+        end = _literal_end(src, m.end() - 1)
+        node = None if end is None else _TREES.get(key := src[start:end])
+        if node is not None:
+            _keep(key, node)
+            _scan(src, pos, start, out)
+            out.append(("tree", node, start))
+            pos = end
+    if not out:
+        return None
+    _scan(src, pos, len(src), out)
+    out.append(("end", "", len(src)))
+    return out
+
 
 def parse(src: str) -> Expr | Assign:
     """Parse a statement; raises ParseError with position on bad input."""
-    p = _Parser(src)
-    t = p.tokens
-    if t[0][0] == "ident" and t[1][0] == "=":  # an ident is never the last token
-        p.i = 2
-        node = Assign(t[0][1], p.expr())
-    else:
-        node = p.expr()
-    kind, text, pos = t[p.i]
-    if kind != "end":
-        raise ParseError(f"trailing input {text!r}", pos)
+    node = _TREES.get(src)
+    if node is None:
+        try:
+            tokens = _tokens_around_kept(src)
+            if tokens is not None:
+                node = _Parser(src, tokens).statement()
+        except ParseError:
+            pass  # parsed again from every token, so the error reads as without the memo
+        if node is None:
+            node = _Parser(src, tokenize(src)).statement()
+    _keep(src, node)
     return node

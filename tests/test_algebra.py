@@ -45,6 +45,17 @@ def test_monomial_basis_degree_5():
     assert monomial_basis(KAPPA, 5) == ((5, 0), (3, 1), (1, 2))
 
 
+def test_monomial_basis_cache_is_bounded():
+    """Each ring literal with new variable names is a new table."""
+    info = monomial_basis.cache_info
+    assert info().maxsize == 1024
+    ev = Evaluator()
+    for i in range(3000):
+        assert ev.run(f"hilbert(ring[x_{i}, y; 1, 2](x_{i}^3, y^2), 4)") == (1, 1, 2, 1, 1)
+        assert info().currsize <= info().maxsize
+    assert info().currsize == info().maxsize
+
+
 def _series_count(weights, d):
     """Coefficient of t^d in prod_i 1/(1 - t^w_i), by exact convolution."""
     series = [Fraction(0)] * (d + 1)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _ref_expr
+from chowcalc import expr
 from chowcalc.expr import ParseError, parse, tokenize
 
 EVERY_CHARACTER = "".join(map(chr, range(sys.maxunicode + 1)))
@@ -42,13 +43,37 @@ def _stopped_at_non_decimal_digit(text, got):
     return True
 
 
+def _keep_literals(text, starts=None):
+    """Parse alone every piece of `text` from a 'ring' to a ')', so that each
+    ring literal in it that parses is kept in the parser's memo; with
+    `starts`, only the pieces from those occurrences of 'ring' (by index)."""
+    for k, m in enumerate(re.finditer("ring", text)):
+        if starts is not None and k not in starts:
+            continue
+        for end in range(m.start(), len(text)):
+            if text[end] == ")":
+                try:
+                    parse(text[m.start() : end + 1])
+                except ParseError:
+                    pass
+
+
+def _agrees(text):
+    got = _outcome(parse, text)
+    if not _stopped_at_non_decimal_digit(text, got):
+        assert got == _outcome(_ref_expr.parse, text)
+
+
 def assert_agrees(text):
-    """Parsed twice, so the second parse may take its ring literals from the
-    parser's memo: both must read as the reference does."""
-    for _ in range(2):
-        got = _outcome(parse, text)
-        if not _stopped_at_non_decimal_digit(text, got):
-            assert got == _outcome(_ref_expr.parse, text)
+    """Parsed cold, again (the statement comes from the parser's memo if it
+    parsed), and cold once more after every ring literal in it was kept, so
+    that each stands as one token: each parse reads as the reference does."""
+    expr._TREES.clear()
+    _agrees(text)
+    _agrees(text)
+    expr._TREES.clear()
+    _keep_literals(text)
+    _agrees(text)
 
 
 # -- random text from grammar fragments -------------------------------------------
@@ -91,6 +116,29 @@ def test_parse_agrees_with_the_reference(text):
     assert_agrees(text)
 
 
+# Grammar text where ring literals are common, nested ones too.
+WITH_LITERALS = st.recursive(
+    st.sampled_from(["x", "k1", "12", "ring[x; 1](x)"]),
+    lambda inner: st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*^"), inner),
+        st.builds("hilbert({}, {})".format, inner, inner),
+        st.builds("ring[x, y; 1, 2]({}, {})".format, inner, inner),
+        st.builds("ring [y ;2] ( {} )".format, inner),
+    ),
+    max_leaves=8,
+).flatmap(lambda text: st.sampled_from([text, f"a = {text}", f"{text} ]"]))
+
+
+@settings(max_examples=300)
+@given(WITH_LITERALS, st.sets(st.integers(0, 7)))
+def test_parse_agrees_with_the_reference_when_some_literals_are_kept(text, starts):
+    """The literals from the chosen occurrences of 'ring' are kept first, so
+    they stand as one token each, whether nested in another or not."""
+    expr._TREES.clear()
+    _keep_literals(text, starts)
+    _agrees(text)
+
+
 # -- every error form -------------------------------------------------------------
 
 ERRORS = {
@@ -117,6 +165,8 @@ ERRORS = {
     "a = b = c": "trailing input '=' at position 6",
     "ring[x, y; 1](x)": "variable and weight counts differ at position 16",
     "ring[x; 1, 2](x) + 1": "variable and weight counts differ at position 17",
+    "ring[ring[x; 1](x); 1](x)": "unexpected token '[' at position 9 (expected one of: ;)",
+    "hilbert(ring[x; 1](x) ring[x; 1](x))": "unexpected token 'ring' at position 22 (expected one of: ))",
     "k1 $ 2": "unexpected character '$' at position 3",
     "k1 + ½": "unexpected character '½' at position 5",
     "Ⅷx": "unexpected character 'Ⅷ' at position 0",

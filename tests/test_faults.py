@@ -181,6 +181,8 @@ FAULTS = [
         {4: {"random-identities"}, 8: {"random-identities"}},
         lambda: schur.lr_product(Partition((1, 1)), Partition((1, 1))),  # only S(2,1,1) is left
     ),
+    # tier-1 also catches it:
+    # test_grr.py::test_omega_power_times_todd_is_the_bernoulli_polynomial_series
     Fault(
         "bernoulli(6) has the wrong sign", grr, "bernoulli",
         lambda f: lambda n: -f(n) if n == 6 else f(n),

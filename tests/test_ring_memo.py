@@ -2,9 +2,10 @@
 re-asked literal returns the presentation built the first time, and
 everything read off it equals what today's path gives, which builds every
 literal afresh in the whole environment (``Evaluator._build_ring``) and
-stays the oracle.  The parser's memo of literal texts: a re-asked text is
-the identical tree; ``test_expr_reference.py`` parses every text twice
-against the reference parser."""
+stays the oracle.  The parser's memo of statement and literal texts: a
+re-asked text is the identical tree; ``test_expr_reference.py`` parses every
+text cold, again, and after its ring literals were kept, against the
+reference parser."""
 import pytest
 
 from chowcalc import expr, quotient
@@ -113,7 +114,7 @@ def test_the_memo_is_bounded_and_stays_right_after_eviction():
     assert ask(2) == "2 * y^2"  # the first literal, evicted by now
 
 
-# -- the parser's memo of literal texts ---------------------------------------------
+# -- the parser's memo of statement and literal texts ------------------------------
 
 LITERAL = "ring[x, y; 1, 1](x^2, y^2)"
 
@@ -130,19 +131,50 @@ def test_one_literal_in_two_statements_is_one_tree():
     assert _closed.cache_info().maxsize == 1024
 
 
+def test_a_re_asked_statement_is_the_identical_tree_and_adds_no_entry():
+    expr._TREES.clear()
+    statement = f"h = hilbert({LITERAL}, 3)"
+    first = parse(statement)
+    assert list(expr._TREES) == [LITERAL, statement]
+    parse("k1 + 1")
+    assert parse(statement) is first
+    assert list(expr._TREES) == [LITERAL, "k1 + 1", statement]  # a hit is the most recent
+
+
 def test_the_literal_memo_is_bounded_and_least_recently_used():
-    expr._RING_LITERALS.clear()
-    bound = expr.RING_LITERAL_BOUND
+    expr._TREES.clear()
+    bound = expr.TREE_BOUND
     assert bound == 1024
     texts = [f"ring[x; 1](x^{k})" for k in range(1, bound + 2)]
     kept = parse(texts[0])
     for text in texts[1:bound]:
         parse(text)
-    assert parse(texts[0]) is kept  # a hit makes it the most recent
-    parse(texts[bound])  # evicts the least recent, texts[1]
-    assert len(expr._RING_LITERALS) == bound
-    assert texts[0] in expr._RING_LITERALS and texts[1] not in expr._RING_LITERALS
-    assert parse(texts[0]) is kept and parse(texts[1]) == parse(texts[1])
+    assert len(expr._TREES) == bound  # a literal's text is its own statement
+    assert parse(f"hilbert({texts[0]}, 2)").args[0] is kept  # a hit makes it the most recent
+    assert len(expr._TREES) == bound and texts[1] not in expr._TREES
+    parse(texts[bound])  # evicts the least recent, texts[2]
+    assert len(expr._TREES) == bound
+    assert texts[0] in expr._TREES and texts[2] not in expr._TREES
+    assert parse(texts[0]) is kept and parse(texts[2]) == parse(texts[2])
+
+
+def test_statement_and_literal_texts_share_one_bound_in_lru_order():
+    expr._TREES.clear()
+    bound = expr.TREE_BOUND
+    asked = f"hilbert({LITERAL}, 3)"
+    ring = parse(asked).args[0]
+    fillers = [f"k1 + {k}" for k in range(bound - 2)]
+    for text in fillers:
+        parse(text)
+    assert len(expr._TREES) == bound and next(iter(expr._TREES)) == LITERAL
+    # the literal is found again and becomes the most recent; `asked` is evicted
+    again = f"pairing({LITERAL}, 1, 2)"
+    assert parse(again).args[0] is ring
+    assert list(expr._TREES)[-2:] == [LITERAL, again]
+    assert asked not in expr._TREES and len(expr._TREES) == bound
+    parse("k2 + 1")  # evicts the least recent filler, not the literal
+    assert fillers[0] not in expr._TREES and LITERAL in expr._TREES
+    assert parse(asked).args[0] is ring
 
 
 def test_a_literal_nested_too_deeply_is_never_kept():
@@ -150,7 +182,7 @@ def test_a_literal_nested_too_deeply_is_never_kept():
     for _ in range(2):
         with pytest.raises(RecursionError):
             parse(f"hilbert({deep}, 2)")
-        assert deep not in expr._RING_LITERALS
+        assert deep not in expr._TREES and f"hilbert({deep}, 2)" not in expr._TREES
 
 
 @pytest.mark.parametrize(
@@ -160,4 +192,14 @@ def test_a_literal_that_fails_is_never_kept(literal):
     for _ in range(2):
         with pytest.raises(ParseError):
             parse(f"hilbert({literal}, 2)")
-        assert literal not in expr._RING_LITERALS
+        assert literal not in expr._TREES and f"hilbert({literal}, 2)" not in expr._TREES
+
+
+def test_a_kept_literal_leaves_an_error_as_it_was():
+    kept = parse("ring[x; 1](x)")
+    assert expr._TREES["ring[x; 1](x)"] is kept
+    for _ in range(2):
+        with pytest.raises(ParseError) as exc:
+            parse("ring[ring[x; 1](x); 1](x)")
+        assert str(exc.value) == "unexpected token '[' at position 9 (expected one of: ;)"
+        assert (exc.value.position, exc.value.expected) == (9, (";",))
