@@ -15,8 +15,7 @@ A record keeps its hash: the first ``hash()`` stores the hash of its fields
 with ``object.__setattr__`` as ``_record_hash`` (a class attribute of None
 until then), so a syntax tree that keys a memo is walked once, not on every
 lookup.  A field that cannot be hashed raises ``TypeError`` on every call,
-and nothing is kept.  A class declaring ``__slots__`` has no room for it and
-hashes its fields on every call.
+and nothing is kept.
 """
 from operator import attrgetter
 
@@ -29,13 +28,10 @@ def immutable(self, name, *value):
 
 def record(cls):
     """Class decorator over the annotated fields and their class-level defaults:
-    an immutable, hashable record; a class wanting slots declares them."""
+    an immutable, hashable record."""
     ns = vars(cls)
     names = tuple(ns["__annotations__"])
-    params = "".join(
-        f", {n}=_ns[{n!r}]" if n in ns and n not in ns.get("__slots__", ()) else f", {n}"
-        for n in names
-    )
+    params = "".join(f", {n}=_ns[{n!r}]" if n in ns else f", {n}" for n in names)
     body = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
     if hasattr(cls, "__post_init__"):
         body += "    self.__post_init__()\n"
@@ -54,19 +50,14 @@ def record(cls):
     def __repr__(self):
         return fmt.format(type(self).__qualname__, *get(self))
 
+    def __hash__(self):
+        h = self._record_hash
+        if h is None:
+            h = hash(get(self))
+            object.__setattr__(self, "_record_hash", h)
+        return h
+
     cls.__init__, cls.__eq__, cls.__repr__ = scope["__init__"], __eq__, __repr__
-    if "__slots__" in ns:
-        cls.__hash__ = lambda self: hash(get(self))
-    else:
-        cls._record_hash = None
-
-        def __hash__(self):
-            h = self._record_hash
-            if h is None:
-                h = hash(get(self))
-                object.__setattr__(self, "_record_hash", h)
-            return h
-
-        cls.__hash__ = __hash__
+    cls.__hash__, cls._record_hash = __hash__, None
     cls.__setattr__ = cls.__delattr__ = immutable
     return cls

@@ -565,33 +565,29 @@ class RowReduction:
     determinant: Fraction | None  # None unless the matrix is square
 
 
+@record
 class ExactMatrix:
-    """Dense matrix of Fractions with deterministic exact row reduction."""
+    """Dense matrix of Fractions with deterministic exact row reduction.
+    `entries` are rows of rationals, kept as tuples of Fractions; `cols` is
+    the width, needed only for a matrix without rows, and must agree with
+    the rows when given."""
 
-    __slots__ = ("rows", "cols", "entries")
-    __setattr__ = __delattr__ = immutable
+    entries: tuple[tuple[Fraction, ...], ...]
+    cols: int | None = None
 
-    def __init__(self, entries: Sequence[Sequence[RationalLike]], cols: int | None = None):
-        rows = [tuple(rat(x) for x in row) for row in entries]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = cols or 0
-        if cols is not None and rows and cols != width:
+    def __post_init__(self) -> None:
+        entries = tuple(tuple(rat(x) for x in row) for row in self.entries)
+        width = len(entries[0]) if entries else self.cols or 0
+        if any(len(row) != width for row in entries):
+            raise ValueError("ragged rows")
+        if self.cols not in (None, width):
             raise ValueError("cols does not match row width")
-        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", tuple(rows))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.entries == other.entries and self.cols == other.cols
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self.entries))
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
 
     def row_reduce(self) -> RowReduction:
         """Reduced row echelon form.
@@ -638,7 +634,3 @@ class ExactMatrix:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         return self.row_reduce().determinant
-
-    def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(x) for x in row) for row in self.entries)
-        return f"ExactMatrix[{body}]"

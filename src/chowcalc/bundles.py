@@ -52,7 +52,6 @@ class FormalBundle:
     Sym^2 A - A (x) L, not the power of a rank-r bundle with c_(r+1..) cut.
     """
 
-    __slots__ = ("rank", "chern", "table")
     rank: int
     chern: tuple[GradedPoly, ...]
     table: VariableTable
@@ -179,7 +178,7 @@ def _power_classes(b: FormalBundle, k: int, sign: int, rank: int) -> tuple[Grade
     return chern_from_character(h[k], rank).chern
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # keyed by hyptwist's genus, so bounded like graded_piece
 def universal_chern(r: int, k: int, trunc: int) -> tuple[GradedPoly, ...]:
     """c_1..c_trunc of sym^k of a generic rank-r class, as polynomials in its
     classes e_1..e_trunc (free above the rank too)."""

@@ -37,15 +37,9 @@ class CheckResult:
     millis: float
 
     def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "anchor": self.anchor,
-            "status": self.status,
-            "computed": self.computed,
-            "expected": self.expected,
-            "provenance": self.provenance,
-            "millis": round(self.millis, 3),
-        }
+        """The record's fields by name, with `millis` rounded to the microsecond."""
+        fields = {name: getattr(self, name) for name in self.__annotations__}
+        return fields | {"millis": round(self.millis, 3)}
 
 
 @record

@@ -40,16 +40,19 @@ names, then keeps it: a line that reads only ``M6`` never builds the
 genus-6 bundles.
 
 A *closed* ring literal, whose relations use only numbers, its own
-variables and arithmetic, means the same everywhere: an ``Evaluator`` keeps
-its presentation in an LRU of 1024 literals keyed by the syntax tree, so a
-re-asked literal returns the same object and the tables that
-``quotient.graded_piece`` cached for it.  Any other literal is built afresh,
-and a literal that fails is never kept.  The key costs a lookup: the parser
-keeps one tree per statement or literal text in one memo (``expr``), so a
-re-asked line or literal is the identical tree; a record keeps its hash,
-and ``_closed`` keeps its answer per tree in an LRU of 1024, so a re-asked
-literal is found by identity without walking its tree.  The parser's memo
-keeps trees, not values: every statement is evaluated each time it runs.
+variables and arithmetic, means the same everywhere: its own variables
+shadow every other binding, and numbers and operator rows read no
+truncation, prelude or environment.  So one memo serves every
+``Evaluator``: ``_closed_ring``, an LRU of 1024 literals keyed by the
+syntax tree, keeps a closed literal's presentation (and None for any other
+literal), so a re-asked literal returns the same object and the tables
+that ``quotient.graded_piece`` cached for it.  Any other literal is built
+afresh in its environment, and a literal that fails is never kept.  The
+key costs a lookup: the parser keeps one tree per statement or literal
+text in one memo (``expr``), so a re-asked line or literal is the
+identical tree, and a record keeps its hash, so a re-asked literal is
+found by identity without walking its tree.  The parser's memo keeps
+trees, not values: every statement is evaluated each time it runs.
 
 A definitions file and a repl session share one comment rule,
 ``statements``: each line is cut at its first ``#``, and blank lines are
@@ -355,8 +358,6 @@ class Evaluator:
         self.trunc = trunc
         self.env: dict[str, Any] = {}
         self._prelude: dict[str, Any] = {}  # the prelude groups built so far
-        # closed ring literal -> its presentation; bounded like graded_piece
-        self._closed_rings = lru_cache(maxsize=1024)(lambda node: self._build_ring(node, {}))
 
     # -- entry points ------------------------------------------------------
 
@@ -417,9 +418,8 @@ class Evaluator:
         raise EvalError(f"cannot evaluate node {node!r}")
 
     def _ring(self, node: RingExpr, env: Mapping[str, Any]) -> quotient.RingPresentation:
-        if _closed(node):
-            return self._closed_rings(node)
-        return self._build_ring(node, env)
+        ring = _closed_ring(node)
+        return self._build_ring(node, env) if ring is None else ring
 
     def _build_ring(self, node: RingExpr, env: Mapping[str, Any]) -> quotient.RingPresentation:
         table = VariableTable(node.variables, node.weights)
@@ -477,11 +477,11 @@ class Evaluator:
             raise EvalError(f"{name}: {exc}") from exc
 
 
-@lru_cache(maxsize=1024)
-def _closed(node: RingExpr) -> bool:
-    """Whether `node` is closed (module docstring), kept per tree like the
-    presentations.  The walk keeps its own stack, so a deep tree is left for
-    ``eval`` to reject as it does."""
+@lru_cache(maxsize=1024)  # bounded like graded_piece
+def _closed_ring(node: RingExpr) -> quotient.RingPresentation | None:
+    """The presentation of `node` if it is closed (module docstring), else
+    None.  The walk keeps its own stack, so a deep tree is left for ``eval``
+    to reject as it does."""
     names = set(node.variables)
     stack: list[Expr] = list(node.relations)
     while stack:
@@ -492,10 +492,10 @@ def _closed(node: RingExpr) -> bool:
             stack.append(e.arg)
         elif isinstance(e, Var):
             if e.name not in names:
-                return False
+                return None
         elif not isinstance(e, Num):
-            return False
-    return True
+            return None
+    return Evaluator()._build_ring(node, {})
 
 
 # -- printing -------------------------------------------------------------------

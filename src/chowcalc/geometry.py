@@ -197,7 +197,7 @@ class Grassmannian:
         return int(val)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # keyed by the user's k, so bounded like graded_piece
 def _grass_table(k: int) -> VariableTable:
     return VariableTable.indexed(("c", k))
 

@@ -26,6 +26,7 @@ from chowcalc.bundles import (
     sym_power,
     trivial_bundle,
     twist,
+    universal_chern,
     wedge_power,
 )
 from chowcalc.geometry import Grassmannian, maroni_admissible
@@ -391,6 +392,11 @@ def test_hyperelliptic_twist_genus_2():
 
 def test_hyperelliptic_twist_genus_6():
     assert solve_hyperelliptic_twist(6) == TwistSolution((("w1", L1 / 15),))
+
+
+def test_universal_chern_cache_is_bounded():
+    # one entry per genus of hyptwist; filling it needs genus ~1000, O(g^2) products each
+    assert universal_chern.cache_info().maxsize == 1024
 
 
 @pytest.mark.parametrize("g", range(2, 9))

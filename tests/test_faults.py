@@ -198,6 +198,10 @@ FAULTS = [
         # Q[x, y]/(x) with y of weight 2 is zero in every odd degree only
         lambda: quotient.hilbert_function(quotient.RingPresentation(T, (X,)), 2),
     ),
+    # tier-1 also catches it: test_schur.py::test_lr_product_of_degree_16,
+    # test_schur.py::test_lr_product_matches_the_tableau_rule,
+    # test_schur.py::test_lr_product_from_characters and
+    # test_golden.py::test_output_matches_golden_file[eval.txt]
     Fault(
         "lr_product sets every multiplicity to 1", schur, "lr_product",
         lambda f: lambda lam, mu: schur.SchurDecomposition(

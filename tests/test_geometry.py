@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowcalc.algebra import GradedPoly, monomial_basis, series_quotient
+from chowcalc.algebra import GradedPoly, VariableTable, monomial_basis, series_quotient
 from chowcalc.bundles import BundleError, FormalBundle, dual, maroni_split_degrees, sym_power
 from chowcalc.geometry import (
     SURFACE_TABLE,
     Grassmannian,
+    _grass_table,
     canonical_quadrics,
     forms_dim,
     genus_of_class,
@@ -254,6 +255,18 @@ def test_grass_dims():
     assert Grassmannian(4, 10).dim == 24
     assert Grassmannian(4, 10).dim + 16 == 40
     assert Grassmannian(3, 15).dim == 36
+
+
+def test_grass_table_cache_is_bounded():
+    """Each G(k, n) asked with a new k is a new table."""
+    info = _grass_table.cache_info
+    assert info().maxsize == 1024
+    for k in range(1, 1101):
+        assert len(Grassmannian(k, k + 1).table().names) == k
+        assert info().currsize <= info().maxsize
+    assert Grassmannian(1, 2).table() == VariableTable.indexed(("c", 1))  # evicted by now
+    assert Grassmannian(1100, 1101).table() == VariableTable.indexed(("c", 1100))
+    _grass_table.cache_clear()  # the kept tables hold about 600k names
 
 
 def test_grass_hilbert_matches_box_partition_counts():

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from chowcalc._record import record
 from chowcalc.algebra import ExactMatrix, GradedPoly, VariableTable
 from chowcalc.expr import Call, Index, Num, Var
 from chowcalc.schur import Partition
@@ -24,6 +23,7 @@ K = VariableTable(("k",), (1,))
 SAMPLES = {
     "VariableTable": [(("a", "b"), (1, 2)), (("a",), (1,))],
     "RowReduction": [(1, ExactMatrix([[1]]), (0,), Fraction(1)), (0, ExactMatrix([[0]]), (), None)],
+    "ExactMatrix": [(((1, 2), (3, 4)),), (((Fraction(1, 2),),),), ((), 3)],
     "FormalBundle": [(2, (X, Y), T), (2, (X, Y * 3), T), (0, (), K)],
     "TwistSolution": [((("w1", X),),), ((("a", X), ("b", X * X + Y)), "  (note)")],
     "CheckResult": [
@@ -51,6 +51,7 @@ SAMPLES = {
 # Arguments that each ``__post_init__`` rejects.
 REJECTED = {
     "VariableTable": [(("a",), (1, 2)), (("a", "a"), (1, 1)), (("a",), (0,))],
+    "ExactMatrix": [(((1, 2), (3,)),), (((1, 2),), 3)],
     "FormalBundle": [(-1, (), T), (1, (Y,), T), (1, (GradedPoly.variable(K, "k"),), T)],
     "Grassmannian": [(2, 2), (0, 3)],
     "PsiSeries": [(1, (X,)), (2, ()), (2, (X, GradedPoly.one(K)))],
@@ -82,14 +83,11 @@ def _twin(cls):
     """The stdlib dataclass the record class stood for."""
     ns = vars(cls)
     fields = [
-        (n, a, dataclasses.field(default=ns[n])) if n in ns and n not in ns.get("__slots__", ())
-        else (n, a)
+        (n, a, dataclasses.field(default=ns[n])) if n in ns else (n, a)
         for n, a in ns["__annotations__"].items()
     ]
     extra = {"__post_init__": ns["__post_init__"]} if "__post_init__" in ns else {}
-    return dataclasses.make_dataclass(
-        cls.__name__, fields, namespace=extra, frozen=True, slots="__slots__" in ns
-    )
+    return dataclasses.make_dataclass(cls.__name__, fields, namespace=extra, frozen=True)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -106,7 +104,7 @@ def _bare(sig):
 
 
 def test_every_record_class_has_samples():
-    assert len(RECORDS) == 22
+    assert len(RECORDS) == 23
     assert sorted(name for _, name in RECORDS) == sorted(SAMPLES)
     checked = {name for module, name in RECORDS if "__post_init__" in vars(_class(module, name))}
     assert set(REJECTED) == checked
@@ -189,15 +187,3 @@ def test_an_unhashable_field_raises_on_every_call():
         with pytest.raises(TypeError, match="unhashable"):
             hash(node)
     assert node._record_hash is None
-
-
-def test_a_slotted_record_hashes_its_fields_on_every_call():
-    @record
-    class Slotted:
-        __slots__ = ("a",)
-        a: object
-
-    field = Counted()
-    node = Slotted(field)
-    assert hash(node) == hash(node) == hash((field,))
-    assert field.calls == 3

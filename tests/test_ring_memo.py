@@ -1,16 +1,18 @@
-"""The memos of ring literals.  The evaluator's memo of closed literals: a
-re-asked literal returns the presentation built the first time, and
-everything read off it equals what today's path gives, which builds every
-literal afresh in the whole environment (``Evaluator._build_ring``) and
-stays the oracle.  The parser's memo of statement and literal texts: a
-re-asked text is the identical tree; ``test_expr_reference.py`` parses every
-text cold, again, and after its ring literals were kept, against the
-reference parser."""
+"""The memos of ring literals.  The evaluator's memo of closed literals,
+``_closed_ring``, one for every evaluator: a re-asked literal returns the
+presentation built the first time, at any truncation and in any session,
+and everything read off it equals what today's path gives, which builds
+every literal afresh in the whole environment (``Evaluator._build_ring``)
+and stays the oracle; an open literal keeps None.  The memo is module
+state, so a test that counts its entries clears it first.  The parser's
+memo of statement and literal texts: a re-asked text is the identical tree;
+``test_expr_reference.py`` parses every text cold, again, and after its
+ring literals were kept, against the reference parser."""
 import pytest
 
 from chowcalc import expr, quotient
 from chowcalc.algebra import GradedPoly, monomial_basis
-from chowcalc.evaluator import EvalError, Evaluator, _closed, format_value
+from chowcalc.evaluator import EvalError, Evaluator, _closed_ring, format_value
 from chowcalc.expr import ParseError, RingExpr, parse
 
 # Artinian Gorenstein rings and their top degrees: weights 1 and 2,
@@ -27,7 +29,8 @@ CLOSED = (
 # Each fails while its presentation is built, with this message.  A relation
 # is judged by its value: a nonzero constant (a number or a constant
 # polynomial) is refused, zero is the zero relation, and a value that is no
-# polynomial is refused.
+# polynomial is refused.  The last two literals are open (they read a name
+# of the session, or a list).
 FAILING = (
     ("hilbert(ring[x, y; 1, 1](x^2 - y), 3)", "hilbert: relations must be homogeneous"),
     ("hilbert(ring[x; 1](x - x), 2)", "hilbert: zero relation"),
@@ -70,38 +73,61 @@ def test_memoized_presentation_equals_the_unmemoized_one(literal, top):
 
 
 def test_a_re_asked_literal_is_the_identical_presentation():
+    _closed_ring.cache_clear()
     ev = Evaluator()
     literal = CLOSED[0][0]
     first = ev.run(literal)
     assert ev.run(f"hilbert({literal}, 4)") == ev.run(f"hilbert({literal}, 2)") + (1, 0)
     assert ev.run(literal) is first
-    assert ev._closed_rings.cache_info().currsize == 1
+    assert _closed_ring.cache_info().currsize == 1
+
+
+def test_evaluators_at_any_truncation_share_a_closed_literal():
+    _closed_ring.cache_clear()
+    literal = "ring[x, y; 1, 1](x^2, y^2)"
+    first = Evaluator(4).run(literal)
+    ev = Evaluator(8)
+    ev.run("x = 3")  # the literal's own x shadows the session's
+    assert ev.run(literal) is first
+    assert first == ev._build_ring(parse(literal), ev.env)
+    assert format_value(ev.run(f"hilbert({literal}, 3)")) == "(1, 2, 1, 0)"
+    assert _closed_ring.cache_info().currsize == 1
 
 
 def test_a_literal_reading_the_environment_follows_it():
+    _closed_ring.cache_clear()
     ev = Evaluator()
     literal = "nf(x^2, ring[x, y; 1, 1](x^2 - c*y^2, x*y))"
     ev.run("c = 3")
     assert format_value(ev.run(literal)) == "3 * y^2"
     ev.run("c = 5")
     assert format_value(ev.run(literal)) == "5 * y^2"
-    assert format_value(ev.run("hilbert(ring[x; 1](x^dim(G(1, 3))), 3)")) == "(1, 1, 0, 0)"
-    assert ev._closed_rings.cache_info().currsize == 0
+    assert _closed_ring(parse(literal).args[1]) is None
+    called = "ring[x; 1](x^dim(G(1, 3)))"
+    assert format_value(ev.run(f"hilbert({called}, 3)")) == "(1, 1, 0, 0)"
+    assert _closed_ring(parse(called)) is None
+    assert _closed_ring.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("source, message", FAILING)
 def test_a_failing_literal_fails_the_same_way_every_time(source, message):
+    _closed_ring.cache_clear()
     ev = Evaluator()
     for _ in range(2):
         with pytest.raises(EvalError) as exc:
             ev.run(source)
         assert str(exc.value) == message
-    assert ev._closed_rings.cache_info().currsize == 0
+    open_literal = (source, message) in FAILING[-2:]
+    # a closed literal that fails is never kept; an open one keeps None
+    assert _closed_ring.cache_info().currsize == open_literal
+    if open_literal:
+        assert _closed_ring(parse(source).args[0]) is None
 
 
 def test_the_memo_is_bounded_and_stays_right_after_eviction():
+    _closed_ring.cache_clear()
     ev = Evaluator()
-    bound = ev._closed_rings.cache_info().maxsize
+    bound = _closed_ring.cache_info().maxsize
     assert bound == 1024
 
     def ask(k):
@@ -109,8 +135,8 @@ def test_the_memo_is_bounded_and_stays_right_after_eviction():
 
     for k in range(2, bound + 3):
         assert ask(k) == f"{k} * y^2"
-        assert ev._closed_rings.cache_info().currsize <= bound
-    assert ev._closed_rings.cache_info().currsize == bound
+        assert _closed_ring.cache_info().currsize <= bound
+    assert _closed_ring.cache_info().currsize == bound
     assert ask(2) == "2 * y^2"  # the first literal, evicted by now
 
 
@@ -120,6 +146,7 @@ LITERAL = "ring[x, y; 1, 1](x^2, y^2)"
 
 
 def test_one_literal_in_two_statements_is_one_tree():
+    _closed_ring.cache_clear()
     first = parse(f"hilbert({LITERAL}, 3)").args[0]
     second = parse(f"pairing({LITERAL}, 1, 2)").args[0]
     assert isinstance(first, RingExpr) and second is first
@@ -127,8 +154,7 @@ def test_one_literal_in_two_statements_is_one_tree():
     ev = Evaluator()
     assert format_value(ev.run(f"hilbert({LITERAL}, 3)")) == "(1, 2, 1, 0)"
     assert format_value(ev.run(f"pairing({LITERAL}, 1, 2)")) == "[[0, 1], [1, 0]]"
-    assert ev._closed_rings.cache_info().currsize == 1
-    assert _closed.cache_info().maxsize == 1024
+    assert _closed_ring.cache_info().currsize == 1
 
 
 def test_a_re_asked_statement_is_the_identical_tree_and_adds_no_entry():
