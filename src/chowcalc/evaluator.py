@@ -1,8 +1,9 @@
 """Evaluator for the CLI expression language.
 
-Values are plain library objects: Fractions, graded polynomials, formal
-bundles, ring presentations (``F[n]`` is the Chow ring of F_n), Grassmannians,
-psi series, Schur decompositions, and tuples of these.
+Values are plain library objects: numbers as the library returns them
+(ints or Fractions), graded polynomials, formal bundles, ring presentations
+(``F[n]`` is the Chow ring of F_n), Grassmannians, psi series, Schur
+decompositions, and tuples of these.
 
 Every function of the language is one row of the table ``FUNCTIONS``: the
 kinds of its arguments, an optional scope argument, and a function of
@@ -48,11 +49,11 @@ syntax tree, keeps a closed literal's presentation (and None for any other
 literal), so a re-asked literal returns the same object and the tables
 that ``quotient.graded_piece`` cached for it.  Any other literal is built
 afresh in its environment, and a literal that fails is never kept.  The
-key costs a lookup: the parser keeps one tree per statement or literal
-text in one memo (``expr``), so a re-asked line or literal is the
-identical tree, and a record keeps its hash, so a re-asked literal is
-found by identity without walking its tree.  The parser's memo keeps
-trees, not values: every statement is evaluated each time it runs.
+key costs a lookup: ``expr.parse`` is an LRU of texts that parses each
+literal as its own text, so a re-asked line or literal is the identical
+tree, and a record keeps its hash, so a re-asked literal is found by
+identity without walking its tree.  The parser's memo keeps trees, not
+values: every statement is evaluated each time it runs.
 
 A definitions file and a repl session share one comment rule,
 ``statements``: each line is cut at its first ``#``, and blank lines are
@@ -238,35 +239,27 @@ class Function(NamedTuple):
 FUNCTIONS: dict[str, Function] = {
     # geometry
     "genus": Function(("surface", "divisor"), 0, lambda t, n, x: geometry.genus_of_class(n, x)),
-    "h0": Function(
-        ("surface", "divisor"), 0, lambda t, n, x: Fraction(geometry.h0_hirzebruch(n, x))
-    ),
+    "h0": Function(("surface", "divisor"), 0, lambda t, n, x: geometry.h0_hirzebruch(n, x)),
     "intersect": Function(
         ("surface", "divisor", "divisor"), 0, lambda t, n, x, y: geometry.intersect(n, x, y)
     ),
     "G": Function(("int", "int"), None, lambda t, k, n: geometry.Grassmannian(k, n)),
-    "dim": Function(("G",), None, lambda t, g: Fraction(g.dim)),
+    "dim": Function(("G",), None, lambda t, g: g.dim),
     "integrate": Function(("G", "poly"), 0, lambda t, g, x: g.integrate(_lift(x, g.table()))),
     "schubert": Function(("G", "partition"), None, lambda t, g, lam: g.schubert_class(lam)),
-    "plucker": Function(("G",), None, lambda t, g: Fraction(g.plucker_degree())),
-    "forms": Function(("int", "int"), None, lambda t, m, d: Fraction(geometry.forms_dim(m, d))),
-    "quadrics": Function(("int",), None, lambda t, g: Fraction(geometry.canonical_quadrics(g))),
-    "strata": Function(
-        ("int",), None, lambda t, g: tuple(Fraction(d) for d in geometry.stratum_dimensions(g))
-    ),
+    "plucker": Function(("G",), None, lambda t, g: g.plucker_degree()),
+    "forms": Function(("int", "int"), None, lambda t, m, d: geometry.forms_dim(m, d)),
+    "quadrics": Function(("int",), None, lambda t, g: geometry.canonical_quadrics(g)),
+    "strata": Function(("int",), None, lambda t, g: geometry.stratum_dimensions(g)),
     "maronik": Function(("int", "int"), None, lambda t, g, n: geometry.maroni_k(g, n)),
     # quotient rings
-    "hilbert": Function(
-        ("ring", "int"),
-        None,
-        lambda t, p, d: tuple(Fraction(x) for x in quotient.hilbert_function(p, d)),
-    ),
+    "hilbert": Function(("ring", "int"), None, lambda t, p, d: quotient.hilbert_function(p, d)),
     "nf": Function(("poly", "ring"), 1, lambda t, x, p: quotient.normal_form(_lift(x, p.table), p)),
     "pairing": Function(
         ("ring", "int", "int"), None, lambda t, p, i, top: quotient.pairing_matrix(p, i, top)
     ),
     # bundles
-    "rank": Function(("bundle",), None, lambda t, b: Fraction(b.rank)),
+    "rank": Function(("bundle",), None, lambda t, b: b.rank),
     "dual": Function(("bundle",), None, lambda t, b: bundles.dual(b)),
     "twist": Function(
         ("bundle", "poly"),
@@ -287,10 +280,8 @@ FUNCTIONS: dict[str, Function] = {
     "pushbundle": Function(("int", "int"), None, lambda t, k, g: grr.pushforward_bundle(k, g, t)),
     "quadricsbundle": Function(("int",), None, lambda t, g: grr.quadrics_bundle(g, t)),
     # representation theory
-    "syt": Function(("partition",), None, lambda t, lam: Fraction(schur.syt_count(lam))),
-    "schurdim": Function(
-        ("partition", "int"), None, lambda t, lam, n: Fraction(schur.dim_schur(lam, n))
-    ),
+    "syt": Function(("partition",), None, lambda t, lam: schur.syt_count(lam)),
+    "schurdim": Function(("partition", "int"), None, lambda t, lam, n: schur.dim_schur(lam, n)),
     "lr": Function(("partition", "partition"), None, lambda t, a, b: schur.lr_product(a, b)),
     "sym2wedge2": Function(("int",), None, lambda t, n: schur.decompose_sym2_wedge2(n)),
     # twist solvers
@@ -385,7 +376,7 @@ class Evaluator:
 
     def eval(self, node: Expr, env: Mapping[str, Any]) -> Any:
         if isinstance(node, Num):
-            return Fraction(node.value)
+            return node.value
         if isinstance(node, Var):
             if node.name in env:
                 return env[node.name]

@@ -20,22 +20,22 @@ other non-space character outside + - * / ^ ( ) [ ] , ; = is an unexpected
 character at its position.  Parse errors carry a position and the expected
 token set.
 
-A text is parsed once: the parser keeps the tree of every statement it
-parsed, keyed by its text, in an LRU of ``TREE_BOUND`` texts.  Ring
-literals share that memo, for a literal's source from ``ring`` to the ``)``
-that closes its relations is itself a statement whose tree is its
-``RingExpr``; each literal parsed in place is kept under that text.  A
-re-asked statement is the kept tree and is not tokenized.  Before a new
-statement is tokenized, each ``ring[...](...)`` span in it is found by its
-bracket characters; a span whose text is kept becomes one token standing
-for its tree, and only the text around it is tokenized.  So a re-asked
-literal is the identical ``RingExpr``, and a memo keyed by it finds it by
-identity.  A parse that fails with such a token is redone from every token,
-so every error reads as it would without the memo, and a statement or
-literal that fails is never kept.
+A text is parsed once: ``parse`` is an ``lru_cache`` of 1024 texts, so a
+re-asked statement is the identical tree and is not tokenized.  Ring
+literals share that memo.  Before a statement is tokenized, each
+``ring[...](...)`` span in it other than the whole text is found by its
+bracket characters and parsed as its own text, and its tree stands as one
+token; only the text around it is tokenized.  So a re-asked literal is the
+identical ``RingExpr`` in any statement, and a memo keyed by it finds it by
+identity.  If that parse fails or runs out of stack (a span that fails on
+its own or is nested too deeply, or a literal where the grammar takes
+none), the statement is parsed again from every token, so every error
+reads as it would without the memo; a text that fails is never kept, for
+``lru_cache`` keeps no call that raised.
 """
 from __future__ import annotations
 
+import functools
 import re
 
 from ._record import record
@@ -143,23 +143,8 @@ class Assign:
 Expr = Num | Var | Neg | BinOp | Call | Index | ListExpr | RingExpr | BundleExpr
 
 
-# statement or ring literal text -> its tree, least recently used first
-_TREES: dict[str, Expr | Assign] = {}
-TREE_BOUND = 1024
-
-
-def _keep(text: str, node: Expr | Assign) -> None:
-    """Keep `node` as the most recent tree, evicting the least recent past
-    the bound."""
-    _TREES.pop(text, None)
-    _TREES[text] = node
-    if len(_TREES) > TREE_BOUND:
-        del _TREES[next(iter(_TREES))]
-
-
 class _Parser:
-    def __init__(self, src: str, tokens: list):
-        self.src = src
+    def __init__(self, tokens: list):
         self.tokens = tokens
         self.i = 0
 
@@ -220,9 +205,7 @@ class _Parser:
         if kind == "ident":
             after = self.tokens[self.i][0]
             if text == "ring" and after == "[":
-                node = self.ring_tail()
-                _keep(self.src[pos : self.tokens[self.i - 1][2] + 1], node)  # to its ')'
-                return node
+                return self.ring_tail()
             if text == "bundle" and after == "(":
                 return self.bundle_tail()
             if self.accept("("):
@@ -230,7 +213,7 @@ class _Parser:
             if self.accept("["):
                 return Index(text, self.expr_list("]"))
             return Var(text)
-        if kind == "tree":  # a kept ring literal
+        if kind == "tree":  # a ring literal parsed as its own text
             return text
         if kind == "end":
             raise ParseError("unexpected end of input", pos, ("number", "identifier", "("))
@@ -309,21 +292,20 @@ def _literal_end(src: str, i: int) -> int | None:
     return None
 
 
-def _tokens_around_kept(src: str) -> list | None:
-    """The tokens of `src` with each ring literal whose text is kept as one
-    ('tree', its tree, its position) token; None if no literal is kept."""
+def _tokens_around_literals(src: str) -> list | None:
+    """The tokens of `src` with each ring literal but one that is the whole
+    text as one ('tree', parse(its text), its position) token; None if there
+    is no such literal."""
     out: list = []
     pos = 0
     for m in _RING_START.finditer(src):
         start = m.start()
-        if start < pos:  # inside a kept literal
+        if start < pos:  # inside a literal already parsed
             continue
         end = _literal_end(src, m.end() - 1)
-        node = None if end is None else _TREES.get(key := src[start:end])
-        if node is not None:
-            _keep(key, node)
+        if end is not None and end - start < len(src):
             _scan(src, pos, start, out)
-            out.append(("tree", node, start))
+            out.append(("tree", parse(src[start:end]), start))
             pos = end
     if not out:
         return None
@@ -332,17 +314,13 @@ def _tokens_around_kept(src: str) -> list | None:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
 def parse(src: str) -> Expr | Assign:
     """Parse a statement; raises ParseError with position on bad input."""
-    node = _TREES.get(src)
-    if node is None:
-        try:
-            tokens = _tokens_around_kept(src)
-            if tokens is not None:
-                node = _Parser(src, tokens).statement()
-        except ParseError:
-            pass  # parsed again from every token, so the error reads as without the memo
-        if node is None:
-            node = _Parser(src, tokenize(src)).statement()
-    _keep(src, node)
-    return node
+    try:
+        tokens = _tokens_around_literals(src)
+        if tokens is not None:
+            return _Parser(tokens).statement()
+    except (ParseError, RecursionError):
+        pass  # parsed again from every token, so the error reads as without the memo
+    return _Parser(tokenize(src)).statement()

@@ -127,11 +127,19 @@ def test_division_by_zero():
         ("h0(F[1], S) * h0(F[1], F)", "6"),
         ("h0(F[1], S) ^ (0 - 1)", "1/3"),
         ("k1 + h0(F[1], S)", "k1 + 3"),
+        ("dim(G(2, 5)) / 4", "3/2"),
+        ("schurdim([2, 1], 4) / 3", "20/3"),
+        ("-plucker(G(2, 5)) / 10", "-1/2"),
     ],
 )
 def test_arithmetic_on_section_counts(src, printed):
     value = Evaluator().run(src)
     assert isinstance(value, (Fraction, GradedPoly)) and format_value(value) == printed
+
+
+def test_a_count_is_the_library_int():
+    count = Evaluator().run("dim(G(2, 5))")
+    assert type(count) is int and count == 6
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _ref_expr
-from chowcalc import expr
 from chowcalc.expr import ParseError, parse, tokenize
 
 EVERY_CHARACTER = "".join(map(chr, range(sys.maxunicode + 1)))
@@ -68,10 +67,10 @@ def assert_agrees(text):
     """Parsed cold, again (the statement comes from the parser's memo if it
     parsed), and cold once more after every ring literal in it was kept, so
     that each stands as one token: each parse reads as the reference does."""
-    expr._TREES.clear()
+    parse.cache_clear()
     _agrees(text)
     _agrees(text)
-    expr._TREES.clear()
+    parse.cache_clear()
     _keep_literals(text)
     _agrees(text)
 
@@ -134,7 +133,7 @@ WITH_LITERALS = st.recursive(
 def test_parse_agrees_with_the_reference_when_some_literals_are_kept(text, starts):
     """The literals from the chosen occurrences of 'ring' are kept first, so
     they stand as one token each, whether nested in another or not."""
-    expr._TREES.clear()
+    parse.cache_clear()
     _keep_literals(text, starts)
     _agrees(text)
 

@@ -8,9 +8,11 @@ state, so a test that counts its entries clears it first.  The parser's
 memo of statement and literal texts: a re-asked text is the identical tree;
 ``test_expr_reference.py`` parses every text cold, again, and after its
 ring literals were kept, against the reference parser."""
+import re
+
 import pytest
 
-from chowcalc import expr, quotient
+from chowcalc import quotient
 from chowcalc.algebra import GradedPoly, monomial_basis
 from chowcalc.evaluator import EvalError, Evaluator, _closed_ring, format_value
 from chowcalc.expr import ParseError, RingExpr, parse
@@ -158,74 +160,92 @@ def test_one_literal_in_two_statements_is_one_tree():
 
 
 def test_a_re_asked_statement_is_the_identical_tree_and_adds_no_entry():
-    expr._TREES.clear()
+    parse.cache_clear()
     statement = f"h = hilbert({LITERAL}, 3)"
     first = parse(statement)
-    assert list(expr._TREES) == [LITERAL, statement]
+    assert parse.cache_info().currsize == 2  # the statement, and its literal as its own text
+    assert parse(LITERAL) is first.value.args[0]
     parse("k1 + 1")
-    assert parse(statement) is first
-    assert list(expr._TREES) == [LITERAL, "k1 + 1", statement]  # a hit is the most recent
+    assert parse(statement) is first and parse.cache_info().currsize == 3
 
 
 def test_the_literal_memo_is_bounded_and_least_recently_used():
-    expr._TREES.clear()
-    bound = expr.TREE_BOUND
+    parse.cache_clear()
+    bound = parse.cache_info().maxsize
     assert bound == 1024
     texts = [f"ring[x; 1](x^{k})" for k in range(1, bound + 2)]
-    kept = parse(texts[0])
-    for text in texts[1:bound]:
-        parse(text)
-    assert len(expr._TREES) == bound  # a literal's text is its own statement
-    assert parse(f"hilbert({texts[0]}, 2)").args[0] is kept  # a hit makes it the most recent
-    assert len(expr._TREES) == bound and texts[1] not in expr._TREES
+    trees = [parse(text) for text in texts[:bound]]
+    assert parse.cache_info().currsize == bound  # a literal's text is its own statement
+    # a hit makes texts[0] the most recent; the new statement evicts texts[1]
+    assert parse(f"hilbert({texts[0]}, 2)").args[0] is trees[0]
     parse(texts[bound])  # evicts the least recent, texts[2]
-    assert len(expr._TREES) == bound
-    assert texts[0] in expr._TREES and texts[2] not in expr._TREES
-    assert parse(texts[0]) is kept and parse(texts[2]) == parse(texts[2])
+    assert parse.cache_info().currsize == bound
+    assert parse(texts[0]) is trees[0] and parse(texts[3]) is trees[3]
+    for k in (1, 2):
+        again = parse(texts[k])
+        assert again is not trees[k] and again == trees[k]
 
 
 def test_statement_and_literal_texts_share_one_bound_in_lru_order():
-    expr._TREES.clear()
-    bound = expr.TREE_BOUND
+    parse.cache_clear()
+    bound = parse.cache_info().maxsize
     asked = f"hilbert({LITERAL}, 3)"
-    ring = parse(asked).args[0]
+    first = parse(asked)
+    ring = first.args[0]
     fillers = [f"k1 + {k}" for k in range(bound - 2)]
-    for text in fillers:
-        parse(text)
-    assert len(expr._TREES) == bound and next(iter(expr._TREES)) == LITERAL
+    trees = [parse(text) for text in fillers]
+    assert parse.cache_info().currsize == bound
     # the literal is found again and becomes the most recent; `asked` is evicted
-    again = f"pairing({LITERAL}, 1, 2)"
-    assert parse(again).args[0] is ring
-    assert list(expr._TREES)[-2:] == [LITERAL, again]
-    assert asked not in expr._TREES and len(expr._TREES) == bound
+    assert parse(f"pairing({LITERAL}, 1, 2)").args[0] is ring
     parse("k2 + 1")  # evicts the least recent filler, not the literal
-    assert fillers[0] not in expr._TREES and LITERAL in expr._TREES
-    assert parse(asked).args[0] is ring
+    assert parse.cache_info().currsize == bound
+    assert parse(LITERAL) is ring and parse(fillers[1]) is trees[1]
+    assert parse(fillers[0]) is not trees[0]
+    again = parse(asked)
+    assert again is not first and again.args[0] is ring
 
 
 def test_a_literal_nested_too_deeply_is_never_kept():
+    parse.cache_clear()
     deep = "ring[x; 1](" + "(" * 300 + "x" + ")" * 300 + ")"
     for _ in range(2):
         with pytest.raises(RecursionError):
             parse(f"hilbert({deep}, 2)")
-        assert deep not in expr._TREES and f"hilbert({deep}, 2)" not in expr._TREES
+        assert parse.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("k1 k2 {}", "trailing input 'k2' at position 3"),
+        ("ring[{}; 1](x)", "unexpected token '[' at position 9 (expected one of: ;)"),
+    ],
+)
+def test_a_literal_nested_too_deeply_leaves_an_error_as_it_was(text, message):
+    """The parser fails before it reaches the literal, whose own parse
+    overflows the stack."""
+    deep = "ring[x; 1](" + "(" * 300 + "x" + ")" * 300 + ")"
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        parse(text.format(deep))
 
 
 @pytest.mark.parametrize(
     "literal", ["ring[x, y; 1](x)", "ring[1; 1](x)", "ring[x 1](x)", "ring[x; 1](x +)"]
 )
 def test_a_literal_that_fails_is_never_kept(literal):
+    parse.cache_clear()
     for _ in range(2):
         with pytest.raises(ParseError):
             parse(f"hilbert({literal}, 2)")
-        assert literal not in expr._TREES and f"hilbert({literal}, 2)" not in expr._TREES
+        assert parse.cache_info().currsize == 0
 
 
 def test_a_kept_literal_leaves_an_error_as_it_was():
+    parse.cache_clear()
     kept = parse("ring[x; 1](x)")
-    assert expr._TREES["ring[x; 1](x)"] is kept
     for _ in range(2):
         with pytest.raises(ParseError) as exc:
             parse("ring[ring[x; 1](x); 1](x)")
         assert str(exc.value) == "unexpected token '[' at position 9 (expected one of: ;)"
         assert (exc.value.position, exc.value.expected) == (9, (";",))
+        assert parse("ring[x; 1](x)") is kept and parse.cache_info().currsize == 1
