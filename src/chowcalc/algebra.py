@@ -23,9 +23,11 @@ packed keys with integer numerators, the field width, a bound on its
 exponents, and the one degree its terms share when that is known.  It is
 written once, when the polynomial is built: the constructors build it
 directly (an int coefficient never becomes a Fraction), and so do ``+``,
-``-``, scalar ``*`` and ``/`` and the kernel.  Nothing is cached beside it:
-``items`` builds the exponent tuples and Fractions on each call, and
-``coefficient`` looks up one packed key.  Width rule: a field holds
+``-``, scalar ``*`` and ``/`` and the kernel; a power of a monomial is its
+one key times k and its one coefficient to the k.  Nothing is cached beside
+it: ``items`` builds the exponent tuples and Fractions on each call,
+``coefficient`` looks up one packed key, and ``format_poly`` prints from the
+content, one gcd per term, with no Fraction.  Width rule: a field holds
 twice the largest exponent of its polynomial, so a sum of two keys of one
 width never carries from one field into the next; every content has
 ``width == _field_width(top)``.  Exponents up to 31 take 6 bits: five
@@ -272,11 +274,6 @@ class GradedPoly:
     def truncate(self, max_degree: int) -> "GradedPoly":
         return self._select(lambda e: e <= max_degree, None)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in graded-lex order: highest degree, then lex-largest exponents."""
-        degree = self.table.degree
-        return sorted(self.items(), key=lambda t: (degree(t[0]), t[0]), reverse=True)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "GradedPoly") -> None:
@@ -288,10 +285,10 @@ class GradedPoly:
     def _add(self, other: "GradedPoly | RationalLike", sign: int) -> "GradedPoly":
         """self + sign*other on the integer contents, over the LCM of their
         denominators, in the order of self's terms and then other's new ones."""
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, GradedPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = GradedPoly.constant(self.table, other)
-        elif not isinstance(other, GradedPoly):
-            return NotImplemented
         self._check(other)
         (da, na, width, ta, ga), (db, nb, _, tb, gb) = _at_one_width(self, other)
         den = lcm(da, db)
@@ -324,17 +321,17 @@ class GradedPoly:
         return GradedPoly.constant(self.table, other) - self
 
     def __mul__(self, other: "GradedPoly | RationalLike") -> "GradedPoly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return GradedPoly.zero(self.table)
-            den, keyed, width, top, deg = self._content
-            num = other.numerator
-            keyed = {k: n * num for k, n in keyed.items()}
-            content = _reduced(den * other.denominator, keyed, width, top, deg)
-            return GradedPoly._from_content(self.table, content)
-        if not isinstance(other, GradedPoly):
+        if isinstance(other, GradedPoly):
+            return linear_combination(self.table, ((1, self, other),))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return linear_combination(self.table, ((1, self, other),))
+        if not other:
+            return GradedPoly.zero(self.table)
+        den, keyed, width, top, deg = self._content
+        num = other.numerator
+        keyed = {k: n * num for k, n in keyed.items()}
+        content = _reduced(den * other.denominator, keyed, width, top, deg)
+        return GradedPoly._from_content(self.table, content)
 
     __rmul__ = __mul__
 
@@ -349,6 +346,14 @@ class GradedPoly:
             raise ValueError("negative power of a polynomial")
         if k == 0:
             return GradedPoly.one(self.table)
+        den, keyed, _, top, deg = self._content
+        if len(keyed) == 1:
+            # a monomial: its one key times k and its one coefficient to the
+            # k, the key repacked first if top * k needs a wider field
+            width = _field_width(top * k)
+            [(key, n)] = _repacked(self._content, width, len(self.table))[1].items()
+            content = (den**k, {key * k: n**k}, width, top * k, deg if deg is None else deg * k)
+            return GradedPoly._from_content(self.table, content)
         out = None
         base = self
         while True:
@@ -360,10 +365,10 @@ class GradedPoly:
             base = base * base
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GradedPoly.constant(self.table, other)
         if not isinstance(other, GradedPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GradedPoly.constant(self.table, other)
         if self.table is not other.table and self.table != other.table:
             return False
         if len(self) != len(other):
@@ -532,28 +537,30 @@ def series_quotient(
 
 
 def format_poly(p: GradedPoly) -> str:
-    """Render in the CLI expression grammar, e.g. ``36864/113 * k2^2``."""
-    if p.is_zero():
+    """Render in the CLI expression grammar, e.g. ``36864/113 * k2^2``: terms
+    in graded-lex order, highest degree and then lex-largest exponents first,
+    each coefficient read off the integer content with one gcd."""
+    den, keyed, width, _, _ = p._content
+    if not keyed:
         return "0"
+    names = p.table.names
+    exps = _unpack(keyed, width, len(names))
+    terms = sorted(zip(map(p.table.degree, exps), exps, keyed.values()), reverse=True)
     parts: list[str] = []
-    for exps, coeff in p.sorted_terms():
-        factors = []
-        for name, e in zip(p.table.names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(coeff)
+    for _, exps, n in terms:
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+        g = gcd(n, den)
+        mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
         if not factors:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = " * ".join(factors)
         else:
-            body = " * ".join([str(mag)] + factors)
+            body = " * ".join([mag] + factors)
         if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
+            parts.append(body if n > 0 else f"-{body}")
         else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            parts.append(f"+ {body}" if n > 0 else f"- {body}")
     return " ".join(parts)
 
 

@@ -135,15 +135,19 @@ def _variables(table: VariableTable) -> dict[str, GradedPoly]:
 
 
 def _rational(v: Any) -> Fraction | None:
-    """v as a rational scalar (a constant polynomial counts), else None."""
+    """v as a rational scalar (a constant polynomial counts), else None.  A
+    polynomial is tested first: ``isinstance(v, Fraction)`` of anything else
+    goes through ``ABCMeta.__instancecheck__``."""
+    if isinstance(v, GradedPoly):
+        return v.constant_term() if v.is_constant() else None
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
-    if isinstance(v, GradedPoly) and v.is_constant():
-        return v.constant_term()
     return None
 
 
 def _integer(v: Any) -> int | None:
+    if isinstance(v, int):
+        return v
     q = _rational(v)
     return int(q) if q is not None and q.denominator == 1 else None
 
@@ -333,8 +337,13 @@ _CANNOT = {
 
 def _operate(op: str, *values: Any) -> Any:
     for *kinds, fn in OPERATORS[op]:
-        args = [_KINDS[kind][1](v) for kind, v in zip(kinds, values)]
-        if all(a is not None for a in args):
+        args = []
+        for kind, v in zip(kinds, values):
+            arg = _KINDS[kind][1](v)
+            if arg is None:
+                break
+            args.append(arg)
+        else:
             try:
                 return fn(*args)
             except ZeroDivisionError:
@@ -375,6 +384,8 @@ class Evaluator:
     # -- core --------------------------------------------------------------
 
     def eval(self, node: Expr, env: Mapping[str, Any]) -> Any:
+        if isinstance(node, Call):  # the root of most statements
+            return self._call(node, env)
         if isinstance(node, Num):
             return node.value
         if isinstance(node, Var):
@@ -385,14 +396,14 @@ class Evaluator:
                 if node.name not in self._prelude:
                     raise EvalError(f"unknown identifier {node.name!r}")
             return self._prelude[node.name]
-        if isinstance(node, Neg):
-            return _operate("neg", self.eval(node.arg, env))
         if isinstance(node, BinOp):
             return _operate(node.op, self.eval(node.left, env), self.eval(node.right, env))
-        if isinstance(node, ListExpr):
-            return tuple(self.eval(item, env) for item in node.items)
         if isinstance(node, RingExpr):
             return self._ring(node, env)
+        if isinstance(node, Neg):
+            return _operate("neg", self.eval(node.arg, env))
+        if isinstance(node, ListExpr):
+            return tuple([self.eval(item, env) for item in node.items])
         if isinstance(node, BundleExpr):
             return self._bundle(node, env)
         if isinstance(node, Index):
@@ -404,8 +415,6 @@ class Evaluator:
                     raise ValueError("Hirzebruch index must be >= 0")
                 return geometry.hirzebruch_ring(n)
             raise EvalError(f"unknown indexed constructor {node.name!r}")
-        if isinstance(node, Call):
-            return self._call(node, env)
         raise EvalError(f"cannot evaluate node {node!r}")
 
     def _ring(self, node: RingExpr, env: Mapping[str, Any]) -> quotient.RingPresentation:
@@ -452,7 +461,10 @@ class Evaluator:
             raise EvalError(f"{name} takes {len(kinds)} argument(s), got {len(node.args)}")
         try:
             args: list[Any] = [None] * len(kinds)
-            for i in sorted(range(len(kinds)), key=lambda j: j != scope):
+            order = range(len(kinds))
+            if scope is not None:
+                order = [scope, *order[:scope], *order[scope + 1 :]]
+            for i in order:
                 value = self.eval(node.args[i], env)
                 what, check = _KINDS[kinds[i]]
                 args[i] = check(value)
@@ -493,10 +505,12 @@ def _closed_ring(node: RingExpr) -> quotient.RingPresentation | None:
 
 
 def format_value(v: Any) -> str:
+    if isinstance(v, int):
+        return str(v)
     if isinstance(v, GradedPoly):
         return format_poly(v)
     if isinstance(v, tuple):
-        return "(" + ", ".join(format_value(x) for x in v) + ")"
+        return "(" + ", ".join(map(format_value, v)) + ")"
     if isinstance(v, ExactMatrix):
         rows = ["[" + ", ".join(str(x) for x in row) + "]" for row in v.entries]
         return "[" + ", ".join(rows) + "]"

@@ -20,8 +20,9 @@ other non-space character outside + - * / ^ ( ) [ ] , ; = is an unexpected
 character at its position.  Parse errors carry a position and the expected
 token set.
 
-A text is parsed once: ``parse`` is an ``lru_cache`` of 1024 texts, so a
-re-asked statement is the identical tree and is not tokenized.  Ring
+A text is parsed once: ``parse`` reads one ``lru_cache`` of 1024 texts
+(``_kept``; ``parse.cache_info`` and ``parse.cache_clear`` are its own), so
+a re-asked statement is the identical tree and is not tokenized.  Ring
 literals share that memo.  Before a statement is tokenized, each
 ``ring[...](...)`` span in it other than the whole text is found by its
 bracket characters and parsed as its own text, and its tree stands as one
@@ -29,9 +30,11 @@ token; only the text around it is tokenized.  So a re-asked literal is the
 identical ``RingExpr`` in any statement, and a memo keyed by it finds it by
 identity.  If that parse fails or runs out of stack (a span that fails on
 its own or is nested too deeply, or a literal where the grammar takes
-none), the statement is parsed again from every token, so every error
-reads as it would without the memo; a text that fails is never kept, for
-``lru_cache`` keeps no call that raised.
+none), the statement ``parse`` was given is parsed again from every token,
+so every error reads as it would without the memo.  Only that statement
+is: a literal nested in others fails up through them without a parse of
+its own, so n nested literals cost one parse from every token, not n.  A
+text that fails is never kept, for ``lru_cache`` keeps no call that raised.
 """
 from __future__ import annotations
 
@@ -157,12 +160,6 @@ class _Parser:
         self.i += 1
         return text
 
-    def accept(self, kind: str) -> bool:
-        if self.tokens[self.i][0] == kind:
-            self.i += 1
-            return True
-        return False
-
     # -- grammar ---------------------------------------------------------
 
     def expr(self) -> Expr:
@@ -184,10 +181,12 @@ class _Parser:
         return node
 
     def unary(self) -> Expr:
-        if self.accept("-"):
+        if self.tokens[self.i][0] == "-":
+            self.i += 1
             return Neg(self.unary())
         base = self.atom()
-        if self.accept("^"):
+        if self.tokens[self.i][0] == "^":
+            self.i += 1
             return BinOp("^", base, self.unary())  # right-associative
         return base
 
@@ -208,9 +207,11 @@ class _Parser:
                 return self.ring_tail()
             if text == "bundle" and after == "(":
                 return self.bundle_tail()
-            if self.accept("("):
+            if after == "(":
+                self.i += 1
                 return Call(text, self.expr_list(")"))
-            if self.accept("["):
+            if after == "[":
+                self.i += 1
                 return Index(text, self.expr_list("]"))
             return Var(text)
         if kind == "tree":  # a ring literal parsed as its own text
@@ -240,7 +241,8 @@ class _Parser:
     def separated(self, kind: str) -> tuple[str, ...]:
         """One or more comma-separated tokens of `kind`."""
         items = [self.take(kind)]
-        while self.accept(","):
+        while self.tokens[self.i][0] == ",":
+            self.i += 1
             items.append(self.take(kind))
         return tuple(items)
 
@@ -249,7 +251,8 @@ class _Parser:
         items = []
         if self.tokens[self.i][0] != closer:
             items.append(self.expr())
-            while self.accept(","):
+            while self.tokens[self.i][0] == ",":
+                self.i += 1
                 items.append(self.expr())
         self.take(closer)
         return tuple(items)
@@ -294,8 +297,8 @@ def _literal_end(src: str, i: int) -> int | None:
 
 def _tokens_around_literals(src: str) -> list | None:
     """The tokens of `src` with each ring literal but one that is the whole
-    text as one ('tree', parse(its text), its position) token; None if there
-    is no such literal."""
+    text as one ('tree', the tree of its text, its position) token; None if
+    there is no such literal."""
     out: list = []
     pos = 0
     for m in _RING_START.finditer(src):
@@ -305,7 +308,7 @@ def _tokens_around_literals(src: str) -> list | None:
         end = _literal_end(src, m.end() - 1)
         if end is not None and end - start < len(src):
             _scan(src, pos, start, out)
-            out.append(("tree", parse(src[start:end]), start))
+            out.append(("tree", _kept(src[start:end]), start))
             pos = end
     if not out:
         return None
@@ -314,13 +317,31 @@ def _tokens_around_literals(src: str) -> list | None:
     return out
 
 
+class _FromEveryToken(Exception):
+    """A text with a ring literal in it failed with its literals as tokens."""
+
+
 @functools.lru_cache(maxsize=1024)
-def parse(src: str) -> Expr | Assign:
-    """Parse a statement; raises ParseError with position on bad input."""
+def _kept(src: str) -> Expr | Assign:
+    """The tree of `src` with each ring literal in it parsed as its own text,
+    kept in the memo of texts; raises ``_FromEveryToken`` if that fails, so
+    that only the text ``parse`` was given is parsed again from every token,
+    and not each enclosing literal of a nested one."""
     try:
         tokens = _tokens_around_literals(src)
         if tokens is not None:
             return _Parser(tokens).statement()
-    except (ParseError, RecursionError):
-        pass  # parsed again from every token, so the error reads as without the memo
+    except (ParseError, RecursionError, _FromEveryToken):
+        raise _FromEveryToken from None
     return _Parser(tokenize(src)).statement()
+
+
+def parse(src: str) -> Expr | Assign:
+    """Parse a statement; raises ParseError with position on bad input."""
+    try:
+        return _kept(src)
+    except _FromEveryToken:  # so that the error reads as it would without the memo
+        return _Parser(tokenize(src)).statement()
+
+
+parse.cache_info, parse.cache_clear = _kept.cache_info, _kept.cache_clear

@@ -101,7 +101,7 @@ class PsiSeries:
         return PsiSeries(self.genus, tuple(x + y for x, y in zip(a, b)))
 
     def __mul__(self, other: "PsiSeries | RationalLike | GradedPoly"):
-        if isinstance(other, (int, Fraction, GradedPoly)):
+        if isinstance(other, (GradedPoly, int, Fraction)):
             return PsiSeries(self.genus, tuple(c * other for c in self.coeffs))
         self._check(other)
         # psi^(D+1), the last power that push_psi reads, is the last one

@@ -119,12 +119,16 @@ def normal_form(x: GradedPoly, pres: RingPresentation) -> GradedPoly:
         raise ValueError("polynomial over a different variable table")
     if x.is_zero():
         return x
-    if not x.is_homogeneous():
-        raise ValueError("normal form requires a homogeneous input")
-    d = x.degree()
+    try:
+        d = x.degree()
+    except ValueError:  # x is not zero, so it is inhomogeneous
+        raise ValueError("normal form requires a homogeneous input") from None
     if not any(_piece_dims(pres, d)[d:]):  # empty when the zero run came first
         return GradedPoly.zero(pres.table)
     table = graded_piece(pres, d).normal_forms
+    if len(x) == 1:  # a monomial: a scalar multiple of its table entry
+        [(m, c)] = x.items()
+        return table[m] * c
     one = GradedPoly.one(pres.table)
     return linear_combination(pres.table, ((c, table[m], one) for m, c in x.items()))
 

@@ -69,11 +69,13 @@ def dim_schur(lam: Partition, n: int) -> int:
         raise ValueError("n must be >= 1")
     if lam.length > n:
         return 0
-    num = Fraction(1)
+    num = denom = 1
     for i, j in lam.cells():
-        num *= Fraction(n + j - i, lam.hook(i, j))
-    assert num.denominator == 1
-    return int(num)
+        num *= n + j - i
+        denom *= lam.hook(i, j)
+    q, r = divmod(num, denom)
+    assert r == 0
+    return q
 
 
 def syt_count(lam: Partition) -> int:

@@ -3,7 +3,9 @@ polynomial was born as integer content: a table and a dict from exponent
 tuples to nonzero Fractions, in first-occurrence order, with every
 operation a plain loop over that dict.  It is the oracle that
 tests/test_poly_reference.py compares the constructors, ``+ - neg * /``,
-the degree tests, the hash and the printer against.
+the degree tests, the hash and the printer against; ``fraction_format`` is
+the printer that read Fractions, the oracle of the one that reads the
+integer content.
 """
 from __future__ import annotations
 
@@ -113,3 +115,32 @@ class RefPoly:
             else:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def fraction_format(p):
+    """The printer ``chowcalc.algebra.format_poly`` was before it read the
+    integer content: the terms of a ``GradedPoly`` as Fractions, sorted
+    graded-lex descending, each coefficient printed by ``str(Fraction)``."""
+    if p.is_zero():
+        return "0"
+    degree = p.table.degree
+    parts = []
+    for exps, coeff in sorted(p.items(), key=lambda t: (degree(t[0]), t[0]), reverse=True):
+        factors = []
+        for name, e in zip(p.table.names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = " * ".join(factors)
+        else:
+            body = " * ".join([str(mag)] + factors)
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)

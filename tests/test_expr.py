@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from chowcalc import expr
 from chowcalc.algebra import GradedPoly
 from chowcalc.cli import main
 from chowcalc.evaluator import (
@@ -183,10 +184,13 @@ DEEP_INPUTS = [
     "+".join(["1"] * 3000),
     "-" * 3000 + "1",
     "^".join(["1"] * 1000),
+    "hilbert(" + "ring[x; 1](" * 500 + "x" + ")" * 500 + ", 2)",
 ]
 
 
-@pytest.mark.parametrize("src", DEEP_INPUTS, ids=["parens", "sum", "negations", "powers"])
+@pytest.mark.parametrize(
+    "src", DEEP_INPUTS, ids=["parens", "sum", "negations", "powers", "ring-literals"]
+)
 def test_deeply_nested_input_is_an_eval_error(src):
     ev = Evaluator()
     with pytest.raises(EvalError, match="^expression nested too deeply$"):
@@ -197,6 +201,30 @@ def test_deeply_nested_input_is_an_eval_error(src):
 def test_deeply_nested_definition_is_an_eval_error():
     with pytest.raises(EvalError, match="nested too deeply"):
         Evaluator().load_definitions("x = " + DEEP_INPUTS[0] + "\n")
+
+
+@pytest.mark.parametrize(
+    "innermost, depths, error",
+    [("x", (800, 1600), RecursionError), ("x +", (10, 60), ParseError)],
+    ids=["too-deep", "failing-innermost"],
+)
+def test_nested_literals_are_parsed_from_every_token_once(monkeypatch, innermost, depths, error):
+    """Each literal of n nested ones is parsed as its own text first; when
+    that fails, only the statement is parsed again from every token, not
+    each enclosing literal, so the full-token parses do not grow with n."""
+    tokenized = []
+    tokenize = expr.tokenize
+    monkeypatch.setattr(expr, "tokenize", lambda src: tokenized.append(src) or tokenize(src))
+    counts = []
+    for n in depths:
+        text = "hilbert(" + "ring[x; 1](" * n + innermost + ")" * n + ", 2)"
+        parse.cache_clear()
+        tokenized.clear()
+        with pytest.raises(error):
+            parse(text)
+        assert tokenized[-1] == text
+        counts.append(len(tokenized))
+    assert counts[0] == counts[1] <= 2
 
 
 def test_quadrics_bundle_needs_genus_three():

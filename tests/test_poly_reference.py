@@ -5,13 +5,15 @@ same hash and the same printed form, and equals, both ways, the polynomial
 rebuilt from its terms.
 """
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from _ref_poly import RefPoly
+from _ref_poly import RefPoly, fraction_format
 from chowcalc import algebra
 from chowcalc.algebra import GradedPoly, VariableTable, format_poly
 
@@ -98,7 +100,7 @@ def _assert_same(p, r):
     assert list(p.items()) == list(r.items())
     assert all(type(c) is Fraction for _, c in p.items())
     assert hash(p) == hash(rebuilt) == r.hash_value()
-    assert format_poly(p) == r.format()
+    assert format_poly(p) == r.format() == fraction_format(p)
 
 
 _x = (GradedPoly.variable(WTABLE, "a"), RefPoly.variable(WTABLE, "a"))
@@ -200,3 +202,60 @@ def test_division_by_zero_raises_as_before():
     for p in (GradedPoly.variable(WTABLE, "a"), RefPoly.variable(WTABLE, "a")):
         with pytest.raises(ZeroDivisionError):
             p / 0
+
+
+# -- the fast paths against the general ones -----------------------------------------
+
+
+def _width_rule(p):
+    _, _, width, top, _ = p._content
+    return width == algebra._field_width(top)
+
+
+@st.composite
+def monomials(draw):
+    """A one-term polynomial with exponents 0..40, on either side of the
+    6-to-16-bit field step at 31/32; some of unknown degree, left over after
+    a cancellation."""
+    table = draw(st.sampled_from(FLOOR_TABLES[:2] + TABLES[:2]))
+    exps = draw(st.tuples(*[st.integers(0, 40)] * len(table)))
+    p = GradedPoly.monomial(table, exps, draw(nonzero))
+    if draw(st.booleans()):
+        other = GradedPoly.monomial(table, tuple(e + 1 for e in exps), 1)
+        p = (p + other) - other  # degree None in the content
+    return p
+
+
+@given(monomials(), st.integers(0, 12))
+@example(GradedPoly.monomial(FLOOR_TABLES[0], (31,), -1), 2)  # 31 -> 62: 6 -> 16 bits
+@example(GradedPoly.monomial(FLOOR_TABLES[0], (16,), Fraction(2, 3)), 2)  # 32: repacked
+@example(GradedPoly.monomial(FLOOR_TABLES[0], (15,), 5), 2)  # 30: stays at 6 bits
+@example(GradedPoly.constant(FLOOR_TABLES[1], Fraction(-3, 7)), 5)
+@example(GradedPoly.monomial(FLOOR_TABLES[1], (40, 0, 3, 1), Fraction(1, 2)), 0)
+@example(GradedPoly.monomial(FLOOR_TABLES[1], (40, 0, 3, 1), Fraction(1, 2)), 1)
+def test_a_monomial_power_equals_repeated_products(p, k):
+    """A one-term ``p ** k`` multiplies one key by k; the product of k
+    copies goes through the kernel."""
+    power = p**k
+    product_ = reduce(mul, [p] * k, GradedPoly.one(p.table))
+    assert power == product_ and product_ == power
+    assert power._content[:4] == product_._content[:4]
+    assert hash(power) == hash(product_)
+    assert format_poly(power) == format_poly(product_) == fraction_format(product_)
+    assert _width_rule(power) and _width_rule(product_)
+    if p._content[4] is None and k > 1:
+        assert power._content[4] is None
+    elif k > 1:
+        assert power._content[4] == product_._content[4] == k * p.degree()
+
+
+printer_terms = st.dictionaries(
+    st.tuples(*[st.integers(0, 40) | exponents] * 6), coefficients, max_size=5
+)
+
+
+@given(st.sampled_from(TABLES + FLOOR_TABLES), printer_terms, printer_terms, nonzero)
+def test_the_printer_reads_the_content_as_the_fraction_printer_reads_terms(table, ta, tb, q):
+    a, b = (GradedPoly(table, {e[: len(table)]: c for e, c in t.items()}) for t in (ta, tb))
+    for p in (a, b, a + b, a - b * q, a * b, (a + 1) / q):
+        assert format_poly(p) == fraction_format(p)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chowcalc.algebra import ExactMatrix, GradedPoly, VariableTable, monomial_basis
+from chowcalc.algebra import (
+    ExactMatrix,
+    GradedPoly,
+    VariableTable,
+    linear_combination,
+    monomial_basis,
+)
 from chowcalc.quotient import (
     RingPresentation,
     SocleError,
@@ -330,6 +336,40 @@ def test_normal_form_matches_vector_reduction(ring, data):
         x = GradedPoly(pres.table, dict(zip(basis, coeffs))) * scale
         assert normal_form(x, pres) == _ref_normal_form(x, pres)
     assert hilbert_function(pres, top + 1)[top:] == (1, 0)
+
+
+def _general_normal_form(x, pres):
+    """The sum over the terms of x of each coefficient times its monomial's
+    table entry, as ``normal_form`` reduces an input of several terms."""
+    table = graded_piece(pres, x.degree()).normal_forms
+    one = GradedPoly.one(pres.table)
+    return linear_combination(pres.table, ((c, table[m], one) for m, c in x.items()))
+
+
+def _assert_one_term_normal_form(x, pres):
+    got, general = normal_form(x, pres), _general_normal_form(x, pres)
+    assert got == general and got._content == general._content
+    assert hash(got) == hash(general)
+
+
+scalars = st.integers(-9, 9).filter(bool) | st.fractions(max_denominator=50).filter(bool)
+
+
+@given(st.integers(0, 8), st.integers(0, 4), scalars)
+@example(4, 0, 1)  # nf(k1^4, M6)
+@example(4, 0, Fraction(3, 7))
+@example(2, 2, 1)  # in the ideal: zero
+def test_a_one_term_normal_form_on_m6_is_the_general_sum(a, b, c):
+    _assert_one_term_normal_form(c * K1**a * K2**b, M6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(complete_intersections(), st.data())
+def test_a_one_term_normal_form_is_the_general_sum(ring, data):
+    pres, top = ring
+    monomials = [m for d in range(top + 2) for m in monomial_basis(pres.table, d)]
+    m = data.draw(st.sampled_from(monomials))
+    _assert_one_term_normal_form(GradedPoly.monomial(pres.table, m, data.draw(scalars)), pres)
 
 
 def _ci_series(weights, degrees, n):

@@ -50,6 +50,27 @@ def test_dim_schur_vanishes_iff_too_many_rows():
             assert (dim_schur(lam, n) == 0) == (lam.length > n)
 
 
+def _fraction_dim_schur(lam, n):
+    """The hook content formula as dim_schur computed it before it
+    multiplied ints: one Fraction factor per cell."""
+    if lam.length > n:
+        return 0
+    num = Fraction(1)
+    for i, j in lam.cells():
+        num *= Fraction(n + j - i, lam.hook(i, j))
+    assert num.denominator == 1
+    return int(num)
+
+
+def test_dim_schur_equals_the_fraction_product():
+    """Every partition of size at most 8 on C^1..C^8, those with more rows
+    than n included."""
+    for lam in [P(), *(lam for size in range(1, 9) for lam in _partitions(size))]:
+        for n in range(1, 9):
+            got = dim_schur(lam, n)
+            assert type(got) is int and got == _fraction_dim_schur(lam, n), (lam, n)
+
+
 def test_partition_size_cap():
     # there is no size cap: partitions of any size construct, and
     # lr_product takes products of degree above 12
