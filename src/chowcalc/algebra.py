@@ -42,12 +42,19 @@ at its result's width.
 
 Results from internal operations are built with the trusted
 ``GradedPoly._from_content``; the public constructor keeps full validation.
+A polynomial of known degree d is built from its coefficient vector, one
+coefficient per monomial of ``monomial_basis(table, d)`` in that order, by
+``GradedPoly.homogeneous``: it checks the vector's length and the type of
+each coefficient, and packs the nonzero ones onto keys kept per
+(table, d) beside ``monomial_basis`` and bounded like it, so no exponent
+vector is checked, packed or weighed.  Its content is the one the public
+constructor builds from the same terms.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import lshift, mul
 from typing import Iterable, Mapping, Sequence
@@ -130,6 +137,18 @@ def monomial_basis(table: VariableTable, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=1024)  # beside monomial_basis, and bounded like it
+def _basis_keys(table: VariableTable, d: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The keys of ``monomial_basis(table, d)``, in its order, packed at the
+    width of its largest exponent; the largest exponent of each monomial;
+    and that width."""
+    basis = monomial_basis(table, d)
+    tops = tuple(max(e, default=0) for e in basis)
+    width = _field_width(max(tops, default=0))
+    shifts = range(0, len(table) * width, width)
+    return tuple(sum(map(lshift, e, shifts)) for e in basis), tops, width
+
+
 class GradedPoly:
     """Multivariate polynomial with rational coefficients over a VariableTable.
 
@@ -198,6 +217,31 @@ class GradedPoly:
     @staticmethod
     def monomial(table: VariableTable, exps: Sequence[int], c: RationalLike = 1) -> "GradedPoly":
         return GradedPoly(table, {tuple(exps): c})
+
+    @staticmethod
+    def homogeneous(table: VariableTable, d: int, coeffs: Sequence[RationalLike]) -> "GradedPoly":
+        """The degree-d polynomial with coefficient coeffs[i] on the i-th
+        monomial of ``monomial_basis(table, d)``: the content the public
+        constructor builds from those terms, packed from the basis keys kept
+        per (table, d), with no exponent vector to check, pack or weigh."""
+        keys, tops, width = _basis_keys(table, d)
+        if len(coeffs) != len(keys):
+            raise ValueError(f"{len(keys)} monomials of degree {d}, got {len(coeffs)} coefficients")
+        if set(map(type, coeffs)) <= {int}:  # the common case: no denominator to take
+            den, keyed = 1, dict(compress(zip(keys, coeffs), coeffs))
+        else:
+            for c in coeffs:
+                if not isinstance(c, (int, Fraction)):
+                    rat(c)  # raises the TypeError
+            kept = list(compress(zip(keys, coeffs), coeffs))
+            den = lcm(*{c.denominator for _, c in kept})
+            keyed = {k: c.numerator * (den // c.denominator) for k, c in kept}
+        if not keyed:
+            return GradedPoly.zero(table)
+        top = max(compress(tops, coeffs))
+        content = (den, keyed, width, top, d)
+        # zero coefficients on the largest exponents can leave a narrower field
+        return GradedPoly._from_content(table, _repacked(content, _field_width(top), len(table)))
 
     # -- inspection --------------------------------------------------------
 

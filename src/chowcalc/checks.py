@@ -18,6 +18,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import comb, factorial
 from typing import Any, Callable
 
 from . import bundles, geometry, grr, quotient, schur
@@ -315,13 +316,28 @@ def _run_strata(trunc: int):
     return computed, ((15, 13, 12, 11, 10), 12, (12, 11, 9))
 
 
+def _bernoulli_polynomial_series(k: int, n: int) -> list[Fraction]:
+    """B_0(k)/0!, ..., B_n(k)/n!: the coefficients of t e^(kt) / (e^t - 1),
+    by exact series division of e^(kt) by (e^t - 1)/t = sum t^j / (j + 1)!.
+    Times (d + 1)!, its coefficient d reads sum_(m <= d) C(d + 1, m) B_m(k) =
+    (d + 1) k^d.  It runs on the integers (n + 1)! B_m(k), as no prime in a
+    denominator of B_m(k) exceeds m + 1, so each division by d + 1 is exact."""
+    scale = factorial(n + 1)
+    a: list[int] = []
+    for d in range(n + 1):
+        a.append(scale * k**d - sum(comb(d + 1, m) * a[m] for m in range(d)) // (d + 1))
+    return [Fraction(x, scale * factorial(d)) for d, x in enumerate(a)]
+
+
 @_check(
     "grr-constants",
     "pushforward constants on the universal curve: c1(Hodge) = kappa1/12; "
     "ch2(Hodge) = 0 (the even character components of the Hodge bundle "
     "vanish; via todd = 1 - psi/2 + psi^2/12 + 0 psi^3 the psi^3 coefficient "
     "of e^psi * todd is 1/6 - 1/4 + 1/12 = 0); ch1 of the pushed squared "
-    "dualizing sheaf = 13 kappa1/12 with rank 3g - 3",
+    "dualizing sheaf = 13 kappa1/12 with rank 3g - 3; Mumford's formula "
+    "ch_a = B_(a+1)(k)/(a+1)! kappa_a for the pushed omega^k, k = 1, 2 and "
+    "a = 1..D, with B_n(k) read off t e^(kt)/(e^t - 1)",
     "derived-oracle",
 )
 def _run_grr(trunc: int):
@@ -331,6 +347,14 @@ def _run_grr(trunc: int):
     ch2 = [grr.ch_pushforward_omega_power(2, g, trunc) for g in genera]
     six = genera.index(6)
     ch_hodge = bundles.chern_character(hodge[six])
+    ch1 = grr.ch_pushforward_omega_power(1, 6, trunc)
+    mumford = tuple(
+        tuple(
+            grr.kappa(trunc, a) * b
+            for a, b in enumerate(_bernoulli_polynomial_series(k, trunc + 1)[2:], start=1)
+        )
+        for k in (1, 2)
+    )
     computed = (
         ch_hodge[1],
         ch_hodge[2],
@@ -338,8 +362,16 @@ def _run_grr(trunc: int):
         # lambda1 and the rank of the pushed squared dualizing sheaf, g = 2..8
         tuple(h.c(1) for h in hodge),
         tuple(ch[0] for ch in ch2),
+        (tuple(ch1[1:]), tuple(ch2[six][1:])),
     )
-    expected = (k1 / 12, 0, Fraction(13, 12) * k1, (k1 / 12,) * 7, tuple(3 * g - 3 for g in genera))
+    expected = (
+        k1 / 12,
+        0,
+        Fraction(13, 12) * k1,
+        (k1 / 12,) * 7,
+        tuple(3 * g - 3 for g in genera),
+        mumford,
+    )
     return computed, expected
 
 
@@ -395,7 +427,8 @@ def _run_random(trunc: int):
 
     def rand_poly(d: int, bound: int) -> GradedPoly:
         """Integer coefficients in [-bound, bound] on the degree-d monomials."""
-        return GradedPoly(table, {e: rng.randint(-bound, bound) for e in monomial_basis(table, d)})
+        coeffs = [rng.randint(-bound, bound) for _ in monomial_basis(table, d)]
+        return GradedPoly.homogeneous(table, d, coeffs)
 
     def rand_poly_deg1() -> GradedPoly:
         return rand_poly(1, 3)  # in a1, b1, u: v has weight 2

@@ -10,7 +10,12 @@ too, like every class above the truncation, so a power of psi past it is
 so a product's coefficients past it would not be determined.  Chern data
 of the direct images of powers of the relative dualizing sheaf, and of the
 Hodge bundle, follow from the Todd series of the relative tangent, whose
-coefficients are Bernoulli numbers computed in-module.
+coefficients are Bernoulli numbers computed in-module.  The genus enters
+them only where psi pushes to 2g - 2, which gives ch_0: ch_1..ch_D and the
+Chern classes do not depend on g, and only ch_0 and the rank do (Mumford,
+*Towards an enumerative geometry*, 1983, section 5: ch_a = B_(a+1)(k) /
+(a+1)! kappa_a).  So e^(k psi) td is pushed forward once per (k, D), in a
+bounded ``lru_cache``, whatever genus asks for it.
 
 The genus-6 model carries Mukai's rank-5 bundle V, the Hodge bundle E and
 a free twist ell over one table, v1..v5, lambda1..lambda_D and ell; V and E
@@ -27,6 +32,7 @@ from math import comb, factorial
 from ._record import record
 from .algebra import GradedPoly, RationalLike, VariableTable, linear_combination, rat, series_mul
 from .bundles import (
+    BundleError,
     FormalBundle,
     chern_from_character,
     free_bundle,
@@ -153,20 +159,38 @@ def push_psi(s: PsiSeries) -> GradedPoly:
     return linear_combination(table, ((1, c, img) for c, img in zip(s.coeffs[1:], images)))
 
 
+@lru_cache(maxsize=1024)  # keyed by the user's k, so bounded like graded_piece
+def _pushed_omega_power(
+    k: int, trunc: int
+) -> tuple[GradedPoly, tuple[GradedPoly, ...], tuple[GradedPoly, ...]]:
+    """The direct image of omega^k, pushed forward once for every genus:
+    ch_0 at genus 2, and ch_1..ch_D and c_1..c_D, which hold at every genus.
+
+    The genus enters the pushforward of e^(k psi) td only where psi pushes
+    to 2g - 2, which gives ch_0 alone, so ch_0 at genus g is g - 1 times
+    its value at genus 2.  Newton's identities read c_1..c_D off ch_1..ch_D
+    alone, so they are those of the rank-0 class with the same ch_1..ch_D.
+    """
+    total = push_psi(exp_psi(k, 2, trunc) * todd_series(2, trunc))
+    ch = [total.homogeneous_component(d) for d in range(trunc + 1)]
+    classes = chern_from_character([GradedPoly.zero(total.table), *ch[1:]], 0).chern
+    return ch[0], tuple(ch[1:]), classes
+
+
 def ch_pushforward_omega_power(k: int, g: int, trunc: int) -> list[GradedPoly]:
     """ch_0..ch_trunc of the direct image of omega^k along the universal
     curve: the pushforward of e^(k psi) times the relative Todd class.
+    ch_1..ch_trunc do not depend on g; ch_0, the psi coefficient pushed to
+    2g - 2, is g - 1 times its value at genus 2.
 
     For k = 1 the derived pushforward differs from the sheaf pushforward by
     the trivial line R^1; ch_0 gains 1.  For k >= 2 the R^1 term vanishes.
     """
     if k < 1 or g < 2:
         raise ValueError("need k >= 1 and genus >= 2")
-    total = push_psi(exp_psi(k, g, trunc) * todd_series(g, trunc))
-    ch = [total.homogeneous_component(d) for d in range(trunc + 1)]
-    if k == 1:
-        ch[0] = ch[0] + 1
-    return ch
+    ch0, higher, _ = _pushed_omega_power(k, trunc)
+    ch0 = ch0 * (g - 1)
+    return [ch0 + 1 if k == 1 else ch0, *higher]
 
 
 def pushforward_rank(k: int, g: int) -> int:
@@ -175,14 +199,20 @@ def pushforward_rank(k: int, g: int) -> int:
 
 
 def pushforward_bundle(k: int, g: int, trunc: int) -> FormalBundle:
-    ch = ch_pushforward_omega_power(k, g, trunc)
-    return chern_from_character(ch, pushforward_rank(k, g))
+    """The direct image of omega^k, of rank ``pushforward_rank(k, g)``; its
+    classes do not depend on g (see ``_pushed_omega_power``)."""
+    ch0 = ch_pushforward_omega_power(k, g, trunc)[0]
+    rank = pushforward_rank(k, g)
+    if ch0.as_scalar() != rank:
+        raise BundleError("ch_0 must equal the rank")
+    return FormalBundle(rank, _pushed_omega_power(k, trunc)[2], ch0.table)
 
 
 def hodge_bundle(g: int, trunc: int) -> FormalBundle:
     """The rank-g Hodge bundle over the free kappa-ring; lambda_i := c_i.
 
-    For g < trunc the classes above the rank are the raw pushforward output:
+    Its classes do not depend on g: only ch_0 and the rank do.  For
+    g < trunc the classes above the rank are the raw pushforward output:
     they encode relations on the actual moduli space rather than vanishing
     identically, and are kept like every class of a bundle.
     """

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given
@@ -89,6 +90,57 @@ def test_indexed_tables_follow_their_groups():
     assert table.weights == (1, 2, 1, 2, 3)
     assert VariableTable.indexed(("lambda", 3), ("v", 2)).names[:2] == ("lambda1", "lambda2")
     assert VariableTable.indexed() == VariableTable.indexed(("x", 0)) == VariableTable((), ())
+
+
+# -- a polynomial of known degree from its coefficient vector ----------------------
+
+MIXED_DENOMINATORS = (1, 2, 3, 7, 10007, 2**61 - 1)
+
+
+@st.composite
+def homogeneous_vectors(draw):
+    """A table of 1 to 6 variables of weights 1 to 3, a degree from 0 to 40
+    (as far as the basis has at most 300 monomials, so that one or two
+    variables reach exponents past 31) and one coefficient per monomial:
+    ints, Fractions, Fractions and ints over several denominators, or all
+    zeros, with zeros among the others."""
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    n = len(weights)
+    d = draw(st.integers(0, max(d for d in range(41) if comb(d + n - 1, n - 1) <= 300)))
+    table = VariableTable(tuple(f"x{i}" for i in range(n)), tuple(weights))
+    numerators = st.integers(-(10**6), 10**6)
+    entries = {
+        "int": st.just(0) | numerators,
+        "fraction": st.just(Fraction(0)) | st.builds(Fraction, numerators, st.integers(1, 60)),
+        "mixed": st.just(0) | numerators
+        | st.builds(Fraction, numerators, st.sampled_from(MIXED_DENOMINATORS)),
+        "zero": st.sampled_from((0, Fraction(0))),
+    }[draw(st.sampled_from(("int", "fraction", "mixed", "zero")))]
+    size = len(monomial_basis(table, d))
+    return table, d, draw(st.lists(entries, min_size=size, max_size=size))
+
+
+_PAIR = VariableTable(("x0", "x1"), (1, 1))
+
+
+@given(homogeneous_vectors())
+# degree 40 in two variables, but nonzero only on x0^20 x1^20: a 6-bit field
+@example((_PAIR, 40, [0] * 20 + [Fraction(-5, 3)] + [0] * 20))
+@example((_PAIR, 40, [0] * 20 + [7] + [0] * 19 + [1]))  # x1^40 keeps the 16-bit field
+@example((VariableTable(("x0",), (2,)), 3, []))  # no monomial of odd degree
+def test_homogeneous_packs_what_the_public_constructor_packs(case):
+    table, d, coeffs = case
+    packed = GradedPoly.homogeneous(table, d, coeffs)
+    public = GradedPoly(table, dict(zip(monomial_basis(table, d), coeffs)))
+    assert packed._content == public._content
+    assert packed == public and hash(packed) == hash(public)
+
+
+def test_homogeneous_takes_one_exact_coefficient_per_monomial():
+    with pytest.raises(ValueError, match="3 monomials of degree 4, got 2 coefficients"):
+        GradedPoly.homogeneous(KAPPA, 4, [1, 2])
+    with pytest.raises(TypeError):
+        GradedPoly.homogeneous(KAPPA, 4, [1, 0.5, 2])
 
 
 # -- row reduction --------------------------------------------------------------
@@ -249,6 +301,8 @@ X = GradedPoly.variable(VariableTable(("x",), (1,)), "x")
     "build",
     [
         lambda: GradedPoly(X.table, {(1,): 0.1}),
+        lambda: GradedPoly.homogeneous(X.table, 1, [0.1]),
+        lambda: GradedPoly.homogeneous(X.table, 1, [0.0]),
         lambda: GradedPoly.constant(X.table, 0.5),
         lambda: GradedPoly.constant(X.table, "1/3"),
         lambda: X / 0.1,

@@ -1,10 +1,13 @@
 from fractions import Fraction
 from math import factorial
 
+import _ref_pushforward
 import pytest
 
+from chowcalc import grr
 from chowcalc.algebra import GradedPoly
 from chowcalc.bundles import (
+    BundleError,
     FormalBundle,
     chern_character,
     dual,
@@ -204,6 +207,35 @@ def test_riemann_roch_rank_consistency(k, g):
     ch = ch_pushforward_omega_power(k, g, 2)
     expected = k * (2 * g - 2) - g + 1 + (1 if k == 1 else 0)
     assert ch[0].as_scalar() == expected == pushforward_rank(k, g)
+
+
+# -- one pushforward per (k, truncation) ---------------------------------------------
+
+
+@pytest.mark.parametrize("trunc", range(9))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_the_pushforward_kept_per_k_is_the_one_pushed_at_each_genus(k, trunc):
+    """ch lists, ranks and every class, those above the rank included."""
+    for g in range(2, 11):
+        ch = ch_pushforward_omega_power(k, g, trunc)
+        assert ch == _ref_pushforward.ch_pushforward_omega_power(k, g, trunc)
+        bundle, ref = pushforward_bundle(k, g, trunc), _ref_pushforward.pushforward_bundle(k, g, trunc)
+        assert (bundle.rank, bundle.chern, bundle.table) == (ref.rank, ref.chern, ref.table)
+        assert len(bundle.chern) == trunc
+        if k == 1:
+            assert hodge_bundle(g, trunc) == ref
+
+
+def test_a_rank_that_is_not_ch0_still_raises(monkeypatch):
+    rank = grr.pushforward_rank
+    monkeypatch.setattr(grr, "pushforward_rank", lambda k, g: rank(k, g) + 1)
+    for build in (
+        lambda: hodge_bundle(6, D),
+        lambda: pushforward_bundle(2, 6, D),
+        lambda: quadrics_bundle(6, D),
+    ):
+        with pytest.raises(BundleError, match="ch_0 must equal the rank"):
+            build()
 
 
 # -- the Hodge bundle -----------------------------------------------------------------
