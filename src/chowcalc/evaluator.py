@@ -530,14 +530,10 @@ def format_value(v: Any) -> str:
                 parts.append(f"({body}) * {head}" if len(c) > 1 or body not in ("1",) else head)
         return " + ".join(parts) if parts else "0"
     if isinstance(v, quotient.RingPresentation):
-        return presentation_to_text(v)
+        vs = ", ".join(v.table.names)
+        ws = ", ".join(str(w) for w in v.table.weights)
+        rs = ", ".join(format_poly(r) for r in v.relations)
+        return f"ring[{vs}; {ws}]({rs})"
     if isinstance(v, geometry.Grassmannian):
         return f"G({v.k}, {v.n})"
     return str(v)
-
-
-def presentation_to_text(pres: quotient.RingPresentation) -> str:
-    vs = ", ".join(pres.table.names)
-    ws = ", ".join(str(w) for w in pres.table.weights)
-    rs = ", ".join(format_poly(r) for r in pres.relations)
-    return f"ring[{vs}; {ws}]({rs})"

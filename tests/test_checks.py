@@ -429,7 +429,9 @@ def test_cli_repl_rejects_negative_truncation(monkeypatch, capsys):
 
 def test_kappa_ring_tables_script():
     script = Path(__file__).resolve().parents[1] / "scripts" / "kappa_ring_tables.py"
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(script)], capture_output=True, text=True, timeout=60,
+    )
     assert proc.returncode == 0, proc.stderr
     lines = [line.strip() for line in proc.stdout.splitlines()]
     assert "hilbert through degree 8: (1, 1, 2, 1, 1, 0, 0, 0, 0)" in lines

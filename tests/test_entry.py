@@ -16,12 +16,19 @@ import pytest
 
 from chowcalc import cli
 
+# A warning in library code fails the in-process runs too.
+pytestmark = pytest.mark.filterwarnings("error")
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# A fixed encoding, so that the bytes do not depend on the host's locale, and
-# buffered output unless a test passes -u, so that the final flush is tested.
+# A fixed encoding, so that the bytes do not depend on the host's locale,
+# buffered output unless a test passes -u, so that the final flush is tested,
+# every warning an error, so that a deprecation in library code fails, and a
+# fixed width for argparse's help, which a pipe and a terminal wrap apart.
 ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-ENV.update(PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
+ENV.update(
+    PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8", PYTHONWARNINGS="error", COLUMNS="80",
+)
 # More than 64 KB of answers (about 1.3 KB each), then the golden session.
 LONG_REPL = "F\n" * 60 + (GOLDEN / "repl_input.txt").read_text()
 
@@ -52,6 +59,9 @@ LONG = str(decimal.Decimal(2**20000))
 CASES = {
     "verify-text": (["verify", "--trunc", "4"], "", 0, None),
     "verify-json": (["verify", "--trunc", "4", "--format", "json"], "", 0, None),
+    "verify-trunc2": (["verify", "--trunc", "2"], "", 0, None),
+    "verify-trunc8": (["verify", "--trunc", "8"], "", 0, None),
+    "verify-help": (["verify", "--help"], "", 0, None),
     "eval-error": (["eval", "1 + * 2"], "", 2, None),
     "repl-golden": (["repl", "--trunc", "4"], (GOLDEN / "repl_input.txt").read_text(), 2, None),
     "eval-long": (["eval", "2^20000"], "", 0, LONG + "\n"),
@@ -63,7 +73,8 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_the_entry_prints_and_exits_like_main(case):
+def test_the_entry_prints_and_exits_like_main(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", ENV["COLUMNS"])
     argv, stdin, code, out = CASES[case]
     proc = subprocess.run(
         [sys.executable, "-m", "chowcalc", *argv], input=stdin.encode(),
@@ -113,4 +124,5 @@ def test_a_closed_stdout_ends_the_repl_quietly(flags):
     finally:
         proc.kill()
         proc.wait()
+        proc.stderr.close()
     assert err == b""

@@ -2,8 +2,9 @@
 under ``sys.setprofile``, not by timing it: a polynomial never reaches
 ``ABCMeta.__instancecheck__`` (which ``isinstance(x, Fraction)`` calls for
 anything but an int or a Fraction), a monomial's normal form is one scalar
-multiple of its table entry, and counts print from ints.  Likewise for two
-checks run on cleared caches: ``grr-constants`` pushes e^(k psi) td forward
+multiple of its table entry, and counts print from ints.  Likewise on
+cleared caches: a normal form past the ring's zero run builds the same
+pieces whatever the degree, ``grr-constants`` pushes e^(k psi) td forward
 once per k, whatever the genus, and ``random-identities`` packs its random
 classes without the public constructor.  Total call counts differ between
 Python versions, so none is pinned.
@@ -17,7 +18,7 @@ import pytest
 
 from test_faults import _clear_caches
 
-from chowcalc import algebra, bundles, checks, grr
+from chowcalc import algebra, bundles, checks, grr, quotient
 from chowcalc.algebra import GradedPoly, monomial_basis
 from chowcalc.evaluator import Evaluator, format_value
 
@@ -80,6 +81,17 @@ def test_a_warm_line_never_checks_a_polynomial_against_an_abc(warm, line):
 def test_a_monomial_normal_form_is_no_kernel_product(warm):
     seen, _ = _calls(warm, "nf(k1^4, M6)")
     assert seen["linear_combination"] == 0
+
+
+@pytest.mark.parametrize("degree", [200, 10**12])
+def test_a_normal_form_past_the_zero_run_builds_seven_pieces_whatever_the_degree(degree):
+    # M6 is zero from degree 5 on and its largest weight is 2, so the
+    # evaluator's nf proves k1^degree zero from the pieces of degree <= 6
+    ev = Evaluator()
+    ev.run("M6")
+    quotient.graded_piece.cache_clear()
+    assert format_value(ev.run(f"nf(k1^{degree}, M6)")) == "0"
+    assert quotient.graded_piece.cache_info().misses == 7
 
 
 @pytest.mark.parametrize("line", ["hilbert(M6, 6)", "dim(G(3, 7))", "schurdim([3, 2, 1], 4)"])
