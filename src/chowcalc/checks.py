@@ -14,7 +14,6 @@ printer ``format_value``, so a failing check shows where they differ.
 """
 from __future__ import annotations
 
-import json
 import random
 import time
 from fractions import Fraction
@@ -135,6 +134,8 @@ def format_text(results: list[CheckResult]) -> str:
 
 
 def format_json(results: list[CheckResult]) -> str:
+    import json
+
     return json.dumps([r.as_dict() for r in results], indent=2, sort_keys=True)
 
 

@@ -250,8 +250,8 @@ def test_cli_verify_defaults_to_text_at_the_default_truncation(capsys):
     assert reports[0] == reports[1]
 
 
-# argparse reads each flag, so a bad value, or a flag verify no longer takes
-# (a config file), is a usage message before any check runs.
+# The CLI grammar reads each flag before any check runs, so a bad value, or a
+# flag verify no longer takes (a config file), is a usage message.
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -284,22 +284,38 @@ def test_cli_verify_list(capsys):
     assert "m6-presentation" in out and len(out) == 12
 
 
+# Run under -S: a site that preloads modules (here certifi's pathlib) would
+# hide a command that imports them.
+IMPORT_PROBE = """
+import io, sys
+from chowcalc import cli
+SLOW = ("argparse", "gettext", "locale", "json", "pathlib")
+for argv in (["eval", "1+1"], ["repl"], ["verify", "--list"],
+             ["verify", "--only", "m6-presentation", "--format", "json"]):
+    sys.stdin, sys.stdout = io.StringIO(""), io.StringIO()
+    code = cli.main(argv)
+    first = sys.stdout.getvalue().split("\\n")[0]
+    sys.stdin, sys.stdout = sys.__stdin__, sys.__stdout__
+    loaded = [m for m in SLOW if m in sys.modules]
+    print(argv[0], code, first, "chowcalc.checks" in sys.modules, *loaded)
+"""
+
+
 def test_cli_eval_does_not_import_the_check_battery():
-    code = (
-        "import sys\n"
-        "from chowcalc import cli\n"
-        'assert cli.main(["eval", "1+1"]) == 0\n'
-        'print("chowcalc.checks" in sys.modules)\n'
-        'assert cli.main(["verify", "--list"]) == 0\n'
-    )
+    """eval and repl start without the check battery, no command imports
+    an argument parser or pathlib, and only a JSON report imports json."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        [sys.executable, "-S", "-c", IMPORT_PROBE], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.split()
-    assert lines[:2] == ["2", "False"] and "m6-presentation" in lines and len(lines) == 14
+    assert proc.stdout.splitlines() == [
+        "eval 0 2 False",
+        "repl 0  False",
+        "verify 0 canonical-quadrics True",
+        "verify 0 [ True json",
+    ]
 
 
 def test_cli_eval(capsys):

@@ -23,12 +23,9 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # A fixed encoding, so that the bytes do not depend on the host's locale,
 # buffered output unless a test passes -u, so that the final flush is tested,
-# every warning an error, so that a deprecation in library code fails, and a
-# fixed width for argparse's help, which a pipe and a terminal wrap apart.
+# and every warning an error, so that a deprecation in library code fails.
 ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-ENV.update(
-    PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8", PYTHONWARNINGS="error", COLUMNS="80",
-)
+ENV.update(PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8", PYTHONWARNINGS="error")
 # More than 64 KB of answers (about 1.3 KB each), then the golden session.
 LONG_REPL = "F\n" * 60 + (GOLDEN / "repl_input.txt").read_text()
 
@@ -62,7 +59,10 @@ CASES = {
     "verify-trunc2": (["verify", "--trunc", "2"], "", 0, None),
     "verify-trunc8": (["verify", "--trunc", "8"], "", 0, None),
     "verify-help": (["verify", "--help"], "", 0, None),
+    "help": (["--help"], "", 0, None),
     "eval-error": (["eval", "1 + * 2"], "", 2, None),
+    "eval-dashdash": (["eval", "--", "-k1"], "", 0, "-k1\n"),
+    "eval-equals": (["eval", "--trunc=8", "k1^4"], "", 0, "k1^4\n"),
     "repl-golden": (["repl", "--trunc", "4"], (GOLDEN / "repl_input.txt").read_text(), 2, None),
     "eval-long": (["eval", "2^20000"], "", 0, LONG + "\n"),
     "repl-long": (
@@ -73,8 +73,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_the_entry_prints_and_exits_like_main(case, monkeypatch):
-    monkeypatch.setenv("COLUMNS", ENV["COLUMNS"])
+def test_the_entry_prints_and_exits_like_main(case):
     argv, stdin, code, out = CASES[case]
     proc = subprocess.run(
         [sys.executable, "-m", "chowcalc", *argv], input=stdin.encode(),
